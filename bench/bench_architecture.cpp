@@ -61,8 +61,8 @@ DualGprsResult run_dual_gprs(int days, util::Bytes base_payload,
     if (outcome.success) ++result.days_ref_delivered;
     simulation.run_until(simulation.now() + sim::days(1));
   }
-  result.joules = base_power.consumed_by("gprs").value() +
-                  ref_power.consumed_by("gprs").value();
+  result.joules = double(base_power.find_component("gprs")->total_uj() +
+                         ref_power.find_component("gprs")->total_uj()) / 1e6;
   return result;
 }
 
@@ -215,7 +215,7 @@ void run() {
     // December through April, the §II winter the stations must survive —
     // month by month, because Iceland's burial compounds as the pack grows.
     std::printf("  %-8s", iceland ? "Iceland:" : "Norway:");
-    double previous = power.total_harvested().value();
+    double previous = double(power.absorbed_microjoules()) / 1e6;
     const int months[][2] = {{2008, 12}, {2009, 1}, {2009, 2},
                              {2009, 3},  {2009, 4}};
     for (const auto& [year, month] : months) {
@@ -226,10 +226,10 @@ void run() {
         ++next_year;
       }
       sim4.run_until(sim::at_midnight(next_year, next_month, 1));
-      const double now_wh = power.total_harvested().value();
+      const double now_joules = double(power.absorbed_microjoules()) / 1e6;
       std::printf("  %04d-%02d:%6.0f Wh", year, month,
-                  (now_wh - previous) / 3600.0);
-      previous = now_wh;
+                  (now_joules - previous) / 3600.0);
+      previous = now_joules;
     }
     std::printf("%s\n", iceland ? "  (burial compounds)" : "");
   }

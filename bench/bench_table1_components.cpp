@@ -46,11 +46,12 @@ struct Rig {
 double measured_milliwatts(Rig& rig, const std::string& load,
                            const std::function<void()>& on,
                            const std::function<void()>& off) {
-  const double before = rig.power.consumed_by(load).value();
+  const energy::ComponentModel& component = *rig.power.find_component(load);
+  const energy::MicroJoules before = component.total_uj();
   on();
   rig.power.tick(sim::hours(1));
   off();
-  const double joules = rig.power.consumed_by(load).value() - before;
+  const double joules = double(component.total_uj() - before) / 1e6;
   return joules / 3600.0 * 1000.0;
 }
 

@@ -35,8 +35,8 @@ int main() {
                 s->gprs().bytes_sent().mib(), s->gprs().sessions_attempted(),
                 s->gprs().registration_failures(), s->gprs().data_cost());
     std::printf("  energy harvested: %.1f Wh, consumed: %.1f Wh\n",
-                s->power().total_harvested().value() / 3600.0,
-                s->power().total_consumed().value() / 3600.0);
+                double(s->power().absorbed_microjoules()) / 3.6e9,
+                double(s->power().delivered_microjoules()) / 3.6e9);
     if (s->config().role == station::StationRole::kBaseStation) {
       std::printf("  probe readings retrieved: %zu\n",
                   stats.probe_readings_delivered);

@@ -63,8 +63,9 @@ void run_winter(bool adaptive) {
     deployment.simulation().run_until(sim::at_midnight(year, month, 1));
 
     auto& base = deployment.base();
-    const double harvest = base.power().total_harvested().value() / 3600.0;
-    const double consumed = base.power().total_consumed().value() / 3600.0;
+    const double harvest = double(base.power().absorbed_microjoules()) / 3.6e9;
+    const double consumed =
+        double(base.power().delivered_microjoules()) / 3.6e9;
     const int files = deployment.server().files_from("base");
     std::printf("  %04d-%02d  %9.1f %10.1f %6.0f%% %6d %6d %11d\n", dt.year,
                 dt.month, harvest - prev_harvest, consumed - prev_consumed,

@@ -9,9 +9,12 @@
 #      resolve, and every docs/*.md must be reachable from README.md by
 #      following links (needs python3, also gated);
 #   3. sanitizer leg: with GW_CHECK_SANITIZE=1 in the environment, builds
-#      system_test in a separate build-asan/ dir with -DGW_SANITIZE=address
-#      (ASan+UBSan) and runs the fault soak under it. Off by default —
-#      it is a full extra build — and gated on cmake being available;
+#      system_test, snapshot_test and energy_test in a separate build-asan/
+#      dir with -DGW_SANITIZE=address (ASan+UBSan) and runs the fault soak,
+#      the energy-conservation season (a snapshot round trip included), the
+#      snapshot format sweeps and the component restore checks under it.
+#      Off by default — it is a full extra build — and gated on cmake
+#      being available;
 #   4. thread-sanitizer leg: with GW_CHECK_TSAN=1, builds runner_test and
 #      sim_test in a separate build-tsan/ dir with -DGW_SANITIZE=thread and
 #      runs the Monte Carlo runner tests (pool handoff + determinism) plus
@@ -93,13 +96,17 @@ fi
 # --- 3. sanitizer soak (opt-in: GW_CHECK_SANITIZE=1) ----------------------
 if [ "${GW_CHECK_SANITIZE:-0}" = "1" ]; then
   if command -v cmake >/dev/null 2>&1; then
-    echo "== ASan+UBSan fault soak (build-asan/)"
+    echo "== ASan+UBSan fault soak and restore paths (build-asan/)"
     if cmake -B build-asan -S . -DGW_SANITIZE=address >/dev/null &&
-       cmake --build build-asan --target system_test -j >/dev/null &&
-       ./build-asan/tests/system_test --gtest_filter='FaultSoak.*'; then
-      echo "ok: fault soak clean under ASan+UBSan"
+       cmake --build build-asan --target system_test snapshot_test \
+         energy_test -j >/dev/null &&
+       ./build-asan/tests/system_test \
+         --gtest_filter='FaultSoak.*:EnergyConservation.*' &&
+       ./build-asan/tests/snapshot_test &&
+       ./build-asan/tests/energy_test; then
+      echo "ok: fault soak and restore paths clean under ASan+UBSan"
     else
-      echo "FAIL: sanitizer fault soak"
+      echo "FAIL: sanitizer fault soak or restore paths"
       failures=$((failures + 1))
     fi
   else

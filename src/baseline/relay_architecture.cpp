@@ -119,9 +119,11 @@ RelayDayOutcome RelayDeployment::run_window() {
 }
 
 util::Joules RelayDeployment::comms_energy() const {
-  return base_power_->consumed_by("radio_modem") +
-         relay_power_->consumed_by("radio_modem") +
-         relay_power_->consumed_by("gprs");
+  const energy::MicroJoules uj =
+      base_power_->find_component("radio_modem")->total_uj() +
+      relay_power_->find_component("radio_modem")->total_uj() +
+      relay_power_->find_component("gprs")->total_uj();
+  return util::Joules{double(uj) / 1e6};
 }
 
 }  // namespace gw::baseline

@@ -175,11 +175,6 @@ class ComponentModel {
     active_ms_.at(index) += active_ms;
   }
 
-  // Mutates the nominal draw of `index` (set_load_power compatibility).
-  void set_state_draw(std::size_t index, util::Watts draw) {
-    spec_.states.at(index).draw = draw;
-  }
-
   [[nodiscard]] MicroJoules energy_uj(std::size_t index) const {
     return energy_uj_.at(index);
   }
@@ -195,40 +190,35 @@ class ComponentModel {
     return double(active_ms_.at(index)) / 1e3;
   }
 
+  // Dynamics only: the spec (names, draws, coefficients) is wiring. Its
+  // name and state count are saved as a cross-check, and every restored
+  // index and ledger length is checked against the wired states.
   template <class Archive>
   void persist(Archive& ar) {
     std::string name = spec_.name;
     ar.value(name);
     if (name != spec_.name) {
-      throw snapshot::SnapshotError(
-          snapshot::SnapshotErrc::kStateMismatch,
-          "component name mismatch: wired " + spec_.name + ", snapshot " +
-              name);
+      mismatch("component name mismatch: wired " + spec_.name +
+               ", snapshot " + name);
     }
     std::uint64_t states = spec_.states.size();
     ar.value(states);
     if (states != spec_.states.size()) {
-      throw snapshot::SnapshotError(
-          snapshot::SnapshotErrc::kStateMismatch,
-          "component " + spec_.name + " activity-state count mismatch");
+      mismatch("component " + spec_.name + " activity-state count mismatch");
     }
-    std::uint64_t activity = activity_;
-    ar.value(activity);
-    activity_ = std::size_t(activity);
-    // Draws are persisted (not just wiring): set_load_power may have
-    // mutated them since construction.
-    for (auto& s : spec_.states) ar.value(s.draw);
+    ar.value(activity_);
     ar.value(energy_uj_);
     ar.value(active_ms_);
     ar.value(plan_anchor_);
-    std::vector<std::pair<std::uint64_t, sim::SimTime>> plan;
-    if constexpr (Archive::kIsSaver) {
-      for (const auto& segment : plan_) plan.push_back({segment.state, segment.end});
-    }
-    ar.value(plan);
+    ar.value(plan_);
     if constexpr (!Archive::kIsSaver) {
-      plan_.clear();
-      for (const auto& [state, end] : plan) plan_.push_back({checked(std::size_t(state)), end});
+      bool in_range = activity_ < states && energy_uj_.size() == states &&
+                      active_ms_.size() == states;
+      for (const PlanSegment& s : plan_) in_range &= s.state < states;
+      if (!in_range) {
+        mismatch("component " + spec_.name +
+                 " restores an index or ledger length outside its states");
+      }
     }
   }
 
@@ -236,7 +226,18 @@ class ComponentModel {
   struct PlanSegment {
     std::size_t state = 0;
     sim::SimTime end;
+
+    template <class Archive>
+    void persist(Archive& ar) {
+      ar.value(state);
+      ar.value(end);
+    }
   };
+
+  [[noreturn]] static void mismatch(std::string detail) {
+    throw snapshot::SnapshotError(snapshot::SnapshotErrc::kStateMismatch,
+                                  std::move(detail));
+  }
 
   [[nodiscard]] std::size_t checked(std::size_t index) const {
     if (index >= spec_.states.size()) {

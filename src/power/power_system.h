@@ -6,13 +6,11 @@
 // machine (energy::ComponentModel, docs/ENERGY.md): instead of a flat
 // on/off load, devices report transitions between named states (boot,
 // run@400MHz, registering, tx, ...) whose draws may depend on air
-// temperature. A periodic tick integrates harvest against consumption,
-// keeps two views of the books —
-//   * legacy per-device double ledgers (consumed_by / harvested_by), and
-//   * exact integer-microjoule per-component, per-state ledgers whose sum
-//     equals the battery-side delivered meter to the microjoule
-//     (the conservation invariant; integer addition is associative so no
-//     grouping of the sum can break it) —
+// temperature. A periodic tick integrates harvest against consumption into
+// one book of exact integer-microjoule ledgers — per charger, and per
+// component and activity state — whose sums equal the battery-side absorbed
+// and delivered meters to the microjoule (the conservation invariant;
+// integer addition is associative so no grouping of the sum can break it),
 // and detects the two edges the paper's recovery logic cares about:
 //   * depletion (brown-out): all components drop to their off state,
 //     MSP430 RAM/RTC are lost; transitions attempted while browned out are
@@ -23,9 +21,7 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -64,20 +60,13 @@ class PowerSystem {
 
   void add_charger(std::unique_ptr<Charger> charger) {
     chargers_.push_back(std::move(charger));
-    harvested_.emplace(chargers_.back()->name(), util::Joules{0.0});
-    harvested_uj_.emplace(chargers_.back()->name(), 0);
+    harvested_uj_.push_back(0);
   }
 
   // Registers an activity-state component; it starts in state 0 (off).
   LoadHandle add_component(energy::ComponentSpec spec) {
     components_.emplace_back(std::move(spec));
-    consumed_.emplace(components_.back().name(), util::Joules{0.0});
     return components_.size() - 1;
-  }
-
-  // Legacy wiring shim: a plain switched load is a two-state component.
-  LoadHandle add_load(std::string name, util::Watts draw_when_on) {
-    return add_component(energy::switched_load(std::move(name), draw_when_on));
   }
 
   // Base-activity transition. While browned out only the off state is
@@ -106,26 +95,6 @@ class PowerSystem {
     component.set_plan(simulation_.now(), segments);
   }
 
-  void set_load(LoadHandle handle, bool on) {
-    set_activity(handle, on ? 1 : 0);
-  }
-
-  // Legacy draw mutation (state 1 of a switched load). Like any other
-  // transition it is refused and journalled during a brown-out — the new
-  // draw must not stick to the post-recovery component.
-  void set_load_power(LoadHandle handle, util::Watts draw) {
-    energy::ComponentModel& component = components_.at(handle);
-    if (browned_out_) {
-      journal_dropped(component, component.activity());
-      return;
-    }
-    component.set_state_draw(1, draw);
-  }
-
-  [[nodiscard]] bool load_on(LoadHandle handle) const {
-    return components_.at(handle).activity() != 0;
-  }
-
   // --- lifecycle ----------------------------------------------------------
 
   // Starts the periodic integration tick. Call once after wiring.
@@ -141,15 +110,15 @@ class PowerSystem {
   // Optional instrumentation (docs/OBSERVABILITY.md): brown-out/restore
   // edges and dropped transitions go to the journal as they happen; the
   // energy ledgers are mirrored into gauges by publish_ledgers() (ledger
-  // writes stay plain integers/doubles on the per-tick path).
+  // writes stay plain integers on the per-tick path).
   void set_hooks(obs::Hooks hooks) { hooks_ = hooks; }
 
   // Attaches scripted fault windows (harvest_blackout: a buried panel or a
   // frozen turbine delivers severity-scaled-down watts); null detaches.
   void set_fault_oracle(fault::FaultOracle* oracle) { oracle_ = oracle; }
 
-  // Snapshots the ledgers and battery health into the registry. Legacy
-  // totals stay under the "power" component (harvested_joules.<charger>,
+  // Snapshots the ledgers and battery health into the registry. Totals
+  // stay under the "power" component (harvested_joules.<charger>,
   // consumed_joules.<load>, battery_soc, brown_outs); the per-state
   // breakdown lands under "energy" as <component>.<state>.joules /
   // .seconds plus the two conservation meters. Call at any natural
@@ -157,14 +126,14 @@ class PowerSystem {
   void publish_ledgers() {
     if (hooks_.metrics == nullptr) return;
     auto& metrics = *hooks_.metrics;
-    for (const auto& [name, joules] : harvested_) {
-      metrics.gauge("power", "harvested_joules." + name).set(joules.value());
-    }
-    for (const auto& [name, joules] : consumed_) {
-      metrics.gauge("power", "consumed_joules." + name).set(joules.value());
+    for (std::size_t i = 0; i < chargers_.size(); ++i) {
+      metrics.gauge("power", "harvested_joules." + chargers_[i]->name())
+          .set(double(harvested_uj_[i]) / 1e6);
     }
     metrics.gauge("power", "battery_soc").set(battery_.soc());
     for (const auto& component : components_) {
+      metrics.gauge("power", "consumed_joules." + component.name())
+          .set(double(component.total_uj()) / 1e6);
       for (std::size_t i = 0; i < component.state_count(); ++i) {
         const std::string key = component.name() + "." + component.state(i).name;
         metrics.gauge("energy", key + ".joules")
@@ -217,13 +186,12 @@ class PowerSystem {
     for (const auto& component : components_) total += component.total_uj();
     return total;
   }
+  [[nodiscard]] std::size_t charger_count() const { return chargers_.size(); }
+  // Lifetime harvest of the charger at wiring position `charger` (the
+  // first one added is 0).
   [[nodiscard]] energy::MicroJoules harvested_microjoules(
-      const std::string& name) const {
-    const auto it = harvested_uj_.find(name);
-    if (it == harvested_uj_.end()) {
-      throw std::out_of_range("PowerSystem: unknown charger " + name);
-    }
-    return it->second;
+      std::size_t charger) const {
+    return harvested_uj_.at(charger);
   }
 
   // Instantaneous terminal voltage under the present net current — what the
@@ -246,40 +214,14 @@ class PowerSystem {
     return total_load_power() / config_.nominal;
   }
 
-  [[nodiscard]] util::Joules consumed_by(const std::string& name) const {
-    const auto it = consumed_.find(name);
-    if (it == consumed_.end()) {
-      throw std::out_of_range("PowerSystem: unknown load " + name);
-    }
-    return it->second;
-  }
-
-  [[nodiscard]] util::Joules harvested_by(const std::string& name) const {
-    const auto it = harvested_.find(name);
-    if (it == harvested_.end()) {
-      throw std::out_of_range("PowerSystem: unknown charger " + name);
-    }
-    return it->second;
-  }
-
-  [[nodiscard]] util::Joules total_consumed() const {
-    util::Joules sum{0.0};
-    for (const auto& [name, joules] : consumed_) sum += joules;
-    return sum;
-  }
-
-  [[nodiscard]] util::Joules total_harvested() const {
-    util::Joules sum{0.0};
-    for (const auto& [name, joules] : harvested_) sum += joules;
-    return sum;
-  }
-
   [[nodiscard]] int brown_out_count() const { return brown_out_count_; }
 
   // Snapshot support (docs/SNAPSHOT.md). Chargers, handlers, hooks and the
   // oracle pointer are wiring the restored world rebuilds; component names
   // and state counts are saved as a cross-check that the wiring actually
-  // matches (energy::ComponentModel::persist enforces both).
+  // matches (energy::ComponentModel::persist enforces both), and the
+  // harvest ledger must have one entry per wired charger — the tick
+  // indexes it by charger position.
   template <class Archive>
   void persist(Archive& ar) {
     double soc = battery_.soc();
@@ -287,17 +229,13 @@ class PowerSystem {
     if constexpr (!Archive::kIsSaver) battery_.set_soc(soc);
     std::uint64_t component_count = components_.size();
     ar.value(component_count);
-    if (component_count != components_.size()) {
-      throw snapshot::SnapshotError(
-          snapshot::SnapshotErrc::kStateMismatch,
-          "snapshot has " + std::to_string(component_count) +
-              " component(s), this world wired " +
-              std::to_string(components_.size()));
-    }
+    expect_wired(component_count, components_.size(), "component(s)");
     for (auto& component : components_) component.persist(ar);
-    ar.value(consumed_);
-    ar.value(harvested_);
-    ar.value(harvested_uj_);
+    // Count first, so a mismatch is refused before any entry is written.
+    std::uint64_t charger_count = harvested_uj_.size();
+    ar.value(charger_count);
+    expect_wired(charger_count, chargers_.size(), "charger ledger(s)");
+    for (energy::MicroJoules& uj : harvested_uj_) ar.value(uj);
     ar.value(delivered_uj_);
     ar.value(absorbed_uj_);
     ar.value(last_temp_);
@@ -322,26 +260,17 @@ class PowerSystem {
             ? 1.0 - oracle_->severity(fault::FaultKind::kHarvestBlackout, now)
             : 1.0;
     util::Watts harvest_total{0.0};
-    for (const auto& charger : chargers_) {
+    for (std::size_t i = 0; i < chargers_.size(); ++i) {
       const util::Watts watts =
-          charger->output(now, environment_) * harvest_factor;
-      harvested_[charger->name()] += util::energy(watts, dt_seconds);
+          chargers_[i]->output(now, environment_) * harvest_factor;
       const energy::MicroJoules uj = energy::quantum(watts, dt_seconds);
-      harvested_uj_[charger->name()] += uj;
+      harvested_uj_[i] += uj;
       absorbed_uj_ += uj;
       harvest_total += watts;
     }
     last_charge_current_ = harvest_total / config_.nominal;
 
     for (auto& component : components_) {
-      // Physics: the state active at tick time governs the whole interval
-      // (transitions land on scheduled events, which fire on tick
-      // boundaries' clock anyway), so battery drain is identical to the
-      // old flat-load model whenever a component's powered states share
-      // one draw.
-      const std::size_t active = component.active_at(now);
-      const util::Watts draw = component.draw_at(active, temp);
-      consumed_[component.name()] += util::energy(draw, dt_seconds);
       // Attribution: split the interval across the plan overlay so
       // sub-tick spans (GPRS registration vs tx) land in the right
       // per-state ledger. Each quantum also feeds the battery-side meter,
@@ -358,6 +287,9 @@ class PowerSystem {
       component.prune_plan(now);
     }
 
+    // Physics: the state active at tick time governs the whole interval, so
+    // battery drain equals the attributed energy whenever a plan's states
+    // share one draw, as every stock component's do.
     battery_.step(last_charge_current_, total_load_current(), dt_hours, temp);
 
     if (battery_.empty() && !browned_out_) {
@@ -390,6 +322,15 @@ class PowerSystem {
   }
 
  private:
+  static void expect_wired(std::uint64_t saved, std::size_t wired,
+                           const char* what) {
+    if (saved == wired) return;
+    throw snapshot::SnapshotError(
+        snapshot::SnapshotErrc::kStateMismatch,
+        "snapshot has " + std::to_string(saved) + " " + what +
+            ", this world wired " + std::to_string(wired));
+  }
+
   void journal_dropped(const energy::ComponentModel& component,
                        std::size_t requested) {
     if (hooks_.journal == nullptr) return;
@@ -415,9 +356,8 @@ class PowerSystem {
   // config at construction; their dynamics live in battery_/components_
   std::vector<std::unique_ptr<Charger>> chargers_;
   std::vector<energy::ComponentModel> components_;
-  std::map<std::string, util::Joules> consumed_;
-  std::map<std::string, util::Joules> harvested_;
-  std::map<std::string, energy::MicroJoules> harvested_uj_;
+  // Per-charger harvest ledgers, indexed like chargers_.
+  std::vector<energy::MicroJoules> harvested_uj_;
   energy::MicroJoules delivered_uj_ = 0;
   energy::MicroJoules absorbed_uj_ = 0;
   util::Celsius last_temp_{25.0};

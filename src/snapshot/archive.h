@@ -26,6 +26,7 @@
 // immediately — short reads never yield zero-filled state.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <concepts>
 #include <cstdint>
@@ -210,7 +211,9 @@ class Loader {
   void value(std::vector<T>& v) {
     const std::uint64_t n = take_u64();
     v.clear();
-    v.reserve(std::size_t(n));
+    // The count is untrusted and every element takes at least one byte:
+    // reserve no more than the payload left can hold.
+    v.reserve(std::size_t(std::min<std::uint64_t>(n, remaining())));
     for (std::uint64_t i = 0; i < n; ++i) {
       T item{};
       value(item);

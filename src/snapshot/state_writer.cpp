@@ -107,8 +107,9 @@ std::vector<std::uint8_t> StateWriter::finish() const {
 }
 
 StateReader::StateReader(std::span<const std::uint8_t> bytes) {
-  // The file CRC covers everything before itself; check it first so every
-  // later diagnostic is about *structure*, not random bit damage.
+  // Framing is walked first, every read bounds-checked and every section
+  // CRC verified; the file CRC, which covers everything before itself, is
+  // checked last and catches the damage the framing cannot see.
   if (bytes.size() < kMagic.size()) {
     throw SnapshotError(SnapshotErrc::kBadMagic, "stream shorter than magic");
   }
@@ -125,7 +126,10 @@ StateReader::StateReader(std::span<const std::uint8_t> bytes) {
                             std::to_string(kFormatVersion));
   }
   const std::uint32_t count = cursor.take_u32("section count");
-  sections_.reserve(count);
+  // Untrusted count: reserve no more sections than the bytes left can frame.
+  constexpr std::size_t kMinSectionBytes = 2 + 8 + 4;  // u16, u64, u32
+  sections_.reserve(
+      std::min<std::size_t>(count, cursor.left() / kMinSectionBytes));
   for (std::uint32_t i = 0; i < count; ++i) {
     Section section;
     const std::uint16_t name_len = cursor.take_u16("section name length");

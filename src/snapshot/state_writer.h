@@ -37,7 +37,7 @@
 
 namespace gw::snapshot {
 
-inline constexpr std::uint16_t kFormatVersion = 1;
+inline constexpr std::uint16_t kFormatVersion = 2;
 inline constexpr std::string_view kMagic = "GWSNAP";
 
 class StateWriter {

@@ -63,11 +63,11 @@ class FieldReport {
            ", " + std::to_string(station.gprs().session_drops()) +
            " drops, " + std::to_string(station.gprs().hangs()) + " hangs\n";
     out += "  energy: " +
-           util::format_fixed(station.power().total_harvested().value() / 3600.0,
-                              1) +
+           util::format_fixed(
+               double(station.power().absorbed_microjoules()) / 3.6e9, 1) +
            " Wh harvested / " +
-           util::format_fixed(station.power().total_consumed().value() / 3600.0,
-                              1) +
+           util::format_fixed(
+               double(station.power().delivered_microjoules()) / 3.6e9, 1) +
            " Wh consumed\n";
     if (station.config().role == StationRole::kBaseStation) {
       out += "  probes: " + std::to_string(stats.probe_readings_delivered) +

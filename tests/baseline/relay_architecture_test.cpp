@@ -58,8 +58,8 @@ TEST(RelayArchitecture, RelayPaysListenEnergyEvenOnMissedDays) {
   RelayDeployment relay{f.simulation, f.environment, util::Rng{1}, config};
   relay.run_days(5);
   // 2 h x 3.96 W x missed days of pure listening.
-  EXPECT_GT(relay.relay_power().consumed_by("radio_modem").value(),
-            4 * 2 * 3600 * 3.96 * 0.9);
+  EXPECT_GT(relay.relay_power().find_component("radio_modem")->total_uj(),
+            4 * 2 * 3600 * 3.96 * 0.9 * 1e6);
 }
 
 TEST(RelayArchitecture, CommsEnergyExceedsDualGprsEquivalent) {

@@ -141,7 +141,7 @@ TEST(Recovery, NtpResyncChargesModemEnergyAndDataCost) {
   EXPECT_TRUE(gprs.powered());
   f.simulation.run_until(f.simulation.now() + sim::minutes(10));
   EXPECT_FALSE(gprs.powered());
-  EXPECT_GT(f.power.consumed_by("gprs").value(), 0.0);
+  EXPECT_GT(f.power.find_component("gprs")->total_uj(), 0);
   EXPECT_GT(gprs.data_cost(), 0.0);
   // Clock restored to within the session length of truth (registration +
   // a short transfer), not exactly.

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -159,7 +160,6 @@ TEST(ComponentModelTest, PersistRoundTripsLedgersAndPlan) {
   model.set_plan(t0, {{2, sim::seconds(30)}, {3, sim::seconds(60)}});
   model.charge(1, 777, 1234);
   model.charge(3, 42, 10);
-  model.set_state_draw(1, util::Watts{0.6});
 
   snapshot::Saver saver;
   model.persist(saver);
@@ -171,7 +171,6 @@ TEST(ComponentModelTest, PersistRoundTripsLedgersAndPlan) {
   EXPECT_EQ(restored.energy_uj(1), 777);
   EXPECT_EQ(restored.energy_uj(3), 42);
   EXPECT_EQ(restored.active_ms(1), 1234);
-  EXPECT_EQ(restored.state(1).draw.value(), 0.6);
   EXPECT_TRUE(restored.has_plan());
   EXPECT_EQ(restored.active_at(t0 + sim::seconds(45)), 3u);
   EXPECT_EQ(restored.active_at(t0 + sim::seconds(95)), 1u);
@@ -191,6 +190,36 @@ TEST(ComponentModelTest, PersistRefusesMismatchedWiring) {
   ComponentModel wrong_shape{switched_load("gprs", util::Watts{1.0})};
   snapshot::Loader by_shape{saver.bytes()};
   EXPECT_THROW(wrong_shape.persist(by_shape), snapshot::SnapshotError);
+}
+
+// Hand-written gprs archives in persist() field order, each forging one
+// field to a value the model itself never saves, are refused at restore.
+TEST(ComponentModelTest, PersistRefusesForgedIndicesAndLedgers) {
+  auto restore = [](std::uint64_t activity, std::size_t energy_entries,
+                    std::size_t active_entries, std::uint64_t plan_state) {
+    snapshot::Saver saver;
+    saver.value(std::string("gprs"));
+    saver.value(std::uint64_t{4});
+    saver.value(activity);
+    saver.value(std::vector<MicroJoules>(energy_entries, 1));
+    saver.value(std::vector<std::int64_t>(active_entries, 1));
+    saver.value(sim::SimTime{});
+    saver.value(std::vector<std::pair<std::uint64_t, sim::SimTime>>{
+        {plan_state, sim::SimTime{} + sim::minutes(1)}});
+    ComponentModel restored{gprs_like_spec()};
+    snapshot::Loader loader{saver.bytes()};
+    try {
+      restored.persist(loader);
+    } catch (const snapshot::SnapshotError& error) {
+      return std::string(snapshot::to_string(error.code()));
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(restore(3, 4, 4, 2), "accepted");
+  EXPECT_EQ(restore(4, 4, 4, 2), "state_mismatch");  // activity
+  EXPECT_EQ(restore(3, 3, 4, 2), "state_mismatch");  // energy ledger
+  EXPECT_EQ(restore(3, 4, 5, 2), "state_mismatch");  // active-time ledger
+  EXPECT_EQ(restore(3, 4, 4, 4), "state_mismatch");  // plan state
 }
 
 }  // namespace

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "snapshot/archive.h"
+
 namespace gw::power {
 namespace {
 
 using namespace util::literals;
+using energy::switched_load;
 
 struct Fixture {
   sim::Simulation simulation{sim::at_midnight(2009, 9, 22)};
@@ -17,34 +20,34 @@ struct Fixture {
 TEST(PowerSystem, LoadsStartOff) {
   Fixture f;
   PowerSystem power{f.simulation, f.environment, f.config};
-  const auto gumstix = power.add_load("gumstix", 900_mW);
-  EXPECT_FALSE(power.load_on(gumstix));
+  const auto gumstix = power.add_component(switched_load("gumstix", 900_mW));
+  EXPECT_EQ(power.component(gumstix).activity(), 0u);
   EXPECT_DOUBLE_EQ(power.total_load_power().value(), 0.0);
 }
 
 TEST(PowerSystem, LoadSwitchingChangesDraw) {
   Fixture f;
   PowerSystem power{f.simulation, f.environment, f.config};
-  const auto gumstix = power.add_load("gumstix", 900_mW);
-  const auto gps = power.add_load("dgps", 3600_mW);
-  power.set_load(gumstix, true);
-  power.set_load(gps, true);
+  const auto gumstix = power.add_component(switched_load("gumstix", 900_mW));
+  const auto gps = power.add_component(switched_load("dgps", 3600_mW));
+  power.set_activity(gumstix, 1);
+  power.set_activity(gps, 1);
   EXPECT_DOUBLE_EQ(power.total_load_power().value(), 4.5);
   EXPECT_NEAR(power.total_load_current().value(), 0.375, 1e-12);
-  power.set_load(gps, false);
+  power.set_activity(gps, 0);
   EXPECT_DOUBLE_EQ(power.total_load_power().value(), 0.9);
 }
 
 TEST(PowerSystem, EnergyLedgerAccumulates) {
   Fixture f;
   PowerSystem power{f.simulation, f.environment, f.config};
-  const auto gps = power.add_load("dgps", 3600_mW);
-  power.set_load(gps, true);
+  const auto gps = power.add_component(switched_load("dgps", 3600_mW));
+  power.set_activity(gps, 1);
   power.tick(sim::hours(1));
   // 3.6 W for one hour = 12960 J.
-  EXPECT_NEAR(power.consumed_by("dgps").value(), 12960.0, 1e-6);
-  EXPECT_NEAR(power.total_consumed().value(), 12960.0, 1e-6);
-  EXPECT_THROW((void)power.consumed_by("nope"), std::out_of_range);
+  EXPECT_EQ(power.component(gps).total_uj(), 12960000000);
+  EXPECT_EQ(power.delivered_microjoules(), 12960000000);
+  EXPECT_EQ(power.find_component("nope"), nullptr);
 }
 
 TEST(PowerSystem, HarvestLedgerTracksChargers) {
@@ -54,8 +57,8 @@ TEST(PowerSystem, HarvestLedgerTracksChargers) {
   // September: café open, mains at 30 W.
   f.simulation.schedule_in(sim::hours(1), [] {});
   power.tick(sim::hours(1));
-  EXPECT_NEAR(power.harvested_by("mains").value(), 30.0 * 3600.0, 1e-6);
-  EXPECT_THROW((void)power.harvested_by("wind"), std::out_of_range);
+  EXPECT_EQ(power.harvested_microjoules(0), 30 * 3600 * 1000000LL);
+  EXPECT_THROW((void)power.harvested_microjoules(1), std::out_of_range);
 }
 
 TEST(PowerSystem, BrownOutDropsAllLoadsAndFiresOnce) {
@@ -63,17 +66,17 @@ TEST(PowerSystem, BrownOutDropsAllLoadsAndFiresOnce) {
   f.config.battery.initial_soc = 0.02;
   f.config.battery.self_discharge_per_day = 0.0;
   PowerSystem power{f.simulation, f.environment, f.config};
-  const auto radio = power.add_load("radio", 3960_mW);
-  power.set_load(radio, true);
+  const auto radio = power.add_component(switched_load("radio", 3960_mW));
+  power.set_activity(radio, 1);
   int brown_outs = 0;
   power.on_brown_out([&] { ++brown_outs; });
   for (int i = 0; i < 72; ++i) power.tick(sim::minutes(30));
   EXPECT_EQ(brown_outs, 1);
   EXPECT_TRUE(power.browned_out());
-  EXPECT_FALSE(power.load_on(radio));
+  EXPECT_EQ(power.component(radio).activity(), 0u);
   // Loads cannot be switched on while browned out.
-  power.set_load(radio, true);
-  EXPECT_FALSE(power.load_on(radio));
+  power.set_activity(radio, 1);
+  EXPECT_EQ(power.component(radio).activity(), 0u);
 }
 
 TEST(PowerSystem, RecoveryFiresWhenChargedAboveThreshold) {
@@ -82,8 +85,8 @@ TEST(PowerSystem, RecoveryFiresWhenChargedAboveThreshold) {
   f.config.battery.self_discharge_per_day = 0.0;
   PowerSystem power{f.simulation, f.environment, f.config};
   power.add_charger(std::make_unique<MainsCharger>(MainsChargerConfig{}));
-  const auto load = power.add_load("gumstix", 900_mW);
-  power.set_load(load, true);
+  const auto load = power.add_component(switched_load("gumstix", 900_mW));
+  power.set_activity(load, 1);
   int recoveries = 0;
   power.on_recovery([&] { ++recoveries; });
   // Drain to empty first (load exceeds nothing — no charging until ticked
@@ -100,9 +103,9 @@ TEST(PowerSystem, RecoveryFiresWhenChargedAboveThreshold) {
 TEST(PowerSystem, TerminalVoltageRespondsToLoad) {
   Fixture f;
   PowerSystem power{f.simulation, f.environment, f.config};
-  const auto gps = power.add_load("dgps", 3600_mW);
+  const auto gps = power.add_component(switched_load("dgps", 3600_mW));
   const double rest = power.terminal_voltage().value();
-  power.set_load(gps, true);
+  power.set_activity(gps, 1);
   const double loaded = power.terminal_voltage().value();
   EXPECT_LT(loaded, rest);
   EXPECT_NEAR(rest - loaded, 0.075, 1e-9);
@@ -111,12 +114,12 @@ TEST(PowerSystem, TerminalVoltageRespondsToLoad) {
 TEST(PowerSystem, StartSchedulesPeriodicTicks) {
   Fixture f;
   PowerSystem power{f.simulation, f.environment, f.config};
-  const auto gps = power.add_load("dgps", 3600_mW);
-  power.set_load(gps, true);
+  const auto gps = power.add_component(switched_load("dgps", 3600_mW));
+  power.set_activity(gps, 1);
   power.start();
   f.simulation.run_until(f.simulation.now() + sim::hours(2));
   // Two hours of 3.6 W ≈ 25920 J (plus/minus the last partial tick).
-  EXPECT_NEAR(power.consumed_by("dgps").value(), 25920.0, 300.0);
+  EXPECT_NEAR(double(power.component(gps).total_uj()) / 1e6, 25920.0, 300.0);
 }
 
 // --- activity-state components (docs/ENERGY.md) ---------------------------
@@ -134,9 +137,9 @@ TEST(PowerSystem, ActivityStatesChangeDraw) {
   Fixture f;
   PowerSystem power{f.simulation, f.environment, f.config};
   const auto modem = power.add_component(modem_spec());
-  EXPECT_FALSE(power.load_on(modem));
+  EXPECT_EQ(power.component(modem).activity(), 0u);
   power.set_activity(modem, 2);
-  EXPECT_TRUE(power.load_on(modem));
+  EXPECT_EQ(power.component(modem).activity(), 2u);
   EXPECT_DOUBLE_EQ(power.total_load_power().value(), 2.5);
   power.set_activity(modem, 1);
   EXPECT_DOUBLE_EQ(power.total_load_power().value(), 0.5);
@@ -146,12 +149,12 @@ TEST(PowerSystem, PerStateLedgersSumToDeliveredMeter) {
   Fixture f;
   PowerSystem power{f.simulation, f.environment, f.config};
   const auto modem = power.add_component(modem_spec());
-  const auto gps = power.add_load("dgps", 3600_mW);
+  const auto gps = power.add_component(switched_load("dgps", 3600_mW));
   power.set_activity(modem, 1);
-  power.set_load(gps, true);
+  power.set_activity(gps, 1);
   for (int i = 0; i < 90; ++i) {
     if (i == 30) power.set_activity(modem, 2);
-    if (i == 60) power.set_load(gps, false);
+    if (i == 60) power.set_activity(gps, 0);
     power.tick(sim::minutes(1));
   }
   // The conservation identity is exact, not approximate: integer quanta
@@ -162,9 +165,6 @@ TEST(PowerSystem, PerStateLedgersSumToDeliveredMeter) {
   ASSERT_NE(component, nullptr);
   EXPECT_EQ(component->energy_uj(1), 900000000);
   EXPECT_EQ(component->active_ms(1), 30 * 60 * 1000);
-  // The legacy double ledger sees the same totals.
-  EXPECT_NEAR(power.total_consumed().value(),
-              double(power.delivered_microjoules()) / 1e6, 1e-6);
 }
 
 TEST(PowerSystem, PlanAttributesSubTickSpans) {
@@ -213,17 +213,35 @@ TEST(PowerSystem, BrownOutRefusesAndJournalsTransitions) {
   EXPECT_EQ(dropped[0].a, 2.0);  // requested
   EXPECT_EQ(dropped[0].b, 0.0);  // stayed off
 
-  // Planned attribution is refused the same way...
+  // Planned attribution is refused the same way.
   power.plan_activity(modem, {{1, sim::seconds(30)}});
   EXPECT_FALSE(power.component(modem).has_plan());
-  // ...and so is a draw mutation (the set_load_power shim).
-  power.set_load_power(modem, util::Watts{9.9});
-  EXPECT_EQ(power.component(modem).state(1).draw.value(), 0.5);
-  EXPECT_EQ(journal.count(obs::EventType::kActivityDropped), 3u);
+  EXPECT_EQ(journal.count(obs::EventType::kActivityDropped), 2u);
 
   // Dropping to off is always allowed (it is what the brown-out did).
   power.set_activity(modem, 0);
-  EXPECT_EQ(journal.count(obs::EventType::kActivityDropped), 3u);
+  EXPECT_EQ(journal.count(obs::EventType::kActivityDropped), 2u);
+}
+
+// The harvest ledger is indexed by charger position: restoring it into a
+// world wired with another charger count is refused, never indexed past.
+TEST(PowerSystem, RestoreRefusesDifferentChargerCount) {
+  Fixture f;
+  PowerSystem saved{f.simulation, f.environment, f.config};
+  saved.add_charger(std::make_unique<SolarPanel>(SolarPanelConfig{}));
+  snapshot::Saver saver;
+  saved.persist(saver);
+
+  PowerSystem restored{f.simulation, f.environment, f.config};
+  restored.add_charger(std::make_unique<SolarPanel>(SolarPanelConfig{}));
+  restored.add_charger(std::make_unique<WindTurbine>(WindTurbineConfig{}));
+  snapshot::Loader loader{saver.bytes()};
+  try {
+    restored.persist(loader);
+    FAIL() << "restored one charger ledger into two chargers";
+  } catch (const snapshot::SnapshotError& error) {
+    EXPECT_EQ(error.code(), snapshot::SnapshotErrc::kStateMismatch);
+  }
 }
 
 TEST(PowerSystem, SolarDayChargesBatterySeptember) {

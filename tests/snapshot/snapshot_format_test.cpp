@@ -154,15 +154,16 @@ TEST(StateReaderTest, TruncationAtEveryLengthThrows) {
   }
 }
 
-// Property sweep: every single flipped byte must be caught — the section
-// CRCs cover payloads, the trailer CRC covers all framing.
+// Property sweep: every single flipped bit must be caught — the section
+// CRCs cover payloads, the trailer CRC covers all framing, and a damaged
+// section count never turns into a huge allocation.
 TEST(StateReaderTest, EveryFlippedByteIsCaught) {
   const auto bytes = sample_container();
-  for (std::size_t offset = 0; offset < bytes.size(); ++offset) {
+  for (std::size_t bit = 0; bit < 8 * bytes.size(); ++bit) {
     auto damaged = bytes;
-    damaged[offset] ^= 0x01;
+    damaged[bit / 8] ^= std::uint8_t(1u << (bit % 8));
     EXPECT_THROW({ const StateReader reader(damaged); }, SnapshotError)
-        << "accepted a stream with byte " << offset << " flipped";
+        << "accepted a stream with bit " << bit % 8 << " of byte " << bit / 8;
   }
 }
 
@@ -204,6 +205,23 @@ TEST(LoaderTest, UnderrunIsTyped) {
     FAIL() << "read 8 bytes from a 1-byte section";
   } catch (const SnapshotError& error) {
     EXPECT_EQ(error.code(), SnapshotErrc::kSectionUnderrun);
+  }
+}
+
+// A vector count the payload cannot hold (2^62 u64s exceed max_size, 2^31
+// would be 16 GiB) is a typed underrun, never an allocation failure.
+TEST(LoaderTest, ForgedVectorCountIsUnderrun) {
+  for (const std::uint64_t count : {1ULL << 62, 1ULL << 31}) {
+    Saver saver;
+    saver.value(count);
+    Loader loader(saver.bytes());
+    std::vector<std::uint64_t> items;
+    try {
+      loader.value(items);
+      ADD_FAILURE() << "read " << count << " items from an empty payload";
+    } catch (const SnapshotError& error) {
+      EXPECT_EQ(error.code(), SnapshotErrc::kSectionUnderrun);
+    }
   }
 }
 

@@ -23,21 +23,6 @@ TEST(Coverage, SimulationRunForAndPending) {
   EXPECT_TRUE(simulation.empty());
 }
 
-TEST(Coverage, PowerSystemVariableLoadPower) {
-  sim::Simulation simulation{sim::at_midnight(2009, 9, 22)};
-  env::Environment environment{1};
-  power::PowerSystem power{simulation, environment,
-                           power::PowerSystemConfig{}};
-  const auto modem = power.add_load("modem", 1_W);
-  power.set_load(modem, true);
-  power.tick(sim::hours(1));
-  // Transmit burst at a higher draw.
-  power.set_load_power(modem, 3_W);
-  power.tick(sim::hours(1));
-  EXPECT_NEAR(power.consumed_by("modem").value(), (1.0 + 3.0) * 3600.0,
-              1e-6);
-}
-
 TEST(Coverage, DgpsPeekMatchesFetch) {
   sim::Simulation simulation{sim::at_midnight(2009, 9, 22)};
   env::Environment environment{1};

@@ -21,8 +21,8 @@ TEST_P(SeedSweep, NinetyDayInvariants) {
     // Physical bounds.
     EXPECT_GE(station->power().battery().soc(), 0.0);
     EXPECT_LE(station->power().battery().soc(), 1.0);
-    EXPECT_GE(station->power().total_harvested().value(), 0.0);
-    EXPECT_GE(station->power().total_consumed().value(), 0.0);
+    EXPECT_GE(station->power().absorbed_microjoules(), 0);
+    EXPECT_GE(station->power().delivered_microjoules(), 0);
 
     // Day accounting: every day ends as a completed run, an aborted run,
     // or a silent day (state-0 stop still counts as completed; only
