@@ -1,12 +1,19 @@
 // Micro-benchmarks (google-benchmark) for the library's hot kernels: the
 // event queue that drives multi-year simulations, the MD5 used by the
-// update pipeline, CRC32 framing checks, the battery integrator, and a full
-// NACK protocol session. These measure the *implementation*, not the paper;
-// they exist so performance regressions in the substrate are visible.
+// update pipeline, CRC32 framing checks, the battery integrator, one
+// simulated minute of environment queries and of the PowerSystem tick, and
+// a full NACK protocol session. These measure the *implementation*, not
+// the paper; they exist so performance regressions in the substrate are
+// visible.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
+#include "energy/component_model.h"
 #include "env/environment.h"
 #include "power/battery.h"
+#include "power/chargers.h"
+#include "power/power_system.h"
 #include "proto/bulk_transfer.h"
 #include "sim/simulation.h"
 #include "station/deployment.h"
@@ -59,6 +66,64 @@ void BM_BatteryTick(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BatteryTick);
+
+void BM_EnvironmentMinute(benchmark::State& state) {
+  // One simulated minute of the weather a station's tick reads (air
+  // temperature, irradiance, snow on the panel and the turbine, wind), for
+  // range(0) stations sharing one Environment, as a serial Fleet's do.
+  env::Environment environment{1};
+  sim::SimTime t = sim::at_midnight(2009, 3, 1);
+  for (auto _ : state) {
+    for (int consumer = 0; consumer < int(state.range(0)); ++consumer) {
+      auto& temperature = environment.temperature();
+      benchmark::DoNotOptimize(temperature.air(t));
+      benchmark::DoNotOptimize(environment.solar().irradiance(t));
+      benchmark::DoNotOptimize(
+          environment.snow().panel_occlusion(t, temperature));
+      benchmark::DoNotOptimize(
+          environment.snow().turbine_buried(t, temperature));
+      benchmark::DoNotOptimize(environment.wind().speed(t));
+    }
+    t += sim::minutes(1);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EnvironmentMinute)->Arg(1)->Arg(2);
+
+void BM_PowerTick(benchmark::State& state) {
+  // One PowerSystem with the base station's chargers (solar + wind) and
+  // five switched loads at their Table 1 draws, ticking once a simulated
+  // minute on its own kernel; one iteration is one tick.
+  sim::Simulation simulation{sim::at_midnight(2009, 3, 1)};
+  env::Environment environment{1};
+  power::PowerSystem power{simulation, environment,
+                           power::PowerSystemConfig{}};
+  power.add_charger(
+      std::make_unique<power::SolarPanel>(power::SolarPanelConfig{}));
+  power.add_charger(
+      std::make_unique<power::WindTurbine>(power::WindTurbineConfig{}));
+  const struct {
+    const char* name;
+    double watts;
+    bool on;
+  } loads[] = {{"msp430", 0.0006, true},
+               {"gumstix", 0.9, false},
+               {"gprs", 2.64, false},
+               {"dgps", 3.6, false},
+               {"radio", 3.96, false}};
+  for (const auto& load : loads) {
+    const power::LoadHandle handle = power.add_component(
+        energy::switched_load(load.name, util::Watts{load.watts}));
+    if (load.on) power.set_activity(handle, 1);
+  }
+  power.start();
+  for (auto _ : state) {
+    simulation.run_until(simulation.now() + sim::minutes(1));
+    benchmark::DoNotOptimize(power.delivered_microjoules());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PowerTick);
 
 void BM_NackSession(benchmark::State& state) {
   for (auto _ : state) {

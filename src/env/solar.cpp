@@ -23,9 +23,11 @@ SolarModel::SolarModel(SolarConfig config, util::Rng rng)
   cos_lat_ = std::cos(lat_rad_);
 }
 
-const SolarModel::DayGeometry& SolarModel::geometry_for(int doy) const {
-  if (doy != cached_doy_) {
-    const double decl = declination_deg(doy) * kDegToRad;
+const SolarModel::DayGeometry& SolarModel::geometry_for(
+    sim::SimTime t) const {
+  const std::int64_t day = sim::day_index(t);
+  if (day != cached_day_) {
+    const double decl = declination_deg(sim::day_of_year(t)) * kDegToRad;
     cached_.sin_decl = std::sin(decl);
     cached_.cos_decl = std::cos(decl);
     const double cos_h0 = -std::tan(lat_rad_) * std::tan(decl);
@@ -36,13 +38,13 @@ const SolarModel::DayGeometry& SolarModel::geometry_for(int doy) const {
     } else {
       cached_.daylight_hours = 2.0 * std::acos(cos_h0) / (15.0 * kDegToRad);
     }
-    cached_doy_ = doy;
+    cached_day_ = day;
   }
   return cached_;
 }
 
 double SolarModel::sin_elevation(sim::SimTime t) const {
-  const DayGeometry& day = geometry_for(sim::day_of_year(t));
+  const DayGeometry& day = geometry_for(t);
   const double hour = sim::time_of_day(t).to_hours();
   const double hour_angle = (hour - 12.0) * 15.0 * kDegToRad;
   return sin_lat_ * day.sin_decl +
@@ -50,17 +52,21 @@ double SolarModel::sin_elevation(sim::SimTime t) const {
 }
 
 util::WattsPerSquareMetre SolarModel::irradiance(sim::SimTime t) {
+  if (last_at_ == t) return util::WattsPerSquareMetre{last_w_};
   const double sin_el = sin_elevation(t);
-  if (sin_el <= 0.0) return util::WattsPerSquareMetre{0.0};
+  last_at_ = t;
+  last_w_ = 0.0;
+  if (sin_el <= 0.0) return util::WattsPerSquareMetre{last_w_};
   // Simple air-mass attenuation: direct+diffuse scale roughly with sin(el)
   // raised to a small extra power near the horizon.
   const double clear = config_.clear_sky_peak * sin_el *
                        std::pow(sin_el, 0.15);
-  return util::WattsPerSquareMetre{clear * cloud_factor(t)};
+  last_w_ = clear * cloud_factor(t);
+  return util::WattsPerSquareMetre{last_w_};
 }
 
 double SolarModel::daylight_hours(sim::SimTime t) const {
-  return geometry_for(sim::day_of_year(t)).daylight_hours;
+  return geometry_for(t).daylight_hours;
 }
 
 double SolarModel::cloud_factor(sim::SimTime t) {

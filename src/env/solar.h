@@ -8,6 +8,10 @@
 // solar panel contributes essentially nothing from November to February.
 #pragma once
 
+#include <cstdint>
+#include <limits>
+#include <optional>
+
 #include "sim/time.h"
 #include "util/rng.h"
 #include "util/units.h"
@@ -38,31 +42,34 @@ class SolarModel {
   [[nodiscard]] const SolarConfig& config() const { return config_; }
 
   // Snapshot support (docs/SNAPSHOT.md): the AR(1) cloud state and the RNG
-  // stream are dynamics; the per-day geometry memo is deliberately not
-  // saved — it is recomputed bit-identically on first use.
+  // stream are dynamics. The per-day geometry memo and the last answer are
+  // derived caches and never saved; load forgets the last answer, which
+  // belonged to the world this model held before.
   template <class Archive>
   void persist(Archive& ar) {
     ar.value(rng_);
     ar.value(cloud_day_);
     ar.value(cloud_state_);
+    if constexpr (!Archive::kIsSaver) last_at_.reset();
   }
 
  private:
   // Memoized per-day geometry: declination and daylight length depend only
-  // on (latitude, day of year), yet the charger integrates irradiance every
+  // on (latitude, day), yet the charger integrates irradiance every
   // simulated minute — recomputing sin/cos/tan of the declination per call
-  // was pure waste. A single-entry cache fits the access pattern (simulated
-  // time moves through one day at a time) and costs nothing to construct —
-  // trials that never read the sun pay nothing. The cached factors are
-  // computed with exactly the expressions the per-call formulas used, so
-  // results are bit-identical.
+  // was pure waste. A single-entry cache keyed by sim::day_index fits the
+  // access pattern (simulated time moves through one day at a time), costs
+  // no calendar lookup on a hit and nothing to construct — trials that
+  // never read the sun pay nothing. The cached factors are computed with
+  // exactly the expressions the per-call formulas used, so results are
+  // bit-identical.
   struct DayGeometry {
     double sin_decl = 0.0;
     double cos_decl = 0.0;
     double daylight_hours = 0.0;
   };
 
-  const DayGeometry& geometry_for(int doy) const;
+  const DayGeometry& geometry_for(sim::SimTime t) const;
   double cloud_factor(sim::SimTime t);
 
   SolarConfig config_;
@@ -71,11 +78,21 @@ class SolarModel {
   double sin_lat_ = 0.0;  // gwlint: allow(persist-coverage): derived cache
   double cos_lat_ = 0.0;  // gwlint: allow(persist-coverage): derived cache
   double lat_rad_ = 0.0;  // gwlint: allow(persist-coverage): derived cache
-  mutable int cached_doy_ = -1;
+  // gwlint: allow(persist-coverage): per-day cache, recomputed on first use
+  mutable std::int64_t cached_day_ = std::numeric_limits<std::int64_t>::min();
+  // gwlint: allow(persist-coverage): per-day cache, recomputed on first use
   mutable DayGeometry cached_;
   // AR(1) cloud state, refreshed once per simulated day.
   std::int64_t cloud_day_ = -1;
   double cloud_state_ = 0.0;
+  // The last instant answered by irradiance() and its answer, night zeros
+  // included: every station of a fleet asks about the same minute, and two
+  // consecutive queries for one instant cannot cross the day boundary that
+  // moves the cloud walk.
+  // gwlint: allow(persist-coverage): per-instant memo, cleared on load
+  std::optional<sim::SimTime> last_at_;
+  // gwlint: allow(persist-coverage): per-instant memo, cleared on load
+  double last_w_ = 0.0;
 };
 
 }  // namespace gw::env

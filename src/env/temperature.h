@@ -5,6 +5,10 @@
 // streams (§II). Seasonal sinusoid + diurnal swing + persistent noise.
 #pragma once
 
+#include <cstdint>
+#include <limits>
+#include <optional>
+
 #include "sim/time.h"
 #include "util/rng.h"
 #include "util/units.h"
@@ -33,11 +37,16 @@ class TemperatureModel {
     return air(t) + util::Celsius{3.0};
   }
 
+  // Snapshot support (docs/SNAPSHOT.md): the noise walk and its RNG are
+  // dynamics. The seasonal term and the last answer are derived caches and
+  // never saved; load forgets the last answer, which belonged to the world
+  // this model held before.
   template <class Archive>
   void persist(Archive& ar) {
     ar.value(rng_);
     ar.value(day_);
     ar.value(noise_state_);
+    if constexpr (!Archive::kIsSaver) last_at_.reset();
   }
 
  private:
@@ -45,6 +54,19 @@ class TemperatureModel {
   util::Rng rng_;
   std::int64_t day_ = -1;
   double noise_state_ = 0.0;
+  // Seasonal term of day `seasonal_day_` (sim::day_index): a pure function
+  // of the day and the config, computed once instead of every minute.
+  // gwlint: allow(persist-coverage): per-day cache, recomputed on first use
+  std::int64_t seasonal_day_ = std::numeric_limits<std::int64_t>::min();
+  // gwlint: allow(persist-coverage): per-day cache, recomputed on first use
+  double seasonal_c_ = 0.0;
+  // The last instant answered and its answer: every station of a fleet
+  // asks about the same minute, and two consecutive queries for one
+  // instant cannot cross the day boundary that moves the noise walk.
+  // gwlint: allow(persist-coverage): per-instant memo, cleared on load
+  std::optional<sim::SimTime> last_at_;
+  // gwlint: allow(persist-coverage): per-instant memo, cleared on load
+  double last_c_ = 0.0;
 };
 
 }  // namespace gw::env

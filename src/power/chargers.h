@@ -9,6 +9,8 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -103,9 +105,14 @@ class MainsCharger final : public Charger {
   [[nodiscard]] std::string name() const override { return "mains"; }
 
   [[nodiscard]] bool in_season(sim::SimTime t) const {
-    const int month = sim::to_datetime(t).month;
-    return month >= config_.season_start_month &&
-           month <= config_.season_end_month;
+    const std::int64_t day = sim::day_index(t);
+    if (day != season_day_) {
+      const int month = sim::to_datetime(t).month;
+      season_day_ = day;
+      in_season_ = month >= config_.season_start_month &&
+                   month <= config_.season_end_month;
+    }
+    return in_season_;
   }
 
   [[nodiscard]] util::Watts output(sim::SimTime t,
@@ -115,6 +122,11 @@ class MainsCharger final : public Charger {
 
  private:
   MainsChargerConfig config_;
+  // The season flag of day `season_day_` (sim::day_index): the month only
+  // changes at midnight, so one calendar lookup a day serves every minute.
+  // Chargers are wiring, never saved; the flag is recomputed on first use.
+  mutable std::int64_t season_day_ = std::numeric_limits<std::int64_t>::min();
+  mutable bool in_season_ = false;
 };
 
 }  // namespace gw::power

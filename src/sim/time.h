@@ -123,6 +123,14 @@ struct DateTime {
 [[nodiscard]] Duration time_of_day(SimTime t);
 // Midnight of the day containing t.
 [[nodiscard]] SimTime start_of_day(SimTime t);
+// Days since 1970-01-01 of the day containing t, floored as start_of_day
+// floors: the last millisecond of 1969 is day -1, never day 0. Per-day
+// caches key on it.
+[[nodiscard]] constexpr std::int64_t day_index(SimTime t) {
+  constexpr std::int64_t kMsPerDay = 86'400'000;
+  const std::int64_t ms = t.millis_since_epoch();
+  return ms / kMsPerDay - (ms % kMsPerDay < 0 ? 1 : 0);
+}
 
 // "YYYY-MM-DD HH:MM:SS" (UTC).
 [[nodiscard]] std::string format_iso(SimTime t);

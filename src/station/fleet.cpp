@@ -70,7 +70,17 @@ Fleet::Fleet(FleetConfig config)
 
   for (auto& built : stations_) built->start();
 
-  if (config_.trace_enabled) sample_trace();
+  if (config_.trace_enabled) {
+    for (std::size_t s = 0; s < stations_.size(); ++s) {
+      const std::string& name = stations_[s]->name();
+      StationTraceNames& names = trace_names_.emplace_back(name);
+      for (const auto& probe : probes_[s]) {
+        names.conductivity.push_back(probe_series_name(name, probe->id()) +
+                                     ".conductivity");
+      }
+    }
+    sample_trace();
+  }
 }
 
 void Fleet::run_days(double days) {
@@ -157,25 +167,23 @@ obs::MetricsRegistry& Fleet::update_rollup() {
 
 void Fleet::sample_trace() {
   const sim::SimTime now = simulation_.now();
-  for (const auto& built : stations_) {
-    const std::string prefix = built->name() + ".";
-    trace_.add(prefix + "voltage", now,
-               built->power().terminal_voltage().value());
-    trace_.add(prefix + "state", now,
-               double(core::to_int(built->current_state())));
-    trace_.add(prefix + "soc", now, built->power().battery().soc());
+  for (std::size_t s = 0; s < stations_.size(); ++s) {
+    Station& built = *stations_[s];
+    const StationTraceNames& names = trace_names_[s];
+    trace_.add(names.voltage, now, built.power().terminal_voltage().value());
+    trace_.add(names.state, now,
+               double(core::to_int(built.current_state())));
+    trace_.add(names.soc, now, built.power().battery().soc());
   }
   for (std::size_t s = 0; s < stations_.size(); ++s) {
-    for (const auto& probe : probes_[s]) {
-      if (!probe->alive()) continue;
+    for (std::size_t p = 0; p < probes_[s].size(); ++p) {
+      const ProbeNode& probe = *probes_[s][p];
+      if (!probe.alive()) continue;
       const auto conductivity = environment_.melt().conductivity(
           now, environment_.temperature(),
-          probe->config().conductivity_base_us,
-          probe->config().conductivity_gain_us);
-      trace_.add(
-          probe_series_name(stations_[s]->name(), probe->id()) +
-              ".conductivity",
-          now, conductivity.value());
+          probe.config().conductivity_base_us,
+          probe.config().conductivity_gain_us);
+      trace_.add(trace_names_[s].conductivity[p], now, conductivity.value());
     }
   }
   trace_event_ =

@@ -51,6 +51,25 @@ struct StationSpec {
   int probe_count = 0;
 };
 
+// One station's 30-minute trace series names: "<station>.voltage",
+// "<station>.state", "<station>.soc", and "<probe series>.conductivity"
+// per probe, in the station's probe order. Both fleets build them once,
+// when the trace starts, instead of on every sample. They are names, not
+// handles into a trace, so a restore that replaces the trace invalidates
+// nothing.
+struct StationTraceNames {
+  StationTraceNames() = default;
+  explicit StationTraceNames(const std::string& station)
+      : voltage(station + ".voltage"),
+        state(station + ".state"),
+        soc(station + ".soc") {}
+
+  std::string voltage;
+  std::string state;
+  std::string soc;
+  std::vector<std::string> conductivity;
+};
+
 struct FleetConfig {
   std::uint64_t seed = 42;
   sim::DateTime start{2008, 9, 1, 0, 0, 0};
@@ -195,6 +214,8 @@ class Fleet {
   std::vector<std::unique_ptr<Station>> stations_;
   // probes_[i] belong to stations_[i].
   std::vector<std::vector<std::unique_ptr<ProbeNode>>> probes_;
+  // trace_names_[i] names stations_[i]'s series; empty with the trace off.
+  std::vector<StationTraceNames> trace_names_;
   sim::Trace trace_;
   obs::MetricsRegistry rollup_;
   obs::EventJournal rollup_journal_;

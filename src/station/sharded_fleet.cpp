@@ -150,7 +150,16 @@ ShardedFleet::ShardedFleet(ShardedFleetConfig config)
   for (auto& world : worlds_) world->station->start();
 
   if (fleet.trace_enabled) {
-    for (std::size_t s = 0; s < worlds_.size(); ++s) sample_trace(s);
+    for (std::size_t s = 0; s < worlds_.size(); ++s) {
+      World& world = *worlds_[s];
+      const std::string& name = world.station->name();
+      world.trace_names = StationTraceNames{name};
+      for (const auto& probe : world.probes) {
+        world.trace_names.conductivity.push_back(
+            probe_series_name(name, probe->id()) + ".conductivity");
+      }
+      sample_trace(s);
+    }
   }
 
   sharded_->set_barrier_hook(
@@ -354,23 +363,20 @@ void ShardedFleet::sample_trace(std::size_t index) {
   World& world = *worlds_[index];
   sim::Simulation& shard = sharded_->shard(world.shard);
   const sim::SimTime now = shard.now();
-  const std::string prefix = world.station->name() + ".";
-  world.trace.add(prefix + "voltage", now,
+  const StationTraceNames& names = world.trace_names;
+  world.trace.add(names.voltage, now,
                   world.station->power().terminal_voltage().value());
-  world.trace.add(prefix + "state", now,
+  world.trace.add(names.state, now,
                   double(core::to_int(world.station->current_state())));
-  world.trace.add(prefix + "soc", now,
-                  world.station->power().battery().soc());
-  for (const auto& probe : world.probes) {
-    if (!probe->alive()) continue;
+  world.trace.add(names.soc, now, world.station->power().battery().soc());
+  for (std::size_t p = 0; p < world.probes.size(); ++p) {
+    const ProbeNode& probe = *world.probes[p];
+    if (!probe.alive()) continue;
     const auto conductivity = world.environment->melt().conductivity(
         now, world.environment->temperature(),
-        probe->config().conductivity_base_us,
-        probe->config().conductivity_gain_us);
-    world.trace.add(
-        probe_series_name(world.station->name(), probe->id()) +
-            ".conductivity",
-        now, conductivity.value());
+        probe.config().conductivity_base_us,
+        probe.config().conductivity_gain_us);
+    world.trace.add(names.conductivity[p], now, conductivity.value());
   }
   shard.schedule_in(config_.fleet.trace_interval,
                     [this, index] { sample_trace(index); });

@@ -200,6 +200,7 @@ class ShardedFleet {
     std::unique_ptr<SouthamptonServer> server;   // the station's replica
     std::unique_ptr<Station> station;
     std::vector<std::unique_ptr<ProbeNode>> probes;
+    StationTraceNames trace_names;  // built with the trace, from the config
     sim::Trace trace;
   };
 

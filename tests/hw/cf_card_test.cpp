@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
+#include "snapshot/archive.h"
+
 namespace gw::hw {
 namespace {
 
@@ -33,6 +38,107 @@ TEST(CfCard, CapacityEnforced) {
   ASSERT_TRUE(card.write("a", 165_KiB).ok());
   EXPECT_FALSE(card.write("b", 165_KiB).ok());
   EXPECT_EQ(card.file_count(), 1u);
+}
+
+TEST(CfCard, CapacityCountsOverwritesAndRemovals) {
+  CfCardConfig config;
+  config.capacity = 1000_B;
+  CompactFlashCard card{util::Rng{1}, config};
+  ASSERT_TRUE(card.write("a", 600_B).ok());
+  ASSERT_TRUE(card.write("a", 300_B).ok());  // overwrite frees 300 B
+  ASSERT_TRUE(card.write("b", 700_B).ok());  // exactly full
+  EXPECT_EQ(card.used(), 1000_B);
+  EXPECT_FALSE(card.begin_write("c", 1_B).ok());
+  ASSERT_TRUE(card.remove("b").ok());
+  ASSERT_TRUE(card.write("c", 700_B).ok());
+  EXPECT_FALSE(card.begin_write("d", 1_B).ok());
+}
+
+// Sum of every stored file's size, read back through the public API:
+// healthy files by read(), corrupted ones as an fsck scan's loss (a scan
+// without recovery changes nothing).
+util::Bytes stored_bytes(CompactFlashCard& card) {
+  util::Bytes total{0};
+  for (const std::string& name : card.list()) {
+    if (const auto size = card.read(name); size.ok()) total += size.value();
+  }
+  return total + card.fsck(/*attempt_recovery=*/false).lost;
+}
+
+TEST(CfCard, UsedEqualsStoredSizesUnderRandomOperations) {
+  CfCardConfig config;
+  config.capacity = 64_KiB;
+  config.metadata_corruption_on_cut = 0.2;
+  config.bitrot_per_file_month = 0.05;
+  CompactFlashCard card{util::Rng{11}, config};
+  util::Rng ops{12};
+  // Few names, so writes and torn writes land on existing files often.
+  std::map<std::string, util::Bytes> expected;
+  int overwrites = 0;
+  int torn = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const std::string name = "f" + std::to_string(ops.uniform_index(8));
+    const util::Bytes size{1 + std::int64_t(ops.uniform_index(12 * 1024))};
+    switch (ops.uniform_index(5)) {
+      case 0:
+      case 1:
+        if (card.write(name, size).ok()) {
+          if (expected.contains(name)) ++overwrites;
+          expected[name] = size;
+        }
+        break;
+      case 2:
+        if (card.begin_write(name, size).ok()) {
+          card.power_cut();
+          if (expected.contains(name)) ++overwrites;
+          expected[name] = size;
+          ++torn;
+        }
+        break;
+      case 3:
+        if (card.remove(name).ok()) expected.erase(name);
+        break;
+      default:
+        card.age(sim::days(30));
+        if (card.metadata_corrupted()) (void)card.fsck(true);
+        break;
+    }
+    util::Bytes sum{0};
+    for (const auto& [stored, bytes] : expected) sum += bytes;
+    ASSERT_EQ(card.used().count(), sum.count()) << "step " << step;
+    if (!card.metadata_corrupted()) {
+      ASSERT_EQ(stored_bytes(card).count(), sum.count()) << "step " << step;
+    }
+  }
+  EXPECT_GT(overwrites, 100);
+  EXPECT_GT(torn, 100);
+}
+
+TEST(CfCard, SnapshotRoundTripRestoresUsage) {
+  CfCardConfig config;
+  config.metadata_corruption_on_cut = 0.0;
+  CompactFlashCard card{util::Rng{5}, config};
+  ASSERT_TRUE(card.write("a", 10_KiB).ok());
+  ASSERT_TRUE(card.write("b", 20_KiB).ok());
+  ASSERT_TRUE(card.write("a", 4_KiB).ok());
+  ASSERT_TRUE(card.begin_write("c", 1_KiB).ok());
+  card.power_cut();  // torn write: stored, corrupted
+  ASSERT_EQ(card.used(), 25_KiB);
+  snapshot::Saver saver;
+  card.persist(saver);
+
+  // Into a fresh card, and into one that holds other files.
+  CompactFlashCard fresh{util::Rng{6}, config};
+  snapshot::Loader fresh_loader{saver.bytes()};
+  fresh.persist(fresh_loader);
+  EXPECT_EQ(fresh.used(), 25_KiB);
+
+  CompactFlashCard busy{util::Rng{7}, config};
+  ASSERT_TRUE(busy.write("z", 100_KiB).ok());
+  snapshot::Loader busy_loader{saver.bytes()};
+  busy.persist(busy_loader);
+  EXPECT_EQ(busy.used(), 25_KiB);
+  EXPECT_EQ(stored_bytes(busy), 25_KiB);
 }
 
 TEST(CfCard, DoubleBeginWriteRejected) {

@@ -96,5 +96,39 @@ TEST(MainsChargerSeason, TouristSeasonOnly) {
       mains.output(sim::at_midnight(2009, 12, 25), environment).value(), 0.0);
 }
 
+// The per-day season flag keys on the floored day: asked about the last
+// millisecond of a month and then the first of the next, one charger must
+// answer as two fresh chargers asked once each — also across the epoch,
+// where a truncating day key would file both instants under day 0.
+TEST(MainsChargerSeason, CachedFlagFollowsMonthBoundaries) {
+  env::Environment environment{42};
+  MainsChargerConfig january_only;
+  january_only.season_start_month = 1;
+  january_only.season_end_month = 1;
+  struct Boundary {
+    MainsChargerConfig config;
+    sim::SimTime first_ms_of_month;
+  };
+  const Boundary boundaries[] = {
+      {MainsChargerConfig{}, sim::at_midnight(2009, 4, 1)},  // café opens
+      {MainsChargerConfig{}, sim::at_midnight(2009, 10, 1)},  // café closes
+      {january_only, sim::kEpoch},  // 1969-12-31 -> 1970-01-01
+  };
+  for (const Boundary& boundary : boundaries) {
+    const sim::SimTime after = boundary.first_ms_of_month;
+    const sim::SimTime before = after - sim::milliseconds(1);
+    MainsCharger both{boundary.config};
+    MainsCharger fresh_before{boundary.config};
+    MainsCharger fresh_after{boundary.config};
+    const double expected_before =
+        fresh_before.output(before, environment).value();
+    const double expected_after =
+        fresh_after.output(after, environment).value();
+    ASSERT_NE(expected_before, expected_after);
+    EXPECT_EQ(both.output(before, environment).value(), expected_before);
+    EXPECT_EQ(both.output(after, environment).value(), expected_after);
+  }
+}
+
 }  // namespace
 }  // namespace gw::power

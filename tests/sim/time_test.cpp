@@ -67,6 +67,19 @@ TEST(CalendarTest, TimeOfDayAndStartOfDay) {
   EXPECT_EQ(start_of_day(t), at_midnight(2009, 9, 22));
 }
 
+TEST(CalendarTest, DayIndexFloorsLikeStartOfDay) {
+  EXPECT_EQ(day_index(SimTime{0}), 0);
+  EXPECT_EQ(day_index(SimTime{-1}), -1);
+  EXPECT_EQ(day_index(SimTime{-86'400'000}), -1);
+  EXPECT_EQ(day_index(SimTime{-86'400'001}), -2);
+  EXPECT_EQ(day_index(SimTime{86'399'999}), 0);
+  for (const SimTime t : {SimTime{-1}, at_midnight(1969, 7, 4) + hours(5),
+                          at_midnight(2009, 9, 22) + hours(23)}) {
+    EXPECT_EQ(day_index(t) * 86'400'000,
+              start_of_day(t).millis_since_epoch());
+  }
+}
+
 TEST(CalendarTest, FormatIso) {
   EXPECT_EQ(format_iso(to_time(DateTime{2009, 9, 22, 12, 0, 0})),
             "2009-09-22 12:00:00");
