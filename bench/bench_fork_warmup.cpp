@@ -18,11 +18,9 @@
 //      extra GPRS outage on top before running to day 40.
 //
 // Exports BENCH_fork_warmup.json (schema glacsweb.bench.v1, deterministic:
-// no events_executed, no mode marker, no wall-clock). The opt-in
-// GW_BENCH_FORK_SPEED=1 section times cold vs forked replay and writes the
-// host-dependent numbers to a separate BENCH_fork_warmup_speed.json.
+// no events_executed, no mode marker, no wall-clock). glacbench's
+// whatif_fork workload times restore-and-branch through the public API.
 #include <array>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -257,60 +255,6 @@ SeasonOutcome cold_trial(std::size_t trial) {
   return season_outcome(*fleet);
 }
 
-// --- opt-in host-dependent speedup section -------------------------------
-
-void run_speed_section() {
-  bench::subheading(
-      "warm-prefix speedup (host-dependent, GW_BENCH_FORK_SPEED=1)");
-  runner::MonteCarloRunner pool{bench::thread_count()};
-  // gwlint: allow(banned-api): wall-clock timing, exported as
-  // host_dependent bench metadata only
-  const auto cold_start = std::chrono::steady_clock::now();
-  pool.run(kBranchTrials, [](std::size_t trial) { return cold_trial(trial); });
-  // gwlint: allow(banned-api): wall-clock timing, exported as
-  // host_dependent bench metadata only
-  const auto cold_end = std::chrono::steady_clock::now();
-  pool.run_forked(
-      kBranchTrials, [] { return warm_season_prefix(); },
-      [](std::size_t trial, const std::vector<std::uint8_t>& snapshot) {
-        return forked_trial(trial, snapshot);
-      });
-  // gwlint: allow(banned-api): wall-clock timing, exported as
-  // host_dependent bench metadata only
-  const auto fork_end = std::chrono::steady_clock::now();
-
-  const double cold_seconds =
-      std::chrono::duration<double>(cold_end - cold_start).count();
-  const double fork_seconds =
-      std::chrono::duration<double>(fork_end - cold_end).count();
-  const double speedup =
-      fork_seconds > 0.0 ? cold_seconds / fork_seconds : 1.0;
-  bench::row({"Mode", "Wall s"}, {10, 9});
-  bench::row({"cold", util::format_fixed(cold_seconds, 2)}, {10, 9});
-  bench::row({"forked", util::format_fixed(fork_seconds, 2)}, {10, 9});
-  bench::note("speedup " + util::format_fixed(speedup, 2) +
-              "x (expected ~" +
-              util::format_fixed(kSeasonDays / (kSeasonDays - kCheckpointDays),
-                                 1) +
-              "x at full branch overlap: " +
-              util::format_fixed(kCheckpointDays, 0) +
-              " of " + util::format_fixed(kSeasonDays, 0) +
-              " days are shared prefix)");
-
-  obs::MetricsRegistry metrics;
-  metrics.gauge("fork", "cold_wall_seconds").set(cold_seconds);
-  metrics.gauge("fork", "forked_wall_seconds").set(fork_seconds);
-  metrics.gauge("fork", "speedup").set(speedup);
-  obs::BenchReport report;
-  report.bench = "fork_warmup_speed";
-  report.meta = {{"branch_trials", std::to_string(kBranchTrials)},
-                 {"host_dependent", "true"},
-                 {"workload", "two-station faulted season, fork at day 20 "
-                              "of 40"}};
-  report.sections = {{"speed", &metrics, nullptr}};
-  bench::export_report(report);
-}
-
 void run() {
   const bool cold = bench::fork_mode_cold();
   bench::heading("warm-prefix Monte Carlo branching (docs/SNAPSHOT.md)");
@@ -424,13 +368,6 @@ void run() {
                  {"survival_trials", std::to_string(kSurvivalTrials)}};
   report.sections = {{"fork", &registry, nullptr}};
   bench::export_report(report);
-
-  if (bench::fork_speed_enabled()) {
-    run_speed_section();
-  } else {
-    bench::note("set GW_BENCH_FORK_SPEED=1 for the host-dependent speedup "
-                "section (BENCH_fork_warmup_speed.json)");
-  }
 }
 
 }  // namespace

@@ -75,13 +75,6 @@ inline bool fork_mode_cold() {
   return env != nullptr && std::string(env) == "cold";
 }
 
-// Opt-in switch for the host-dependent warm-prefix speedup measurement
-// (BENCH_fork_warmup_speed.json). Off by default, like GW_BENCH_FLEET_SPEED.
-inline bool fork_speed_enabled() {
-  const char* env = std::getenv("GW_BENCH_FORK_SPEED");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
 inline void heading(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
 }

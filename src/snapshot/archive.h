@@ -83,16 +83,20 @@ class Saver {
   // event count to prove the snapshot accounts for every pending event.
   std::size_t rebuild_records = 0;
 
-  [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(bytes_); }
-  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const {
-    return bytes_;
+  [[nodiscard]] std::vector<std::uint8_t> take() {
+    bytes_.resize(used_);
+    used_ = 0;
+    return std::exchange(bytes_, {});
+  }
+  [[nodiscard]] std::span<const std::uint8_t> bytes() const {
+    return {bytes_.data(), used_};
   }
 
   template <class T>
   void value(const T& v) {
     using D = std::remove_cvref_t<T>;
     if constexpr (std::is_same_v<D, bool>) {
-      bytes_.push_back(v ? 1 : 0);
+      *grow(1) = v ? 1 : 0;
     } else if constexpr (std::is_enum_v<D>) {
       put_u64(std::uint64_t(
           static_cast<std::underlying_type_t<D>>(v)));
@@ -102,7 +106,7 @@ class Saver {
       put_u64(std::bit_cast<std::uint64_t>(double(v)));
     } else if constexpr (std::is_same_v<D, std::string>) {
       put_u64(v.size());
-      bytes_.insert(bytes_.end(), v.begin(), v.end());
+      std::copy(v.begin(), v.end(), grow(v.size()));
     } else if constexpr (std::is_same_v<D, util::Rng>) {
       const util::RngState s = v.state();
       for (const std::uint64_t word : s.words) put_u64(word);
@@ -161,13 +165,32 @@ class Saver {
   }
 
  private:
+  // Claims the next n bytes and returns where they start. The buffer grows
+  // geometrically ahead of the write position; take() trims it to used_.
+  std::uint8_t* grow(std::size_t n) {
+    const std::size_t end = used_ + n;
+    if (end > bytes_.size()) bytes_.resize(std::max(end, 2 * bytes_.size()));
+    std::uint8_t* at = bytes_.data() + used_;
+    used_ = end;
+    return at;
+  }
+
+  // Spelled out rather than looped: g++ -O2 leaves an eight-step byte loop
+  // as it is, but merges these stores into one.
   void put_u64(std::uint64_t x) {
-    for (int i = 0; i < 8; ++i) {
-      bytes_.push_back(std::uint8_t(x >> (8 * i)));
-    }
+    std::uint8_t* at = grow(8);
+    at[0] = std::uint8_t(x);
+    at[1] = std::uint8_t(x >> 8);
+    at[2] = std::uint8_t(x >> 16);
+    at[3] = std::uint8_t(x >> 24);
+    at[4] = std::uint8_t(x >> 32);
+    at[5] = std::uint8_t(x >> 40);
+    at[6] = std::uint8_t(x >> 48);
+    at[7] = std::uint8_t(x >> 56);
   }
 
   std::vector<std::uint8_t> bytes_;
+  std::size_t used_ = 0;
 };
 
 class Loader {

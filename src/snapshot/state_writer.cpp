@@ -8,17 +8,17 @@ namespace gw::snapshot {
 
 namespace {
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t x) {
-  out.push_back(std::uint8_t(x));
-  out.push_back(std::uint8_t(x >> 8));
+// Writes `width` bytes of `x`, little-endian, and advances `at`.
+void put_le(std::uint8_t*& at, std::uint64_t x, int width) {
+  for (int i = 0; i < width; ++i) *at++ = std::uint8_t(x >> (8 * i));
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t x) {
-  for (int i = 0; i < 4; ++i) out.push_back(std::uint8_t(x >> (8 * i)));
+void put_raw(std::uint8_t*& at, std::span<const std::uint8_t> bytes) {
+  at = std::copy(bytes.begin(), bytes.end(), at);
 }
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t x) {
-  for (int i = 0; i < 8; ++i) out.push_back(std::uint8_t(x >> (8 * i)));
+std::span<const std::uint8_t> as_bytes(std::string_view text) {
+  return {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()};
 }
 
 // Strict cursor over the raw container bytes; all reads are bounds-checked
@@ -66,14 +66,18 @@ class Cursor {
   std::size_t pos_ = 0;
 };
 
+// The CRC of every name followed by its u32 section CRC, chained through
+// the seed rather than concatenated.
 std::uint32_t pairs_fingerprint(const std::vector<Section>& sections) {
-  std::vector<std::uint8_t> digest_input;
+  std::uint32_t digest = 0;
   for (const Section& section : sections) {
-    digest_input.insert(digest_input.end(), section.name.begin(),
-                        section.name.end());
-    put_u32(digest_input, section.crc);
+    std::uint8_t crc_le[4];
+    std::uint8_t* at = crc_le;
+    put_le(at, section.crc, 4);
+    digest = util::crc32(as_bytes(section.name), digest);
+    digest = util::crc32(crc_le, digest);
   }
-  return util::crc32(digest_input);
+  return digest;
 }
 
 }  // namespace
@@ -91,25 +95,42 @@ void StateWriter::section(std::string name,
 }
 
 std::vector<std::uint8_t> StateWriter::finish() const {
-  std::vector<std::uint8_t> out;
-  out.insert(out.end(), kMagic.begin(), kMagic.end());
-  put_u16(out, kFormatVersion);
-  put_u32(out, std::uint32_t(sections_.size()));
+  std::size_t sealed = kMagic.size() + 2 + 4 + 4;  // + version, count, CRC
   for (const Pending& section : sections_) {
-    put_u16(out, std::uint16_t(section.name.size()));
-    out.insert(out.end(), section.name.begin(), section.name.end());
-    put_u64(out, section.payload.size());
-    put_u32(out, util::crc32(section.payload));
-    out.insert(out.end(), section.payload.begin(), section.payload.end());
+    sealed += 2 + section.name.size() + 8 + 4 + section.payload.size();
   }
-  put_u32(out, util::crc32(out));
+  std::vector<std::uint8_t> out(sealed);
+  std::uint8_t* at = out.data();
+  put_raw(at, as_bytes(kMagic));
+  put_le(at, kFormatVersion, 2);
+  put_le(at, sections_.size(), 4);
+  // Each payload is read once: its CRC goes into the framing and is folded
+  // into the file CRC, which hashes only the framing bytes themselves.
+  std::uint32_t file_crc = 0;
+  const std::uint8_t* unhashed = out.data();
+  for (const Pending& section : sections_) {
+    const std::uint32_t payload_crc = util::crc32(section.payload);
+    put_le(at, section.name.size(), 2);
+    put_raw(at, as_bytes(section.name));
+    put_le(at, section.payload.size(), 8);
+    put_le(at, payload_crc, 4);
+    file_crc = util::crc32({unhashed, at}, file_crc);
+    file_crc = util::crc32_combine(file_crc, payload_crc,
+                                   section.payload.size());
+    put_raw(at, section.payload);
+    unhashed = at;
+  }
+  file_crc = util::crc32({unhashed, at}, file_crc);
+  put_le(at, file_crc, 4);
   return out;
 }
 
 StateReader::StateReader(std::span<const std::uint8_t> bytes) {
   // Framing is walked first, every read bounds-checked and every section
   // CRC verified; the file CRC, which covers everything before itself, is
-  // checked last and catches the damage the framing cannot see.
+  // checked last and catches the damage the framing cannot see. Each
+  // payload is read once: its CRC is checked against the framing and then
+  // folded into the body CRC, which hashes only the framing bytes.
   if (bytes.size() < kMagic.size()) {
     throw SnapshotError(SnapshotErrc::kBadMagic, "stream shorter than magic");
   }
@@ -130,6 +151,8 @@ StateReader::StateReader(std::span<const std::uint8_t> bytes) {
   constexpr std::size_t kMinSectionBytes = 2 + 8 + 4;  // u16, u64, u32
   sections_.reserve(
       std::min<std::size_t>(count, cursor.left() / kMinSectionBytes));
+  std::uint32_t body_crc = 0;
+  std::size_t hashed = 0;
   for (std::uint32_t i = 0; i < count; ++i) {
     Section section;
     const std::uint16_t name_len = cursor.take_u16("section name length");
@@ -137,12 +160,17 @@ StateReader::StateReader(std::span<const std::uint8_t> bytes) {
     section.name.assign(name_raw.begin(), name_raw.end());
     const std::uint64_t payload_len = cursor.take_u64("section length");
     section.crc = cursor.take_u32("section crc");
-    const auto payload = cursor.take(payload_len, "section payload");
-    section.payload.assign(payload.begin(), payload.end());
-    if (util::crc32(section.payload) != section.crc) {
+    body_crc = util::crc32(bytes.subspan(hashed, cursor.pos() - hashed),
+                           body_crc);
+    section.payload = cursor.take(payload_len, "section payload");
+    const std::uint32_t payload_crc = util::crc32(section.payload);
+    if (payload_crc != section.crc) {
       throw SnapshotError(SnapshotErrc::kSectionCrcMismatch,
                           "payload does not match its CRC", section.name);
     }
+    body_crc = util::crc32_combine(body_crc, payload_crc,
+                                   section.payload.size());
+    hashed = cursor.pos();
     for (const Section& existing : sections_) {
       if (existing.name == section.name) {
         throw SnapshotError(SnapshotErrc::kDuplicateSection,
@@ -151,14 +179,15 @@ StateReader::StateReader(std::span<const std::uint8_t> bytes) {
     }
     sections_.push_back(std::move(section));
   }
-  const std::size_t body_end = cursor.pos();
+  body_crc = util::crc32(bytes.subspan(hashed, cursor.pos() - hashed),
+                         body_crc);
   const std::uint32_t file_crc = cursor.take_u32("file crc");
   if (cursor.left() != 0) {
     throw SnapshotError(SnapshotErrc::kTrailingBytes,
                         std::to_string(cursor.left()) +
                             " byte(s) after the file CRC");
   }
-  if (util::crc32(bytes.subspan(0, body_end)) != file_crc) {
+  if (body_crc != file_crc) {
     throw SnapshotError(SnapshotErrc::kFileCrcMismatch,
                         "file CRC does not match the stream");
   }

@@ -19,7 +19,9 @@
 // offset into a monolithic blob. The reader validates *everything* up
 // front — magic, version, framing, every section CRC, the file CRC — and
 // throws a typed SnapshotError before any caller sees a byte; a snapshot
-// either loads whole or not at all.
+// either loads whole or not at all. Writer and reader both read each
+// payload byte once: the file CRC is folded from the section CRCs
+// (util::crc32_combine), with the same value a second pass would give.
 //
 // The fingerprint is the CRC-32 over the (name, section-CRC) pairs: a
 // 32-bit digest of the entire world state that golden tests pin and the
@@ -59,7 +61,9 @@ class StateWriter {
 struct Section {
   std::string name;
   std::uint32_t crc = 0;
-  std::vector<std::uint8_t> payload;
+  // A view into the bytes the StateReader was built over; it must not
+  // outlive them.
+  std::span<const std::uint8_t> payload;
 };
 
 class StateReader {
@@ -67,7 +71,11 @@ class StateReader {
   // Parses and fully validates `bytes`; throws SnapshotError (kBadMagic,
   // kBadVersion, kTruncated, kDuplicateSection, kSectionCrcMismatch,
   // kFileCrcMismatch, kTrailingBytes) on anything suspect.
+  // Sections view `bytes` rather than copy them, so the caller keeps the
+  // buffer alive for as long as the reader and its Loaders are in use; a
+  // temporary buffer would leave every view dangling.
   explicit StateReader(std::span<const std::uint8_t> bytes);
+  StateReader(std::vector<std::uint8_t>&&) = delete;
 
   [[nodiscard]] const std::vector<Section>& sections() const {
     return sections_;

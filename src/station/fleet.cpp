@@ -190,6 +190,17 @@ void Fleet::sample_trace() {
       simulation_.schedule_in(config_.trace_interval, [this] { sample_trace(); });
 }
 
+namespace {
+
+// "s007", "g1234": a prefix and a number zero-padded to three digits.
+std::string numbered_name(char prefix, int number) {
+  std::string digits = std::to_string(number);
+  if (digits.size() < 3) digits.insert(0, 3 - digits.size(), '0');
+  return prefix + digits;
+}
+
+}  // namespace
+
 FleetConfig uniform_fleet_config(int stations, std::uint64_t seed) {
   FleetConfig config;
   config.seed = seed;
@@ -203,9 +214,7 @@ FleetConfig uniform_fleet_config(int stations, std::uint64_t seed) {
   for (int i = 0; i < stations; ++i) {
     const bool base_role = (i % 2 == 0);
     StationSpec spec;
-    char name[8];
-    std::snprintf(name, sizeof name, "s%03d", i);
-    spec.station.name = name;
+    spec.station.name = numbered_name('s', i);
     spec.station.role = base_role ? StationRole::kBaseStation
                                   : StationRole::kReferenceStation;
     // Real fleets don't wake in perfect unison: stagger the daily windows
@@ -214,9 +223,7 @@ FleetConfig uniform_fleet_config(int stations, std::uint64_t seed) {
     spec.station.initial_state = base_role ? core::PowerState::kState3
                                            : core::PowerState::kState2;
     spec.station.power.battery.initial_soc = base_role ? 1.0 : 0.7;
-    char group[8];
-    std::snprintf(group, sizeof group, "g%03d", i / 2);
-    spec.sync_group = group;
+    spec.sync_group = numbered_name('g', i / 2);
     spec.chargers = base_role
                         ? std::vector<ChargerKind>{ChargerKind::kSolar,
                                                    ChargerKind::kWind}

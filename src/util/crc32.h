@@ -1,8 +1,10 @@
 // CRC-32 (IEEE 802.3 polynomial, reflected).
 //
 // Used by the probe radio protocol to detect "broken" packets (§V: the base
-// station records missing or broken data packets for later re-request) and by
-// the storage models to detect CF-card sector corruption.
+// station records missing or broken data packets for later re-request), by
+// the storage models to detect CF-card sector corruption, and by the
+// snapshot container, whose writer and reader fold each section CRC into
+// the file CRC with crc32_combine so every payload byte is read once.
 #pragma once
 
 #include <cstdint>
@@ -11,9 +13,16 @@
 
 namespace gw::util {
 
+// `seed` chains: crc32(b, crc32(a)) == crc32(a ‖ b).
 [[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> data,
                                   std::uint32_t seed = 0);
 [[nodiscard]] std::uint32_t crc32(std::string_view data,
                                   std::uint32_t seed = 0);
+
+// crc32(a ‖ b) from crc_a = crc32(a), crc_b = crc32(b) and len_b = b.size(),
+// without reading a or b.
+[[nodiscard]] std::uint32_t crc32_combine(std::uint32_t crc_a,
+                                          std::uint32_t crc_b,
+                                          std::uint64_t len_b);
 
 }  // namespace gw::util

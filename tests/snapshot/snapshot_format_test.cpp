@@ -13,7 +13,9 @@
 #include <deque>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "snapshot/archive.h"
 #include "snapshot/error.h"
 #include "snapshot/state_writer.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace gw::snapshot {
@@ -54,6 +57,22 @@ std::vector<std::uint8_t> sample_container() {
   Saver gamma;  // a zero-length payload is legal
   writer.section("gamma", gamma.take());
   return writer.finish();
+}
+
+// Sections are views into the reader's input, so the input must outlive
+// the reader: a temporary buffer is refused at compile time.
+static_assert(
+    !std::is_constructible_v<StateReader, std::vector<std::uint8_t>&&>);
+static_assert(
+    std::is_constructible_v<StateReader, std::vector<std::uint8_t>&>);
+
+std::uint64_t read_le(std::span<const std::uint8_t> bytes, std::size_t at,
+                      int width) {
+  std::uint64_t x = 0;
+  for (int i = 0; i < width; ++i) {
+    x |= std::uint64_t(bytes[at + std::size_t(i)]) << (8 * i);
+  }
+  return x;
 }
 
 SnapshotErrc code_of(const std::vector<std::uint8_t>& bytes) {
@@ -97,6 +116,31 @@ TEST(StateWriterTest, RoundTripsSections) {
 
   Loader gamma = reader.open("gamma");
   gamma.expect_end();
+}
+
+// The writer folds section CRCs into the file CRC instead of hashing the
+// stream twice; the bytes must be those of the plain definition. Walks the
+// framing by hand (docs/SNAPSHOT.md) rather than through StateReader.
+TEST(StateWriterTest, CrcsEqualPlainCrcsOfTheBytesTheyCover) {
+  const auto bytes = sample_container();
+  const std::span<const std::uint8_t> all(bytes);
+  const std::size_t body = all.size() - 4;
+  EXPECT_EQ(read_le(all, body, 4), util::crc32(all.first(body)));
+
+  std::size_t at = kMagic.size() + 2;
+  const std::uint64_t count = read_le(all, at, 4);
+  at += 4;
+  ASSERT_EQ(count, 3u);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    at += 2 + read_le(all, at, 2);  // name length + name
+    const std::uint64_t length = read_le(all, at, 8);
+    const std::uint64_t framed_crc = read_le(all, at + 8, 4);
+    at += 8 + 4;
+    EXPECT_EQ(framed_crc, util::crc32(all.subspan(at, length)))
+        << "section " << i;
+    at += length;
+  }
+  EXPECT_EQ(at, body);
 }
 
 TEST(StateWriterTest, DuplicateSectionRefusedAtWriteTime) {

@@ -3,7 +3,9 @@
 // A 20-day faulted two-station season is snapshotted and every section's
 // CRC-32 — plus the whole-world fingerprint — is pinned. Any change to any
 // subsystem's dynamics, rng draw order, or persist field list shows up here
-// as a named section, not a blind hash mismatch. That is deliberate
+// as a named section, not a blind hash mismatch. The size and CRC-32 of the
+// whole sealed stream are pinned too: they cover the framing and the
+// trailing file CRC, which no section CRC sees. That is deliberate
 // friction: a legitimate behaviour change must re-pin these constants in
 // the same commit, with the diff showing exactly which subsystems moved
 // (tools/gwsnap diff does the same for saved snapshot files). On mismatch
@@ -16,6 +18,7 @@
 
 #include "snapshot/state_writer.h"
 #include "station/fleet.h"
+#include "util/crc32.h"
 
 namespace gw::station {
 namespace {
@@ -77,6 +80,8 @@ constexpr GoldenSection kGolden[] = {
     {"station/reference", 0x0d677f6au},
 };
 constexpr std::uint32_t kGoldenFingerprint = 0x8f52a1a0u;
+constexpr std::size_t kGoldenSealedBytes = 88605;
+constexpr std::uint32_t kGoldenSealedCrc = 0x2144df1cu;
 
 TEST(GoldenStateTest, TwentyDayFaultedSeasonFingerprint) {
   Fleet fleet{golden_config()};
@@ -85,8 +90,11 @@ TEST(GoldenStateTest, TwentyDayFaultedSeasonFingerprint) {
   const std::vector<std::uint8_t> snapshot = fleet.save_snapshot();
   const snapshot::StateReader reader(snapshot);
 
+  const std::uint32_t sealed_crc = util::crc32(snapshot);
   bool drifted = reader.fingerprint() != kGoldenFingerprint ||
-                 reader.sections().size() != std::size(kGolden);
+                 reader.sections().size() != std::size(kGolden) ||
+                 snapshot.size() != kGoldenSealedBytes ||
+                 sealed_crc != kGoldenSealedCrc;
   ASSERT_EQ(reader.sections().size(), std::size(kGolden));
   for (std::size_t i = 0; i < std::size(kGolden); ++i) {
     const auto& section = reader.sections()[i];
@@ -97,6 +105,8 @@ TEST(GoldenStateTest, TwentyDayFaultedSeasonFingerprint) {
               section.crc != kGolden[i].crc;
   }
   EXPECT_EQ(reader.fingerprint(), kGoldenFingerprint);
+  EXPECT_EQ(snapshot.size(), kGoldenSealedBytes);
+  EXPECT_EQ(sealed_crc, kGoldenSealedCrc);
 
   if (drifted) {
     std::printf("// freshly-computed golden table:\n");
@@ -106,6 +116,10 @@ TEST(GoldenStateTest, TwentyDayFaultedSeasonFingerprint) {
     }
     std::printf("constexpr std::uint32_t kGoldenFingerprint = 0x%08xu;\n",
                 reader.fingerprint());
+    std::printf("constexpr std::size_t kGoldenSealedBytes = %zu;\n",
+                snapshot.size());
+    std::printf("constexpr std::uint32_t kGoldenSealedCrc = 0x%08xu;\n",
+                sealed_crc);
   }
 }
 

@@ -2,10 +2,36 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
 #include <string>
+#include <vector>
+
+#include "util/rng.h"
 
 namespace gw::util {
 namespace {
+
+// Bit-at-a-time CRC-32, straight from the definition: the oracle the
+// table-driven crc32 must agree with.
+std::uint32_t reference_crc32(std::span<const std::uint8_t> data,
+                              std::uint32_t seed = 0) {
+  std::uint32_t crc = ~seed;
+  for (const std::uint8_t byte : data) {
+    crc ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? (crc >> 1) ^ 0xedb88320u : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng{seed};
+  std::vector<std::uint8_t> bytes(n);
+  for (std::uint8_t& byte : bytes) byte = std::uint8_t(rng.next_u64());
+  return bytes;
+}
 
 TEST(Crc32, KnownVectors) {
   // Standard IEEE CRC-32 check value.
@@ -25,12 +51,51 @@ TEST(Crc32, DetectsSingleBitFlip) {
 }
 
 TEST(Crc32, SeedChaining) {
-  // Chained CRC over two halves must differ from unseeded CRC of the second
-  // half alone.
+  // Chaining the first half's CRC as the seed of the second is the CRC of
+  // the whole; it differs from the unseeded CRC of the second half alone.
   const std::string a = "first-half";
   const std::string b = "second-half";
   const std::uint32_t chained = crc32(b, crc32(a));
+  EXPECT_EQ(chained, crc32(a + b));
   EXPECT_NE(chained, crc32(b));
+}
+
+// Every length across the eight-byte step and its tail, from every start
+// alignment, with and without a seed.
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  const std::vector<std::uint8_t> buffer = random_bytes(64 + 8, 1);
+  const std::span<const std::uint8_t> all(buffer);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 64; ++length) {
+      const auto data = all.subspan(offset, length);
+      EXPECT_EQ(crc32(data), reference_crc32(data))
+          << "offset " << offset << " length " << length;
+      EXPECT_EQ(crc32(data, 0x9e3779b9u), reference_crc32(data, 0x9e3779b9u))
+          << "seeded, offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(Crc32, MatchesBitwiseReferenceOnOneMebibyte) {
+  const std::vector<std::uint8_t> buffer = random_bytes(1 << 20, 2);
+  EXPECT_EQ(crc32(buffer), reference_crc32(buffer));
+  EXPECT_EQ(crc32(buffer, 0xdeadbeefu), reference_crc32(buffer, 0xdeadbeefu));
+}
+
+TEST(Crc32, CombineEqualsCrcOfConcatenation) {
+  const std::vector<std::uint8_t> buffer = random_bytes(4096 + 300, 3);
+  const std::span<const std::uint8_t> all(buffer);
+  Rng rng{4};
+  std::vector<std::size_t> splits = {0, all.size()};  // empty a, empty b
+  for (int i = 0; i < 64; ++i) {
+    splits.push_back(std::size_t(rng.uniform_index(all.size() + 1)));
+  }
+  for (const std::size_t split : splits) {
+    const auto a = all.first(split);
+    const auto b = all.subspan(split);
+    EXPECT_EQ(crc32_combine(crc32(a), crc32(b), b.size()), crc32(all))
+        << "split at " << split;
+  }
 }
 
 }  // namespace
