@@ -86,16 +86,6 @@ AblationResult run_winter_station(bool enabled) {
   station::Deployment deployment{config};
   deployment.run_days(120.0);  // through late May: melt onset included
 
-  // gwlint: allow(banned-api): opt-in debug printout gate; never touches
-  // simulated behaviour or exports
-  if (std::getenv("GW_PRIORITY_DEBUG") != nullptr) {
-    std::printf(
-        "  [debug] delivered=%zu urgent_batches=%d brown_outs=%d runs=%d\n",
-        deployment.base().stats().probe_readings_delivered,
-        deployment.base().priority_analyzer().urgent_batches(),
-        deployment.base().stats().brown_outs,
-        deployment.base().stats().runs_completed);
-  }
   AblationResult result;
   result.files_received = deployment.server().files_from("base");
   result.forced_days = deployment.base().stats().forced_comms_days;

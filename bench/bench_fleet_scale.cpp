@@ -17,6 +17,8 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -55,19 +57,21 @@ struct ScalePoint {
   double wall_seconds = 0.0;  // stdout only — never exported
 };
 
-// One fleet season, entirely derived from the sweep size (the runner's
-// usage contract). The uniform preset starts every pair diverged (state 3
-// vs state 2, full vs 70 % battery), so convergence lag measures real
-// min-rule work, not an already-settled fleet.
-ScalePoint run_point(int stations) {
+// One fleet season, entirely derived from its sweep entry (the runner's
+// usage contract), on either fleet type: the serial points build a
+// station::Fleet, the sharded points a station::ShardedFleet. The uniform
+// preset starts every pair diverged (state 3 vs state 2, full vs 70 %
+// battery), so convergence lag measures real min-rule work, not an
+// already-settled fleet.
+template <typename FleetType, typename Config>
+ScalePoint run_point(Config config, int days) {
   // gwlint: allow(banned-api): wall-clock sweep timing feeds wall_seconds,
   // a host_dependent field excluded from the determinism diff
   const auto wall_start = std::chrono::steady_clock::now();
-  station::Fleet fleet{station::uniform_fleet_config(
-      stations, kSeedBase + std::uint64_t(stations))};
+  FleetType fleet{std::move(config)};
   ScalePoint point;
-  point.stations = stations;
-  for (int day = 1; day <= kDays; ++day) {
+  point.stations = int(fleet.size());
+  for (int day = 1; day <= days; ++day) {
     fleet.run_days(1.0);
     auto& rollup = fleet.update_rollup();
     const double total = rollup.gauge_value("fleet", "groups_total");
@@ -77,7 +81,11 @@ ScalePoint run_point(int stations) {
     }
     point.diverged_group_days += int(total - converged);
   }
-  point.sim_events = fleet.simulation().events_executed();
+  if constexpr (std::is_same_v<FleetType, station::Fleet>) {
+    point.sim_events = fleet.simulation().events_executed();
+  } else {
+    point.sim_events = fleet.events_executed();
+  }
   auto& rollup = fleet.rollup_metrics();
   point.yield_bytes = rollup.gauge_value("fleet", "yield_bytes");
   point.stations_up = rollup.gauge_value("fleet", "stations_up");
@@ -92,103 +100,9 @@ ScalePoint run_point(int stations) {
   return point;
 }
 
-// One sharded season, derived from its sweep entry alone. The shard count
-// is a knob (GW_BENCH_FLEET_SHARDS) precisely because it must not matter:
-// scripts/check.sh byte-diffs the export at 1 shard vs the default.
-ScalePoint run_sharded_point(ShardedSize size, std::size_t shards,
-                             unsigned workers) {
-  // gwlint: allow(banned-api): wall-clock sweep timing feeds wall_seconds,
-  // a host_dependent field excluded from the determinism diff
-  const auto wall_start = std::chrono::steady_clock::now();
-  station::ShardedFleetConfig config;
-  config.fleet = station::uniform_fleet_config(
-      size.stations, kSeedBase + std::uint64_t(size.stations));
-  config.shards = shards;
-  config.workers = workers;
-  station::ShardedFleet fleet{config};
-  ScalePoint point;
-  point.stations = size.stations;
-  for (int day = 1; day <= size.days; ++day) {
-    fleet.run_days(1.0);
-    auto& rollup = fleet.update_rollup();
-    const double total = rollup.gauge_value("fleet", "groups_total");
-    const double converged = rollup.gauge_value("fleet", "groups_converged");
-    if (point.convergence_lag_days < 0 && converged == total) {
-      point.convergence_lag_days = day;
-    }
-    point.diverged_group_days += int(total - converged);
-  }
-  point.sim_events = fleet.events_executed();
-  auto& rollup = fleet.rollup_metrics();
-  point.yield_bytes = rollup.gauge_value("fleet", "yield_bytes");
-  point.stations_up = rollup.gauge_value("fleet", "stations_up");
-  point.groups_total = rollup.gauge_value("fleet", "groups_total");
-  point.groups_converged = rollup.gauge_value("fleet", "groups_converged");
-  point.probes_alive = rollup.gauge_value("fleet", "probes_alive");
-  // gwlint: allow(banned-api): wall-clock sweep timing feeds wall_seconds,
-  // a host_dependent field excluded from the determinism diff
-  point.wall_seconds = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - wall_start)
-                           .count();
-  return point;
-}
-
-// Host-dependent speedup measurement: the 1024-station season at 1, 2,
-// and 4 shard workers. Opt-in (GW_BENCH_FLEET_SPEED=1) and exported as a
-// *separate* BENCH_fleet_scale_speed.json so the deterministic export
-// above stays byte-diffable while this one carries wall-clock numbers.
-void run_speed_section(std::size_t shards) {
-  bench::subheading("sharded speedup (host-dependent, 1024 stations)");
-  const ShardedSize kSpeedSize{1024, 1};
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  obs::MetricsRegistry metrics;
-  bench::row({"Workers", "Wall s", "Speedup vs 1"}, {8, 9, 13});
-  double serial_seconds = 0.0;
-  std::string oversubscribed_counts;
-  for (const unsigned workers : {1u, 2u, 4u}) {
-    const ScalePoint point = run_sharded_point(kSpeedSize, shards, workers);
-    if (workers == 1) serial_seconds = point.wall_seconds;
-    // Same clamp policy as BENCH_throughput: a pool wider than the host
-    // measures oversubscription, not scaling — floor those at 1.0 and say
-    // so in meta rather than exporting a phantom regression.
-    const bool oversubscribed = workers > hw;
-    const double denominator = oversubscribed
-                                   ? std::min(point.wall_seconds,
-                                              serial_seconds)
-                                   : point.wall_seconds;
-    const double speedup =
-        denominator > 0.0 ? serial_seconds / denominator : 1.0;
-    if (oversubscribed) {
-      if (!oversubscribed_counts.empty()) oversubscribed_counts += ",";
-      oversubscribed_counts += std::to_string(workers);
-    }
-    bench::row({std::to_string(workers),
-                util::format_fixed(point.wall_seconds, 2),
-                util::format_fixed(speedup, 2) +
-                    (oversubscribed ? " (oversub)" : "")},
-               {8, 9, 13});
-    const std::string suffix = "_threads_" + std::to_string(workers);
-    metrics.gauge("fleet", "speedup" + suffix).set(speedup);
-    metrics.gauge("fleet", "wall_seconds" + suffix).set(point.wall_seconds);
-  }
-  metrics.gauge("fleet", "hardware_concurrency").set(double(hw));
-  bench::note("byte-identity of the results themselves is gated separately; "
-              "this section only times the same season at different worker "
-              "counts");
-
-  obs::BenchReport report;
-  report.bench = "fleet_scale_speed";
-  report.meta = {{"hardware_concurrency", std::to_string(hw)},
-                 {"host_dependent", "true"},
-                 {"oversubscribed_worker_counts",
-                  oversubscribed_counts.empty() ? "none"
-                                                : oversubscribed_counts},
-                 {"shards", std::to_string(shards)},
-                 {"speedup_policy",
-                  "worker counts wider than the host are clamped to >= 1.0"},
-                 {"workload", "1024 stations, 1 day, sharded fleet"}};
-  report.sections = {{"speed", &metrics, nullptr}};
-  bench::export_report(report);
+station::FleetConfig sweep_config(int stations) {
+  return station::uniform_fleet_config(
+      stations, kSeedBase + std::uint64_t(stations));
 }
 
 void run() {
@@ -197,8 +111,9 @@ void run() {
   runner::MonteCarloRunner pool{bench::thread_count()};
   std::printf("  threads: %u, one trial per fleet size\n", pool.threads());
 
-  const auto points = pool.run(
-      kSizes.size(), [](std::size_t trial) { return run_point(kSizes[trial]); });
+  const auto points = pool.run(kSizes.size(), [](std::size_t trial) {
+    return run_point<station::Fleet>(sweep_config(kSizes[trial]), kDays);
+  });
 
   bench::row({"Stations", "Converged", "Lag", "Div grp-days",
               "Sim ev/stn/day", "Yield KiB/stn", "Wall s"},
@@ -247,7 +162,15 @@ void run() {
   std::vector<ScalePoint> sharded_points;
   std::vector<int> sharded_days;
   for (const ShardedSize size : kShardedSizes) {
-    const ScalePoint point = run_sharded_point(size, shards, shard_workers);
+    // The shard count is a knob (GW_BENCH_FLEET_SHARDS) precisely because
+    // it must not matter: scripts/check.sh byte-diffs the export at 1
+    // shard vs the default.
+    station::ShardedFleetConfig config;
+    config.fleet = sweep_config(size.stations);
+    config.shards = shards;
+    config.workers = shard_workers;
+    const ScalePoint point =
+        run_point<station::ShardedFleet>(std::move(config), size.days);
     sharded_points.push_back(point);
     sharded_days.push_back(size.days);
     const double per_station_day =
@@ -307,13 +230,6 @@ void run() {
                  {"sizes", "2,4,8,16,32,64"}};
   report.sections = {{"sweep", &registry, nullptr}};
   bench::export_report(report);
-
-  if (bench::fleet_speed_enabled()) {
-    run_speed_section(shards);
-  } else {
-    bench::note("set GW_BENCH_FLEET_SPEED=1 for the host-dependent speedup "
-                "section (BENCH_fleet_scale_speed.json)");
-  }
 }
 
 }  // namespace

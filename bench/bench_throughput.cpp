@@ -2,11 +2,13 @@
 //
 // Every reproduced figure is a Monte Carlo sweep over the event kernel, so
 // kernel events/sec and runner trials/sec are the two numbers that bound
-// how much design-space exploration a PR can afford. This bench measures
-// both — the staged event kernel on a schedule/drain workload, and
+// how much design-space exploration a change can afford. This bench
+// measures both — the event kernel on a schedule-then-drain burst, and
 // MonteCarloRunner scaling on isolated probe-survival worlds — and exports
 // BENCH_throughput.json (schema glacsweb.bench.v1) so the perf trajectory
-// accumulates PR over PR.
+// accumulates change over change. No model sends the burst shape (each
+// reschedules itself one event at a time), so the kernel rate here prices
+// a deep heap, not the simulator's own traffic; docs/PERFORMANCE.md.
 //
 // Unlike every other bench export, these numbers are wall-clock
 // measurements: the JSON is *not* byte-stable across runs or hosts (meta
@@ -36,9 +38,10 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-// Median-of-reps events/sec for a schedule-then-drain workload of n events
+// Median-of-reps events/sec for a schedule-then-drain burst of n events
 // (the BM_EventQueueScheduleRun shape: pseudo-random timestamps, empty
-// callbacks, so the kernel itself is the entire cost).
+// callbacks, so the kernel itself is the entire cost; n events pending at
+// once, which no simulated workload reaches).
 double kernel_events_per_sec(int n) {
   constexpr int kReps = 7;
   std::vector<double> rates;

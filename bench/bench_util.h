@@ -57,15 +57,6 @@ inline std::size_t fleet_shards() {
   return 4;
 }
 
-// Opt-in switch for the host-dependent fleet speedup measurement
-// (BENCH_fleet_scale_speed.json). Off by default so the default bench run
-// stays cheap and fully deterministic; EXPERIMENTS.md shows the
-// regeneration command.
-inline bool fleet_speed_enabled() {
-  const char* env = std::getenv("GW_BENCH_FLEET_SPEED");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
 // Replay mode for bench_fork_warmup: GW_BENCH_FORK_MODE=cold replays every
 // branch trial from day 0 instead of restoring the day-20 snapshot.
 // scripts/check.sh byte-diffs the export across the two modes — the fork is

@@ -7,17 +7,10 @@
 // (a monotonic sequence number breaks ties), so runs are bit-reproducible.
 //
 // Hot-path design (docs/PERFORMANCE.md):
-//   * schedule_at() is O(1): the 16-byte POD node (time, sequence, slot
-//     index) is appended to an unsorted staging buffer — no sift, no
-//     allocation, no comparison;
-//   * when the kernel next needs ordering it flushes the staging buffer.
-//     A burst scheduled against a quiet queue (every Monte Carlo trial in
-//     bench/ sets its world up this way) is sorted wholesale with a stable
-//     LSD radix sort into a linear "run" that pops by cursor in O(1);
-//     events staged while older ones are still pending feed a 4-ary
-//     implicit heap instead (steady-state periodic traffic). The next
-//     event is the smaller of the two heads, so the executed order is the
-//     exact (timestamp, sequence) total order either way;
+//   * one 4-ary implicit min-heap of 16-byte POD nodes (time, sequence,
+//     slot index) holds every pending event: schedule_at() is one
+//     hole-based sift-up and step() one sift-down. Every model reschedules
+//     itself one event at a time, so there is no burst to batch;
 //   * callbacks are InlineCallback (48-byte small-buffer storage, no
 //     per-event allocation for the lambdas this repo schedules), built
 //     in place in a chunked slot slab whose addresses never move — so an
@@ -30,7 +23,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -61,13 +53,8 @@ class Simulation {
   EventId schedule_at(SimTime at, F&& fn) {
     if (at < now_) throw std::invalid_argument("schedule_at in the past");
     if (next_seq_ == kMaxSeq) renumber_sequences();
-    const std::uint32_t index = acquire_slot();
-    Slot& slot = slot_at(index);
-    slot.fn.emplace(std::forward<F>(fn));
-    slot.state = SlotState::kPending;
-    staging_.push_back(HeapNode{at.millis_since_epoch(), next_seq_++, index});
-    ++live_count_;
-    return (std::uint64_t{index} << 32) | slot.generation;
+    return push_event(at.millis_since_epoch(), next_seq_++,
+                      std::forward<F>(fn));
   }
 
   template <typename F>
@@ -99,18 +86,8 @@ class Simulation {
 
   // Runs the next event, if any; returns false when the queue is exhausted.
   bool step() {
-    while (true) {
-      if (!staging_.empty()) flush_staging();
-      HeapNode node;
-      const bool have_run = run_cursor_ < run_.size();
-      if (have_run &&
-          (heap_.empty() || earlier(run_[run_cursor_], heap_.front()))) {
-        node = run_[run_cursor_++];
-      } else if (!heap_.empty()) {
-        node = heap_pop();
-      } else {
-        return false;
-      }
+    while (!heap_.empty()) {
+      const HeapNode node = heap_pop();
       Slot& slot = slot_at(node.slot);
       if (slot.state == SlotState::kCancelled) {
         free_slot(node.slot, slot);
@@ -129,27 +106,17 @@ class Simulation {
       free_head_ = node.slot;
       return true;
     }
+    return false;
   }
 
   // Runs every event with timestamp <= deadline, then advances the clock to
   // the deadline (even if the queue went quiet earlier).
   void run_until(SimTime deadline) {
+    const std::int64_t deadline_ms = deadline.millis_since_epoch();
     while (true) {
-      if (!staging_.empty()) flush_staging();
       purge_cancelled_heads();
-      std::int64_t head_at;
-      if (run_cursor_ < run_.size()) {
-        head_at = run_[run_cursor_].at_ms;
-        if (!heap_.empty() && heap_.front().at_ms < head_at) {
-          head_at = heap_.front().at_ms;
-        }
-      } else if (!heap_.empty()) {
-        head_at = heap_.front().at_ms;
-      } else {
-        break;
-      }
-      if (head_at > deadline.millis_since_epoch()) break;
-      if (!step()) break;
+      if (heap_.empty() || heap_.front().at_ms > deadline_ms) break;
+      step();
     }
     if (now_ < deadline) now_ = deadline;
   }
@@ -210,14 +177,6 @@ class Simulation {
     if (slot.state != SlotState::kPending || slot.generation != generation) {
       return std::nullopt;
     }
-    for (const HeapNode& node : staging_) {
-      if (node.slot == index) return std::make_pair(node.at_ms, node.seq);
-    }
-    for (std::size_t i = run_cursor_; i < run_.size(); ++i) {
-      if (run_[i].slot == index) {
-        return std::make_pair(run_[i].at_ms, run_[i].seq);
-      }
-    }
     for (const HeapNode& node : heap_) {
       if (node.slot == index) return std::make_pair(node.at_ms, node.seq);
     }
@@ -230,11 +189,7 @@ class Simulation {
   // saved event came back. Stale EventId members left over from the fresh
   // construction are simply overwritten — never cancel() them.
   void begin_restore(const KernelCheckpoint& ckpt) {
-    staging_.clear();
-    run_.clear();
-    scratch_.clear();
     heap_.clear();
-    run_cursor_ = 0;
     chunks_.clear();
     slot_count_ = 0;
     free_head_ = kNoSlot;
@@ -245,10 +200,9 @@ class Simulation {
     restoring_ = true;
   }
 
-  // Re-registers one saved event under its exact saved key. Pushes straight
-  // into the heap: components rebuild in section order, not sequence order,
-  // and the staging radix sort is only stable for monotonically appended
-  // sequences.
+  // Re-registers one saved event under its exact saved key. Components
+  // rebuild in section order, not sequence order; the heap orders them by
+  // key like any other push.
   template <typename F>
   EventId schedule_rebuilt(std::int64_t at_ms, std::uint32_t seq, F&& fn) {
     if (!restoring_) {
@@ -263,13 +217,7 @@ class Simulation {
               std::to_string(seq) + ") outside the checkpoint's horizon",
           "kernel");
     }
-    const std::uint32_t index = acquire_slot();
-    Slot& slot = slot_at(index);
-    slot.fn.emplace(std::forward<F>(fn));
-    slot.state = SlotState::kPending;
-    heap_push(HeapNode{at_ms, seq, index});
-    ++live_count_;
-    return (std::uint64_t{index} << 32) | slot.generation;
+    return push_event(at_ms, seq, std::forward<F>(fn));
   }
 
   void finish_restore() {
@@ -300,7 +248,7 @@ class Simulation {
     SlotState state = SlotState::kFree;
   };
 
-  // POD queue node; sort and sift operations shuffle these 16 bytes, never
+  // POD queue node; sift operations shuffle these 16 bytes, never
   // callbacks. `seq` is a 32-bit rolling tie-breaker: when it would wrap,
   // every pending node is renumbered in place, preserving the exact
   // (time, scheduling-order) relation — see renumber_sequences().
@@ -346,70 +294,16 @@ class Simulation {
     free_head_ = index;
   }
 
-  // Moves everything in the staging buffer into sorted position. Two modes:
-  //   * the queue is otherwise idle (every Monte Carlo trial bursts its
-  //     schedule against an empty queue, then drains): radix-sort the batch
-  //     into a linear run popped by cursor — O(1) amortized per event, no
-  //     per-element sift;
-  //   * older events are still pending: push each node into the heap, the
-  //     same steady-state path a periodic model exercises.
-  void flush_staging() {
-    if (run_cursor_ == run_.size() && heap_.empty()) {
-      run_.swap(staging_);
-      staging_.clear();
-      run_cursor_ = 0;
-      sort_run();
-    } else {
-      for (const HeapNode& node : staging_) heap_push(node);
-      staging_.clear();
-    }
-  }
-
-  // Stable LSD radix sort of run_ on (at_ms - min): only the bytes that
-  // actually vary get a counting pass, and stability keeps equal-time nodes
-  // in append order — which is sequence order, because schedule_at appends
-  // monotonically increasing `seq`. The result is the exact (time, seq)
-  // total order. Small batches use std::sort with the full comparator.
-  void sort_run() {
-    const std::size_t n = run_.size();
-    if (n < 2) return;
-    if (n <= 64) {
-      std::sort(run_.begin(), run_.end(),
-                [](const HeapNode& a, const HeapNode& b) {
-                  return earlier(a, b);
-                });
-      return;
-    }
-    std::int64_t min_at = run_[0].at_ms;
-    std::int64_t max_at = run_[0].at_ms;
-    for (const HeapNode& node : run_) {
-      min_at = node.at_ms < min_at ? node.at_ms : min_at;
-      max_at = node.at_ms > max_at ? node.at_ms : max_at;
-    }
-    // Biased subtraction is overflow-safe for any int64 pair.
-    const std::uint64_t range =
-        static_cast<std::uint64_t>(max_at) - static_cast<std::uint64_t>(min_at);
-    scratch_.resize(n);
-    std::vector<HeapNode>* src = &run_;
-    std::vector<HeapNode>* dst = &scratch_;
-    for (int shift = 0; shift < 64 && (range >> shift) != 0; shift += 8) {
-      std::size_t counts[257] = {};
-      for (const HeapNode& node : *src) {
-        const std::uint64_t key =
-            static_cast<std::uint64_t>(node.at_ms) -
-            static_cast<std::uint64_t>(min_at);
-        ++counts[((key >> shift) & 0xff) + 1];
-      }
-      for (int d = 0; d < 256; ++d) counts[d + 1] += counts[d];
-      for (const HeapNode& node : *src) {
-        const std::uint64_t key =
-            static_cast<std::uint64_t>(node.at_ms) -
-            static_cast<std::uint64_t>(min_at);
-        (*dst)[counts[(key >> shift) & 0xff]++] = node;
-      }
-      std::swap(src, dst);
-    }
-    if (src != &run_) run_.swap(scratch_);
+  // Builds `fn` in a fresh slot and queues it under (at_ms, seq).
+  template <typename F>
+  EventId push_event(std::int64_t at_ms, std::uint32_t seq, F&& fn) {
+    const std::uint32_t index = acquire_slot();
+    Slot& slot = slot_at(index);
+    slot.fn.emplace(std::forward<F>(fn));
+    slot.state = SlotState::kPending;
+    heap_push(HeapNode{at_ms, seq, index});
+    ++live_count_;
+    return (std::uint64_t{index} << 32) | slot.generation;
   }
 
   // 4-ary implicit heap: hole-based sift (the inserted/last node is held in
@@ -451,15 +345,9 @@ class Simulation {
     return top;
   }
 
-  // Drops tombstones sitting at either head so the earliest visible node is
-  // a live event (run_until's deadline check relies on this).
+  // Drops tombstones sitting at the head so the earliest visible node is a
+  // live event (run_until's deadline check relies on this).
   void purge_cancelled_heads() {
-    while (run_cursor_ < run_.size()) {
-      Slot& slot = slot_at(run_[run_cursor_].slot);
-      if (slot.state != SlotState::kCancelled) break;
-      free_slot(run_[run_cursor_].slot, slot);
-      ++run_cursor_;
-    }
     while (!heap_.empty()) {
       Slot& slot = slot_at(heap_.front().slot);
       if (slot.state != SlotState::kCancelled) break;
@@ -469,23 +357,13 @@ class Simulation {
   }
 
   // Re-packs every pending node's tie-break sequence number into 1..n.
-  // Gathering all three containers and sorting by (time, seq) preserves the
-  // exact execution order, and a sorted array is both a valid linear run
-  // and a valid d-ary min-heap, so determinism is unaffected. Amortized
-  // cost ~0: once every 2^32 - 1 scheduled events.
+  // Sorting the heap by (time, seq) preserves the exact execution order,
+  // and a sorted array is a valid d-ary min-heap, so determinism is
+  // unaffected. Amortized cost ~0: once every 2^32 - 1 scheduled events.
   void renumber_sequences() {
-    staging_.insert(staging_.end(), run_.begin() + run_cursor_, run_.end());
-    staging_.insert(staging_.end(), heap_.begin(), heap_.end());
-    std::sort(staging_.begin(), staging_.end(),
-              [](const HeapNode& a, const HeapNode& b) {
-                return earlier(a, b);
-              });
+    std::sort(heap_.begin(), heap_.end(), earlier);
     std::uint32_t seq = 1;
-    for (HeapNode& node : staging_) node.seq = seq++;
-    run_.swap(staging_);
-    staging_.clear();
-    run_cursor_ = 0;
-    heap_.clear();
+    for (HeapNode& node : heap_) node.seq = seq++;
     next_seq_ = seq;
   }
 
@@ -493,11 +371,7 @@ class Simulation {
   std::uint32_t next_seq_ = 1;
   std::uint64_t events_executed_ = 0;
   std::size_t live_count_ = 0;
-  std::vector<HeapNode> staging_;   // unsorted: schedule_at appends here
-  std::vector<HeapNode> run_;       // sorted run, popped at run_cursor_
-  std::vector<HeapNode> scratch_;   // radix ping-pong buffer
-  std::size_t run_cursor_ = 0;
-  std::vector<HeapNode> heap_;      // events staged while others were pending
+  std::vector<HeapNode> heap_;  // every pending node, 4-ary min-heap order
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t slot_count_ = 0;
   std::uint32_t free_head_ = kNoSlot;

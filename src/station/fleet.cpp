@@ -11,6 +11,7 @@ Fleet::Fleet(FleetConfig config)
     : config_(std::move(config)),
       simulation_(sim::to_time(config_.start)),
       environment_(config_.environment, config_.seed) {
+  assembly::require_unique_station_names(config_, "Fleet");
   util::Rng rng{config_.seed};
 
   if (!config_.fault_spec.empty()) {
@@ -24,7 +25,6 @@ Fleet::Fleet(FleetConfig config)
     server_.set_fault_oracle(&fault_oracle_);
   }
   server_.set_received_window(config_.server_received_window);
-  server_.set_station_queue_limit(config_.server_station_queue_limit);
   // Anomaly paths (ingest_rejected, future_report) journal into the rollup
   // sinks; an honest season under default limits records nothing here.
   server_.set_hooks(obs::Hooks{&rollup_, &rollup_journal_});

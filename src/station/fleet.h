@@ -90,10 +90,6 @@ struct FleetConfig {
   // Rolling receipt-ledger window handed to the server (0 = unbounded, the
   // legacy preset's setting). Totals stay exact either way.
   std::size_t server_received_window = 0;
-  // Per-station bound on each of the server's command/update/config queues
-  // (0 = unbounded, the legacy setting). A full queue rejects the enqueue
-  // and journals an ingest_rejected drop (docs/FLEET.md backpressure).
-  std::size_t server_station_queue_limit = 0;
 };
 
 class Fleet {

@@ -1,17 +1,34 @@
 // Internal assembly helpers shared by the serial Fleet and the
-// ShardedFleet: the per-probe variant table (Fig 6's distinct conductivity
-// curves) and the charger factory. Both assemblies must install identical
-// hardware for a given spec, so the tables live in one place.
+// ShardedFleet: the station-name check, the per-probe variant table (Fig
+// 6's distinct conductivity curves) and the charger factory. Both
+// assemblies must accept the same specs and install identical hardware
+// for them, so the tables live in one place.
 #pragma once
 
 #include <cstddef>
 #include <memory>
+#include <set>
 #include <stdexcept>
+#include <string>
 
 #include "power/chargers.h"
 #include "station/fleet.h"
 
 namespace gw::station::assembly {
+
+// A station's name keys its rng stream, its server ledgers, find_station()
+// and its snapshot section, so two specs may not share one. `owner`
+// ("Fleet" or "ShardedFleet") prefixes the error.
+inline void require_unique_station_names(const FleetConfig& config,
+                                         const std::string& owner) {
+  std::set<std::string> seen;
+  for (const StationSpec& spec : config.stations) {
+    if (!seen.insert(spec.station.name).second) {
+      throw std::invalid_argument(owner + ": duplicate station name " +
+                                  spec.station.name);
+    }
+  }
+}
 
 // Per-probe spread: Fig 6 shows distinct conductivity curves for probes
 // 21/24/25 — different positions relative to basal drainage give different

@@ -30,13 +30,14 @@ sim::Duration derive_fleet_lookahead(const FleetConfig& config) {
 ShardedFleet::ShardedFleet(ShardedFleetConfig config)
     : config_(std::move(config)) {
   FleetConfig& fleet = config_.fleet;
+  assembly::require_unique_station_names(fleet, "ShardedFleet");
   if (config_.latency <= sim::Duration{0}) {
     config_.latency = derive_fleet_lookahead(fleet);
   }
 
   // Partition: distinct groups in spec-appearance order, round-robined
   // over shards; an ungrouped station forms a singleton group keyed by its
-  // own (unique) name. Appearance order is configuration, so the
+  // own (checked unique) name. Appearance order is configuration, so the
   // assignment never depends on thread scheduling.
   std::map<std::string, std::size_t> group_slot;
   std::size_t distinct_groups = 0;
@@ -67,7 +68,6 @@ ShardedFleet::ShardedFleet(ShardedFleetConfig config)
   }
 
   hub_.set_received_window(fleet.server_received_window);
-  hub_.set_station_queue_limit(fleet.server_station_queue_limit);
   // Hub-side anomaly journal (ingest_rejected, future_report) mirrors the
   // serial Fleet wiring; honest seasons record nothing here. The replicas
   // stay uninstrumented — their ledgers drain into the hub anyway.
@@ -89,7 +89,6 @@ ShardedFleet::ShardedFleet(ShardedFleetConfig config)
     world->environment =
         std::make_unique<env::Environment>(fleet.environment, fleet.seed);
     world->server = std::make_unique<SouthamptonServer>();
-    world->server->set_station_queue_limit(fleet.server_station_queue_limit);
     world->server->sync().enable_report_log();
     if (plan.has_value()) {
       world->oracle = std::make_unique<fault::FaultOracle>(

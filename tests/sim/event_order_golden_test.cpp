@@ -1,12 +1,13 @@
-// Golden event-order property test for the staged event kernel.
+// Golden event-order property test for the event kernel's heap.
 //
 // The kernel's contract is a total order — (timestamp, then scheduling
-// sequence) — that must survive any mix of staged bursts, steady-state
-// rescheduling, cancellation, and run_until checkpoints. This test replays
-// an adversarial randomized workload against both sim::Simulation and a
-// deliberately naive reference kernel (linear scan for the minimum, the
-// obviously-correct O(n^2) implementation of the same contract) and
-// requires the two execution traces to match event for event.
+// sequence) — that must survive any mix of tied bursts, steady-state
+// rescheduling, cancellation, run_until checkpoints and the wrap of the
+// 32-bit sequence counter. This test replays an adversarial randomized
+// workload against both sim::Simulation and a deliberately naive reference
+// kernel (linear scan for the minimum, the obviously-correct O(n^2)
+// implementation of the same contract) and requires the two execution
+// traces to match event for event.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -107,9 +108,9 @@ std::vector<int> run_workload(std::uint64_t seed, Kernel& kernel,
   std::vector<std::uint64_t> live_ids;
   int next_label = 0;
 
-  // Self-rescheduling events exercise the staged-while-draining path: a
-  // fired event schedules a child at a deterministic offset (ties with
-  // other children are common on purpose).
+  // Self-rescheduling events schedule while the queue drains: a fired
+  // event schedules a child at a deterministic offset (ties with other
+  // children are common on purpose).
   std::function<void(int, int)> fire_and_maybe_respawn =
       [&](int label, int respawns) {
         trace.push_back(label);
@@ -152,9 +153,20 @@ std::vector<int> run_workload(std::uint64_t seed, Kernel& kernel,
   return trace;
 }
 
-std::vector<int> trace_simulation(std::uint64_t seed) {
+// `first_seq`, when not 1, starts the kernel's tie-break sequence counter
+// there through a restored checkpoint. `next_seq`, when given, receives
+// the counter after the run, so a caller can tell that it wrapped.
+std::vector<int> trace_simulation(std::uint64_t seed,
+                                  std::uint32_t first_seq = 1,
+                                  std::uint32_t* next_seq = nullptr) {
   Simulation simulation{SimTime{0}};
-  return run_workload(
+  if (first_seq != 1) {
+    Simulation::KernelCheckpoint start;
+    start.next_seq = first_seq;
+    simulation.begin_restore(start);
+    simulation.finish_restore();
+  }
+  std::vector<int> trace = run_workload(
       seed, simulation,
       [&](std::int64_t at, std::function<void()> fn) {
         return simulation.schedule_at(SimTime{at}, std::move(fn));
@@ -162,6 +174,8 @@ std::vector<int> trace_simulation(std::uint64_t seed) {
       [&](std::int64_t deadline) { simulation.run_until(SimTime{deadline}); },
       [&] { simulation.run_all(); },
       [&] { return simulation.now().millis_since_epoch(); });
+  if (next_seq != nullptr) *next_seq = simulation.checkpoint().next_seq;
+  return trace;
 }
 
 std::vector<int> trace_reference(std::uint64_t seed) {
@@ -181,6 +195,19 @@ TEST_P(EventOrderGolden, MatchesReferenceKernel) {
   const std::vector<int> expected = trace_reference(GetParam());
   const std::vector<int> actual = trace_simulation(GetParam());
   ASSERT_GT(expected.size(), 100u) << "workload degenerated";
+  EXPECT_EQ(actual, expected);
+}
+
+// The same workload started 1000 schedules short of the 32-bit sequence
+// wrap, so renumber_sequences() runs mid-workload with tied, respawning
+// and cancelled events pending.
+TEST_P(EventOrderGolden, MatchesReferenceKernelAcrossSequenceWrap) {
+  constexpr std::uint32_t kNearWrap = 0xffffffffu - 1000;
+  const std::vector<int> expected = trace_reference(GetParam());
+  std::uint32_t next_seq = 0;
+  const std::vector<int> actual =
+      trace_simulation(GetParam(), kNearWrap, &next_seq);
+  ASSERT_LT(next_seq, kNearWrap) << "the sequence counter never wrapped";
   EXPECT_EQ(actual, expected);
 }
 

@@ -207,5 +207,70 @@ TEST(Simulation, PendingTracksBurstsAndDrains) {
   EXPECT_EQ(simulation.pending(), 0u);
 }
 
+// The 32-bit tie-break sequence wraps once per 2^32 - 1 schedules, and the
+// kernel then renumbers every pending event. A restored checkpoint starts
+// the counter a few schedules short of the wrap. Tied and untied events
+// scheduled on both sides of it, some from callbacks and one cancelled,
+// must still run in (time, scheduling order), and keys read after the wrap
+// must rebuild the same queue through schedule_rebuilt().
+TEST(Simulation, SequenceWrapKeepsOrderAndRestores) {
+  constexpr std::uint32_t kNearWrap = 0xffffffffu - 4;
+  Simulation simulation;
+  Simulation::KernelCheckpoint near_wrap;
+  near_wrap.next_seq = kNearWrap;
+  simulation.begin_restore(near_wrap);
+  simulation.finish_restore();
+
+  std::vector<int> order;
+  std::vector<std::pair<EventId, int>> labelled;  // every recorded event
+  const auto schedule = [&](std::int64_t at, int label) {
+    const EventId id = simulation.schedule_at(
+        SimTime{at}, [&order, label] { order.push_back(label); });
+    labelled.emplace_back(id, label);
+    return id;
+  };
+  schedule(20, 0);
+  simulation.schedule_at(SimTime{10}, [&] {
+    order.push_back(1);
+    // The wrap. Popping this event left 0, 2 and 3 out of scheduling
+    // order in the queue's storage; renumbering must restore it.
+    schedule(20, 4);
+  });
+  schedule(20, 2);
+  schedule(20, 3);
+  simulation.run_until(SimTime{10});
+  EXPECT_LT(simulation.checkpoint().next_seq, kNearWrap);
+  simulation.schedule_at(SimTime{15}, [&] {
+    order.push_back(5);
+    schedule(15, 7);  // due now, behind nothing
+  });
+  schedule(30, 6);
+  simulation.cancel(schedule(20, 8));
+  simulation.run_until(SimTime{15});
+  EXPECT_EQ(order, (std::vector<int>{1, 5, 7}));
+
+  const Simulation::KernelCheckpoint checkpoint = simulation.checkpoint();
+  Simulation restored;
+  std::vector<int> restored_order;
+  restored.begin_restore(checkpoint);
+  // Rebuilt newest first: components restore in section order, not
+  // sequence order.
+  for (auto it = labelled.rbegin(); it != labelled.rend(); ++it) {
+    const auto key = simulation.pending_key(it->first);
+    if (!key.has_value()) continue;
+    const int label = it->second;
+    restored.schedule_rebuilt(key->first, key->second,
+                              [&restored_order, label] {
+                                restored_order.push_back(label);
+                              });
+  }
+  restored.finish_restore();  // throws unless all five live events came back
+
+  simulation.run_all();
+  restored.run_all();
+  EXPECT_EQ(order, (std::vector<int>{1, 5, 7, 0, 2, 3, 4, 6}));
+  EXPECT_EQ(restored_order, (std::vector<int>{0, 2, 3, 4, 6}));
+}
+
 }  // namespace
 }  // namespace gw::sim

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 
 namespace gw::station {
@@ -112,6 +113,20 @@ TEST(FleetTest, FindStationByName) {
   ASSERT_NE(fleet.find_station("s2"), nullptr);
   EXPECT_EQ(fleet.find_station("s2")->name(), "s2");
   EXPECT_EQ(fleet.find_station("nope"), nullptr);
+}
+
+// Two stations named alike would fork one rng stream and hide one another
+// from find_station(); construction refuses them, naming the station.
+TEST(FleetTest, RefusesDuplicateStationNames) {
+  FleetConfig config = uniform_fleet_config(4, 7);
+  config.stations[1].station.name = "s000";
+  try {
+    Fleet fleet{config};
+    FAIL() << "a fleet with two stations named s000 was built";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("s000"), std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(FleetTest, ServerReceivedWindowIsWiredThrough) {

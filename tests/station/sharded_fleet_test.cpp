@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -186,6 +187,22 @@ TEST(ShardedFleetTest, FingerprintIsInvariantAtDerivedLatency) {
   const std::string reference = fingerprint(8, 1, 1, sim::Duration{0}, 3.0);
   EXPECT_EQ(reference, fingerprint(8, 2, 2, sim::Duration{0}, 3.0));
   EXPECT_EQ(reference, fingerprint(8, 4, 3, sim::Duration{0}, 3.0));
+}
+
+// The sharded assembly applies the serial fleet's name check.
+TEST(ShardedFleetTest, RefusesDuplicateStationNames) {
+  ShardedFleetConfig config;
+  config.fleet = uniform_fleet_config(4, 7);
+  config.fleet.stations[1].station.name = "s000";
+  config.shards = 2;
+  config.workers = 1;
+  try {
+    ShardedFleet fleet{config};
+    FAIL() << "a sharded fleet with two stations named s000 was built";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("s000"), std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(ShardedFleetTest, FindStationAndProbeNaming) {
