@@ -83,12 +83,12 @@ AblationResult run_winter_station(bool enabled) {
     station_config->gprs.drop_per_minute = 0.0;
   }
   config.base.enable_data_priority = enabled;
-  station::Deployment deployment{config};
+  station::Fleet deployment{config.to_fleet_config()};
   deployment.run_days(120.0);  // through late May: melt onset included
 
   AblationResult result;
   result.files_received = deployment.server().files_from("base");
-  result.forced_days = deployment.base().stats().forced_comms_days;
+  result.forced_days = deployment.station(0).stats().forced_comms_days;
   const auto onset = sim::at_midnight(2009, 4, 1);
   for (const auto& file : deployment.server().received()) {
     if (file.station == "base" && file.received_at >= onset) {

@@ -59,23 +59,23 @@ void run() {
               util::format_fixed(kDays, 0) + " days from 2008-06-01");
 
   // The two seasons are independent worlds — run them as two parallel
-  // trials (Deployment is not movable, so each comes back behind a
-  // unique_ptr; trial 0 is clean, trial 1 scripted).
+  // trials (Fleet is not movable, so each comes back behind a unique_ptr;
+  // trial 0 is clean, trial 1 scripted).
   runner::MonteCarloRunner pool{bench::thread_count()};
   auto seasons = pool.run(2, [](std::size_t trial) {
-    auto deployment = std::make_unique<station::Deployment>(
-        soak_config(trial == 0 ? "" : kSeasonSpec));
+    auto deployment = std::make_unique<station::Fleet>(
+        soak_config(trial == 0 ? "" : kSeasonSpec).to_fleet_config());
     deployment->run_days(kDays);
     return deployment;
   });
-  station::Deployment& clean = *seasons[0];
-  station::Deployment& faulted = *seasons[1];
+  station::Fleet& clean = *seasons[0];
+  station::Fleet& faulted = *seasons[1];
 
   bench::subheading("1. season outcomes, same seed, same weather");
   compare_row("", "clean", "scripted");
   for (const auto& name : {std::string("base"), std::string("reference")}) {
-    auto& c = name == "base" ? clean.base() : clean.reference();
-    auto& f = name == "base" ? faulted.base() : faulted.reference();
+    auto& c = name == "base" ? clean.station(0) : clean.station(1);
+    auto& f = name == "base" ? faulted.station(0) : faulted.station(1);
     compare_row(name + ": runs completed",
                 std::to_string(c.stats().runs_completed),
                 std::to_string(f.stats().runs_completed));
@@ -93,14 +93,14 @@ void run() {
                 std::to_string(f.uploads().queued_files()));
   }
   compare_row("base: brown-outs",
-              std::to_string(clean.base().stats().brown_outs),
-              std::to_string(faulted.base().stats().brown_outs));
+              std::to_string(clean.station(0).stats().brown_outs),
+              std::to_string(faulted.station(0).stats().brown_outs));
   compare_row("base: cold boots",
-              std::to_string(clean.base().stats().cold_boots),
-              std::to_string(faulted.base().stats().cold_boots));
+              std::to_string(clean.station(0).stats().cold_boots),
+              std::to_string(faulted.station(0).stats().cold_boots));
   compare_row("base: degraded (log-only) days",
-              std::to_string(clean.base().stats().degraded_days),
-              std::to_string(faulted.base().stats().degraded_days));
+              std::to_string(clean.station(0).stats().degraded_days),
+              std::to_string(faulted.station(0).stats().degraded_days));
 
   bench::subheading("2. fault trips (injected windows that actually bit)");
   for (int i = 0; i < fault::kFaultKindCount; ++i) {
@@ -112,11 +112,11 @@ void run() {
 
   bench::subheading("3. invariants under injection");
   const bool ledgers =
-      faulted.base().gprs().ledger_consistent() &&
-      faulted.reference().gprs().ledger_consistent();
+      faulted.station(0).gprs().ledger_consistent() &&
+      faulted.station(1).gprs().ledger_consistent();
   bench::note(std::string("modem session ledgers reconcile: ") +
               (ledgers ? "yes" : "NO"));
-  const bool recovered = !faulted.base().recovery().rtc_untrusted();
+  const bool recovered = !faulted.station(0).recovery().rtc_untrusted();
   bench::note(std::string("base RTC re-trusted after blackout: ") +
               (recovered ? "yes" : "NO"));
   bench::paper_vs_measured("everyday failures absorbed",
@@ -129,9 +129,9 @@ void run() {
                  {"season", "gprs_outage+dgps_no_fix+cf_write_fail+"
                             "server_down+harvest_blackout"}};
   report.sections = {
-      {"base", &faulted.base().metrics(), &faulted.base().journal()},
-      {"reference", &faulted.reference().metrics(),
-       &faulted.reference().journal()},
+      {"base", &faulted.station(0).metrics(), &faulted.station(0).journal()},
+      {"reference", &faulted.station(1).metrics(),
+       &faulted.station(1).journal()},
       {"fault", &faulted.fault_metrics(), &faulted.fault_journal()}};
   bench::export_report(report);
 }

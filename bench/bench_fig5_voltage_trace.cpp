@@ -34,7 +34,7 @@ void run() {
   config.reference.gprs.drop_per_minute = 0.0;
   config.base.initial_state = core::PowerState::kState2;
   config.reference.initial_state = core::PowerState::kState2;
-  station::Deployment deployment{config};
+  station::Fleet deployment{config.to_fleet_config()};
 
   // Hold the stations in state 2 by remote override (the Fig 5 annotation),
   // releasing at 13:00 on 23 Sep.
@@ -114,9 +114,9 @@ void run() {
   // 4. In state 3 the dGPS fires every 2 h (12/day).
   int gps_day_readings = 0;
   (void)state;
-  const int readings_before = deployment.base().dgps().readings_taken();
+  const int readings_before = deployment.station(0).dgps().readings_taken();
   deployment.run_days(1.0);
-  gps_day_readings = deployment.base().dgps().readings_taken() -
+  gps_day_readings = deployment.station(0).dgps().readings_taken() -
                      readings_before;
   bench::paper_vs_measured("dGPS readings per state-3 day",
                            "12 (2-hour dips)",
@@ -130,9 +130,10 @@ void run() {
                  {"window", "2009-09-22..2009-09-26"},
                  {"seed", std::to_string(deployment.config().seed)}};
   report.sections = {
-      {"base", &deployment.base().metrics(), &deployment.base().journal()},
-      {"reference", &deployment.reference().metrics(),
-       &deployment.reference().journal()}};
+      {"base", &deployment.station(0).metrics(),
+       &deployment.station(0).journal()},
+      {"reference", &deployment.station(1).metrics(),
+       &deployment.station(1).journal()}};
   report.series = sim::to_obs_series(
       trace, std::vector<std::string>{"base.voltage", "base.state"},
       window_start, window_end);

@@ -27,7 +27,7 @@ void run() {
   config.base.gprs.drop_per_minute = 0.0;
   config.reference.gprs.registration_success = 1.0;
   config.reference.gprs.drop_per_minute = 0.0;
-  station::Deployment deployment{config};
+  station::Fleet deployment{config.to_fleet_config()};
   deployment.run_days(98.0);  // through late April
 
   const auto& trace = deployment.trace();
@@ -83,7 +83,7 @@ void run() {
   bench::subheading("pipeline check");
   bench::note("probe readings delivered to base station over the window: " +
               std::to_string(
-                  deployment.base().stats().probe_readings_delivered));
+                  deployment.station(0).stats().probe_readings_delivered));
   bench::note("probes alive at window end: " +
               std::to_string(deployment.probes_alive()) + "/7");
 }

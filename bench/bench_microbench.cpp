@@ -152,10 +152,10 @@ void BM_DeploymentDay(benchmark::State& state) {
     state.PauseTiming();
     station::DeploymentConfig config;
     config.trace_enabled = false;
-    station::Deployment deployment{config};
+    station::Fleet deployment{config.to_fleet_config()};
     state.ResumeTiming();
     deployment.run_days(1.0);
-    benchmark::DoNotOptimize(deployment.base().stats().runs_completed);
+    benchmark::DoNotOptimize(deployment.station(0).stats().runs_completed);
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -44,13 +44,13 @@ LagResult measure_lag(sim::Duration reference_offset) {
   config.reference.initial_state = core::PowerState::kState3;
   config.reference.wake_time_of_day = sim::hours(12) + reference_offset;
   config.trace_enabled = false;
-  station::Deployment deployment{config};
+  station::Fleet deployment{config.to_fleet_config()};
 
   // From day 3, pin the base battery into the state-2 voltage band (an aged
   // bank), re-clamped every 30 minutes against charging.
   const sim::SimTime pin_from = sim::at_midnight(2009, 9, 4);
   std::function<void()> clamp = [&deployment, &clamp] {
-    auto& battery = deployment.base().power().battery();
+    auto& battery = deployment.station(0).power().battery();
     if (battery.soc() > 0.40) battery.set_soc(0.40);
     deployment.simulation().schedule_in(sim::minutes(30), clamp);
   };
@@ -68,8 +68,8 @@ LagResult measure_lag(sim::Duration reference_offset) {
     }
     return sim::SimTime{0};
   };
-  const sim::SimTime base_at = transition_time(deployment.base());
-  const sim::SimTime ref_at = transition_time(deployment.reference());
+  const sim::SimTime base_at = transition_time(deployment.station(0));
+  const sim::SimTime ref_at = transition_time(deployment.station(1));
   LagResult result;
   if (base_at == sim::SimTime{0} || ref_at == sim::SimTime{0}) return result;
   result.seen = true;

@@ -14,7 +14,7 @@ namespace {
 
 using namespace gw;
 
-void emit_csv(station::Deployment& deployment,
+void emit_csv(station::Fleet& deployment,
               const std::vector<std::string>& series, sim::SimTime from,
               sim::SimTime to) {
   std::printf("utc");
@@ -38,7 +38,7 @@ int run_fig5() {
   config.base.power.battery.initial_soc = 0.97;
   config.base.initial_state = core::PowerState::kState2;
   config.reference.initial_state = core::PowerState::kState2;
-  station::Deployment deployment{config};
+  station::Fleet deployment{config.to_fleet_config()};
   deployment.server().sync().set_manual_override(core::PowerState::kState2);
   deployment.simulation().schedule_at(
       sim::to_time({2009, 9, 23, 13, 0, 0}), [&deployment] {
@@ -53,7 +53,7 @@ int run_fig5() {
 int run_fig6() {
   station::DeploymentConfig config;
   config.start = sim::DateTime{2009, 1, 20, 0, 0, 0};
-  station::Deployment deployment{config};
+  station::Fleet deployment{config.to_fleet_config()};
   deployment.run_days(95.0);
   emit_csv(deployment,
            {"probe21.conductivity", "probe24.conductivity",
@@ -65,7 +65,7 @@ int run_fig6() {
 int run_year() {
   station::DeploymentConfig config;
   config.start = sim::DateTime{2008, 9, 1, 0, 0, 0};
-  station::Deployment deployment{config};
+  station::Fleet deployment{config.to_fleet_config()};
   deployment.run_days(365.0);
   emit_csv(deployment,
            {"base.voltage", "base.state", "base.soc", "reference.voltage",

@@ -16,13 +16,13 @@ int main() {
   config.seed = 2008;
   config.start = sim::DateTime{2008, 9, 1, 0, 0, 0};  // the field season
 
-  station::Deployment deployment{config};
+  station::Fleet deployment{config.to_fleet_config()};
   deployment.run_days(30.0);
 
   std::printf("Glacsweb deployment after 30 days (from %s)\n\n",
               sim::format_iso(sim::to_time(config.start)).c_str());
 
-  for (auto* s : {&deployment.base(), &deployment.reference()}) {
+  for (auto* s : {&deployment.station(0), &deployment.station(1)}) {
     const auto& stats = s->stats();
     std::printf("[%s station]\n", s->name().c_str());
     std::printf("  power state now: %d, battery SoC %.0f%%\n",
@@ -53,7 +53,7 @@ int main() {
               deployment.server().bytes_from("reference").mib());
 
   std::printf("\n[probes]\n  alive: %d/7\n", deployment.probes_alive());
-  for (const auto& probe : deployment.probes()) {
+  for (const auto& probe : deployment.probes(0)) {
     std::printf("  probe %d: %s, %u readings sampled, %zu delivered\n",
                 probe->id(), probe->alive() ? "alive" : "offline",
                 probe->readings_sampled(), probe->store().delivered_total());

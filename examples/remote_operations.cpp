@@ -19,7 +19,7 @@ int main() {
   config.base.power.battery.initial_soc = 1.0;
   config.reference.power.battery.initial_soc = 1.0;
   config.trace_enabled = false;
-  station::Deployment deployment{config};
+  station::Fleet deployment{config.to_fleet_config()};
   auto& server = deployment.server();
 
   std::printf("Remote operations session, June 2009\n\n");
@@ -29,13 +29,13 @@ int main() {
   server.sync().set_manual_override(core::PowerState::kState2);
   deployment.run_days(3.0);
   std::printf("   day 3: base state %d, reference state %d\n",
-              core::to_int(deployment.base().current_state()),
-              core::to_int(deployment.reference().current_state()));
+              core::to_int(deployment.station(0).current_state()),
+              core::to_int(deployment.station(1).current_state()));
   server.sync().set_manual_override(std::nullopt);
   deployment.run_days(2.0);
   std::printf("   released: base state %d, reference state %d\n\n",
-              core::to_int(deployment.base().current_state()),
-              core::to_int(deployment.reference().current_state()));
+              core::to_int(deployment.station(0).current_state()),
+              core::to_int(deployment.station(1).current_state()));
 
   // --- 2. special command ---------------------------------------------------
   std::printf("2. Queueing a diagnostic script for the base station\n");
@@ -67,12 +67,12 @@ int main() {
                 timed.beacon.http_get().c_str());
   }
   std::printf("   installed on station: %s\n",
-              deployment.base().updates().has("basestation.py") ? "yes"
-                                                                : "no");
+              deployment.station(0).updates().has("basestation.py") ? "yes"
+                                                                    : "no");
   std::printf("   update stats: %d downloads, %d installs, %d rejected "
               "(corrupted in transit)\n",
-              deployment.base().updates().downloads(),
-              deployment.base().updates().installs(),
-              deployment.base().updates().rejections());
+              deployment.station(0).updates().downloads(),
+              deployment.station(0).updates().installs(),
+              deployment.station(0).updates().rejections());
   return 0;
 }

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   // The §VII extension earns its keep over a winter.
   config.base.enable_data_priority = true;
 
-  station::Deployment deployment{config};
+  station::Fleet deployment{config.to_fleet_config()};
   deployment.run_days(days);
 
   station::FieldReport report{deployment};
@@ -38,9 +38,9 @@ int main(int argc, char** argv) {
   const auto start = sim::to_time(config.start);
   for (int day = 0; day < int(days); day += 7) {
     const auto week_start = start + sim::days(day);
-    int state = core::to_int(deployment.base().current_state());
+    int state = core::to_int(deployment.station(0).current_state());
     // Walk the history for the state in effect at week start.
-    for (const auto& change : deployment.base().state_history()) {
+    for (const auto& change : deployment.station(0).state_history()) {
       if (change.at <= week_start) state = core::to_int(change.state);
     }
     if (day % 28 == 0) {

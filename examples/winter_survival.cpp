@@ -40,7 +40,7 @@ void run_winter(bool adaptive) {
     }
   }
   config.trace_enabled = false;
-  station::Deployment deployment{config};
+  station::Fleet deployment{config.to_fleet_config()};
 
   std::printf("\n%s winter (base station):\n",
               adaptive ? "ADAPTIVE (Table 2 policy)" : "PINNED STATE 3");
@@ -62,7 +62,7 @@ void run_winter(bool adaptive) {
     }
     deployment.simulation().run_until(sim::at_midnight(year, month, 1));
 
-    auto& base = deployment.base();
+    auto& base = deployment.station(0);
     const double harvest = double(base.power().absorbed_microjoules()) / 3.6e9;
     const double consumed =
         double(base.power().delivered_microjoules()) / 3.6e9;
@@ -77,7 +77,7 @@ void run_winter(bool adaptive) {
     prev_files = files;
   }
 
-  const auto& stats = deployment.base().stats();
+  const auto& stats = deployment.station(0).stats();
   std::printf(
       "  => runs completed %d, aborted %d, brown-outs %d, cold boots %d, "
       "probe readings %zu\n",

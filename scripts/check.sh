@@ -9,11 +9,13 @@
 #      resolve, and every docs/*.md must be reachable from README.md by
 #      following links (needs python3, also gated);
 #   3. sanitizer leg: with GW_CHECK_SANITIZE=1 in the environment, builds
-#      system_test, snapshot_test and energy_test in a separate build-asan/
-#      dir with -DGW_SANITIZE=address (ASan+UBSan) and runs the fault soak,
-#      the energy-conservation season (a snapshot round trip included), the
-#      snapshot format sweeps and the component restore checks under it.
-#      Off by default — it is a full extra build — and gated on cmake
+#      system_test, snapshot_test, energy_test and station_test in a
+#      separate build-asan/ dir with -DGW_SANITIZE=address (ASan+UBSan) and
+#      runs the fault soak, the energy-conservation season (a snapshot
+#      round trip included), the snapshot format sweeps, the component
+#      restore checks and the whole station suite (the fleet and sharded
+#      fleet assembly, fleet snapshot refusals and the field report) under
+#      it. Off by default — it is a full extra build — and gated on cmake
 #      being available;
 #   4. thread-sanitizer leg: with GW_CHECK_TSAN=1, builds runner_test and
 #      sim_test in a separate build-tsan/ dir with -DGW_SANITIZE=thread and
@@ -96,17 +98,19 @@ fi
 # --- 3. sanitizer soak (opt-in: GW_CHECK_SANITIZE=1) ----------------------
 if [ "${GW_CHECK_SANITIZE:-0}" = "1" ]; then
   if command -v cmake >/dev/null 2>&1; then
-    echo "== ASan+UBSan fault soak and restore paths (build-asan/)"
+    echo "== ASan+UBSan fault soak, restore paths, station suite (build-asan/)"
     if cmake -B build-asan -S . -DGW_SANITIZE=address >/dev/null &&
        cmake --build build-asan --target system_test snapshot_test \
-         energy_test -j >/dev/null &&
+         energy_test station_test -j >/dev/null &&
        ./build-asan/tests/system_test \
          --gtest_filter='FaultSoak.*:EnergyConservation.*' &&
        ./build-asan/tests/snapshot_test &&
-       ./build-asan/tests/energy_test; then
-      echo "ok: fault soak and restore paths clean under ASan+UBSan"
+       ./build-asan/tests/energy_test &&
+       ./build-asan/tests/station_test; then
+      echo "ok: fault soak, restore paths and station suite clean under" \
+        "ASan+UBSan"
     else
-      echo "FAIL: sanitizer fault soak or restore paths"
+      echo "FAIL: sanitizer fault soak, restore paths or station suite"
       failures=$((failures + 1))
     fi
   else

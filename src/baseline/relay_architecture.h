@@ -16,7 +16,9 @@
 //     skew beyond the guard band misses the whole day;
 //   * fate-sharing — a dead relay silences the base station entirely.
 //
-// bench_architecture runs this against the dual-GPRS station::Deployment.
+// bench_architecture runs this against the dual-GPRS design that was
+// built: one independent hw::GprsModem per station, as in every station of
+// a station::Fleet.
 #pragma once
 
 #include <memory>

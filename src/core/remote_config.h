@@ -21,6 +21,7 @@
 
 #include "util/md5.h"
 #include "util/result.h"
+#include "util/strings.h"
 
 namespace gw::core {
 
@@ -79,26 +80,21 @@ class RemoteConfig {
     return it->second;
   }
 
+  // Typed getters parse the whole value strictly (util::parse_int /
+  // parse_finite): "42xyz", " 7", "nan" and an absent key all read as
+  // `fallback`, so a garbled entry can never reach a probe-protocol knob.
   [[nodiscard]] std::int64_t get_int(const std::string& key,
                                      std::int64_t fallback) const {
     const auto text = get(key);
     if (!text.has_value()) return fallback;
-    try {
-      return std::stoll(*text);
-    } catch (...) {
-      return fallback;
-    }
+    return util::parse_int(*text).value_or(fallback);
   }
 
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const {
     const auto text = get(key);
     if (!text.has_value()) return fallback;
-    try {
-      return std::stod(*text);
-    } catch (...) {
-      return fallback;
-    }
+    return util::parse_finite(*text).value_or(fallback);
   }
 
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const {

@@ -1,7 +1,10 @@
 #include "fault/fault.h"
 
 #include <cctype>
-#include <cstdlib>
+#include <cmath>
+#include <cstdint>
+
+#include "util/strings.h"
 
 namespace gw::fault {
 namespace {
@@ -24,17 +27,18 @@ std::vector<std::string_view> split_tokens(std::string_view text) {
   return tokens;
 }
 
+// The whole token, strictly (util::parse_finite): "0x10", "1e5x", "nan"
+// and "inf" are all refused.
 util::Result<double> parse_number(std::string_view text) {
-  const std::string copy{text};
-  char* end = nullptr;
-  const double value = std::strtod(copy.c_str(), &end);
-  if (end == copy.c_str() || *end != '\0') {
-    return util::make_error("not a number: '" + copy + "'");
+  const auto value = util::parse_finite(text);
+  if (!value.has_value()) {
+    return util::make_error("not a number: '" + std::string(text) + "'");
   }
-  return value;
+  return *value;
 }
 
-// "7d" / "36h" / "90m" / "30s" / "0.5d" -> Duration.
+// "7d" / "36h" / "90m" / "30s" / "0.5d" -> Duration. The millisecond
+// count must fit sim::Duration's 64 bits before it is converted.
 util::Result<sim::Duration> parse_duration(std::string_view text) {
   if (text.empty()) return util::make_error("empty duration");
   const char unit = text.back();
@@ -43,19 +47,32 @@ util::Result<sim::Duration> parse_duration(std::string_view text) {
     return util::make_error("bad duration '" + std::string(text) +
                             "' (want <number><d|h|m|s>)");
   }
+  double ms_per_unit = 0.0;
   switch (unit) {
     case 'd':
-      return sim::days(number.value());
+      ms_per_unit = 86.4e6;
+      break;
     case 'h':
-      return sim::hours(number.value());
+      ms_per_unit = 3.6e6;
+      break;
     case 'm':
-      return sim::minutes(number.value());
+      ms_per_unit = 60e3;
+      break;
     case 's':
-      return sim::seconds(number.value());
+      ms_per_unit = 1e3;
+      break;
     default:
       return util::make_error("bad duration unit in '" + std::string(text) +
                               "' (want d, h, m or s)");
   }
+  // Same product as sim::days() and friends; 2^63 ms is the first value
+  // out of range either way.
+  const double ms = number.value() * ms_per_unit;
+  if (!(std::abs(ms) < 0x1p63)) {
+    return util::make_error("duration out of range: '" + std::string(text) +
+                            "'");
+  }
+  return sim::Duration{std::int64_t(ms)};
 }
 
 }  // namespace

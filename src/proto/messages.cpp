@@ -1,8 +1,6 @@
 #include "proto/messages.h"
 
-#include <charconv>
 #include <cstdio>
-#include <system_error>
 
 #include "util/crc32.h"
 #include "util/strings.h"
@@ -19,16 +17,10 @@ std::string crc_hex(std::string_view body) {
 }  // namespace
 
 std::optional<std::int64_t> Form::parse_int(std::string_view text) {
-  // std::from_chars is exactly the strictness wanted: no leading
-  // whitespace, no '+', no locale. The only extra requirement is that it
-  // consumed the *whole* value — std::stoll's silent "42xyz" -> 42 was the
-  // lenient path this replaces.
-  std::int64_t value = 0;
-  const char* const first = text.data();
-  const char* const last = first + text.size();
-  const auto [ptr, ec] = std::from_chars(first, last, value);
-  if (ec != std::errc{} || ptr != last) return std::nullopt;
-  return value;
+  // util::parse_int is exactly the strictness wanted: no leading
+  // whitespace, no '+', no locale, and the *whole* value consumed —
+  // std::stoll's silent "42xyz" -> 42 was the lenient path this replaces.
+  return util::parse_int(text);
 }
 
 std::optional<std::int64_t> Form::get_int(const std::string& key) const {

@@ -10,8 +10,8 @@ FleetConfig DeploymentConfig::to_fleet_config() const {
   fleet.trace_enabled = trace_enabled;
   fleet.trace_interval = trace_interval;
   fleet.fault_spec = fault_spec;
-  // Legacy knobs: bare probe<id> names and an uncapped receipt ledger keep
-  // every pre-fleet export byte-identical.
+  // Bare probe<id> names and an uncapped receipt ledger keep every
+  // pre-fleet export byte-identical.
   fleet.station_scoped_probe_names = false;
   fleet.server_received_window = 0;
 
@@ -32,8 +32,5 @@ FleetConfig DeploymentConfig::to_fleet_config() const {
   fleet.stations = {std::move(base_spec), std::move(reference_spec)};
   return fleet;
 }
-
-Deployment::Deployment(DeploymentConfig config)
-    : config_(std::move(config)), fleet_(config_.to_fleet_config()) {}
 
 }  // namespace gw::station

@@ -1,23 +1,19 @@
-// Deployment: the paper's Iceland field system as a two-station preset
-// over the fleet layer.
+// The paper's Iceland field system as a fleet preset.
 //
-// One object assembles what the paper deployed in 2008: a glacier base
-// station (solar + wind, 7 subglacial probes, dGPS, GPRS), a café reference
-// station (solar + seasonal mains, fixed dGPS, GPRS), the Southampton
-// server mediating them, and the shared environment — all reproducible
-// from a single seed. The benches and examples run a Deployment for N days
-// and read the ledgers and traces off it.
-//
-// Since the fleet refactor this class owns no wiring of its own: it maps
-// DeploymentConfig onto a two-StationSpec FleetConfig (both stations in
-// sync group "dgps", legacy bare probe<id> trace names) and delegates.
-// Exports are byte-identical to the pre-fleet hand-wired assembly — the
-// shape-stability suite pins that equivalence.
+// DeploymentConfig describes what the paper deployed in 2008: a glacier
+// base station (solar + wind, 7 subglacial probes, dGPS, GPRS), a café
+// reference station (solar + seasonal mains, fixed dGPS, GPRS), the
+// Southampton server mediating them, and the shared environment — all
+// reproducible from a single seed. to_fleet_config() maps it onto a
+// two-StationSpec FleetConfig (both stations in sync group "dgps", bare
+// probe<id> trace names); the benches and examples run
+// `Fleet{config.to_fleet_config()}` for N days and read station(0) (base),
+// station(1) (reference) and probes(0) off it. Exports are byte-identical
+// to those of the pre-fleet hand-wired assembly.
 #pragma once
 
-#include <memory>
+#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "station/fleet.h"
 
@@ -33,10 +29,11 @@ struct DeploymentConfig {
   StationConfig reference;
   bool trace_enabled = true;
   sim::Duration trace_interval = sim::minutes(30);
-  // Optional fault plan (docs/FAULTS.md spec text). When non-empty it is
-  // parsed at construction, anchored at `start`, and wired into both
-  // stations and the server. A parse error throws std::invalid_argument:
-  // a scripted season that silently runs clean would defeat the test.
+  // Optional fault plan (docs/FAULTS.md spec text). When non-empty the
+  // fleet parses it at construction, anchors it at `start`, and wires it
+  // into both stations and the server. A parse error throws
+  // std::invalid_argument: a scripted season that silently runs clean
+  // would defeat the test.
   std::string fault_spec;
 
   DeploymentConfig() {
@@ -46,61 +43,10 @@ struct DeploymentConfig {
     reference.role = StationRole::kReferenceStation;
   }
 
-  // The equivalent fleet description: base (solar + wind, the probes) and
-  // reference (solar + mains) paired in sync group "dgps", legacy probe
-  // naming. Exposed so fleet users can start from the paper's shape.
+  // The fleet this preset describes: base (solar + wind, the probes) and
+  // reference (solar + mains) paired in sync group "dgps", bare probe
+  // naming. Run it as Fleet{config.to_fleet_config()}.
   [[nodiscard]] FleetConfig to_fleet_config() const;
-};
-
-class Deployment {
- public:
-  explicit Deployment(DeploymentConfig config = {});
-
-  Deployment(const Deployment&) = delete;
-  Deployment& operator=(const Deployment&) = delete;
-
-  // Advances the whole system by `days` simulated days.
-  void run_days(double days) { fleet_.run_days(days); }
-
-  [[nodiscard]] sim::Simulation& simulation() { return fleet_.simulation(); }
-  [[nodiscard]] env::Environment& environment() {
-    return fleet_.environment();
-  }
-  [[nodiscard]] SouthamptonServer& server() { return fleet_.server(); }
-  [[nodiscard]] Station& base() { return fleet_.station(0); }
-  [[nodiscard]] Station& reference() { return fleet_.station(1); }
-  [[nodiscard]] std::vector<std::unique_ptr<ProbeNode>>& probes() {
-    return fleet_.probes(0);
-  }
-
-  [[nodiscard]] int probes_alive() const { return fleet_.probes_alive(); }
-
-  // 30-minute series: "<station>.voltage", "<station>.state",
-  // "<station>.soc", and "probe<id>.conductivity" — the raw material for
-  // the Fig 5 / Fig 6 benches.
-  [[nodiscard]] sim::Trace& trace() { return fleet_.trace(); }
-
-  // The shared fault oracle (always present; empty plan when no fault_spec
-  // was given) and its instrumentation pair — fleet-level observables the
-  // soak harness exports alongside the per-station registries.
-  [[nodiscard]] fault::FaultOracle& fault_oracle() {
-    return fleet_.fault_oracle();
-  }
-  [[nodiscard]] obs::MetricsRegistry& fault_metrics() {
-    return fleet_.fault_metrics();
-  }
-  [[nodiscard]] obs::EventJournal& fault_journal() {
-    return fleet_.fault_journal();
-  }
-
-  // The underlying fleet (rollup registry, group status, probe namespace).
-  [[nodiscard]] Fleet& fleet() { return fleet_; }
-
-  [[nodiscard]] const DeploymentConfig& config() const { return config_; }
-
- private:
-  DeploymentConfig config_;
-  Fleet fleet_;
 };
 
 }  // namespace gw::station

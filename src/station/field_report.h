@@ -2,30 +2,30 @@
 //
 // The paper's evaluation is exactly this kind of artefact — "has the
 // system produced data continuously, what failed, what did it cost" — so
-// the library ships a renderer that turns a Deployment's ledgers into the
-// table the team would look at after a season (§VII: "data collated from
-// the base station can provide useful insights into the condition of the
-// system").
+// the library ships a renderer that turns a fleet's ledgers into the table
+// the team would look at after a season (§VII: "data collated from the
+// base station can provide useful insights into the condition of the
+// system"). Every station is rendered, in spec order.
 #pragma once
 
 #include <string>
 
-#include "station/deployment.h"
+#include "station/fleet.h"
 #include "util/strings.h"
 
 namespace gw::station {
 
 class FieldReport {
  public:
-  explicit FieldReport(Deployment& deployment) : deployment_(deployment) {}
+  explicit FieldReport(Fleet& fleet) : fleet_(fleet) {}
 
   [[nodiscard]] std::string render() const {
     std::string out;
     out += "GLACSWEB FIELD REPORT  (as of " +
-           sim::format_iso(deployment_.simulation().now()) + ")\n";
+           sim::format_iso(fleet_.simulation().now()) + ")\n";
     out += line();
-    for (auto* station : {&deployment_.base(), &deployment_.reference()}) {
-      out += render_station(*station);
+    for (std::size_t s = 0; s < fleet_.size(); ++s) {
+      out += render_station(fleet_.station(s));
     }
     out += render_probes();
     out += render_server();
@@ -82,33 +82,42 @@ class FieldReport {
     return out;
   }
 
+  // Probe lines name their station when the fleet's probe ids are
+  // station-scoped (two stations may both serve a probe 20).
   [[nodiscard]] std::string render_probes() const {
     std::string out = "[subglacial probes]\n";
     int alive = 0;
-    for (const auto& probe : deployment_.probes()) {
-      if (probe->alive()) ++alive;
-      out += "  probe " + std::to_string(probe->id()) + ": " +
-             (probe->alive() ? "alive " : "OFFLINE") + "  sampled " +
-             std::to_string(probe->readings_sampled()) + ", delivered " +
-             std::to_string(probe->store().delivered_total()) +
-             ", pending " + std::to_string(probe->store().pending_count()) +
-             "\n";
+    std::size_t total = 0;
+    for (std::size_t s = 0; s < fleet_.size(); ++s) {
+      const std::string owner = fleet_.config().station_scoped_probe_names
+                                    ? fleet_.station(s).name() + " "
+                                    : "";
+      for (const auto& probe : fleet_.probes(s)) {
+        if (probe->alive()) ++alive;
+        ++total;
+        out += "  " + owner + "probe " + std::to_string(probe->id()) + ": " +
+               (probe->alive() ? "alive " : "OFFLINE") + "  sampled " +
+               std::to_string(probe->readings_sampled()) + ", delivered " +
+               std::to_string(probe->store().delivered_total()) +
+               ", pending " + std::to_string(probe->store().pending_count()) +
+               "\n";
+      }
     }
-    out += "  " + std::to_string(alive) + "/" +
-           std::to_string(deployment_.probes().size()) + " alive\n";
+    out += "  " + std::to_string(alive) + "/" + std::to_string(total) +
+           " alive\n";
     out += line();
     return out;
   }
 
   [[nodiscard]] std::string render_server() const {
-    auto& server = deployment_.server();
+    auto& server = fleet_.server();
+    double mib = 0.0;
+    for (std::size_t s = 0; s < fleet_.size(); ++s) {
+      mib += server.bytes_from(fleet_.station(s).name()).mib();
+    }
     std::string out = "[southampton]\n";
     out += "  received " + std::to_string(server.received().size()) +
-           " files (" +
-           util::format_fixed(server.bytes_from("base").mib() +
-                                  server.bytes_from("reference").mib(),
-                              2) +
-           " MiB)\n";
+           " files (" + util::format_fixed(mib, 2) + " MiB)\n";
     out += "  specials executed: " +
            std::to_string(server.special_results().size()) +
            ", update beacons: " + std::to_string(server.beacons().size()) +
@@ -116,7 +125,7 @@ class FieldReport {
     return out;
   }
 
-  Deployment& deployment_;
+  Fleet& fleet_;
 };
 
 }  // namespace gw::station

@@ -1,66 +1,194 @@
-// Internal assembly helpers shared by the serial Fleet and the
-// ShardedFleet: the station-name check, the per-probe variant table (Fig
-// 6's distinct conductivity curves) and the charger factory. Both
-// assemblies must accept the same specs and install identical hardware
-// for them, so the tables live in one place.
+// FleetAssembly: what the serial Fleet and the ShardedFleet share — the
+// fleet description (FleetConfig), the per-station build, the trace sampler
+// and the rollup. A fleet derives from it and keeps only what really
+// differs: its kernel, a shared versus per-station environment / server /
+// fault oracle, the sharded barrier drain, and snapshots.
+//
+// Construction order is part of the determinism contract, because it fixes
+// kernel sequence numbers and rng draw order: a fleet builds every station
+// (build_station, spec order), then finish_build() builds every probe,
+// starts every station and names the trace series, and only then does the
+// fleet take its first trace sample. See docs/FLEET.md.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <map>
 #include <memory>
-#include <set>
-#include <stdexcept>
+#include <optional>
 #include <string>
+#include <vector>
 
-#include "power/chargers.h"
-#include "station/fleet.h"
+#include "env/environment.h"
+#include "fault/fault.h"
+#include "obs/journal.h"
+#include "obs/metrics.h"
+#include "sim/simulation.h"
+#include "sim/trace.h"
+#include "station/probe_node.h"
+#include "station/southampton.h"
+#include "station/station.h"
 
-namespace gw::station::assembly {
+namespace gw::station {
 
-// A station's name keys its rng stream, its server ledgers, find_station()
-// and its snapshot section, so two specs may not share one. `owner`
-// ("Fleet" or "ShardedFleet") prefixes the error.
-inline void require_unique_station_names(const FleetConfig& config,
-                                         const std::string& owner) {
-  std::set<std::string> seen;
-  for (const StationSpec& spec : config.stations) {
-    if (!seen.insert(spec.station.name).second) {
-      throw std::invalid_argument(owner + ": duplicate station name " +
-                                  spec.station.name);
-    }
-  }
-}
+// Harvest hardware a spec can install, in declaration order (§III mixes:
+// base = solar + wind, reference = solar + seasonal mains).
+enum class ChargerKind { kSolar, kWind, kMains };
 
-// Per-probe spread: Fig 6 shows distinct conductivity curves for probes
-// 21/24/25 — different positions relative to basal drainage give different
-// baselines and melt responses; radio quality varies with depth/orientation.
-// Fleets cycle the same seven variants per station.
-struct ProbeVariant {
-  double base_us;
-  double gain_us;
-  double link_quality;
+// One station in the fleet: its full StationConfig plus the fleet-level
+// facts the assembly needs (who it syncs with, what charges it, how many
+// subglacial probes it serves).
+struct StationSpec {
+  StationConfig station;
+  // Sync-group name; members apply the §III min-rule to each other. Empty =
+  // ungrouped (self-syncing).
+  std::string sync_group;
+  std::vector<ChargerKind> chargers;
+  int probe_count = 0;
 };
 
-inline constexpr ProbeVariant kProbeVariants[] = {
-    {0.5, 9.0, 1.0},  {0.8, 13.5, 1.1}, {0.3, 7.0, 0.9}, {1.2, 15.0, 1.3},
-    {0.6, 11.0, 1.0}, {0.9, 8.5, 1.2},  {0.4, 12.0, 0.8},
+struct FleetConfig {
+  std::uint64_t seed = 42;
+  sim::DateTime start{2008, 9, 1, 0, 0, 0};
+  env::EnvironmentConfig environment;
+  std::vector<StationSpec> stations;
+  bool trace_enabled = true;
+  // Must be positive when the trace is on: a sampler that reschedules
+  // itself at the same instant never lets the clock advance.
+  sim::Duration trace_interval = sim::minutes(30);
+  // Optional fault plan (docs/FAULTS.md spec text). When non-empty it is
+  // parsed at construction, anchored at `start`, and wired into every
+  // station and the server. A parse error throws std::invalid_argument: a
+  // scripted season that silently runs clean would defeat the test.
+  std::string fault_spec;
+  // Probe trace-series / rng namespace: "<station>/probe<id>" when true
+  // (the fleet default — two stations may both serve a probe 20), bare
+  // "probe<id>" when false (the paper's two-station preset,
+  // DeploymentConfig::to_fleet_config, which must keep byte-identical
+  // exports).
+  bool station_scoped_probe_names = true;
+  // Rolling receipt-ledger window handed to the server (0 = unbounded, the
+  // paper preset's setting). Totals stay exact either way.
+  std::size_t server_received_window = 0;
 };
 
-inline const ProbeVariant& probe_variant(int probe_index) {
-  return kProbeVariants[std::size_t(probe_index) %
-                        std::size(kProbeVariants)];
-}
+class FleetAssembly {
+ public:
+  FleetAssembly(const FleetAssembly&) = delete;
+  FleetAssembly& operator=(const FleetAssembly&) = delete;
 
-inline std::unique_ptr<power::Charger> make_charger(ChargerKind kind) {
-  switch (kind) {
-    case ChargerKind::kSolar:
-      return std::make_unique<power::SolarPanel>(power::SolarPanelConfig{});
-    case ChargerKind::kWind:
-      return std::make_unique<power::WindTurbine>(power::WindTurbineConfig{});
-    case ChargerKind::kMains:
-      return std::make_unique<power::MainsCharger>(
-          power::MainsChargerConfig{});
+  // --- stations (spec order) ----------------------------------------------
+
+  [[nodiscard]] std::size_t size() const { return stations_.size(); }
+  [[nodiscard]] Station& station(std::size_t index) {
+    return *stations_[index];
   }
-  throw std::invalid_argument("Fleet: unknown charger kind");
-}
+  [[nodiscard]] const Station& station(std::size_t index) const {
+    return *stations_[index];
+  }
+  // Station by name; null when absent.
+  [[nodiscard]] Station* find_station(const std::string& name);
 
-}  // namespace gw::station::assembly
+  // The probes served by station `index` (empty vector for probe-less
+  // specs, e.g. the reference role).
+  [[nodiscard]] std::vector<std::unique_ptr<ProbeNode>>& probes(
+      std::size_t index) {
+    return probes_[index];
+  }
+  [[nodiscard]] int probes_alive() const;
+
+  // The trace-series / rng namespace of one probe under this fleet's
+  // naming mode ("base/probe21" or bare "probe21").
+  [[nodiscard]] std::string probe_series_name(const std::string& station,
+                                              int probe_id) const;
+
+  [[nodiscard]] const FleetConfig& config() const { return config_; }
+
+  // --- fleet rollup (docs/FLEET.md) --------------------------------------
+
+  // Convergence status of one sync group: converged when every member sits
+  // in the same power state right now.
+  struct GroupStatus {
+    std::string name;
+    int members = 0;
+    bool converged = false;
+    core::PowerState state = core::PowerState::kState0;  // when converged
+  };
+  // Status of every sync group, in group-name order.
+  // gw::context(coordinator)
+  [[nodiscard]] std::vector<GroupStatus> group_status() const;
+
+  // Recomputes the fleet gauges (fleet.stations_total/up, groups_total/
+  // converged, yield_bytes, probes_alive) into the rollup registry and
+  // journals group convergence flips (kGroupDiverged / kGroupConverged)
+  // since the previous refresh. Call it between runs, at whatever cadence
+  // the harness samples — it draws no randomness and schedules nothing.
+  // gw::context(coordinator)
+  obs::MetricsRegistry& update_rollup();
+
+  // The rollup sinks (refreshed by update_rollup, not continuously).
+  [[nodiscard]] obs::MetricsRegistry& rollup_metrics() { return rollup_; }
+  [[nodiscard]] obs::EventJournal& rollup_journal() {
+    return rollup_journal_;
+  }
+
+ protected:
+  // Checks `config` — unique station names, a positive trace interval when
+  // the trace is on, a parseable fault plan — and wires the fleet server.
+  // `owner` ("Fleet" or "ShardedFleet") prefixes every
+  // std::invalid_argument.
+  FleetAssembly(FleetConfig config, const std::string& owner);
+
+  // Pass 1, one spec at a time in spec order: station `index` on `kernel`,
+  // `environment` and `server`, with its chargers, its sync group declared
+  // to `server`, and `oracle` attached when non-null. Its rng stream forks
+  // by name, so the assembly sequence never perturbs the draws.
+  void build_station(std::size_t index, sim::Simulation& kernel,
+                     env::Environment& environment, SouthamptonServer& server,
+                     fault::FaultOracle* oracle);
+  // Pass 2, after every station: each station's probes from the variant
+  // table, on its station's kernel and environment; then every station's
+  // start(); then, with the trace on, every station's series names.
+  void finish_build();
+
+  // Records stations [first, last) into `trace` at their kernel's clock:
+  // voltage, state and SoC of each, then the conductivity of each live
+  // probe, read from its station's environment.
+  void sample_stations(std::size_t first, std::size_t last,
+                       sim::Trace& trace);
+
+  FleetConfig config_;
+  // config_.fault_spec, parsed; absent when the spec is empty.
+  std::optional<fault::FaultPlan> fault_plan_;
+  obs::MetricsRegistry rollup_;
+  obs::EventJournal rollup_journal_;
+  // The fleet's Southampton ledger: the one server every station talks to
+  // (Fleet) or the hub the replicas drain into (ShardedFleet). Rollup
+  // yield is read from it.
+  SouthamptonServer server_;
+  // Outlive the derived fleet's kernel, environments and oracles, which
+  // are destroyed first; no station or probe destructor touches them.
+  std::vector<std::unique_ptr<Station>> stations_;
+  // probes_[i] belong to stations_[i].
+  std::vector<std::vector<std::unique_ptr<ProbeNode>>> probes_;
+  // Convergence as of the last update_rollup(), per group name (absent =
+  // never observed), for flip detection.
+  std::map<std::string, bool> last_converged_;
+
+ private:
+  // One station's trace series names: "<station>.voltage",
+  // "<station>.state", "<station>.soc", and "<probe series>.conductivity"
+  // per probe, in the station's probe order. Built once, when the trace
+  // starts, instead of on every sample. They are names, not handles into a
+  // trace, so a restore that replaces the trace invalidates nothing.
+  struct TraceNames {
+    std::string voltage;
+    std::string state;
+    std::string soc;
+    std::vector<std::string> conductivity;
+  };
+  // trace_names_[i] names stations_[i]'s series; empty with the trace off.
+  std::vector<TraceNames> trace_names_;
+};
+
+}  // namespace gw::station

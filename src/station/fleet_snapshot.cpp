@@ -133,6 +133,16 @@ void Fleet::persist_fleet_section(Archive& ar) {
   ar.value(last_converged_);
   sim::persist_pending(ar, simulation_, trace_event_,
                        [this] { sample_trace(); });
+  // The sampler's rebuild record is live exactly when the saved world
+  // traced. Restored into the other mode, a trace-off fleet would sample
+  // into series names it never built, and a trace-on fleet would silently
+  // stop tracing.
+  if constexpr (!Archive::kIsSaver) {
+    if ((trace_event_ != sim::EventId{0}) != config_.trace_enabled) {
+      throw snapshot::SnapshotError(snapshot::SnapshotErrc::kStateMismatch,
+                                    "trace mode differs", "fleet");
+    }
+  }
 }
 
 std::vector<std::uint8_t> Fleet::save_snapshot() {

@@ -34,7 +34,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -46,10 +45,8 @@
 #include "obs/metrics.h"
 #include "sim/sharded_simulation.h"
 #include "sim/trace.h"
-#include "station/fleet.h"
-#include "station/probe_node.h"
+#include "station/fleet_assembly.h"
 #include "station/southampton.h"
-#include "station/station.h"
 
 namespace gw::station {
 
@@ -73,33 +70,13 @@ struct ShardedFleetConfig {
   sim::Duration latency{0};
 };
 
-class ShardedFleet {
+class ShardedFleet : public FleetAssembly {
  public:
   explicit ShardedFleet(ShardedFleetConfig config);
-
-  ShardedFleet(const ShardedFleet&) = delete;
-  ShardedFleet& operator=(const ShardedFleet&) = delete;
 
   // Advances the whole system by `days` simulated days (whole windows; the
   // final, deadline-truncated window ends exactly at the deadline).
   void run_days(double days);
-
-  // --- stations (spec order, like Fleet) ----------------------------------
-
-  [[nodiscard]] std::size_t size() const { return worlds_.size(); }
-  [[nodiscard]] Station& station(std::size_t index) {
-    return *worlds_[index]->station;
-  }
-  [[nodiscard]] const Station& station(std::size_t index) const {
-    return *worlds_[index]->station;
-  }
-  [[nodiscard]] Station* find_station(const std::string& name);
-
-  [[nodiscard]] std::vector<std::unique_ptr<ProbeNode>>& probes(
-      std::size_t index) {
-    return worlds_[index]->probes;
-  }
-  [[nodiscard]] int probes_alive() const;
 
   // --- partition ----------------------------------------------------------
 
@@ -107,7 +84,7 @@ class ShardedFleet {
   [[nodiscard]] std::size_t shard_count() const {
     return sharded_->shard_count();
   }
-  [[nodiscard]] sim::Duration latency() const { return config_.latency; }
+  [[nodiscard]] sim::Duration latency() const { return latency_; }
   // Shard of station `index`; group members always share one shard.
   [[nodiscard]] std::size_t shard_of(std::size_t index) const {
     return worlds_[index]->shard;
@@ -156,20 +133,11 @@ class ShardedFleet {
 
   // The authoritative Southampton ledger: receives every upload, beacon,
   // and special result as barrier messages at +latency. Mutated only on
-  // the coordinator thread; read it between runs.
-  [[nodiscard]] SouthamptonServer& hub() { return hub_; }
-  [[nodiscard]] const SouthamptonServer& hub() const { return hub_; }
-
-  // --- fleet rollup (same gauges as Fleet::update_rollup) -----------------
-
-  // gw::context(coordinator)
-  [[nodiscard]] std::vector<Fleet::GroupStatus> group_status() const;
-  // gw::context(coordinator)
-  obs::MetricsRegistry& update_rollup();
-  [[nodiscard]] obs::MetricsRegistry& rollup_metrics() { return rollup_; }
-  [[nodiscard]] obs::EventJournal& rollup_journal() {
-    return rollup_journal_;
-  }
+  // the coordinator thread; read it between runs. The rollup
+  // (FleetAssembly::update_rollup, coordinator context) reads its yield
+  // from here.
+  [[nodiscard]] SouthamptonServer& hub() { return server_; }
+  [[nodiscard]] const SouthamptonServer& hub() const { return server_; }
 
   // --- merged emission (partition-invariant order) ------------------------
 
@@ -179,28 +147,22 @@ class ShardedFleet {
   // Per-station trace series concatenated in series-name order.
   [[nodiscard]] std::vector<std::string> merged_trace_series_names() const;
 
-  [[nodiscard]] std::string probe_series_name(const std::string& station_name,
-                                              int probe_id) const;
   [[nodiscard]] std::uint64_t events_executed() const {
     return sharded_->events_executed();
   }
-  [[nodiscard]] const ShardedFleetConfig& config() const { return config_; }
 
  private:
-  // Everything one station owns or is the only writer of while its shard
-  // runs. unique_ptr-held so addresses stay stable across construction.
+  // What one station owns or is the only writer of while its shard runs,
+  // besides the station and probes themselves (FleetAssembly holds those).
+  // unique_ptr-held so addresses stay stable across construction.
   struct World {
     std::size_t shard = 0;
-    std::string group;                // "" when ungrouped (self-syncing)
     std::vector<std::size_t> peers;   // same-group worlds, excluding self
     std::unique_ptr<env::Environment> environment;
     obs::MetricsRegistry fault_metrics;
     obs::EventJournal fault_journal;
     std::unique_ptr<fault::FaultOracle> oracle;  // null when no fault plan
     std::unique_ptr<SouthamptonServer> server;   // the station's replica
-    std::unique_ptr<Station> station;
-    std::vector<std::unique_ptr<ProbeNode>> probes;
-    StationTraceNames trace_names;  // built with the trace, from the config
     sim::Trace trace;
   };
 
@@ -213,17 +175,10 @@ class ShardedFleet {
   void sample_trace(std::size_t index);
   [[nodiscard]] std::size_t index_of(const std::string& station_name) const;
 
-  ShardedFleetConfig config_;
-  // Declared before the worlds: stations schedule onto its shards.
+  // Cross-shard message latency = window length (ShardedFleetConfig).
+  sim::Duration latency_;
   std::unique_ptr<sim::ShardedSimulation> sharded_;
-  SouthamptonServer hub_;
   std::vector<std::unique_ptr<World>> worlds_;
-  // Real sync groups (ungrouped stations excluded), name -> member world
-  // indices in spec order.
-  std::map<std::string, std::vector<std::size_t>> groups_;
-  obs::MetricsRegistry rollup_;
-  obs::EventJournal rollup_journal_;
-  std::map<std::string, bool> last_converged_;
 };
 
 }  // namespace gw::station

@@ -82,7 +82,7 @@ Station::Station(sim::Simulation& simulation, env::Environment& environment,
 
 void Station::set_fault_oracle(fault::FaultOracle* oracle) {
   // The shared server carries the server_down windows; a standalone station
-  // (the fault tests) must attach it here, not only via Deployment.
+  // (the fault tests) must attach it here, not only via the fleet.
   server_.set_fault_oracle(oracle);
   gprs_.set_fault_oracle(oracle);
   dgps_.set_fault_oracle(oracle);

@@ -179,8 +179,8 @@ class Station {
   void start();
 
   // Attaches scripted fault windows to every device that models one (modem,
-  // dGPS, CF card, power system, recovery). The deployment wires this when
-  // a fault plan is configured; null detaches everywhere.
+  // dGPS, CF card, power system, recovery). The fleet wires this when a
+  // fault plan is configured; null detaches everywhere.
   void set_fault_oracle(fault::FaultOracle* oracle);
 
   // --- observation -------------------------------------------------------
@@ -207,6 +207,10 @@ class Station {
   [[nodiscard]] core::Watchdog& watchdog() { return watchdog_; }
   [[nodiscard]] const std::string& name() const { return config_.name; }
   [[nodiscard]] const StationConfig& config() const { return config_; }
+  // The kernel and environment this station runs on: its fleet's, or its
+  // shard's and its own environment replica in a ShardedFleet.
+  [[nodiscard]] sim::Simulation& simulation() { return simulation_; }
+  [[nodiscard]] env::Environment& environment() { return environment_; }
 
   // The unified observability pair (docs/OBSERVABILITY.md): every subsystem
   // of this station reports into one registry/journal, exported per-station

@@ -1,7 +1,9 @@
 #include "util/strings.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <system_error>
 
 namespace gw::util {
 
@@ -59,6 +61,24 @@ std::string pad_left(std::string_view text, std::size_t width) {
 std::string pad_right(std::string_view text, std::size_t width) {
   if (text.size() >= width) return std::string(text);
   return std::string(text) + std::string(width - text.size(), ' ');
+}
+
+std::optional<std::int64_t> parse_int(std::string_view text) {
+  std::int64_t value = 0;
+  const char* const last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc{} || ptr != last) return std::nullopt;
+  return value;
+}
+
+std::optional<double> parse_finite(std::string_view text) {
+  double value = 0.0;
+  const char* const last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc{} || ptr != last || !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 }  // namespace gw::util

@@ -2,6 +2,8 @@
 // splitting the key=value payloads of the server API, fixed-width numbers).
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -20,5 +22,12 @@ namespace gw::util {
 // Left-pads `text` with spaces to `width` (no-op if already wider).
 [[nodiscard]] std::string pad_left(std::string_view text, std::size_t width);
 [[nodiscard]] std::string pad_right(std::string_view text, std::size_t width);
+
+// Strict whole-string number parses with std::from_chars: no leading
+// whitespace, no '+', no hex prefix, no locale, and nothing after the
+// number. nullopt for anything else; parse_finite also refuses "inf" and
+// "nan", and a value out of double's range.
+[[nodiscard]] std::optional<std::int64_t> parse_int(std::string_view text);
+[[nodiscard]] std::optional<double> parse_finite(std::string_view text);
 
 }  // namespace gw::util

@@ -62,12 +62,31 @@ TEST(RemoteConfig, TypedGettersFallBackOnGarbage) {
   ConfigUpdate update;
   update.version = 1;
   update.entries["n"] = "not-a-number";
+  update.entries["suffixed"] = "42xyz";
+  update.entries["padded"] = " 7";
+  update.entries["plus"] = "+3";
+  update.entries["nan"] = "nan";
+  update.entries["inf"] = "inf";
+  update.entries["int"] = "42";
+  update.entries["real"] = "0.25";
   update.seal();
   ASSERT_TRUE(config.apply(update).ok());
   EXPECT_EQ(config.get_int("n", 7), 7);
   EXPECT_DOUBLE_EQ(config.get_double("n", 1.5), 1.5);
   EXPECT_FALSE(config.get_bool("n", false));
   EXPECT_EQ(config.get_int("missing", 42), 42);
+  // Only a whole, finite number counts; anything else is the fallback.
+  EXPECT_EQ(config.get_int("suffixed", 7), 7);
+  EXPECT_EQ(config.get_int("padded", 9), 9);
+  EXPECT_EQ(config.get_int("plus", 9), 9);
+  EXPECT_EQ(config.get_int("real", 9), 9);
+  EXPECT_DOUBLE_EQ(config.get_double("suffixed", 1.5), 1.5);
+  EXPECT_DOUBLE_EQ(config.get_double("padded", 1.5), 1.5);
+  EXPECT_DOUBLE_EQ(config.get_double("nan", 1.5), 1.5);
+  EXPECT_DOUBLE_EQ(config.get_double("inf", 1.5), 1.5);
+  EXPECT_EQ(config.get_int("int", 7), 42);
+  EXPECT_DOUBLE_EQ(config.get_double("int", 1.5), 42.0);
+  EXPECT_DOUBLE_EQ(config.get_double("real", 1.5), 0.25);
 }
 
 TEST(RemoteConfig, CanonicalEncodingIsKeyOrdered) {

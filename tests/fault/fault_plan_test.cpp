@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace gw::fault {
 namespace {
 
@@ -75,6 +77,26 @@ TEST(FaultPlan, RejectsBadGrammar) {
       FaultPlan::parse("gprs_outage start=1d duration=1d severity=1.5").ok());
   EXPECT_FALSE(
       FaultPlan::parse("gprs_outage start=1d duration=1d severity=-0.1").ok());
+  // Numbers are whole, finite tokens: NaN fails both range comparisons and
+  // would make a window that never fires; hex and a leading '+' are not
+  // the documented grammar.
+  EXPECT_FALSE(
+      FaultPlan::parse("gprs_outage start=1d duration=1d severity=nan").ok());
+  EXPECT_FALSE(
+      FaultPlan::parse("gprs_outage start=1d duration=1d severity=0.5x").ok());
+  EXPECT_FALSE(FaultPlan::parse("gprs_outage start=infd duration=1d").ok());
+  EXPECT_FALSE(FaultPlan::parse("gprs_outage start=nand duration=1d").ok());
+  EXPECT_FALSE(FaultPlan::parse("gprs_outage start=0x10h duration=1d").ok());
+  EXPECT_FALSE(FaultPlan::parse("gprs_outage start=+1d duration=1d").ok());
+  // A millisecond count past 64 bits is refused as out of range, not
+  // converted (2^63 ms is about 1.07e11 days).
+  const auto huge = FaultPlan::parse("gprs_outage start=1d duration=1e300d");
+  ASSERT_FALSE(huge.ok());
+  EXPECT_NE(huge.error().message.find("out of range"), std::string::npos)
+      << huge.error().message;
+  EXPECT_FALSE(
+      FaultPlan::parse("gprs_outage start=1.1e11d duration=1d").ok());
+  EXPECT_TRUE(FaultPlan::parse("gprs_outage start=1e11d duration=1d").ok());
 }
 
 TEST(FaultOracle, WindowsAreClosedOpen) {

@@ -18,15 +18,15 @@ DeploymentConfig quick_config() {
 }
 
 TEST(DeploymentTest, BothStationsRunDaily) {
-  Deployment deployment{quick_config()};
+  Fleet deployment{quick_config().to_fleet_config()};
   deployment.run_days(7.0);
-  EXPECT_GE(deployment.base().stats().runs_completed +
-                deployment.base().stats().runs_aborted, 6);
-  EXPECT_GE(deployment.reference().stats().runs_completed, 6);
+  EXPECT_GE(deployment.station(0).stats().runs_completed +
+                deployment.station(0).stats().runs_aborted, 6);
+  EXPECT_GE(deployment.station(1).stats().runs_completed, 6);
 }
 
 TEST(DeploymentTest, ServerReceivesBothStations) {
-  Deployment deployment{quick_config()};
+  Fleet deployment{quick_config().to_fleet_config()};
   deployment.run_days(5.0);
   EXPECT_GT(deployment.server().files_from("base"), 0);
   EXPECT_GT(deployment.server().files_from("reference"), 0);
@@ -34,13 +34,13 @@ TEST(DeploymentTest, ServerReceivesBothStations) {
 }
 
 TEST(DeploymentTest, ProbesDeliverReadings) {
-  Deployment deployment{quick_config()};
+  Fleet deployment{quick_config().to_fleet_config()};
   deployment.run_days(7.0);
-  EXPECT_GT(deployment.base().stats().probe_readings_delivered, 500u);
+  EXPECT_GT(deployment.station(0).stats().probe_readings_delivered, 500u);
 }
 
 TEST(DeploymentTest, TraceSeriesPresent) {
-  Deployment deployment{quick_config()};
+  Fleet deployment{quick_config().to_fleet_config()};
   deployment.run_days(2.0);
   for (const auto* name :
        {"base.voltage", "base.state", "base.soc", "reference.voltage",
@@ -53,23 +53,23 @@ TEST(DeploymentTest, TraceSeriesPresent) {
 }
 
 TEST(DeploymentTest, VoltagesStayPhysical) {
-  Deployment deployment{quick_config()};
+  Fleet deployment{quick_config().to_fleet_config()};
   deployment.run_days(10.0);
   EXPECT_GT(deployment.trace().min_value("base.voltage"), 9.0);
   EXPECT_LE(deployment.trace().max_value("base.voltage"), 14.5);
 }
 
 TEST(DeploymentTest, StatesStayInSyncViaServer) {
-  Deployment deployment{quick_config()};
+  Fleet deployment{quick_config().to_fleet_config()};
   deployment.run_days(10.0);
   // After convergence both stations sit in the same state (min rule).
-  EXPECT_EQ(deployment.base().current_state(),
-            deployment.reference().current_state());
+  EXPECT_EQ(deployment.station(0).current_state(),
+            deployment.station(1).current_state());
 }
 
 TEST(DeploymentTest, SevenProbesDeployed) {
-  Deployment deployment{quick_config()};
-  EXPECT_EQ(deployment.probes().size(), 7u);
+  Fleet deployment{quick_config().to_fleet_config()};
+  EXPECT_EQ(deployment.probes(0).size(), 7u);
   EXPECT_EQ(deployment.probes_alive(), 7);
 }
 
@@ -77,13 +77,13 @@ TEST(DeploymentTest, DeterministicFromSeed) {
   auto run_once = [](std::uint64_t seed) {
     DeploymentConfig config = quick_config();
     config.seed = seed;
-    Deployment deployment{config};
+    Fleet deployment{config.to_fleet_config()};
     deployment.run_days(5.0);
     return std::tuple{
-        deployment.base().stats().runs_completed,
-        deployment.base().stats().probe_readings_delivered,
+        deployment.station(0).stats().runs_completed,
+        deployment.station(0).stats().probe_readings_delivered,
         deployment.server().bytes_from("base").count(),
-        deployment.base().power().battery().soc()};
+        deployment.station(0).power().battery().soc()};
   };
   EXPECT_EQ(run_once(42), run_once(42));
   EXPECT_NE(run_once(42), run_once(43));

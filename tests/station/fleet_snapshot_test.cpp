@@ -123,6 +123,37 @@ TEST(FleetSnapshotTest, RestoreRejectsMismatchedWorld) {
   }
 }
 
+// The trace mode is configuration, not saved state, so a snapshot only
+// restores into a fleet that traces exactly when the saved one did.
+void expect_trace_mode_refused(bool saved_traced) {
+  FleetConfig config = uniform_fleet_config(2, 1);
+  config.trace_enabled = saved_traced;
+  Fleet source{config};
+  source.simulation().run_until(source.simulation().now() +
+                                checkpoint_offset());
+  const auto snapshot = source.save_snapshot();
+
+  config.trace_enabled = !saved_traced;
+  Fleet target{config};
+  try {
+    target.restore_snapshot(snapshot);
+    FAIL() << "restored a trace-" << (saved_traced ? "on" : "off")
+           << " snapshot into a trace-" << (saved_traced ? "off" : "on")
+           << " fleet";
+  } catch (const snapshot::SnapshotError& error) {
+    EXPECT_EQ(error.code(), snapshot::SnapshotErrc::kStateMismatch);
+    EXPECT_EQ(error.section(), "fleet");
+  }
+}
+
+TEST(FleetSnapshotTest, TraceOnSnapshotRefusedByTraceOffFleet) {
+  expect_trace_mode_refused(true);
+}
+
+TEST(FleetSnapshotTest, TraceOffSnapshotRefusedByTraceOnFleet) {
+  expect_trace_mode_refused(false);
+}
+
 TEST(FleetSnapshotTest, CorruptOrTruncatedSnapshotRefused) {
   Fleet source{small_faulted_config()};
   source.simulation().run_until(source.simulation().now() +

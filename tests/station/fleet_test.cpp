@@ -129,6 +129,32 @@ TEST(FleetTest, RefusesDuplicateStationNames) {
   }
 }
 
+// A sampler rescheduled at its own instant would never let the clock
+// advance, and a negative interval would only fail deep in the kernel; the
+// fleet refuses both up front, naming the field.
+TEST(FleetTest, RefusesNonPositiveTraceInterval) {
+  for (const sim::Duration interval : {sim::Duration{0}, sim::minutes(-5)}) {
+    FleetConfig config = uniform_fleet_config(2, 1);
+    config.trace_enabled = true;
+    config.trace_interval = interval;
+    try {
+      Fleet fleet{config};
+      FAIL() << "a fleet tracing every " << interval.millis()
+             << " ms was built";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("trace_interval"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  // With the trace off the interval is never used.
+  FleetConfig config = uniform_fleet_config(2, 1);
+  config.trace_interval = sim::Duration{0};
+  Fleet fleet{config};
+  fleet.run_days(1.0);
+  EXPECT_GT(fleet.simulation().events_executed(), 0u);
+}
+
 TEST(FleetTest, ServerReceivedWindowIsWiredThrough) {
   auto config = quad_config();
   config.server_received_window = 8;

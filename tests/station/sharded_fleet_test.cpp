@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "station/fleet.h"
+
 namespace gw::station {
 namespace {
 
@@ -202,6 +204,26 @@ TEST(ShardedFleetTest, RefusesDuplicateStationNames) {
   } catch (const std::invalid_argument& error) {
     EXPECT_NE(std::string(error.what()).find("s000"), std::string::npos)
         << error.what();
+  }
+}
+
+// The sharded assembly applies the serial fleet's trace-interval check.
+TEST(ShardedFleetTest, RefusesNonPositiveTraceInterval) {
+  for (const sim::Duration interval : {sim::Duration{0}, sim::minutes(-5)}) {
+    ShardedFleetConfig config;
+    config.fleet = uniform_fleet_config(2, 1);
+    config.fleet.trace_enabled = true;
+    config.fleet.trace_interval = interval;
+    config.workers = 1;
+    try {
+      ShardedFleet fleet{config};
+      FAIL() << "a sharded fleet tracing every " << interval.millis()
+             << " ms was built";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("trace_interval"),
+                std::string::npos)
+          << error.what();
+    }
   }
 }
 

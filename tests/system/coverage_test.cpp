@@ -89,7 +89,7 @@ TEST(Coverage, StationAccessorsAfterRun) {
 TEST(Coverage, DeploymentTraceCadenceExact) {
   station::DeploymentConfig config;
   config.seed = 5;
-  station::Deployment deployment{config};
+  station::Fleet deployment{config.to_fleet_config()};
   deployment.run_days(1.0);
   const auto& series = deployment.trace().series("base.soc");
   ASSERT_GE(series.size(), 48u);

@@ -48,11 +48,11 @@ station::DeploymentConfig soak_config() {
 }
 
 TEST(FaultSoak, ScriptedSeasonRunsToCompletionWithConsistentLedgers) {
-  station::Deployment deployment{soak_config()};
+  station::Fleet deployment{soak_config().to_fleet_config()};
   deployment.run_days(130.0);  // reaching here at all = no wedged run
 
-  auto& base = deployment.base();
-  auto& reference = deployment.reference();
+  auto& base = deployment.station(0);
+  auto& reference = deployment.station(1);
 
   // Modem session ledgers: every attempted session is exactly one of
   // registration failure / hang / drop / success, outage weeks included.
@@ -106,15 +106,16 @@ TEST(FaultSoak, SameSeedSameSeasonIsByteIdentical) {
   // The oracle never draws randomness, so a scripted season must keep the
   // export byte-reproducible — the property every bench leans on.
   const auto render = [] {
-    station::Deployment deployment{soak_config()};
+    station::Fleet deployment{soak_config().to_fleet_config()};
     deployment.run_days(60.0);  // spans the outage + dgps windows
     obs::BenchReport report;
     report.bench = "fault_soak_probe";
     report.meta = {{"seed", std::to_string(deployment.config().seed)}};
     report.sections = {
-        {"base", &deployment.base().metrics(), &deployment.base().journal()},
-        {"reference", &deployment.reference().metrics(),
-         &deployment.reference().journal()},
+        {"base", &deployment.station(0).metrics(),
+         &deployment.station(0).journal()},
+        {"reference", &deployment.station(1).metrics(),
+         &deployment.station(1).journal()},
         {"fault", &deployment.fault_metrics(), &deployment.fault_journal()}};
     return obs::to_json(report);
   };
@@ -133,14 +134,14 @@ TEST(FaultSoak, CleanPlanChangesNothing) {
     config.start = sim::DateTime{2008, 9, 1, 0, 0, 0};
     config.trace_enabled = false;
     config.fault_spec = spec;
-    station::Deployment deployment{config};
+    station::Fleet deployment{config.to_fleet_config()};
     deployment.run_days(30.0);
     return std::tuple{
-        deployment.base().stats().runs_completed,
-        deployment.base().gprs().sessions_attempted(),
+        deployment.station(0).stats().runs_completed,
+        deployment.station(0).gprs().sessions_attempted(),
         deployment.server().bytes_from("base").count(),
         deployment.server().bytes_from("reference").count(),
-        deployment.base().power().battery().soc()};
+        deployment.station(0).power().battery().soc()};
   };
   EXPECT_EQ(fingerprint(""), fingerprint("# empty plan, comments only\n"));
 }

@@ -14,10 +14,10 @@ TEST_P(SeedSweep, NinetyDayInvariants) {
   DeploymentConfig config;
   config.seed = GetParam();
   config.start = sim::DateTime{2008, 9, 1, 0, 0, 0};
-  Deployment deployment{config};
+  Fleet deployment{config.to_fleet_config()};
   deployment.run_days(90.0);
 
-  for (auto* station : {&deployment.base(), &deployment.reference()}) {
+  for (auto* station : {&deployment.station(0), &deployment.station(1)}) {
     // Physical bounds.
     EXPECT_GE(station->power().battery().soc(), 0.0);
     EXPECT_LE(station->power().battery().soc(), 1.0);
@@ -54,7 +54,7 @@ TEST_P(SeedSweep, NinetyDayInvariants) {
 
   // Data conservation per probe: everything sampled is delivered, pending,
   // or stranded on a dead probe — never silently lost.
-  for (const auto& probe : deployment.probes()) {
+  for (const auto& probe : deployment.probes(0)) {
     EXPECT_EQ(probe->readings_sampled(),
               probe->store().delivered_total() +
                   probe->store().pending_count());
@@ -75,11 +75,11 @@ TEST(LongRun, FullYearBothStationsKeepWorking) {
   config.seed = 2008;
   config.start = sim::DateTime{2008, 9, 1, 0, 0, 0};
   config.trace_enabled = false;
-  Deployment deployment{config};
+  Fleet deployment{config.to_fleet_config()};
   deployment.run_days(365.0);
 
-  const auto& base_stats = deployment.base().stats();
-  const auto& ref_stats = deployment.reference().stats();
+  const auto& base_stats = deployment.station(0).stats();
+  const auto& ref_stats = deployment.station(1).stats();
   // A year has 365 windows; most are served (brown-outs may cost a few,
   // and recovery brings the station back per §IV).
   EXPECT_GT(base_stats.runs_completed, 300);
@@ -104,17 +104,17 @@ TEST(LongRun, BrownOutRecoveryLeavesConsistentState) {
   config.base.power.battery.capacity = util::AmpHours{6.0};  // tiny bank
   config.base.power.battery.initial_soc = 0.6;
   config.trace_enabled = false;
-  Deployment deployment{config};
+  Fleet deployment{config.to_fleet_config()};
   deployment.run_days(180.0);
 
-  auto& base = deployment.base();
+  auto& base = deployment.station(0);
   // It suffered, but arithmetic still holds.
   EXPECT_GE(base.power().battery().soc(), 0.0);
   EXPECT_LE(base.power().battery().soc(), 1.0);
   if (base.stats().brown_outs > 0) {
     EXPECT_GE(base.stats().cold_boots, 1);
   }
-  for (const auto& probe : deployment.probes()) {
+  for (const auto& probe : deployment.probes(0)) {
     EXPECT_EQ(probe->readings_sampled(),
               probe->store().delivered_total() +
                   probe->store().pending_count());
@@ -128,17 +128,17 @@ TEST(LongRun, EighteenMonthsCrossingTwoWinters) {
   config.seed = 77;
   config.start = sim::DateTime{2008, 9, 1, 0, 0, 0};
   config.trace_enabled = false;
-  Deployment deployment{config};
+  Fleet deployment{config.to_fleet_config()};
   deployment.run_days(547.0);
 
   // Data kept flowing across both winters.
-  EXPECT_GT(deployment.base().stats().runs_completed, 450);
+  EXPECT_GT(deployment.station(0).stats().runs_completed, 450);
   EXPECT_GT(deployment.server().bytes_from("base").mib(), 20.0);
   // Probe attrition is in the wear-out band (paper: 2/7 at 18 months; the
   // per-deployment spread is wide).
   EXPECT_LE(deployment.probes_alive(), 6);
   // Conservation still exact after 18 months of protocol traffic.
-  for (const auto& probe : deployment.probes()) {
+  for (const auto& probe : deployment.probes(0)) {
     EXPECT_EQ(probe->readings_sampled(),
               probe->store().delivered_total() +
                   probe->store().pending_count());
@@ -150,15 +150,15 @@ TEST(LongRun, TwoIdenticalYearsAreBitIdentical) {
     DeploymentConfig config;
     config.seed = 555;
     config.trace_enabled = false;
-    Deployment deployment{config};
+    Fleet deployment{config.to_fleet_config()};
     deployment.run_days(200.0);
     return std::tuple{
-        deployment.base().stats().runs_completed,
-        deployment.base().stats().brown_outs,
-        deployment.base().stats().probe_readings_delivered,
+        deployment.station(0).stats().runs_completed,
+        deployment.station(0).stats().brown_outs,
+        deployment.station(0).stats().probe_readings_delivered,
         deployment.server().bytes_from("base").count(),
         deployment.server().bytes_from("reference").count(),
-        deployment.base().power().battery().soc(),
+        deployment.station(0).power().battery().soc(),
         deployment.probes_alive()};
   };
   EXPECT_EQ(run_year(), run_year());

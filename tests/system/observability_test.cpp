@@ -1,4 +1,4 @@
-// System-level observability: a full Deployment run must produce the core
+// System-level observability: a full paper-preset run must produce the core
 // metric set documented in docs/OBSERVABILITY.md, and the export must be
 // deterministic — two identically-seeded runs give byte-identical JSON.
 #include <gtest/gtest.h>
@@ -27,10 +27,10 @@ station::DeploymentConfig short_config() {
 }
 
 TEST(Observability, DeploymentProducesTheDocumentedCoreMetricSet) {
-  station::Deployment deployment{short_config()};
+  station::Fleet deployment{short_config().to_fleet_config()};
   deployment.run_days(5.0);
 
-  const auto& base = deployment.base();
+  const auto& base = deployment.station(0);
   const auto& metrics = base.metrics();
 
   // station.*
@@ -87,22 +87,23 @@ TEST(Observability, DeploymentProducesTheDocumentedCoreMetricSet) {
 
   // The reference station is instrumented too, but never runs the probe
   // protocol (no probe branch in its Fig 4 sequence).
-  const auto& ref_metrics = deployment.reference().metrics();
+  const auto& ref_metrics = deployment.station(1).metrics();
   EXPECT_GE(ref_metrics.counter_value("station", "wakes"), 4u);
   EXPECT_EQ(ref_metrics.counter_value("bulk_transfer", "sessions"), 0u);
 }
 
 TEST(Observability, SameSeedExportsAreByteIdentical) {
   const auto render = [] {
-    station::Deployment deployment{short_config()};
+    station::Fleet deployment{short_config().to_fleet_config()};
     deployment.run_days(3.0);
     obs::BenchReport report;
     report.bench = "determinism_probe";
     report.meta = {{"seed", std::to_string(deployment.config().seed)}};
     report.sections = {
-        {"base", &deployment.base().metrics(), &deployment.base().journal()},
-        {"reference", &deployment.reference().metrics(),
-         &deployment.reference().journal()}};
+        {"base", &deployment.station(0).metrics(),
+         &deployment.station(0).journal()},
+        {"reference", &deployment.station(1).metrics(),
+         &deployment.station(1).journal()}};
     report.series = sim::to_obs_series(
         deployment.trace(), std::vector<std::string>{"base.voltage"});
     return obs::to_json(report);

@@ -1,8 +1,8 @@
 // Shape-stability sweeps: the figure-level shapes the paper reports must
 // hold across seeds, not just for the bench's seed. These are the
 // regression guards for model recalibrations — plus the fleet-refactor
-// guard: the two-station Deployment preset must keep exporting the exact
-// bytes the hand-wired pre-fleet assembly produced.
+// guard: the two-station paper preset (DeploymentConfig::to_fleet_config)
+// must keep rendering its export under the pre-fleet bare probe names.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -36,27 +36,21 @@ std::string render_two_station_export(station::Fleet& fleet,
 }
 
 TEST(FleetRefactor, DeploymentPresetExportsMatchEquivalentFleet) {
-  // The refactor contract: Deployment is *nothing but* a FleetConfig
-  // preset. Running the preset through Deployment and running its
-  // to_fleet_config() through a bare Fleet must yield byte-identical
-  // trace/metrics/journal exports — legacy probe naming included.
+  // The paper preset is nothing but a FleetConfig: its to_fleet_config()
+  // run through a bare Fleet renders the full trace/metrics/journal export
+  // under the bare probe naming the pre-fleet assembly used.
   station::DeploymentConfig config;
   config.seed = 20081019;
   config.fault_spec =
       "gprs_outage start=5d duration=2d severity=1.0\n"
       "server_down start=9d duration=12h\n";
-  station::Deployment deployment{config};
   station::Fleet fleet{config.to_fleet_config()};
-  deployment.run_days(20.0);
   fleet.run_days(20.0);
-  const std::string via_preset =
-      render_two_station_export(deployment.fleet(), config.seed);
   const std::string via_fleet = render_two_station_export(fleet, config.seed);
-  EXPECT_EQ(via_preset, via_fleet);
-  EXPECT_EQ(via_preset.find("{\"schema\":\"glacsweb.bench.v1\""), 0u);
-  // The legacy namespace survived: bare probe ids, no station prefix.
-  EXPECT_TRUE(deployment.trace().has_series("probe21.conductivity"));
-  EXPECT_FALSE(deployment.trace().has_series("base/probe21.conductivity"));
+  EXPECT_EQ(via_fleet.find("{\"schema\":\"glacsweb.bench.v1\""), 0u);
+  // The paper preset's namespace: bare probe ids, no station prefix.
+  EXPECT_TRUE(fleet.trace().has_series("probe21.conductivity"));
+  EXPECT_FALSE(fleet.trace().has_series("base/probe21.conductivity"));
 }
 
 class ShapeSeeds : public ::testing::TestWithParam<std::uint64_t> {};

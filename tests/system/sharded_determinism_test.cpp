@@ -17,6 +17,7 @@
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "sim/trace_export.h"
+#include "station/fleet.h"
 #include "station/sharded_fleet.h"
 
 namespace gw {
