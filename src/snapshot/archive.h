@@ -23,17 +23,31 @@
 //   * anything else: its own persist() member, recursively.
 //
 // A Loader that runs out of payload throws SnapshotError(kSectionUnderrun)
-// immediately — short reads never yield zero-filled state.
+// immediately — short reads never yield zero-filled state. It accepts only
+// what a Saver writes: a bool byte other than 0 or 1, or map keys that are
+// not strictly increasing, are SnapshotError(kStateMismatch), so every
+// payload it accepts re-saves to the same bytes.
+//
+// A Saver keeps its bytes (the default), writes them in place into a
+// buffer it is given, or only counts them; StateWriter counts every
+// section first and then writes it in place into a container of exactly
+// the counted size. Codecs that move a whole block at once (the trace's
+// series) use records() on both sides, and entries() gives a map's
+// framing to a codec of the caller's own for its items.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <concepts>
 #include <cstdint>
+#include <cstring>
 #include <deque>
+#include <limits>
 #include <map>
+#include <memory>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -72,7 +86,41 @@ concept QuantityLike = requires(const T& t) {
 } && std::constructible_from<T, double> && !CountLike<T> &&
     !DurationLike<T> && !TimePointLike<T>;
 
+// A record whose persist() writes a fixed kBytes bytes, which encode()
+// also writes and decode() reads, in one go: a vector of them can move as
+// one block (Saver::records, Loader::records).
+template <class T>
+concept FixedWidthRecord =
+    requires(const T& record, T& target, std::uint8_t* out,
+             const std::uint8_t* in) {
+      { T::kBytes } -> std::convertible_to<std::size_t>;
+      record.encode(out);
+      target.decode(in);
+    };
+
 }  // namespace detail
+
+// Little-endian words, for codecs that write or read a block at once
+// (Saver::records, Loader::records). On a little-endian host a word is
+// copied as it is: g++ -O2 merges eight spelled-out byte stores into one
+// store in straight-line code, but not inside a block loop.
+inline void store_le64(std::uint8_t* at, std::uint64_t x) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(at, &x, sizeof x);
+  } else {
+    for (int i = 0; i < 8; ++i) at[i] = std::uint8_t(x >> (8 * i));
+  }
+}
+
+[[nodiscard]] inline std::uint64_t load_le64(const std::uint8_t* at) {
+  std::uint64_t x = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&x, at, sizeof x);
+  } else {
+    for (int i = 0; i < 8; ++i) x |= std::uint64_t(at[i]) << (8 * i);
+  }
+  return x;
+}
 
 class Saver {
  public:
@@ -83,20 +131,45 @@ class Saver {
   // event count to prove the snapshot accounts for every pending event.
   std::size_t rebuild_records = 0;
 
+  // A Saver that keeps what it writes: its buffer grows as values arrive,
+  // and take() hands the bytes over.
+  Saver() = default;
+
+  // A Saver that writes in place into `out`, which must hold every byte it
+  // is given: one byte more is a std::logic_error, never a write past the
+  // end.
+  explicit Saver(std::span<std::uint8_t> out)
+      : base_(out.data()), capacity_(out.size()), in_place_(true) {}
+
+  // A Saver that stores nothing and only adds up the bytes it is given
+  // (size()), so a writer can size its buffer exactly before writing.
+  [[nodiscard]] static Saver counter() { return Saver(kCounting); }
+
+  // Savers are not copied or moved: a moved owning Saver would leave its
+  // write pointer behind.
+  Saver(const Saver&) = delete;
+  Saver& operator=(const Saver&) = delete;
+
+  // Hands the bytes written so far over and starts afresh.
   [[nodiscard]] std::vector<std::uint8_t> take() {
-    bytes_.resize(used_);
+    const std::span<const std::uint8_t> written = bytes();
+    std::vector<std::uint8_t> out(written.begin(), written.end());
     used_ = 0;
-    return std::exchange(bytes_, {});
+    return out;
   }
+  // The bytes written so far; none while counting.
   [[nodiscard]] std::span<const std::uint8_t> bytes() const {
-    return {bytes_.data(), used_};
+    if (base_ == nullptr) return {};
+    return {base_, used_};
   }
+  // Bytes given so far, written or counted.
+  [[nodiscard]] std::size_t size() const { return used_; }
 
   template <class T>
   void value(const T& v) {
     using D = std::remove_cvref_t<T>;
     if constexpr (std::is_same_v<D, bool>) {
-      *grow(1) = v ? 1 : 0;
+      if (std::uint8_t* at = claim(1)) *at = v ? 1 : 0;
     } else if constexpr (std::is_enum_v<D>) {
       put_u64(std::uint64_t(
           static_cast<std::underlying_type_t<D>>(v)));
@@ -106,7 +179,9 @@ class Saver {
       put_u64(std::bit_cast<std::uint64_t>(double(v)));
     } else if constexpr (std::is_same_v<D, std::string>) {
       put_u64(v.size());
-      std::copy(v.begin(), v.end(), grow(v.size()));
+      if (std::uint8_t* at = claim(v.size())) {
+        std::copy(v.begin(), v.end(), at);
+      }
     } else if constexpr (std::is_same_v<D, util::Rng>) {
       const util::RngState s = v.state();
       for (const std::uint64_t word : s.words) put_u64(word);
@@ -140,11 +215,7 @@ class Saver {
 
   template <class K, class V>
   void value(const std::map<K, V>& v) {
-    put_u64(v.size());
-    for (const auto& [key, item] : v) {
-      value(key);
-      value(item);
-    }
+    entries(v, [this](const V& item) { value(item); });
   }
 
   template <class T>
@@ -164,33 +235,68 @@ class Saver {
     for (const T& item : v) value(item);
   }
 
+  // A map as value(v) writes it, each item through save_item(item): for a
+  // caller with a codec of its own for the items.
+  template <class K, class V, class SaveItem>
+  void entries(const std::map<K, V>& v, SaveItem&& save_item) {
+    put_u64(v.size());
+    for (const auto& [key, item] : v) {
+      value(key);
+      save_item(item);
+    }
+  }
+
+  // The bytes value(v) writes, as one block: one claim for the whole
+  // vector instead of one per field.
+  template <detail::FixedWidthRecord T>
+  void records(const std::vector<T>& v) {
+    put_u64(v.size());
+    std::uint8_t* at = claim(T::kBytes * v.size());
+    if (at == nullptr) return;
+    for (const T& item : v) {
+      item.encode(at);
+      at += T::kBytes;
+    }
+  }
+
  private:
-  // Claims the next n bytes and returns where they start. The buffer grows
-  // geometrically ahead of the write position; take() trims it to used_.
-  std::uint8_t* grow(std::size_t n) {
-    const std::size_t end = used_ + n;
-    if (end > bytes_.size()) bytes_.resize(std::max(end, 2 * bytes_.size()));
-    std::uint8_t* at = bytes_.data() + used_;
-    used_ = end;
-    return at;
+  enum Counting { kCounting };
+  explicit Saver(Counting)
+      : capacity_(std::numeric_limits<std::size_t>::max()) {}
+
+  // Claims the next n bytes and returns where they start; null while the
+  // Saver only counts. Nothing past the claimed bytes is touched.
+  std::uint8_t* claim(std::size_t n) {
+    if (n > capacity_ - used_) make_room(n);
+    const std::size_t at = used_;
+    used_ += n;
+    return base_ == nullptr ? nullptr : base_ + at;
   }
 
-  // Spelled out rather than looped: g++ -O2 leaves an eight-step byte loop
-  // as it is, but merges these stores into one.
+  // An owning Saver moves to a buffer at least twice as large, copying
+  // only the bytes written; an in-place Saver refuses.
+  void make_room(std::size_t n) {
+    if (in_place_) {
+      throw std::logic_error("snapshot: Saver given more bytes than its " +
+                             std::to_string(capacity_) + "-byte buffer");
+    }
+    const std::size_t capacity = std::max(used_ + n, 2 * capacity_);
+    auto grown = std::make_unique_for_overwrite<std::uint8_t[]>(capacity);
+    std::copy_n(base_, used_, grown.get());
+    owned_ = std::move(grown);
+    base_ = owned_.get();
+    capacity_ = capacity;
+  }
+
   void put_u64(std::uint64_t x) {
-    std::uint8_t* at = grow(8);
-    at[0] = std::uint8_t(x);
-    at[1] = std::uint8_t(x >> 8);
-    at[2] = std::uint8_t(x >> 16);
-    at[3] = std::uint8_t(x >> 24);
-    at[4] = std::uint8_t(x >> 32);
-    at[5] = std::uint8_t(x >> 40);
-    at[6] = std::uint8_t(x >> 48);
-    at[7] = std::uint8_t(x >> 56);
+    if (std::uint8_t* at = claim(8)) store_le64(at, x);
   }
 
-  std::vector<std::uint8_t> bytes_;
+  std::unique_ptr<std::uint8_t[]> owned_;  // an owning Saver's buffer
+  std::uint8_t* base_ = nullptr;           // null while counting
+  std::size_t capacity_ = 0;
   std::size_t used_ = 0;
+  bool in_place_ = false;
 };
 
 class Loader {
@@ -203,7 +309,15 @@ class Loader {
   void value(T& v) {
     using D = std::remove_cvref_t<T>;
     if constexpr (std::is_same_v<D, bool>) {
-      v = take_byte() != 0;
+      // A Saver writes 0 or 1. Any other byte would load as true and
+      // re-save as 1, so the payload would not survive a round trip.
+      const std::uint8_t byte = take_byte();
+      if (byte > 1) {
+        throw SnapshotError(SnapshotErrc::kStateMismatch,
+                            "bool byte " + std::to_string(byte) +
+                                " is neither 0 nor 1");
+      }
+      v = byte == 1;
     } else if constexpr (std::is_enum_v<D>) {
       v = static_cast<D>(
           static_cast<std::underlying_type_t<D>>(std::int64_t(take_u64())));
@@ -257,15 +371,7 @@ class Loader {
 
   template <class K, class V>
   void value(std::map<K, V>& v) {
-    const std::uint64_t n = take_u64();
-    v.clear();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      K key{};
-      value(key);
-      V item{};
-      value(item);
-      v.emplace(std::move(key), std::move(item));
-    }
+    entries(v, [this](V& item) { value(item); });
   }
 
   template <class T>
@@ -291,6 +397,48 @@ class Loader {
     for (T& item : v) value(item);
   }
 
+  // A map written by Saver::entries, each item through load_item(item).
+  template <class K, class V, class LoadItem>
+  void entries(std::map<K, V>& v, LoadItem&& load_item) {
+    const std::uint64_t n = take_u64();
+    v.clear();
+    for (std::uint64_t i = 0; i < n; ++i) {
+      K key{};
+      value(key);
+      // A Saver writes a map in key order, so each key must follow the one
+      // before it: a repeat or a step back would load a map that re-saves
+      // to other bytes. In order, every entry goes in at the end.
+      if (!v.empty() && !v.key_comp()(v.rbegin()->first, key)) {
+        throw SnapshotError(SnapshotErrc::kStateMismatch,
+                            "map keys are not strictly increasing");
+      }
+      V item{};
+      load_item(item);
+      v.emplace_hint(v.end(), std::move(key), std::move(item));
+    }
+  }
+
+  // What value(v) reads, as one block. The block is bounds-checked once,
+  // before anything is allocated, so a count the payload cannot hold is an
+  // underrun however large it is.
+  template <detail::FixedWidthRecord T>
+  void records(std::vector<T>& v) {
+    const std::uint64_t n = take_u64();
+    if (n > remaining() / T::kBytes) {
+      throw SnapshotError(SnapshotErrc::kSectionUnderrun,
+                          "read of " + std::to_string(n) + " record(s) of " +
+                              std::to_string(T::kBytes) + " byte(s) with " +
+                              std::to_string(remaining()) + " left");
+    }
+    const std::uint8_t* at = take_bytes(n * T::kBytes).data();
+    v.clear();
+    v.resize(std::size_t(n));
+    for (T& item : v) {
+      item.decode(at);
+      at += T::kBytes;
+    }
+  }
+
   [[nodiscard]] std::size_t remaining() const {
     return data_.size() - pos_;
   }
@@ -307,10 +455,7 @@ class Loader {
 
   // Raw helpers (the framing reader reuses them).
   [[nodiscard]] std::uint64_t take_u64() {
-    const std::span<const std::uint8_t> raw = take_bytes(8);
-    std::uint64_t x = 0;
-    for (int i = 0; i < 8; ++i) x |= std::uint64_t(raw[std::size_t(i)]) << (8 * i);
-    return x;
+    return load_le64(take_bytes(8).data());
   }
 
   [[nodiscard]] std::uint8_t take_byte() { return take_bytes(1)[0]; }

@@ -1,12 +1,17 @@
 #include "snapshot/state_writer.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "util/crc32.h"
 
 namespace gw::snapshot {
 
 namespace {
+
+// A section's u64 payload length and u32 payload CRC, between its name and
+// its payload.
+constexpr std::size_t kLengthAndCrcBytes = 8 + 4;
 
 // Writes `width` bytes of `x`, little-endian, and advances `at`.
 void put_le(std::uint8_t*& at, std::uint64_t x, int width) {
@@ -82,47 +87,86 @@ std::uint32_t pairs_fingerprint(const std::vector<Section>& sections) {
 
 }  // namespace
 
-void StateWriter::section(std::string name,
-                          std::vector<std::uint8_t> payload) {
-  const bool duplicate =
-      std::any_of(sections_.begin(), sections_.end(),
-                  [&](const Pending& p) { return p.name == name; });
-  if (duplicate) {
-    throw SnapshotError(SnapshotErrc::kDuplicateSection,
-                        "section written twice", name);
+Saver StateWriter::open(std::string_view name) {
+  if (!writing_) {
+    const bool duplicate =
+        std::any_of(sections_.begin(), sections_.end(),
+                    [&](const Counted& c) { return c.name == name; });
+    if (duplicate) {
+      throw SnapshotError(SnapshotErrc::kDuplicateSection,
+                          "section written twice", std::string(name));
+    }
+    sections_.push_back(Counted{std::string(name)});
+    return Saver::counter();
   }
-  sections_.push_back(Pending{std::move(name), std::move(payload)});
+  if (next_ == sections_.size() || sections_[next_].name != name) {
+    throw std::logic_error("snapshot: section " + std::string(name) +
+                           " was not counted in this place");
+  }
+  std::uint8_t* at = out_.data() + at_;
+  put_le(at, name.size(), 2);
+  put_raw(at, as_bytes(name));
+  at += kLengthAndCrcBytes;  // back-patched by close()
+  at_ = std::size_t(at - out_.data());
+  return Saver(std::span<std::uint8_t>(out_).subspan(
+      at_, sections_[next_].payload));
 }
 
-std::vector<std::uint8_t> StateWriter::finish() const {
-  std::size_t sealed = kMagic.size() + 2 + 4 + 4;  // + version, count, CRC
-  for (const Pending& section : sections_) {
-    sealed += 2 + section.name.size() + 8 + 4 + section.payload.size();
+void StateWriter::close(const Saver& saver) {
+  rebuild_records_ += saver.rebuild_records;
+  if (!writing_) {
+    sections_.back().payload = saver.size();
+    return;
   }
-  std::vector<std::uint8_t> out(sealed);
-  std::uint8_t* at = out.data();
+  const std::size_t length = saver.size();
+  if (length != sections_[next_].payload) {
+    throw std::logic_error("snapshot: section " + sections_[next_].name +
+                           " wrote " + std::to_string(length) + " of its " +
+                           std::to_string(sections_[next_].payload) +
+                           " counted byte(s)");
+  }
+  const std::uint32_t payload_crc = util::crc32(saver.bytes());
+  std::uint8_t* framing = out_.data() + at_ - kLengthAndCrcBytes;
+  put_le(framing, length, 8);
+  put_le(framing, payload_crc, 4);
+  // Each payload is read once: its CRC goes into the framing and is folded
+  // into the file CRC, which hashes only the framing bytes themselves.
+  file_crc_ = util::crc32(
+      std::span<const std::uint8_t>(out_).subspan(hashed_, at_ - hashed_),
+      file_crc_);
+  file_crc_ = util::crc32_combine(file_crc_, payload_crc, length);
+  at_ += length;
+  hashed_ = at_;
+  ++next_;
+}
+
+void StateWriter::begin_write() {
+  std::size_t sealed = kMagic.size() + 2 + 4 + 4;  // + version, count, CRC
+  for (const Counted& section : sections_) {
+    sealed += 2 + section.name.size() + kLengthAndCrcBytes + section.payload;
+  }
+  out_.resize(sealed);
+  std::uint8_t* at = out_.data();
   put_raw(at, as_bytes(kMagic));
   put_le(at, kFormatVersion, 2);
   put_le(at, sections_.size(), 4);
-  // Each payload is read once: its CRC goes into the framing and is folded
-  // into the file CRC, which hashes only the framing bytes themselves.
-  std::uint32_t file_crc = 0;
-  const std::uint8_t* unhashed = out.data();
-  for (const Pending& section : sections_) {
-    const std::uint32_t payload_crc = util::crc32(section.payload);
-    put_le(at, section.name.size(), 2);
-    put_raw(at, as_bytes(section.name));
-    put_le(at, section.payload.size(), 8);
-    put_le(at, payload_crc, 4);
-    file_crc = util::crc32({unhashed, at}, file_crc);
-    file_crc = util::crc32_combine(file_crc, payload_crc,
-                                   section.payload.size());
-    put_raw(at, section.payload);
-    unhashed = at;
+  at_ = std::size_t(at - out_.data());
+  writing_ = true;
+  rebuild_records_ = 0;
+}
+
+std::vector<std::uint8_t> StateWriter::finish() {
+  if (next_ != sections_.size() || at_ + 4 != out_.size()) {
+    throw std::logic_error("snapshot: the write pass ended at byte " +
+                           std::to_string(at_) + " of " +
+                           std::to_string(out_.size() - 4) + " counted");
   }
-  file_crc = util::crc32({unhashed, at}, file_crc);
-  put_le(at, file_crc, 4);
-  return out;
+  file_crc_ = util::crc32(
+      std::span<const std::uint8_t>(out_).subspan(hashed_, at_ - hashed_),
+      file_crc_);
+  std::uint8_t* at = out_.data() + at_;
+  put_le(at, file_crc_, 4);
+  return std::move(out_);
 }
 
 StateReader::StateReader(std::span<const std::uint8_t> bytes) {

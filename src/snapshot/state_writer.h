@@ -22,6 +22,9 @@
 // either loads whole or not at all. Writer and reader both read each
 // payload byte once: the file CRC is folded from the section CRCs
 // (util::crc32_combine), with the same value a second pass would give.
+// The writer sizes the container with a counting pass first and then
+// writes every payload straight into it, so a save allocates one buffer
+// of the sealed size and copies nothing.
 //
 // The fingerprint is the CRC-32 over the (name, section-CRC) pairs: a
 // 32-bit digest of the entire world state that golden tests pin and the
@@ -44,18 +47,60 @@ inline constexpr std::string_view kMagic = "GWSNAP";
 
 class StateWriter {
  public:
-  // Appends one named section. Names must be unique within a snapshot.
-  void section(std::string name, std::vector<std::uint8_t> payload);
+  // Seals a container from sections(writer), which names every section in
+  // write order through writer.section(). It runs twice. The first pass
+  // only counts bytes; anything it throws (a device guard's kNotQuiescent,
+  // the caller's own checks) leaves nothing allocated. The second writes
+  // each payload in place into one buffer of exactly the counted size and
+  // back-patches each section's length and CRC. Both passes must give the
+  // same sections with the same bytes, as persist() bodies over unchanged
+  // state do; a pass that does not is a std::logic_error.
+  template <class Sections>
+  [[nodiscard]] static std::vector<std::uint8_t> seal(Sections&& sections) {
+    StateWriter writer;
+    sections(writer);
+    writer.begin_write();
+    sections(writer);
+    return writer.finish();
+  }
 
-  // Seals the container: framing + per-section CRCs + file CRC.
-  [[nodiscard]] std::vector<std::uint8_t> finish() const;
+  // One named section, its payload written by fill(Saver&). Names must be
+  // unique within a snapshot.
+  template <class Fill>
+  void section(std::string_view name, Fill&& fill) {
+    Saver saver = open(name);
+    fill(saver);
+    close(saver);
+  }
+
+  // The rebuild records this pass's sections have written so far
+  // (Saver::rebuild_records, summed).
+  [[nodiscard]] std::size_t rebuild_records() const {
+    return rebuild_records_;
+  }
 
  private:
-  struct Pending {
+  StateWriter() = default;
+
+  Saver open(std::string_view name);
+  void close(const Saver& saver);
+  void begin_write();
+  std::vector<std::uint8_t> finish();
+
+  struct Counted {
     std::string name;
-    std::vector<std::uint8_t> payload;
+    std::size_t payload = 0;
   };
-  std::vector<Pending> sections_;
+  std::vector<Counted> sections_;  // from the counting pass
+  std::size_t rebuild_records_ = 0;
+  // The write pass: the container, the next section, the write position,
+  // and the file CRC of the bytes before `hashed_`.
+  bool writing_ = false;
+  std::vector<std::uint8_t> out_;
+  std::size_t next_ = 0;
+  std::size_t at_ = 0;
+  std::size_t hashed_ = 0;
+  std::uint32_t file_crc_ = 0;
 };
 
 struct Section {

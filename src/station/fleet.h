@@ -63,7 +63,8 @@ class Fleet : public FleetAssembly {
   // oracle, server, every station and probe — into a versioned GWSNAP
   // container (fleet_snapshot.cpp). The fleet must be quiescent: a save
   // taken mid-daily-run, mid-comms-session, or with any pending event no
-  // component claims throws SnapshotError(kNotQuiescent).
+  // component claims throws SnapshotError(kNotQuiescent), from the
+  // writer's counting pass, before the container is allocated.
   [[nodiscard]] std::vector<std::uint8_t> save_snapshot();
 
   // Restores a snapshot into a fleet freshly constructed from the *same*

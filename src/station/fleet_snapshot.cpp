@@ -146,50 +146,43 @@ void Fleet::persist_fleet_section(Archive& ar) {
 }
 
 std::vector<std::uint8_t> Fleet::save_snapshot() {
-  snapshot::StateWriter writer;
-  std::size_t rebuild_records = 0;
-  const auto write_section = [&](std::string name, auto&& fill) {
-    snapshot::Saver saver;
-    fill(saver);
-    rebuild_records += saver.rebuild_records;
-    writer.section(std::move(name), saver.take());
-  };
-
-  write_section("meta", [&](snapshot::Saver& ar) {
-    SnapshotMeta meta = fleet_shape(config_);
-    ar.value(meta);
-  });
-  write_section("kernel", [&](snapshot::Saver& ar) {
-    auto checkpoint = simulation_.checkpoint();
-    ar.value(checkpoint);
-  });
-  write_section("env", [&](snapshot::Saver& ar) { ar.value(environment_); });
-  write_section("fault",
+  return snapshot::StateWriter::seal([&](snapshot::StateWriter& out) {
+    out.section("meta", [&](snapshot::Saver& ar) {
+      SnapshotMeta meta = fleet_shape(config_);
+      ar.value(meta);
+    });
+    out.section("kernel", [&](snapshot::Saver& ar) {
+      auto checkpoint = simulation_.checkpoint();
+      ar.value(checkpoint);
+    });
+    out.section("env", [&](snapshot::Saver& ar) { ar.value(environment_); });
+    out.section("fault",
                 [&](snapshot::Saver& ar) { persist_fault_section(ar); });
-  write_section("server", [&](snapshot::Saver& ar) { ar.value(server_); });
-  write_section("fleet",
+    out.section("server", [&](snapshot::Saver& ar) { ar.value(server_); });
+    out.section("fleet",
                 [&](snapshot::Saver& ar) { persist_fleet_section(ar); });
-  for (std::size_t s = 0; s < stations_.size(); ++s) {
-    write_section(station_section(stations_[s]->name()),
+    for (std::size_t s = 0; s < stations_.size(); ++s) {
+      out.section(station_section(stations_[s]->name()),
                   [&](snapshot::Saver& ar) { ar.value(*stations_[s]); });
-    for (const auto& probe : probes_[s]) {
-      write_section(probe_section(stations_[s]->name(), probe->id()),
+      for (const auto& probe : probes_[s]) {
+        out.section(probe_section(stations_[s]->name(), probe->id()),
                     [&](snapshot::Saver& ar) { ar.value(*probe); });
+      }
     }
-  }
 
-  // Every live kernel event must have been claimed by exactly one rebuild
-  // record above. A shortfall means some component holds an untracked
-  // one-shot (comms power-down, boot trampoline) — resuming without it
-  // would silently change the world, so the save refuses instead.
-  if (rebuild_records != simulation_.pending()) {
-    throw snapshot::SnapshotError(
-        snapshot::SnapshotErrc::kNotQuiescent,
-        std::to_string(simulation_.pending()) + " pending events but " +
-            std::to_string(rebuild_records) + " rebuild records",
-        "kernel");
-  }
-  return writer.finish();
+    // Every live kernel event must have been claimed by exactly one
+    // rebuild record above. A shortfall means some component holds an
+    // untracked one-shot (comms power-down, boot trampoline) — resuming
+    // without it would silently change the world, so the save refuses
+    // instead, in the counting pass, before the container is allocated.
+    if (out.rebuild_records() != simulation_.pending()) {
+      throw snapshot::SnapshotError(
+          snapshot::SnapshotErrc::kNotQuiescent,
+          std::to_string(simulation_.pending()) + " pending events but " +
+              std::to_string(out.rebuild_records()) + " rebuild records",
+          "kernel");
+    }
+  });
 }
 
 void Fleet::restore_snapshot(std::span<const std::uint8_t> bytes) {

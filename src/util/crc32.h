@@ -5,6 +5,11 @@
 // the storage models to detect CF-card sector corruption, and by the
 // snapshot container, whose writer and reader fold each section CRC into
 // the file CRC with crc32_combine so every payload byte is read once.
+//
+// crc32 folds inputs of 64 bytes or more 16 bytes at a time with
+// carry-less multiplication when the CPU has it (PCLMULQDQ, detected once
+// at run time), and runs slicing-by-8 for shorter inputs, the last
+// 0–15 bytes, and on hosts without it. Both paths give the same value.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +23,12 @@ namespace gw::util {
                                   std::uint32_t seed = 0);
 [[nodiscard]] std::uint32_t crc32(std::string_view data,
                                   std::uint32_t seed = 0);
+
+// crc32 on the slicing-by-8 path alone, whatever the host: the path hosts
+// without carry-less multiplication take, callable anywhere so tests can
+// check it too.
+[[nodiscard]] std::uint32_t crc32_portable(std::span<const std::uint8_t> data,
+                                           std::uint32_t seed = 0);
 
 // crc32(a ‖ b) from crc_a = crc32(a), crc_b = crc32(b) and len_b = b.size(),
 // without reading a or b.

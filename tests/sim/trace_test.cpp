@@ -2,6 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "snapshot/archive.h"
+#include "snapshot/error.h"
+
 namespace gw::sim {
 namespace {
 
@@ -87,6 +98,79 @@ TEST(Trace, SeriesNamesSorted) {
   ASSERT_EQ(names.size(), 2u);
   EXPECT_EQ(names[0], "a");  // std::map keeps keys ordered
   EXPECT_EQ(names[1], "b");
+}
+
+// The whole-series codec must write exactly the bytes of the element-wise
+// archive path, for every value a point can hold, and read them back.
+TEST(Trace, WholeSeriesCodecWritesTheElementWiseBytes) {
+  Trace trace;
+  trace.declare("empty");
+  trace.add("voltage", SimTime{-86'400'000},
+            std::numeric_limits<double>::quiet_NaN());
+  trace.add("voltage", SimTime{-1}, -0.0);
+  trace.add("voltage", SimTime{0}, 12.5);
+  trace.add("state", SimTime{60'000}, -3.0);
+  trace.annotate(SimTime{-5}, "boot");
+
+  snapshot::Saver saver;
+  saver.value(trace);
+  const std::vector<std::uint8_t> bytes = saver.take();
+
+  std::map<std::string, std::vector<TracePoint>> series;
+  for (const std::string& name : trace.series_names()) {
+    series[name] = trace.series(name);
+  }
+  snapshot::Saver element_wise;
+  element_wise.value(series);
+  element_wise.value(trace.annotations());
+  EXPECT_EQ(bytes, element_wise.take());
+
+  snapshot::Saver counter = snapshot::Saver::counter();
+  counter.value(trace);
+  EXPECT_EQ(counter.size(), bytes.size());
+
+  Trace restored;
+  restored.declare("stale");
+  snapshot::Loader loader(bytes);
+  loader.value(restored);
+  loader.expect_end();
+  ASSERT_EQ(restored.series_names(), trace.series_names());
+  for (const std::string& name : trace.series_names()) {
+    const auto& want = trace.series(name);
+    const auto& got = restored.series(name);
+    ASSERT_EQ(got.size(), want.size()) << name;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].time, want[i].time) << name << " point " << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].value),
+                std::bit_cast<std::uint64_t>(want[i].value))
+          << name << " point " << i;
+    }
+  }
+  ASSERT_EQ(restored.annotations().size(), 1u);
+  EXPECT_EQ(restored.annotations()[0].text, "boot");
+  snapshot::Saver resaved;
+  resaved.value(restored);
+  EXPECT_EQ(resaved.take(), bytes);
+}
+
+// A point count the payload cannot hold is refused before anything is
+// allocated: 2^60 points would be 16 EiB.
+TEST(Trace, ForgedPointCountIsUnderrun) {
+  snapshot::Saver saver;
+  saver.value(std::uint64_t{1});  // one series
+  saver.value(std::string("voltage"));
+  saver.value(std::uint64_t{1} << 60);
+  saver.value(SimTime{0});
+  saver.value(1.0);
+  const std::vector<std::uint8_t> bytes = saver.take();
+  Trace trace;
+  snapshot::Loader loader(bytes);
+  try {
+    loader.value(trace);
+    ADD_FAILURE() << "read 2^60 points from a one-point payload";
+  } catch (const snapshot::SnapshotError& error) {
+    EXPECT_EQ(error.code(), snapshot::SnapshotErrc::kSectionUnderrun);
+  }
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <map>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -44,19 +45,18 @@ struct Point {
   }
 };
 
-std::vector<std::uint8_t> sample_container() {
-  StateWriter writer;
-  Saver alpha;
-  alpha.value(std::uint64_t{42});
-  alpha.value(std::string("hello"));
-  writer.section("alpha", alpha.take());
-  Saver beta;
-  beta.value(3.25);
-  beta.value(true);
-  writer.section("beta", beta.take());
-  Saver gamma;  // a zero-length payload is legal
-  writer.section("gamma", gamma.take());
-  return writer.finish();
+std::vector<std::uint8_t> sample_container(std::uint64_t answer = 42) {
+  return StateWriter::seal([&](StateWriter& out) {
+    out.section("alpha", [&](Saver& ar) {
+      ar.value(answer);
+      ar.value(std::string("hello"));
+    });
+    out.section("beta", [](Saver& ar) {
+      ar.value(3.25);
+      ar.value(true);
+    });
+    out.section("gamma", [](Saver&) {});  // a zero-length payload is legal
+  });
 }
 
 // Sections are views into the reader's input, so the input must outlive
@@ -144,15 +144,79 @@ TEST(StateWriterTest, CrcsEqualPlainCrcsOfTheBytesTheyCover) {
 }
 
 TEST(StateWriterTest, DuplicateSectionRefusedAtWriteTime) {
-  StateWriter writer;
-  writer.section("twice", {});
   try {
-    writer.section("twice", {});
+    (void)StateWriter::seal([](StateWriter& out) {
+      out.section("twice", [](Saver&) {});
+      out.section("twice", [](Saver&) {});
+    });
     FAIL() << "duplicate section accepted";
   } catch (const SnapshotError& error) {
     EXPECT_EQ(error.code(), SnapshotErrc::kDuplicateSection);
     EXPECT_EQ(error.section(), "twice");
   }
+}
+
+// The writer counts each section, then writes it in place into a buffer
+// of the counted size. Sections that differ between the two passes are a
+// programming error and are refused, never written past their room.
+TEST(StateWriterTest, PassesThatDisagreeAreRefused) {
+  const auto seal_with = [](auto second_pass) {
+    int pass = 0;
+    return StateWriter::seal([&](StateWriter& out) {
+      if (pass++ == 0) {
+        out.section("alpha", [](Saver& ar) { ar.value(std::uint64_t{1}); });
+      } else {
+        second_pass(out);
+      }
+    });
+  };
+  EXPECT_THROW(seal_with([](StateWriter& out) {
+                 out.section("alpha", [](Saver& ar) {
+                   ar.value(std::uint64_t{1});
+                   ar.value(true);  // one byte past the counted eight
+                 });
+               }),
+               std::logic_error);
+  EXPECT_THROW(seal_with([](StateWriter& out) {
+                 out.section("alpha", [](Saver& ar) { ar.value(false); });
+               }),
+               std::logic_error);
+  EXPECT_THROW(seal_with([](StateWriter& out) {
+                 out.section("beta", [](Saver& ar) {
+                   ar.value(std::uint64_t{1});
+                 });
+               }),
+               std::logic_error);
+  EXPECT_THROW(seal_with([](StateWriter&) {}), std::logic_error);
+}
+
+// What a counting Saver adds up is what an owning Saver writes.
+TEST(SaverTest, CounterCountsWhatIsWritten) {
+  const auto fill = [](Saver& ar) {
+    ar.value(std::string("station/base"));
+    ar.value(std::vector<double>{1.0, 2.0});
+    ar.value(std::optional<std::int64_t>{7});
+    ar.value(false);
+  };
+  Saver owning;
+  fill(owning);
+  Saver counter = Saver::counter();
+  fill(counter);
+  EXPECT_EQ(counter.size(), owning.bytes().size());
+  EXPECT_EQ(counter.size(), 8u + 12u + 8u + 16u + 1u + 8u + 1u);
+  EXPECT_TRUE(counter.bytes().empty());
+}
+
+TEST(SaverTest, InPlaceSaverStaysInsideItsBuffer) {
+  std::vector<std::uint8_t> buffer(12, 0xee);
+  Saver saver(std::span<std::uint8_t>(buffer).first(9));
+  saver.value(std::uint64_t{0x0102030405060708});
+  saver.value(true);
+  EXPECT_EQ(saver.size(), 9u);
+  EXPECT_THROW(saver.value(true), std::logic_error);
+  const std::vector<std::uint8_t> expected = {8, 7, 6, 5, 4, 3, 2, 1, 1,
+                                              0xee, 0xee, 0xee};
+  EXPECT_EQ(buffer, expected);
 }
 
 TEST(StateReaderTest, MissingSectionIsTyped) {
@@ -221,26 +285,14 @@ TEST(StateReaderTest, FingerprintTracksSectionContent) {
   const auto bytes = sample_container();
   const std::uint32_t baseline = fingerprint(bytes);
   EXPECT_EQ(baseline, fingerprint(sample_container()));
-
-  StateWriter writer;
-  Saver alpha;
-  alpha.value(std::uint64_t{43});  // one different payload word
-  alpha.value(std::string("hello"));
-  writer.section("alpha", alpha.take());
-  Saver beta;
-  beta.value(3.25);
-  beta.value(true);
-  writer.section("beta", beta.take());
-  writer.section("gamma", {});
-  EXPECT_NE(fingerprint(writer.finish()), baseline);
+  // One different payload word.
+  EXPECT_NE(fingerprint(sample_container(43)), baseline);
 }
 
 TEST(LoaderTest, UnderrunIsTyped) {
-  StateWriter writer;
-  Saver saver;
-  saver.value(true);  // 1 byte
-  writer.section("short", saver.take());
-  const auto bytes = writer.finish();
+  const auto bytes = StateWriter::seal([](StateWriter& out) {
+    out.section("short", [](Saver& ar) { ar.value(true); });  // 1 byte
+  });
   const StateReader reader(bytes);
   Loader loader = reader.open("short");
   std::uint64_t word = 0;
@@ -267,6 +319,68 @@ TEST(LoaderTest, ForgedVectorCountIsUnderrun) {
       EXPECT_EQ(error.code(), SnapshotErrc::kSectionUnderrun);
     }
   }
+}
+
+// A Saver writes a map in key order. A payload that declares three
+// entries with keys b, a, a would otherwise load as two entries, pass
+// expect_end() and re-save to fewer bytes.
+TEST(LoaderTest, MapKeysOutOfOrderAreRefused) {
+  const auto payload_with_keys = [](std::vector<std::string> keys) {
+    Saver saver;
+    saver.value(std::uint64_t(keys.size()));
+    for (const std::string& key : keys) {
+      saver.value(key);
+      saver.value(std::int64_t{1});
+    }
+    return saver.take();
+  };
+  for (const auto& keys : std::vector<std::vector<std::string>>{
+           {"b", "a", "a"}, {"a", "a"}, {"a", "c", "b"}}) {
+    const auto payload = payload_with_keys(keys);
+    Loader loader(payload);
+    std::map<std::string, std::int64_t> map;
+    try {
+      loader.value(map);
+      ADD_FAILURE() << "loaded " << keys.size() << " keys out of order";
+    } catch (const SnapshotError& error) {
+      EXPECT_EQ(error.code(), SnapshotErrc::kStateMismatch);
+    }
+  }
+  const auto in_order = payload_with_keys({"a", "b", "c"});
+  EXPECT_EQ(in_order.size(), 8u + 3 * (8 + 1 + 8));
+  Loader loader(in_order);
+  std::map<std::string, std::int64_t> map;
+  loader.value(map);
+  loader.expect_end();
+  EXPECT_EQ(map.size(), 3u);
+  Saver resaved;
+  resaved.value(map);
+  EXPECT_EQ(resaved.take(), in_order);
+}
+
+// A Saver writes a bool as 0 or 1; the byte 2 would load as true and
+// re-save as 1.
+TEST(LoaderTest, BoolByteOtherThanZeroOrOneIsRefused) {
+  for (const std::uint8_t byte : {std::uint8_t{2}, std::uint8_t{0xff}}) {
+    const std::vector<std::uint8_t> payload = {byte};
+    Loader loader(payload);
+    bool flag = false;
+    try {
+      loader.value(flag);
+      ADD_FAILURE() << "loaded the byte " << int(byte) << " as a bool";
+    } catch (const SnapshotError& error) {
+      EXPECT_EQ(error.code(), SnapshotErrc::kStateMismatch);
+    }
+  }
+  const std::vector<std::uint8_t> payload = {0, 1};
+  Loader loader(payload);
+  bool first = true;
+  bool second = false;
+  loader.value(first);
+  loader.value(second);
+  loader.expect_end();
+  EXPECT_FALSE(first);
+  EXPECT_TRUE(second);
 }
 
 TEST(LoaderTest, LeftoverBytesAreTyped) {

@@ -60,18 +60,27 @@ TEST(Crc32, SeedChaining) {
   EXPECT_NE(chained, crc32(b));
 }
 
-// Every length across the eight-byte step and its tail, from every start
-// alignment, with and without a seed.
+// Every length from empty to 300 bytes, from every start alignment of a
+// 16-byte block, with and without a seed, on the dispatched and the
+// portable path. That covers the eight-byte slicing step and its tail, and
+// on a host with carry-less multiply the 64-byte fold loop (from 128
+// bytes), the 16-byte loop and the table tail after them.
 TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
-  const std::vector<std::uint8_t> buffer = random_bytes(64 + 8, 1);
+  const std::vector<std::uint8_t> buffer = random_bytes(300 + 16, 1);
   const std::span<const std::uint8_t> all(buffer);
-  for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t length = 0; length <= 64; ++length) {
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t length = 0; length <= 300; ++length) {
       const auto data = all.subspan(offset, length);
-      EXPECT_EQ(crc32(data), reference_crc32(data))
+      const std::uint32_t expected = reference_crc32(data);
+      const std::uint32_t expected_seeded = reference_crc32(data, 0x9e3779b9u);
+      EXPECT_EQ(crc32(data), expected)
           << "offset " << offset << " length " << length;
-      EXPECT_EQ(crc32(data, 0x9e3779b9u), reference_crc32(data, 0x9e3779b9u))
+      EXPECT_EQ(crc32(data, 0x9e3779b9u), expected_seeded)
           << "seeded, offset " << offset << " length " << length;
+      EXPECT_EQ(crc32_portable(data), expected)
+          << "portable, offset " << offset << " length " << length;
+      EXPECT_EQ(crc32_portable(data, 0x9e3779b9u), expected_seeded)
+          << "portable seeded, offset " << offset << " length " << length;
     }
   }
 }
@@ -80,6 +89,7 @@ TEST(Crc32, MatchesBitwiseReferenceOnOneMebibyte) {
   const std::vector<std::uint8_t> buffer = random_bytes(1 << 20, 2);
   EXPECT_EQ(crc32(buffer), reference_crc32(buffer));
   EXPECT_EQ(crc32(buffer, 0xdeadbeefu), reference_crc32(buffer, 0xdeadbeefu));
+  EXPECT_EQ(crc32_portable(buffer), reference_crc32(buffer));
 }
 
 TEST(Crc32, CombineEqualsCrcOfConcatenation) {
