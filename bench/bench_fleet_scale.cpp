@@ -13,6 +13,7 @@
 // as the fleet determinism gate). The exported gauges are all derived from
 // simulated time and simulated counters, so BENCH_fleet_scale.json is
 // reproducible byte-for-byte; wall-clock throughput goes to stdout only.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -23,7 +24,6 @@
 
 #include "bench_util.h"
 #include "runner/monte_carlo_runner.h"
-#include "runner/parallel_plan.h"
 #include "station/fleet.h"
 #include "station/sharded_fleet.h"
 #include "util/strings.h"
@@ -148,11 +148,10 @@ void run() {
 
   // --- sharded points: 256 -> 4096 stations on the window kernel ---------
   const std::size_t shards = bench::fleet_shards();
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  // One world at a time, so the nested-parallelism plan gives the shard
-  // layer whatever the (absent) trial layer leaves: the whole machine.
-  const unsigned shard_workers =
-      runner::plan_nested(hw, 1, shards).shard_workers;
+  // One world at a time, so its shards get the whole machine: with the
+  // default workers = 0 the ShardedSimulation runs this many.
+  const std::size_t shard_workers = std::min<std::size_t>(
+      std::max(1u, std::thread::hardware_concurrency()), shards);
   bench::subheading("sharded fleet: 256 -> 4096 stations (" +
                     std::to_string(shards) + " shards, " +
                     std::to_string(shard_workers) + " workers)");
@@ -168,7 +167,6 @@ void run() {
     station::ShardedFleetConfig config;
     config.fleet = sweep_config(size.stations);
     config.shards = shards;
-    config.workers = shard_workers;
     const ScalePoint point =
         run_point<station::ShardedFleet>(std::move(config), size.days);
     sharded_points.push_back(point);

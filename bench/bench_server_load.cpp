@@ -98,7 +98,6 @@ LoadPoint run_trial(std::size_t trial) {
   station::SouthamptonServer server;
   server.set_fault_oracle(&oracle);
   server.set_station_queue_limit(kQueueLimit);
-  server.set_ingest_stripes(8);
   server.set_received_window(4096);
   for (int i = 0; i < kStations; ++i) {
     server.sync().assign_group(station_name(i), group_name(i / 2));

@@ -45,8 +45,8 @@ class LogManager {
       ++total_suppressed_;
       return;
     }
-    util::LogRecord record{time_ms, level, component, message};
-    usage.bytes_today += record.rendered_bytes();
+    usage.bytes_today += util::rendered_line_bytes(
+        time_ms, level, component.size(), message.size());
     logger_.log(time_ms, level, component, std::move(message));
   }
 

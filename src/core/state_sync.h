@@ -16,9 +16,7 @@
 // dGPS pair is one group). The min-rule and the group override apply only
 // within a group; an ungrouped station self-syncs (its own fresh report is
 // the only ledger entry that binds it). The fleet-wide manual override
-// still floors every station — that is the operator's big red lever. The
-// legacy no-argument query remains the fleet-wide view (min over every
-// fresh report) for pre-fleet callers.
+// still floors every station — that is the operator's big red lever.
 //
 // SyncRules is the pure logic; SyncServer is the Southampton ledger. The
 // upload/download split across the daily run (upload *before* fetching the
@@ -57,19 +55,16 @@ struct SyncRules {
 // Southampton's ledger: latest reported state per station, sync-group
 // membership, and the manual overrides (fleet-wide and per-group).
 //
-// Reports carry a timestamp and expire after max_report_age: a station that
+// Reports carry a timestamp and expire after kMaxReportAge: a station that
 // has gone silent (flat battery, weeks-long GPRS outage) must not pin its
 // group to its last — typically lowest — reported state forever. Once its
 // report ages out, the min-rule is computed over the members still talking.
 // Manual overrides never expire.
 class SyncServer {
  public:
-  // Reports older than this are ignored by override_for_client(). Generous
-  // by default: a silent week is an outage, not a state opinion.
-  void set_max_report_age(sim::Duration age) { max_report_age_ = age; }
-  [[nodiscard]] sim::Duration max_report_age() const {
-    return max_report_age_;
-  }
+  // Reports older than this are ignored by override_for_client() and
+  // group_view(). Generous: a silent week is an outage, not a state opinion.
+  static constexpr sim::Duration kMaxReportAge = sim::days(5);
 
   // Optional instrumentation: future-dated reports journal a
   // kFutureReport record ("state_sync") when they are ignored by a
@@ -116,7 +111,6 @@ class SyncServer {
 
   // Off by default: the serial server keeps its zero-overhead ledger.
   void enable_report_log(bool enabled = true) { report_log_enabled_ = enabled; }
-  [[nodiscard]] bool report_log_enabled() const { return report_log_enabled_; }
 
   // Moves out everything report_state() logged since the previous drain,
   // in report order. Always empty while the log is disabled.
@@ -152,28 +146,6 @@ class SyncServer {
     return it == group_of_.end() ? std::string{} : it->second;
   }
 
-  // Members of a group, in name order (deterministic export order).
-  [[nodiscard]] std::vector<std::string> group_members(
-      const std::string& group) const {
-    std::vector<std::string> members;
-    for (const auto& [station, g] : group_of_) {
-      if (g == group) members.push_back(station);
-    }
-    return members;
-  }
-
-  // Distinct group names, sorted.
-  [[nodiscard]] std::vector<std::string> groups() const {
-    std::vector<std::string> names;
-    for (const auto& [station, g] : group_of_) {
-      if (std::find(names.begin(), names.end(), g) == names.end()) {
-        names.push_back(g);
-      }
-    }
-    std::sort(names.begin(), names.end());
-    return names;
-  }
-
   // --- overrides ----------------------------------------------------------
 
   // Operator intervention ("easy manual overriding of the power states if
@@ -200,19 +172,6 @@ class SyncServer {
   }
 
   // --- queries ------------------------------------------------------------
-
-  // Legacy fleet-wide view: the minimum over every *fresh* reported state
-  // and the fleet-wide manual override. Before any reports exist there is
-  // nothing to say. (Pre-fleet callers and diagnostics; stations use the
-  // per-station overload below.)
-  [[nodiscard]] std::optional<PowerState> override_for_client(
-      sim::SimTime now = sim::kEpoch) const {
-    std::optional<PowerState> lowest = manual_override_;
-    for (const auto& [station, entry] : latest_) {
-      fold_entry(entry, now, lowest);
-    }
-    return lowest;
-  }
 
   // The override returned to `station`: grouped stations get the min over
   // their group's fresh reports, floored by the group override; ungrouped
@@ -303,7 +262,6 @@ class SyncServer {
     ar.value(group_of_);
     ar.value(group_overrides_);
     ar.value(manual_override_);
-    ar.value(max_report_age_);
   }
 
  private:
@@ -339,7 +297,7 @@ class SyncServer {
       }
       return;
     }
-    if (now - entry.reported_at > max_report_age_) return;  // stale
+    if (now - entry.reported_at > kMaxReportAge) return;  // stale
     if (!lowest.has_value() || entry.state < *lowest) lowest = entry.state;
   }
 
@@ -353,7 +311,6 @@ class SyncServer {
   std::map<std::string, std::string> group_of_;
   std::map<std::string, PowerState> group_overrides_;
   std::optional<PowerState> manual_override_;
-  sim::Duration max_report_age_ = sim::days(5);
 };
 
 }  // namespace gw::core

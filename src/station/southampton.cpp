@@ -1,76 +1,20 @@
 #include "station/southampton.h"
 
 #include <set>
-#include <utility>
 
 namespace gw::station {
-namespace {
-
-// FNV-1a, the same stable string hash everywhere a stripe key is needed:
-// std::hash is implementation-defined and would make stripe placement (and
-// anything exported from it) differ across standard libraries.
-std::uint64_t fnv1a(const std::string& key) {
-  std::uint64_t hash = 1469598103934665603ULL;
-  for (const unsigned char byte : key) {
-    hash ^= byte;
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
-}  // namespace
-
-std::size_t SouthamptonServer::stripe_index(const std::string& key) const {
-  return std::size_t(fnv1a(key) % stripes_.size());
-}
-
-void SouthamptonServer::set_ingest_stripes(std::size_t count) {
-  if (count == 0) count = 1;
-  std::vector<IngestStripe> old;
-  old.swap(stripes_);
-  stripes_.resize(count);
-  for (auto& stripe : old) {
-    for (auto& [station, queue] : stripe.specials) {
-      auto& target = stripe_for(station).specials[station];
-      for (auto& item : queue) target.push_back(std::move(item));
-    }
-    for (auto& [station, queue] : stripe.updates) {
-      auto& target = stripe_for(station).updates[station];
-      for (auto& item : queue) target.push_back(std::move(item));
-    }
-    for (auto& [station, queue] : stripe.config_updates) {
-      auto& target = stripe_for(station).config_updates[station];
-      for (auto& item : queue) target.push_back(std::move(item));
-    }
-  }
-}
 
 std::size_t SouthamptonServer::compact_received() {
-  const std::size_t folded = received_.size();
-  for (const ReceivedFile& file : received_) {
-    auto [it, inserted] = receipt_summaries_.try_emplace(file.station);
-    ReceiptSummary& summary = it->second;
-    if (inserted || file.received_at < summary.first_at) {
-      summary.first_at = file.received_at;
-    }
-    if (inserted || summary.last_at < file.received_at) {
-      summary.last_at = file.received_at;
-    }
-    ++summary.files;
-    summary.bytes += file.size;
-  }
+  const std::size_t cleared = received_.size();
   received_.clear();
-  if (folded > 0) ++compactions_;
-  return folded;
+  if (cleared > 0) ++compactions_;
+  return cleared;
 }
 
 std::vector<std::string> SouthamptonServer::station_directory() const {
   std::set<std::string> names;
   for (const auto& [station, files] : files_by_station_) names.insert(station);
   for (const auto& [station, count] : beacons_by_station_) {
-    names.insert(station);
-  }
-  for (const auto& [station, summary] : receipt_summaries_) {
     names.insert(station);
   }
   for (const auto& station : sync_.reported_stations()) names.insert(station);
@@ -85,7 +29,6 @@ proto::StationStatsResponse SouthamptonServer::station_stats(
   response.bytes = bytes_from(station).count();
   response.beacons = beacons_from(station);
   response.known = response.files > 0 || response.beacons > 0 ||
-                   receipt_summaries_.contains(station) ||
                    sync_.reported_state(station).has_value();
   return response;
 }

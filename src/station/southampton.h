@@ -7,16 +7,16 @@
 // collects MD5 beacons. The received-data ledger is what the architecture
 // and backlog benches measure as *yield*.
 //
-// Service core: the command/update/config queues live in ingest *stripes*
-// keyed by sync group (ungrouped stations stripe by name), so a fleet's
-// control traffic partitions the way its deployments do; per-station queues
-// can be bounded (set_station_queue_limit) and a full queue *rejects* the
-// enqueue — explicit backpressure with a journalled drop, never an
-// unbounded deque on a 130-day soak. The raw receipt ledger can be folded
-// into exact per-station summaries (compact_received) or capped behind a
-// rolling window (set_received_window); the lifetime totals are counters
-// and survive both. Read paths never mutate: fetching or querying a station
-// with nothing queued leaves the ledgers untouched.
+// Service core: one ledger per fact. The command, update and config queues
+// are one station-keyed map each, so a station's queued work stays where
+// it is whatever sync group it later joins. Per-station queues can be
+// bounded (set_station_queue_limit) and a full queue *rejects* the enqueue
+// — explicit backpressure with a journalled drop, never an unbounded deque
+// on a 130-day soak. The raw receipt ledger can be cleared
+// (compact_received) or capped behind a rolling window
+// (set_received_window); the lifetime totals are counters and survive
+// both. Read paths never mutate: fetching or querying a station with
+// nothing queued leaves the ledgers untouched.
 //
 // The server also answers a consumer read API (proto "consumer read API"
 // messages): station directory, per-station season rollups, and sync-group
@@ -59,25 +59,6 @@ struct ReceivedFile {
   }
 };
 
-// What compact_received() folds a station's raw receipts into: the exact
-// file/byte totals of every receipt compacted so far, plus the covered
-// time range. Totals here + the surviving raw deque always equal the
-// lifetime counters — compaction moves precision around, it never loses it.
-struct ReceiptSummary {
-  std::int64_t files = 0;
-  util::Bytes bytes{0};
-  sim::SimTime first_at{};
-  sim::SimTime last_at{};
-
-  template <class Archive>
-  void persist(Archive& ar) {
-    ar.value(files);
-    ar.value(bytes);
-    ar.value(first_at);
-    ar.value(last_at);
-  }
-};
-
 class SouthamptonServer {
  public:
   // --- availability -----------------------------------------------------
@@ -114,14 +95,7 @@ class SouthamptonServer {
   [[nodiscard]] core::SyncServer& sync() { return sync_; }
   [[nodiscard]] const core::SyncServer& sync() const { return sync_; }
 
-  // --- ingest striping & backpressure -------------------------------------
-
-  // Repartitions the command/update/config queues over `count` stripes
-  // (min 1). Existing queues are re-hashed, so this is safe at any time,
-  // but it is configuration: set it at fleet assembly, next to the sync
-  // groups that define the stripe keys.
-  void set_ingest_stripes(std::size_t count);
-  [[nodiscard]] std::size_t ingest_stripes() const { return stripes_.size(); }
+  // --- ingest backpressure ------------------------------------------------
 
   // Caps every per-station queue (each kind separately) at `limit` items;
   // 0 = unbounded (the legacy behaviour). A full queue makes queue_*
@@ -165,17 +139,11 @@ class SouthamptonServer {
     return received_;
   }
 
-  // Folds every raw receipt into its station's ReceiptSummary and clears
-  // the raw deque. Returns the number of receipts folded. Lifetime totals
-  // (files_received, files_from, bytes_from) are untouched; the summaries
-  // account exactly for everything ever compacted.
+  // Clears the raw receipt deque and returns the number of receipts
+  // cleared; a call that clears something counts as one compaction round.
+  // The lifetime totals (files_received, files_from, bytes_from) are
+  // counters, so they stay exact.
   std::size_t compact_received();
-
-  // Per-station compaction summaries, in name order (std::map).
-  [[nodiscard]] const std::map<std::string, ReceiptSummary>&
-  receipt_summaries() const {
-    return receipt_summaries_;
-  }
 
   [[nodiscard]] std::uint64_t compactions() const { return compactions_; }
 
@@ -201,13 +169,12 @@ class SouthamptonServer {
   // Unbounded queues (the default) always accept.
   bool queue_special(const std::string& station, core::SpecialCommand command,
                      sim::SimTime at = sim::kEpoch) {
-    return enqueue(stripe_for(station).specials, station, std::move(command),
-                   kSpecialQueue, at);
+    return enqueue(specials_, station, std::move(command), kSpecialQueue, at);
   }
 
   [[nodiscard]] std::optional<core::SpecialCommand> fetch_special(
       const std::string& station) {
-    return dequeue(stripe_for(station).specials, station);
+    return dequeue(specials_, station);
   }
 
   void record_special_result(core::SpecialExecution execution) {
@@ -224,26 +191,25 @@ class SouthamptonServer {
   bool queue_config_update(const std::string& station,
                            core::ConfigUpdate update,
                            sim::SimTime at = sim::kEpoch) {
-    return enqueue(stripe_for(station).config_updates, station,
-                   std::move(update), kConfigQueue, at);
+    return enqueue(config_updates_, station, std::move(update), kConfigQueue,
+                   at);
   }
 
   [[nodiscard]] std::optional<core::ConfigUpdate> fetch_config_update(
       const std::string& station) {
-    return dequeue(stripe_for(station).config_updates, station);
+    return dequeue(config_updates_, station);
   }
 
   // --- code updates ------------------------------------------------------
 
   bool queue_update(const std::string& station, core::UpdatePackage package,
                     sim::SimTime at = sim::kEpoch) {
-    return enqueue(stripe_for(station).updates, station, std::move(package),
-                   kUpdateQueue, at);
+    return enqueue(updates_, station, std::move(package), kUpdateQueue, at);
   }
 
   [[nodiscard]] std::optional<core::UpdatePackage> fetch_update(
       const std::string& station) {
-    return dequeue(stripe_for(station).updates, station);
+    return dequeue(updates_, station);
   }
 
   void receive_beacon(const std::string& station, core::UpdateBeacon beacon,
@@ -330,40 +296,34 @@ class SouthamptonServer {
 
   // --- ledger introspection (tests / leak guards) -------------------------
 
-  // Number of stations with a *non-empty* queue of each kind, summed over
-  // the stripes. Draining a station's queue releases its map entry, so a
-  // long-lived server's counts reflect pending work, not traffic history.
+  // Number of stations with a *non-empty* queue of each kind. Draining a
+  // station's queue releases its map entry, so a long-lived server's counts
+  // reflect pending work, not traffic history.
   [[nodiscard]] std::size_t special_queue_count() const {
-    std::size_t count = 0;
-    for (const auto& stripe : stripes_) count += stripe.specials.size();
-    return count;
+    return specials_.size();
   }
   [[nodiscard]] std::size_t update_queue_count() const {
-    std::size_t count = 0;
-    for (const auto& stripe : stripes_) count += stripe.updates.size();
-    return count;
+    return updates_.size();
   }
   [[nodiscard]] std::size_t config_update_queue_count() const {
-    std::size_t count = 0;
-    for (const auto& stripe : stripes_) count += stripe.config_updates.size();
-    return count;
+    return config_updates_.size();
   }
 
-  // Snapshot support (docs/SNAPSHOT.md). Everything including the stripe
-  // layout (the saved stripe count re-partitions the queues identically);
-  // the fault oracle and hooks are wiring.
+  // Snapshot support (docs/SNAPSHOT.md). Everything but the fault oracle
+  // and hooks, which are wiring.
   template <class Archive>
   void persist(Archive& ar) {
     ar.value(sync_);
     ar.value(received_);
     ar.value(received_window_);
-    ar.value(receipt_summaries_);
     ar.value(compactions_);
     ar.value(files_received_);
     ar.value(bytes_by_station_);
     ar.value(files_by_station_);
     ar.value(beacons_by_station_);
-    ar.value(stripes_);
+    ar.value(specials_);
+    ar.value(updates_);
+    ar.value(config_updates_);
     ar.value(station_queue_limit_);
     ar.value(ingest_rejected_);
     ar.value(queries_served_);
@@ -377,29 +337,6 @@ class SouthamptonServer {
   static constexpr int kSpecialQueue = 0;
   static constexpr int kUpdateQueue = 1;
   static constexpr int kConfigQueue = 2;
-
-  static constexpr std::size_t kDefaultIngestStripes = 8;
-
-  struct IngestStripe {
-    std::map<std::string, std::deque<core::SpecialCommand>> specials;
-    std::map<std::string, std::deque<core::UpdatePackage>> updates;
-    std::map<std::string, std::deque<core::ConfigUpdate>> config_updates;
-
-    template <class Archive>
-    void persist(Archive& ar) {
-      ar.value(specials);
-      ar.value(updates);
-      ar.value(config_updates);
-    }
-  };
-
-  // The stripe key is the station's sync group when it has one — a dGPS
-  // pair's control traffic lands together — and the station name otherwise.
-  [[nodiscard]] IngestStripe& stripe_for(const std::string& station) {
-    const std::string group = sync_.group_of(station);
-    return stripes_[stripe_index(group.empty() ? station : group)];
-  }
-  [[nodiscard]] std::size_t stripe_index(const std::string& key) const;
 
   template <typename Item>
   bool enqueue(std::map<std::string, std::deque<Item>>& queues,
@@ -446,13 +383,14 @@ class SouthamptonServer {
   core::SyncServer sync_;
   std::deque<ReceivedFile> received_;
   std::size_t received_window_ = 0;  // 0 = unbounded
-  std::map<std::string, ReceiptSummary> receipt_summaries_;
   std::uint64_t compactions_ = 0;
   std::uint64_t files_received_ = 0;
   std::map<std::string, util::Bytes> bytes_by_station_;
   std::map<std::string, int> files_by_station_;
   std::map<std::string, std::int64_t> beacons_by_station_;
-  std::vector<IngestStripe> stripes_{kDefaultIngestStripes};
+  std::map<std::string, std::deque<core::SpecialCommand>> specials_;
+  std::map<std::string, std::deque<core::UpdatePackage>> updates_;
+  std::map<std::string, std::deque<core::ConfigUpdate>> config_updates_;
   std::size_t station_queue_limit_ = 0;  // 0 = unbounded
   std::uint64_t ingest_rejected_ = 0;
   std::uint64_t queries_served_ = 0;

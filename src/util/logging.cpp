@@ -18,14 +18,15 @@ const char* to_string(LogLevel level) {
   return "?";
 }
 
-std::size_t LogRecord::rendered_bytes() const {
-  // "<time> <LEVEL> <component>: <message>\n" — ms timestamp zero-padded to
-  // at least 13 digits, level tag, separators.
+std::size_t rendered_line_bytes(std::int64_t time_ms, LogLevel level,
+                                std::size_t component_chars,
+                                std::size_t message_chars) {
+  // ms timestamp zero-padded to at least 13 digits, level tag, separators.
   const std::size_t time_digits =
       std::max<std::size_t>(13, std::to_string(time_ms).size());
   const std::size_t level_chars = std::string_view(to_string(level)).size();
-  return time_digits + 1 + level_chars + 1 + component.size() + 2 +
-         message.size() + 1;
+  return time_digits + 1 + level_chars + 1 + component_chars + 2 +
+         message_chars + 1;
 }
 
 void Logger::log(std::int64_t time_ms, LogLevel level, std::string component,
@@ -34,11 +35,12 @@ void Logger::log(std::int64_t time_ms, LogLevel level, std::string component,
     ++dropped_;
     return;
   }
-  LogRecord record{time_ms, level, std::move(component), std::move(message)};
-  const std::size_t bytes = record.rendered_bytes();
+  const std::size_t bytes =
+      rendered_line_bytes(time_ms, level, component.size(), message.size());
   pending_bytes_ += bytes;
   total_bytes_ever_ += bytes;
-  records_.push_back(std::move(record));
+  records_.push_back(
+      LogRecord{time_ms, level, std::move(component), std::move(message)});
 }
 
 std::size_t Logger::count_at_least(LogLevel level) const {

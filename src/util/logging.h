@@ -19,15 +19,20 @@ enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 
 [[nodiscard]] const char* to_string(LogLevel level);
 
+// Size of the line Logger::drain renders, "<time> <LEVEL> <component>:
+// <message>\n", which is what the GPRS link has to carry. It needs only
+// the two text lengths, so a caller can measure a line without building
+// one.
+[[nodiscard]] std::size_t rendered_line_bytes(std::int64_t time_ms,
+                                              LogLevel level,
+                                              std::size_t component_chars,
+                                              std::size_t message_chars);
+
 struct LogRecord {
   std::int64_t time_ms = 0;
   LogLevel level = LogLevel::kInfo;
   std::string component;
   std::string message;
-
-  // Approximate on-disk size of the rendered line, which is what the GPRS
-  // link has to carry.
-  [[nodiscard]] std::size_t rendered_bytes() const;
 
   template <class Archive>
   void persist(Archive& ar) {

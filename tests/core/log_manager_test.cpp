@@ -61,6 +61,23 @@ TEST(LogManager, BudgetsArePerComponent) {
   EXPECT_TRUE(power_seen);
 }
 
+TEST(LogManager, BudgetChargesTheRenderedLineBytes) {
+  // A line is charged exactly the bytes the Logger will upload for it, so
+  // a budget of one line's rendered size admits that line and no more.
+  util::Logger reference;
+  reference.debug(7, "probes", "rx frame seq=1");
+  const std::size_t line = reference.pending_bytes();
+  for (const std::size_t extra : {0u, 1u}) {
+    util::Logger logger;
+    LogBudgetConfig config;
+    config.component_daily_budget_bytes = line + extra;
+    LogManager manager{logger, config};
+    manager.debug(7, "probes", "rx frame seq=1");
+    manager.debug(8, "probes", "rx frame seq=2");
+    EXPECT_EQ(logger.records().size(), extra == 0 ? 1u : 2u);
+  }
+}
+
 TEST(LogManager, NewDayEmitsSummaryAndResets) {
   util::Logger logger;
   LogBudgetConfig config;

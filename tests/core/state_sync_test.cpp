@@ -37,24 +37,35 @@ TEST(SyncRules, VoltageZeroStillWinsOverOverride) {
             PowerState::kState0);
 }
 
-TEST(SyncServer, ReturnsLowestReportedState) {
+// The paper's deployment: the base and reference stations are one dGPS
+// pair, so they share one sync group.
+SyncServer paired_server() {
   SyncServer server;
+  server.assign_group("base", "pair");
+  server.assign_group("reference", "pair");
+  return server;
+}
+
+TEST(SyncServer, ReturnsLowestReportedState) {
+  SyncServer server = paired_server();
   server.report_state("base", PowerState::kState3);
   server.report_state("reference", PowerState::kState2);
-  ASSERT_TRUE(server.override_for_client().has_value());
-  EXPECT_EQ(*server.override_for_client(), PowerState::kState2);
+  ASSERT_TRUE(server.override_for_client("base").has_value());
+  EXPECT_EQ(*server.override_for_client("base"), PowerState::kState2);
+  EXPECT_EQ(*server.override_for_client("reference"), PowerState::kState2);
 }
 
 TEST(SyncServer, NoReportsNoOverride) {
-  SyncServer server;
-  EXPECT_FALSE(server.override_for_client().has_value());
+  SyncServer server = paired_server();
+  EXPECT_FALSE(server.override_for_client("base").has_value());
+  EXPECT_FALSE(server.override_for_client("reference").has_value());
 }
 
 TEST(SyncServer, LatestReportWins) {
-  SyncServer server;
+  SyncServer server = paired_server();
   server.report_state("base", PowerState::kState1);
   server.report_state("base", PowerState::kState3);
-  EXPECT_EQ(*server.override_for_client(), PowerState::kState3);
+  EXPECT_EQ(*server.override_for_client("base"), PowerState::kState3);
   EXPECT_EQ(*server.reported_state("base"), PowerState::kState3);
   EXPECT_FALSE(server.reported_state("ghost").has_value());
 }
@@ -62,55 +73,58 @@ TEST(SyncServer, LatestReportWins) {
 TEST(SyncServer, ManualOverrideFloorsTheResult) {
   // Fig 5's observed behaviour: voltage allowed state 3 but the system "was
   // being held in state 2 by the remote override system."
-  SyncServer server;
+  SyncServer server = paired_server();
   server.report_state("base", PowerState::kState3);
   server.report_state("reference", PowerState::kState3);
   server.set_manual_override(PowerState::kState2);
-  EXPECT_EQ(*server.override_for_client(), PowerState::kState2);
+  EXPECT_EQ(*server.override_for_client("base"), PowerState::kState2);
   // Released: stations converge back to 3.
   server.set_manual_override(std::nullopt);
-  EXPECT_EQ(*server.override_for_client(), PowerState::kState3);
+  EXPECT_EQ(*server.override_for_client("base"), PowerState::kState3);
 }
 
 TEST(SyncServer, StaleReportExpiresInsteadOfPinningTheFleet) {
   // Regression for the silent-station pinning bug: a station that browned
   // out after reporting state 1 used to hold every other station at 1
   // forever. Its report must age out of the min-rule.
-  SyncServer server;
+  SyncServer server = paired_server();
   const auto start = sim::at_midnight(2008, 10, 1);
   server.report_state("base", PowerState::kState1, start);
   server.report_state("reference", PowerState::kState3, start);
   // Fresh: the min rule sees both.
-  EXPECT_EQ(*server.override_for_client(start), PowerState::kState1);
+  EXPECT_EQ(*server.override_for_client("reference", start),
+            PowerState::kState1);
   // The base goes silent (flat battery); the reference keeps reporting.
-  const auto later = start + server.max_report_age() + sim::days(2);
+  const auto later = start + SyncServer::kMaxReportAge + sim::days(2);
   server.report_state("reference", PowerState::kState3, later);
-  EXPECT_EQ(*server.override_for_client(later), PowerState::kState3);
+  EXPECT_EQ(*server.override_for_client("reference", later),
+            PowerState::kState3);
   // The silent station's last word is still on record, just not binding.
   EXPECT_EQ(*server.reported_state("base"), PowerState::kState1);
   // When it comes back, its reports count again.
   server.report_state("base", PowerState::kState2, later);
-  EXPECT_EQ(*server.override_for_client(later), PowerState::kState2);
+  EXPECT_EQ(*server.override_for_client("reference", later),
+            PowerState::kState2);
 }
 
 TEST(SyncServer, AllReportsStaleMeansNothingToSay) {
-  SyncServer server;
+  SyncServer server = paired_server();
   const auto start = sim::at_midnight(2008, 10, 1);
   server.report_state("base", PowerState::kState1, start);
-  const auto later = start + server.max_report_age() + sim::days(1);
-  EXPECT_FALSE(server.override_for_client(later).has_value());
+  const auto later = start + SyncServer::kMaxReportAge + sim::days(1);
+  EXPECT_FALSE(server.override_for_client("base", later).has_value());
   // ...unless an operator override is standing: that never expires.
   server.set_manual_override(PowerState::kState2);
-  EXPECT_EQ(*server.override_for_client(later), PowerState::kState2);
+  EXPECT_EQ(*server.override_for_client("base", later), PowerState::kState2);
 }
 
 TEST(SyncServer, TimestampFreeCallersStayFresh) {
   // Pre-expiry callers pass no timestamps; everything is reported and read
   // at the epoch, so nothing ever ages out and behaviour is unchanged.
-  SyncServer server;
+  SyncServer server = paired_server();
   server.report_state("base", PowerState::kState1);
   server.report_state("reference", PowerState::kState3);
-  EXPECT_EQ(*server.override_for_client(), PowerState::kState1);
+  EXPECT_EQ(*server.override_for_client("reference"), PowerState::kState1);
 }
 
 TEST(SyncServer, MinRuleIsScopedToTheSyncGroup) {
@@ -129,8 +143,11 @@ TEST(SyncServer, MinRuleIsScopedToTheSyncGroup) {
   EXPECT_EQ(*server.override_for_client("a2"), PowerState::kState1);
   EXPECT_EQ(*server.override_for_client("b1"), PowerState::kState2);
   EXPECT_EQ(*server.override_for_client("b2"), PowerState::kState2);
-  // The legacy fleet-wide view still folds everyone.
-  EXPECT_EQ(*server.override_for_client(), PowerState::kState1);
+  // One group for the whole fleet folds everyone.
+  for (const char* name : {"a1", "a2", "b1", "b2"}) {
+    server.assign_group(name, "fleet");
+  }
+  EXPECT_EQ(*server.override_for_client("b2"), PowerState::kState1);
 }
 
 TEST(SyncServer, UngroupedStationSelfSyncs) {
@@ -157,7 +174,7 @@ TEST(SyncServer, ExpiryUnpinsSilentMemberOfLargeGroup) {
   server.report_state("g3", PowerState::kState2, start);
   EXPECT_EQ(*server.override_for_client("g2", start), PowerState::kState1);
   // g1 goes silent; the others keep reporting past its expiry horizon.
-  const auto later = start + server.max_report_age() + sim::days(2);
+  const auto later = start + SyncServer::kMaxReportAge + sim::days(2);
   server.report_state("g2", PowerState::kState3, later);
   server.report_state("g3", PowerState::kState2, later);
   EXPECT_EQ(*server.override_for_client("g2", later), PowerState::kState2);
@@ -196,24 +213,23 @@ TEST(SyncServer, GroupMembershipIntrospection) {
   server.assign_group("b1", "pair_b");
   EXPECT_EQ(server.group_of("a1"), "pair_a");
   EXPECT_EQ(server.group_of("ghost"), "");
-  EXPECT_EQ(server.group_members("pair_a"),
-            (std::vector<std::string>{"a1", "a2"}));
-  EXPECT_EQ(server.groups(),
-            (std::vector<std::string>{"pair_a", "pair_b"}));
+  EXPECT_EQ(server.group_of("a2"), "pair_a");
+  EXPECT_EQ(server.group_view("pair_a").members, 2);
+  EXPECT_EQ(server.group_view("pair_b").members, 1);
   // Reassignment moves, empty removes.
   server.assign_group("a2", "pair_b");
-  EXPECT_EQ(server.group_members("pair_a"),
-            (std::vector<std::string>{"a1"}));
+  EXPECT_EQ(server.group_of("a2"), "pair_b");
+  EXPECT_EQ(server.group_view("pair_a").members, 1);
+  EXPECT_EQ(server.group_view("pair_b").members, 2);
   server.assign_group("a1", "");
   EXPECT_EQ(server.group_of("a1"), "");
-  EXPECT_TRUE(server.group_members("pair_a").empty());
+  EXPECT_EQ(server.group_view("pair_a").members, 0);
 }
 
 TEST(SyncServer, ReportLogIsOptInAndDrainsInReportOrder) {
   SyncServer server;
   // Off by default: the serial fleet pays nothing for the sharded hook.
   server.report_state("base", PowerState::kState3, sim::SimTime{100});
-  EXPECT_FALSE(server.report_log_enabled());
   EXPECT_TRUE(server.drain_report_log().empty());
 
   server.enable_report_log();
@@ -250,10 +266,7 @@ TEST(SyncServer, FutureDatedReportCannotPinTheGroup) {
   // station with a drifted RTC claiming state 1 next week pinned its
   // group's min-rule to state 1 indefinitely, long after its report should
   // have aged out. Future-dated reports must be ignored outright.
-  SyncServer server;
-  server.set_max_report_age(sim::days(5));
-  server.assign_group("base", "pair");
-  server.assign_group("reference", "pair");
+  SyncServer server = paired_server();
   const sim::SimTime now = sim::to_time({2008, 9, 10, 12, 0, 0});
   server.report_state("base", PowerState::kState3, now);
   // reference's RTC runs a month fast: its state-1 report is "from" Oct 10.
@@ -262,7 +275,7 @@ TEST(SyncServer, FutureDatedReportCannotPinTheGroup) {
   // The future report is not evidence: base sees only its own state.
   EXPECT_EQ(server.override_for_client("base", now), PowerState::kState3);
   EXPECT_GT(server.future_reports_ignored(), 0u);
-  // Fast-forward past max_report_age: with the old `age > max` arithmetic
+  // Fast-forward past kMaxReportAge: with the old `age > max` arithmetic
   // the drifted report would *still* be fresh 40 days on. It only counts
   // once real time reaches its claimed timestamp.
   const sim::SimTime later = now + sim::days(31);
@@ -290,17 +303,14 @@ TEST(SyncServer, FutureReportIgnoredIsJournalled) {
 
 TEST(SyncServer, ReportExactlyAtMaxAgeIsStillFresh) {
   // The freshness comparison is strict (`age > max`): a report exactly
-  // max_report_age old still binds; one millisecond older does not.
-  SyncServer server;
-  server.set_max_report_age(sim::days(5));
+  // kMaxReportAge old still binds; one millisecond older does not.
+  SyncServer server = paired_server();
   const sim::SimTime reported = sim::to_time({2008, 9, 1, 0, 0, 0});
+  const sim::SimTime edge = reported + SyncServer::kMaxReportAge;
   server.report_state("base", PowerState::kState1, reported);
-  EXPECT_EQ(server.override_for_client("base", reported + sim::days(5)),
-            PowerState::kState1);
+  EXPECT_EQ(server.override_for_client("base", edge), PowerState::kState1);
   EXPECT_FALSE(
-      server
-          .override_for_client(
-              "base", reported + sim::days(5) + sim::milliseconds(1))
+      server.override_for_client("base", edge + sim::milliseconds(1))
           .has_value());
 }
 
@@ -354,15 +364,15 @@ TEST(SyncServer, ReportedStationsListsLedgerInNameOrder) {
 TEST(SyncServer, EndToEndKeepsStationsInLockstep) {
   // Both stations apply the min rule, so dGPS schedules match even though
   // their batteries differ.
-  SyncServer server;
+  SyncServer server = paired_server();
   const auto base_local = PowerState::kState3;
   const auto ref_local = PowerState::kState2;
   server.report_state("base", base_local);
   server.report_state("reference", ref_local);
   const auto base_final =
-      SyncRules::apply(base_local, server.override_for_client());
+      SyncRules::apply(base_local, server.override_for_client("base"));
   const auto ref_final =
-      SyncRules::apply(ref_local, server.override_for_client());
+      SyncRules::apply(ref_local, server.override_for_client("reference"));
   EXPECT_EQ(base_final, ref_final);
   EXPECT_EQ(base_final, PowerState::kState2);
 }

@@ -6,9 +6,11 @@
 // late).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/sharded_simulation.h"
@@ -104,6 +106,17 @@ TEST(ShardedSimulation, LedgerIsIdenticalAcrossShardAndWorkerCounts) {
   EXPECT_EQ(reference, run_harness(2, 2));
   EXPECT_EQ(reference, run_harness(4, 2));
   EXPECT_EQ(reference, run_harness(5, 8));
+}
+
+TEST(ShardedSimulation, WorkersAreCappedAtTheShardCount) {
+  // workers = 0 is the hardware concurrency (at least one); no request
+  // gets more workers than there are shards, since a spare one would idle.
+  const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_EQ(ShardedSimulation(make_config(2, 0)).workers(),
+            std::min(hardware, 2u));
+  EXPECT_EQ(ShardedSimulation(make_config(2, 8)).workers(), 2u);
+  EXPECT_EQ(ShardedSimulation(make_config(3, 1)).workers(), 1u);
+  EXPECT_EQ(ShardedSimulation(make_config(0, 0)).workers(), 1u);
 }
 
 TEST(ShardedSimulation, DeadlinePatternDoesNotChangeDelivery) {

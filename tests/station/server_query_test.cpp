@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "proto/messages.h"
 #include "station/southampton.h"
@@ -63,14 +64,24 @@ TEST(ServerQuery, StationStatsRollUpFilesBytesAndBeacons) {
 
 TEST(ServerQuery, StatsSurviveCompactionExactly) {
   auto server = seeded_server();
+  // Known only through its upload: no beacon, no state report.
+  server.receive_file("weather", "met_1", 2_KiB, sim::SimTime{2500});
   server.compact_received();
   proto::StationStatsRequest request;
   request.station = "base";
   const auto wire = server.handle_query(request.encode(), sim::SimTime{5000});
   const auto response = proto::StationStatsResponse::decode(wire);
   ASSERT_TRUE(response.ok());
+  EXPECT_TRUE(response.value().known);
   EXPECT_EQ(response.value().files, 2);
   EXPECT_EQ(response.value().bytes, (205_KiB).count());
+
+  const auto weather = server.station_stats("weather");
+  EXPECT_TRUE(weather.known);
+  EXPECT_EQ(weather.files, 1);
+  EXPECT_EQ(weather.bytes, (2_KiB).count());
+  EXPECT_EQ(server.station_directory(),
+            (std::vector<std::string>{"base", "reference", "weather"}));
 }
 
 TEST(ServerQuery, UnknownStationIsKnownFalseNotAnError) {

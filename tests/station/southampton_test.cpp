@@ -166,25 +166,24 @@ TEST(Southampton, UnboundedQueuesNeverReject) {
   EXPECT_EQ(server.ingest_rejected(), 0u);
 }
 
-TEST(Southampton, IngestStripesPartitionByGroupAndRehashSafely) {
+TEST(Southampton, QueuedItemsSurviveALaterGroupAssignment) {
+  // Regression: the queues were hashed by sync group, so joining a group
+  // after work was queued made the fetch look in the wrong place and the
+  // work was never delivered.
   SouthamptonServer server;
-  server.sync().assign_group("base", "dgps");
-  server.sync().assign_group("reference", "dgps");
-  server.queue_special("base", {.id = "b1", .script = "a"});
-  server.queue_special("reference", {.id = "r1", .script = "b"});
-  server.queue_special("solo", {.id = "x1", .script = "c"});
-  EXPECT_EQ(server.ingest_stripes(), 8u);
-  // Repartitioning re-hashes every queue without losing or reordering work.
-  server.set_ingest_stripes(3);
-  EXPECT_EQ(server.ingest_stripes(), 3u);
-  EXPECT_EQ(server.special_queue_count(), 3u);
-  EXPECT_EQ(server.fetch_special("base")->id, "b1");
-  EXPECT_EQ(server.fetch_special("reference")->id, "r1");
-  EXPECT_EQ(server.fetch_special("solo")->id, "x1");
+  server.queue_special("s0", {.id = "cmd", .script = "ls"});
+  server.queue_update("s0", core::UpdatePackage{});
+  core::ConfigUpdate update;
+  update.version = 1;
+  update.seal();
+  server.queue_config_update("s0", update);
+  server.sync().assign_group("s0", "g0");
+  EXPECT_TRUE(server.fetch_special("s0").has_value());
+  EXPECT_TRUE(server.fetch_update("s0").has_value());
+  EXPECT_TRUE(server.fetch_config_update("s0").has_value());
   EXPECT_EQ(server.special_queue_count(), 0u);
-  // A zero request clamps to one stripe rather than dividing by zero.
-  server.set_ingest_stripes(0);
-  EXPECT_EQ(server.ingest_stripes(), 1u);
+  EXPECT_EQ(server.update_queue_count(), 0u);
+  EXPECT_EQ(server.config_update_queue_count(), 0u);
 }
 
 TEST(Southampton, CompactionFoldsReceiptsButPreservesExactTotals) {
@@ -196,29 +195,20 @@ TEST(Southampton, CompactionFoldsReceiptsButPreservesExactTotals) {
   EXPECT_TRUE(server.received().empty());
   EXPECT_EQ(server.compactions(), 1u);
 
-  // The summaries account for exactly what was folded...
-  const auto& summaries = server.receipt_summaries();
-  ASSERT_EQ(summaries.size(), 2u);
-  EXPECT_EQ(summaries.at("base").files, 2);
-  EXPECT_EQ(summaries.at("base").bytes, 30_KiB);
-  EXPECT_EQ(summaries.at("base").first_at, sim::SimTime{1000});
-  EXPECT_EQ(summaries.at("base").last_at, sim::SimTime{2000});
-  EXPECT_EQ(summaries.at("reference").files, 1);
-  // ...and the lifetime counters did not move.
+  // The lifetime counters did not move.
   EXPECT_EQ(server.files_received(), 3u);
   EXPECT_EQ(server.files_from("base"), 2);
   EXPECT_EQ(server.bytes_from("base"), 30_KiB);
+  EXPECT_EQ(server.files_from("reference"), 1);
 
-  // A second round accumulates into the same summaries.
+  // A second round adds to the same totals.
   server.receive_file("base", "f3", 1_KiB, sim::SimTime{9000});
   EXPECT_EQ(server.compact_received(), 1u);
-  EXPECT_EQ(summaries.at("base").files, 3);
-  EXPECT_EQ(summaries.at("base").bytes, 31_KiB);
-  EXPECT_EQ(summaries.at("base").last_at, sim::SimTime{9000});
-  // Summaries + raw deque always equal the counters: here the deque is
-  // empty, so the summaries alone carry the season.
-  EXPECT_EQ(std::uint64_t(summaries.at("base").files +
-                          summaries.at("reference").files),
+  EXPECT_EQ(server.files_from("base"), 3);
+  EXPECT_EQ(server.bytes_from("base"), 31_KiB);
+  // The raw deque is empty, so the counters alone carry the season.
+  EXPECT_EQ(std::uint64_t(server.files_from("base") +
+                          server.files_from("reference")),
             server.files_received());
   // Compacting nothing is a no-op, not a round.
   EXPECT_EQ(server.compact_received(), 0u);
@@ -295,9 +285,12 @@ TEST(Southampton, DrainsMoveLedgersButKeepExactTotals) {
 
 TEST(Southampton, SyncLedgerAccessible) {
   SouthamptonServer server;
+  server.sync().assign_group("base", "dgps");
+  server.sync().assign_group("reference", "dgps");
   server.sync().report_state("base", core::PowerState::kState3);
   server.sync().report_state("reference", core::PowerState::kState1);
-  EXPECT_EQ(*server.sync().override_for_client(), core::PowerState::kState1);
+  EXPECT_EQ(*server.sync().override_for_client("base"),
+            core::PowerState::kState1);
 }
 
 }  // namespace
