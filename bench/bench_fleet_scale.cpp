@@ -12,7 +12,8 @@
 // thread count — scripts/check.sh diffs the export at 1 thread vs default
 // as the fleet determinism gate). The exported gauges are all derived from
 // simulated time and simulated counters, so BENCH_fleet_scale.json is
-// reproducible byte-for-byte; wall-clock throughput goes to stdout only.
+// reproducible byte-for-byte; wall-clock timings go to stderr only, so
+// stdout is the same on every run.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -54,7 +55,7 @@ struct ScalePoint {
   double groups_total = 0.0;
   double groups_converged = 0.0;
   double probes_alive = 0.0;
-  double wall_seconds = 0.0;  // stdout only — never exported
+  double wall_seconds = 0.0;  // stderr only — never exported
 };
 
 // One fleet season, entirely derived from its sweep entry (the runner's
@@ -116,8 +117,8 @@ void run() {
   });
 
   bench::row({"Stations", "Converged", "Lag", "Div grp-days",
-              "Sim ev/stn/day", "Yield KiB/stn", "Wall s"},
-             {8, 10, 6, 12, 14, 13, 8});
+              "Sim ev/stn/day", "Yield KiB/stn"},
+             {8, 10, 6, 12, 14, 13});
   for (const auto& point : points) {
     const double per_station_day =
         double(point.sim_events) / (double(point.stations) * kDays);
@@ -130,21 +131,23 @@ void run() {
              : std::to_string(point.convergence_lag_days) + "d",
          std::to_string(point.diverged_group_days),
          util::format_fixed(per_station_day, 1),
-         util::format_fixed(point.yield_bytes / (1024.0 * point.stations), 1),
-         util::format_fixed(point.wall_seconds, 2)},
-        {8, 10, 6, 12, 14, 13, 8});
+         util::format_fixed(point.yield_bytes / (1024.0 * point.stations), 1)},
+        {8, 10, 6, 12, 14, 13});
+    std::fprintf(stderr, "  %d stations: wall-clock %.2f s\n", point.stations,
+                 point.wall_seconds);
   }
   bench::note(
       "every pair starts diverged (state 3 vs 2); lag = first day all "
       "groups were in lockstep. Sim ev/stn/day should stay ~flat: per-"
       "station event load must not grow with fleet size.");
 
-  // Wall-clock throughput: stdout only. The JSON below must stay byte-
+  // Wall-clock throughput: stderr only. The JSON below must stay byte-
   // identical across hosts and thread counts, so nothing timed enters it.
   double wall_total = 0.0;
   for (const auto& point : points) wall_total += point.wall_seconds;
-  std::printf("  total trial wall-clock %.2f s (pool may overlap trials)\n",
-              wall_total);
+  std::fprintf(stderr,
+               "  total trial wall-clock %.2f s (pool may overlap trials)\n",
+               wall_total);
 
   // --- sharded points: 256 -> 4096 stations on the window kernel ---------
   const std::size_t shards = bench::fleet_shards();
@@ -156,8 +159,8 @@ void run() {
                     std::to_string(shards) + " shards, " +
                     std::to_string(shard_workers) + " workers)");
   bench::row({"Stations", "Days", "Converged", "Lag", "Sim ev/stn/day",
-              "Yield KiB/stn", "Wall s"},
-             {8, 5, 10, 6, 14, 13, 8});
+              "Yield KiB/stn"},
+             {8, 5, 10, 6, 14, 13});
   std::vector<ScalePoint> sharded_points;
   std::vector<int> sharded_days;
   for (const ShardedSize size : kShardedSizes) {
@@ -181,9 +184,10 @@ void run() {
              ? "never"
              : std::to_string(point.convergence_lag_days) + "d",
          util::format_fixed(per_station_day, 1),
-         util::format_fixed(point.yield_bytes / (1024.0 * point.stations), 1),
-         util::format_fixed(point.wall_seconds, 2)},
-        {8, 5, 10, 6, 14, 13, 8});
+         util::format_fixed(point.yield_bytes / (1024.0 * point.stations), 1)},
+        {8, 5, 10, 6, 14, 13});
+    std::fprintf(stderr, "  %d stations (sharded): wall-clock %.2f s\n",
+                 point.stations, point.wall_seconds);
   }
   bench::note("GW_BENCH_FLEET_SHARDS moves the partition; the exported "
               "gauges are byte-identical at any shard or worker count "

@@ -1,13 +1,17 @@
 // Micro-benchmarks (google-benchmark) for the library's hot kernels: the
 // event queue that drives multi-year simulations, the MD5 used by the
 // update pipeline, CRC32 framing checks, the battery integrator, one
-// simulated minute of environment queries and of the PowerSystem tick, and
-// a full NACK protocol session. These measure the *implementation*, not
-// the paper; they exist so performance regressions in the substrate are
-// visible.
+// simulated minute of environment queries and of the PowerSystem tick, a
+// full NACK protocol session, and the Southampton query path (one wire
+// parse, and handle_query per query kind). These measure the
+// *implementation*, not the paper; they exist so performance regressions
+// in the substrate are visible.
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "energy/component_model.h"
 #include "env/environment.h"
@@ -15,8 +19,10 @@
 #include "power/chargers.h"
 #include "power/power_system.h"
 #include "proto/bulk_transfer.h"
+#include "proto/messages.h"
 #include "sim/simulation.h"
 #include "station/deployment.h"
+#include "station/southampton.h"
 #include "util/crc32.h"
 #include "util/md5.h"
 
@@ -145,6 +151,79 @@ void BM_NackSession(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_NackSession)->Arg(3000);
+
+// A 64-station server shaped like fifteen days of uniform_fleet_config(64,
+// 1): stations s000..s063 in pairs g000..g031, each uploading and reporting
+// its state daily, every third one also beaconing.
+station::SouthamptonServer query_server() {
+  station::SouthamptonServer server;
+  for (int i = 0; i < 64; ++i) {
+    char name[8];
+    char group[8];
+    std::snprintf(name, sizeof name, "s%03d", i);
+    std::snprintf(group, sizeof group, "g%03d", i / 2);
+    server.sync().assign_group(name, group);
+    for (int day = 0; day < 15; ++day) {
+      const sim::SimTime at =
+          sim::at_midnight(2008, 6, 1) + sim::days(day) + sim::hours(12);
+      server.receive_file(name, "day" + std::to_string(day),
+                          util::Bytes{std::int64_t(1 + i) * 40 * 1024}, at);
+      server.sync().report_state(name,
+                                 core::PowerState(2 + (day + i / 2) % 2), at);
+      if (i % 3 == 0) server.receive_beacon(name, {"fw", "md5", true}, at);
+    }
+  }
+  return server;
+}
+
+enum class QueryCase { kStats, kGroup, kDirectory };
+
+void BM_HandleQuery(benchmark::State& state, QueryCase query) {
+  // One handle_query round trip, request wire in, answer wire out, cycling
+  // over every station or group of the 64-station server.
+  auto server = query_server();
+  const sim::SimTime now = sim::at_midnight(2008, 6, 16);
+  std::vector<std::string> requests;
+  for (int i = 0; i < 64; ++i) {
+    char name[8];
+    std::snprintf(name, sizeof name, "s%03d", i);
+    char group[8];
+    std::snprintf(group, sizeof group, "g%03d", i / 2);
+    switch (query) {
+      case QueryCase::kStats:
+        requests.push_back(proto::StationStatsRequest{name}.encode());
+        break;
+      case QueryCase::kGroup:
+        requests.push_back(proto::GroupStatusRequest{group}.encode());
+        break;
+      case QueryCase::kDirectory:
+        requests.push_back(proto::DirectoryRequest{}.encode());
+        break;
+    }
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(server.handle_query(requests[next], now));
+    next = (next + 1) % requests.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_HandleQuery, stats, QueryCase::kStats);
+BENCHMARK_CAPTURE(BM_HandleQuery, group, QueryCase::kGroup);
+BENCHMARK_CAPTURE(BM_HandleQuery, directory, QueryCase::kDirectory);
+
+void BM_FormParse(benchmark::State& state) {
+  // CRC check and field split of one station-stats answer, then a field
+  // read, as every typed decode starts.
+  const std::string wire =
+      proto::StationStatsResponse{"s042", true, 15, 26419200, 5}.encode();
+  for (auto _ : state) {
+    const auto form = proto::Form::decode(wire);
+    benchmark::DoNotOptimize(form.value().get("station"));
+  }
+  state.SetBytesProcessed(state.iterations() * std::int64_t(wire.size()));
+}
+BENCHMARK(BM_FormParse);
 
 void BM_DeploymentDay(benchmark::State& state) {
   // Cost of simulating one full two-station deployment day.

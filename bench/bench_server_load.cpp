@@ -13,8 +13,8 @@
 // Every trial runs on the MonteCarloRunner (GW_BENCH_THREADS pins the
 // pool); all exported numbers are derived from simulated traffic, so
 // BENCH_server_load.json is byte-identical at any thread count —
-// scripts/check.sh diffs 1 thread vs default. Wall-clock throughput goes
-// to stdout only.
+// scripts/check.sh diffs 1 thread vs default. Wall-clock timings go to
+// stderr only, so stdout is the same on every run.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -51,7 +51,7 @@ struct LoadPoint {
   std::int64_t group_fresh_sum = 0;    // ditto
   std::int64_t converged_checks = 0;   // group responses that said converged
   std::int64_t directory_names = 0;    // station names returned by dir queries
-  double wall_seconds = 0.0;           // stdout only — never exported
+  double wall_seconds = 0.0;           // stderr only — never exported
 };
 
 std::string station_name(int index) {
@@ -205,8 +205,8 @@ void run() {
   LoadPoint total;
   double wall_total = 0.0;
   bench::row({"Trial", "Queries", "Served", "Refused", "Rejects",
-              "FutureRep", "Files", "Wall s"},
-             {5, 9, 9, 8, 8, 9, 7, 8});
+              "FutureRep", "Files"},
+             {5, 9, 9, 8, 8, 9, 7});
   for (std::size_t t = 0; t < points.size(); ++t) {
     const LoadPoint& p = points[t];
     bench::row({std::to_string(t), std::to_string(p.queries_issued),
@@ -214,9 +214,10 @@ void run() {
                 std::to_string(p.queries_refused),
                 std::to_string(p.ingest_rejected),
                 std::to_string(p.future_reports_ignored),
-                std::to_string(p.files_received),
-                util::format_fixed(p.wall_seconds, 2)},
-               {5, 9, 9, 8, 8, 9, 7, 8});
+                std::to_string(p.files_received)},
+               {5, 9, 9, 8, 8, 9, 7});
+    std::fprintf(stderr, "  trial %zu wall-clock %.2f s\n", t,
+                 p.wall_seconds);
     total.queries_issued += p.queries_issued;
     total.queries_served += p.queries_served;
     total.queries_refused += p.queries_refused;
@@ -234,9 +235,10 @@ void run() {
               "rejects = bounded-queue backpressure drops; FutureRep = "
               "drifted-RTC reports ignored by the freshness fold");
   if (wall_total > 0.0) {
-    // Wall-clock throughput: stdout only, never exported.
-    std::printf("  ~%.0f queries/s of trial wall-clock (pool overlaps)\n",
-                double(total.queries_issued) / wall_total);
+    // Wall-clock throughput: stderr only, never exported.
+    std::fprintf(stderr,
+                 "  ~%.0f queries/s of trial wall-clock (pool overlaps)\n",
+                 double(total.queries_issued) / wall_total);
   }
 
   obs::MetricsRegistry registry;

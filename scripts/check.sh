@@ -9,14 +9,16 @@
 #      resolve, and every docs/*.md must be reachable from README.md by
 #      following links (needs python3, also gated);
 #   3. sanitizer leg: with GW_CHECK_SANITIZE=1 in the environment, builds
-#      system_test, snapshot_test, energy_test, station_test, core_test and
-#      util_test in a separate build-asan/ dir with -DGW_SANITIZE=address
-#      (ASan+UBSan) and runs the fault soak, the energy-conservation season
-#      (a snapshot round trip included), the golden whole-world snapshot,
-#      the snapshot format sweeps, the component restore checks, the whole
-#      station suite (the fleet and sharded fleet assembly, the Southampton
-#      server, fleet snapshot refusals and the field report), the whole
-#      core suite (the sync ledger among it) and the CRC-32 tests (the
+#      system_test, snapshot_test, energy_test, station_test, core_test,
+#      proto_test and util_test in a separate build-asan/ dir with
+#      -DGW_SANITIZE=address (ASan+UBSan) and runs the fault soak, the
+#      energy-conservation season (a snapshot round trip included), the
+#      golden whole-world snapshot, the snapshot format sweeps, the
+#      component restore checks, the whole station suite (the fleet and
+#      sharded fleet assembly, the Southampton server and its query path,
+#      fleet snapshot refusals and the field report), the whole core suite
+#      (the sync ledger among it), the whole proto suite (the form parser
+#      hands out views into the caller's wire) and the CRC-32 tests (the
 #      carry-less-multiply fold makes unaligned 16-byte loads up to the end
 #      of its input) under it. Off by default — it is a full extra build —
 #      and gated on cmake being available;
@@ -101,23 +103,25 @@ fi
 # --- 3. sanitizer soak (opt-in: GW_CHECK_SANITIZE=1) ----------------------
 if [ "${GW_CHECK_SANITIZE:-0}" = "1" ]; then
   if command -v cmake >/dev/null 2>&1; then
-    echo "== ASan+UBSan fault soak, restore paths, station and core" \
-      "suites, CRC-32 (build-asan/)"
+    echo "== ASan+UBSan fault soak, restore paths, station, core and" \
+      "proto suites, CRC-32 (build-asan/)"
     if cmake -B build-asan -S . -DGW_SANITIZE=address >/dev/null &&
        cmake --build build-asan --target system_test snapshot_test \
-         energy_test station_test core_test util_test -j >/dev/null &&
+         energy_test station_test core_test proto_test util_test -j \
+         >/dev/null &&
        ./build-asan/tests/system_test \
          --gtest_filter='FaultSoak.*:EnergyConservation.*:GoldenStateTest.*' &&
        ./build-asan/tests/snapshot_test &&
        ./build-asan/tests/energy_test &&
        ./build-asan/tests/station_test &&
        ./build-asan/tests/core_test &&
+       ./build-asan/tests/proto_test &&
        ./build-asan/tests/util_test --gtest_filter='Crc32.*'; then
-      echo "ok: fault soak, restore paths, station and core suites and" \
-        "CRC-32 clean under ASan+UBSan"
+      echo "ok: fault soak, restore paths, station, core and proto suites" \
+        "and CRC-32 clean under ASan+UBSan"
     else
-      echo "FAIL: sanitizer fault soak, restore paths, station or core" \
-        "suite or CRC-32"
+      echo "FAIL: sanitizer fault soak, restore paths, station, core or" \
+        "proto suite or CRC-32"
       failures=$((failures + 1))
     fi
   else

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <ranges>
 #include <string>
 #include <vector>
 
@@ -211,13 +212,9 @@ class SyncServer {
     return it->second.reported_at;
   }
 
-  // Every station with a ledger entry, in name order (directory queries).
-  [[nodiscard]] std::vector<std::string> reported_stations() const {
-    std::vector<std::string> names;
-    names.reserve(latest_.size());
-    for (const auto& [station, entry] : latest_) names.push_back(station);
-    return names;
-  }
+  // Every station with a ledger entry, in name order: a view of the
+  // ledger's keys, so a directory query walks them without copying a name.
+  [[nodiscard]] auto reporters() const { return std::views::keys(latest_); }
 
   // The consumer-facing convergence view of one group, computed from the
   // *ledger* (reported states), not live station objects — this is what a

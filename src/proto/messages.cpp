@@ -1,6 +1,9 @@
 #include "proto/messages.h"
 
-#include <cstdio>
+#include <algorithm>
+#include <charconv>
+#include <cstring>
+#include <stdexcept>
 
 #include "util/crc32.h"
 #include "util/strings.h"
@@ -8,13 +11,128 @@
 namespace gw::proto {
 namespace {
 
-std::string crc_hex(std::string_view body) {
-  char buffer[16];
-  std::snprintf(buffer, sizeof(buffer), "%08x", util::crc32(body));
-  return buffer;
+constexpr std::size_t kCrcHexDigits = 8;
+
+// `crc` as 8 lowercase hex digits, the "%08x" rendering.
+void write_crc_hex(std::uint32_t crc, char* out) {
+  constexpr char kDigits[] = "0123456789abcdef";
+  for (std::size_t i = 0; i < kCrcHexDigits; ++i) {
+    out[i] = kDigits[(crc >> (28 - 4 * i)) & 0xfu];
+  }
+}
+
+// One more than the '&'s in `body`: memchr finds them faster than a byte
+// loop does at -O2.
+std::size_t count_fields(std::string_view body) {
+  std::size_t count = 1;
+  const char* const end = body.data() + body.size();
+  for (const char* at = body.data();
+       (at = static_cast<const char*>(
+            std::memchr(at, '&', std::size_t(end - at)))) != nullptr;
+       ++at) {
+    ++count;
+  }
+  return count;
+}
+
+// Calls visit(i) for each i in [0, count) in the lexicographic order of
+// the decimal strings of i — 0, 1, 10, 100, …, 11, …, 2, … — which is the
+// order std::map<std::string, …> gives the keys "s0" … "s<count-1>".
+template <class Visit>
+void for_each_in_decimal_order(std::size_t count, Visit visit) {
+  if (count == 0) return;
+  visit(std::size_t{0});
+  const std::size_t last = count - 1;
+  std::size_t i = 1;
+  for (std::size_t left = last; left > 0; --left) {
+    visit(i);
+    if (i <= last / 10) {
+      i *= 10;  // descend: i0 follows i
+    } else {
+      // Climb past the exhausted subtrees, then step to the next sibling.
+      while (i % 10 == 9 || i + 1 > last) i /= 10;
+      ++i;
+    }
+  }
+}
+
+// "s<index>" into `key`; returns its length.
+std::size_t station_key(std::size_t index, char (&key)[24]) {
+  key[0] = 's';
+  const auto end = std::to_chars(key + 1, key + sizeof key, index).ptr;
+  return std::size_t(end - key);
+}
+
+// Form::decode plus the typed read: what every decode(wire) is.
+template <class Message>
+util::Result<Message> decode_wire(std::string_view wire) {
+  const auto form = Form::decode(wire);
+  if (!form.ok()) return form.error();
+  return Message::read(form.value());
+}
+
+bool tagged(const FormView& form, std::string_view msg) {
+  return form.get("msg") == msg;
+}
+
+util::Error wrong_type(std::string_view msg) {
+  return util::make_error(std::string(msg) + ": wrong message type");
 }
 
 }  // namespace
+
+// --- FormWriter -------------------------------------------------------------
+
+FormWriter& FormWriter::add(std::string_view key, std::string_view value) {
+  // Every field appends at least '=', so a non-empty wire has a previous key.
+  if (!wire_.empty()) {
+    const std::string_view previous =
+        std::string_view(wire_).substr(key_at_, key_size_);
+    if (!(previous < key)) {
+      throw std::logic_error("form writer: key '" + std::string(key) +
+                             "' after '" + std::string(previous) + "'");
+    }
+    wire_ += '&';
+  }
+  key_at_ = wire_.size();
+  key_size_ = key.size();
+  wire_ += key;
+  wire_ += '=';
+  wire_ += value;
+  return *this;
+}
+
+FormWriter& FormWriter::add_int(std::string_view key, std::int64_t value) {
+  char digits[20];  // "-9223372036854775808"
+  const auto end = std::to_chars(digits, digits + sizeof digits, value).ptr;
+  return add(key, {digits, std::size_t(end - digits)});
+}
+
+std::string FormWriter::seal() {
+  char hex[kCrcHexDigits];
+  write_crc_hex(util::crc32(wire_), hex);
+  wire_ += '#';
+  wire_.append(hex, kCrcHexDigits);
+  return std::move(wire_);
+}
+
+// --- FormView ---------------------------------------------------------------
+
+std::optional<std::string_view> FormView::get(std::string_view key) const {
+  const auto it = std::lower_bound(
+      fields_.begin(), fields_.end(), key,
+      [](const auto& field, std::string_view k) { return field.first < k; });
+  if (it == fields_.end() || it->first != key) return std::nullopt;
+  return it->second;
+}
+
+std::optional<std::int64_t> FormView::get_int(std::string_view key) const {
+  const auto text = get(key);
+  if (!text.has_value()) return std::nullopt;
+  return Form::parse_int(*text);
+}
+
+// --- Form -------------------------------------------------------------------
 
 std::optional<std::int64_t> Form::parse_int(std::string_view text) {
   // util::parse_int is exactly the strictness wanted: no leading
@@ -23,65 +141,66 @@ std::optional<std::int64_t> Form::parse_int(std::string_view text) {
   return util::parse_int(text);
 }
 
-std::optional<std::int64_t> Form::get_int(const std::string& key) const {
-  const auto text = get(key);
-  if (!text.has_value()) return std::nullopt;
-  return parse_int(*text);
-}
-
 std::string Form::encode() const {
-  std::string body;
+  std::size_t capacity = 1 + kCrcHexDigits;
   for (const auto& [key, value] : fields_) {
-    if (!body.empty()) body += '&';
-    body += key;
-    body += '=';
-    body += value;
+    capacity += key.size() + value.size() + 2;
   }
-  return body + '#' + crc_hex(body);
+  FormWriter writer(capacity);
+  for (const auto& [key, value] : fields_) writer.add(key, value);
+  return writer.seal();
 }
 
-util::Result<Form> Form::decode(const std::string& wire) {
+util::Result<FormView> Form::decode(std::string_view wire) {
   const auto hash = wire.rfind('#');
-  if (hash == std::string::npos) {
+  if (hash == std::string_view::npos) {
     return util::make_error("form: missing crc");
   }
-  const std::string body = wire.substr(0, hash);
-  const std::string crc = wire.substr(hash + 1);
-  if (crc != crc_hex(body)) {
+  const std::string_view body = wire.substr(0, hash);
+  char expected[kCrcHexDigits];
+  write_crc_hex(util::crc32(body), expected);
+  if (wire.substr(hash + 1) != std::string_view(expected, kCrcHexDigits)) {
     return util::make_error("form: crc mismatch");
   }
-  Form form;
+  FormView form;
   if (body.empty()) return form;
-  for (const auto& pair : util::split(body, '&')) {
-    const auto eq = pair.find('=');
-    if (eq == std::string::npos) {
-      return util::make_error("form: malformed field '" + pair + "'");
+  form.fields_.reserve(count_fields(body));
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t end = std::min(body.find('&', start), body.size());
+    const std::string_view field = body.substr(start, end - start);
+    const auto eq = field.find('=');
+    if (eq == std::string_view::npos) {
+      return util::make_error("form: malformed field '" + std::string(field) +
+                              "'");
     }
-    form.set(pair.substr(0, eq), pair.substr(eq + 1));
+    const std::string_view key = field.substr(0, eq);
+    if (!form.fields_.empty() && !(form.fields_.back().first < key)) {
+      return util::make_error("form: key '" + std::string(key) +
+                              "' repeated or out of order");
+    }
+    form.fields_.emplace_back(key, field.substr(eq + 1));
+    if (end == body.size()) return form;
+    start = end + 1;
   }
-  return form;
 }
 
 // --- StateReport ----------------------------------------------------------
 
 std::string StateReport::encode() const {
-  Form form;
-  form.set("msg", "state_report");
-  form.set("station", station);
-  form.set_int("state", power::to_int(state));
-  form.set_int("rtc_ms", day_ms);
-  return form.encode();
+  return FormWriter(station.size() + 80)
+      .add("msg", "state_report")
+      .add_int("rtc_ms", day_ms)
+      .add_int("state", power::to_int(state))
+      .add("station", station)
+      .seal();
 }
 
-util::Result<StateReport> StateReport::decode(const std::string& wire) {
-  auto form = Form::decode(wire);
-  if (!form.ok()) return form.error();
-  if (form.value().get("msg").value_or("") != "state_report") {
-    return util::make_error("state_report: wrong message type");
-  }
-  const auto station = form.value().get("station");
-  const auto state = form.value().get_int("state");
-  const auto rtc = form.value().get_int("rtc_ms");
+util::Result<StateReport> StateReport::read(const FormView& form) {
+  if (!tagged(form, "state_report")) return wrong_type("state_report");
+  const auto station = form.get("station");
+  const auto state = form.get_int("state");
+  const auto rtc = form.get_int("rtc_ms");
   if (!station || !state || !rtc) {
     return util::make_error("state_report: missing fields");
   }
@@ -92,48 +211,49 @@ util::Result<StateReport> StateReport::decode(const std::string& wire) {
   return report;
 }
 
+util::Result<StateReport> StateReport::decode(const std::string& wire) {
+  return decode_wire<StateReport>(wire);
+}
+
 // --- OverrideRequest --------------------------------------------------------
 
 std::string OverrideRequest::encode() const {
-  Form form;
-  form.set("msg", "override_request");
-  form.set("station", station);
-  return form.encode();
+  return FormWriter(station.size() + 48)
+      .add("msg", "override_request")
+      .add("station", station)
+      .seal();
 }
 
-util::Result<OverrideRequest> OverrideRequest::decode(
-    const std::string& wire) {
-  auto form = Form::decode(wire);
-  if (!form.ok()) return form.error();
-  if (form.value().get("msg").value_or("") != "override_request") {
-    return util::make_error("override_request: wrong message type");
-  }
-  const auto station = form.value().get("station");
+util::Result<OverrideRequest> OverrideRequest::read(const FormView& form) {
+  if (!tagged(form, "override_request")) return wrong_type("override_request");
+  const auto station = form.get("station");
   if (!station) return util::make_error("override_request: missing station");
   OverrideRequest request;
   request.station = *station;
   return request;
 }
 
+util::Result<OverrideRequest> OverrideRequest::decode(
+    const std::string& wire) {
+  return decode_wire<OverrideRequest>(wire);
+}
+
 // --- OverrideResponse -------------------------------------------------------
 
 std::string OverrideResponse::encode() const {
-  Form form;
-  form.set("msg", "override_response");
-  form.set_int("has", has_override ? 1 : 0);
-  form.set_int("state", power::to_int(state));
-  return form.encode();
+  return FormWriter(64)
+                       .add_int("has", has_override ? 1 : 0)
+                       .add("msg", "override_response")
+                       .add_int("state", power::to_int(state))
+      .seal();
 }
 
-util::Result<OverrideResponse> OverrideResponse::decode(
-    const std::string& wire) {
-  auto form = Form::decode(wire);
-  if (!form.ok()) return form.error();
-  if (form.value().get("msg").value_or("") != "override_response") {
-    return util::make_error("override_response: wrong message type");
+util::Result<OverrideResponse> OverrideResponse::read(const FormView& form) {
+  if (!tagged(form, "override_response")) {
+    return wrong_type("override_response");
   }
-  const auto has = form.value().get_int("has");
-  const auto state = form.value().get_int("state");
+  const auto has = form.get_int("has");
+  const auto state = form.get_int("state");
   if (!has || !state) {
     return util::make_error("override_response: missing fields");
   }
@@ -143,102 +263,112 @@ util::Result<OverrideResponse> OverrideResponse::decode(
   return response;
 }
 
-// --- read API -------------------------------------------------------------
-
-namespace {
-
-// Shared preamble for every typed decode: verify the CRC envelope, then the
-// message-type tag.
-util::Result<Form> decode_as(const std::string& wire, const char* msg) {
-  auto form = Form::decode(wire);
-  if (!form.ok()) return form.error();
-  if (form.value().get("msg").value_or("") != msg) {
-    return util::make_error(std::string(msg) + ": wrong message type");
-  }
-  return form;
+util::Result<OverrideResponse> OverrideResponse::decode(
+    const std::string& wire) {
+  return decode_wire<OverrideResponse>(wire);
 }
 
-}  // namespace
+// --- read API -------------------------------------------------------------
 
 std::string DirectoryRequest::encode() const {
-  Form form;
-  form.set("msg", "dir_request");
-  return form.encode();
+  return FormWriter(32).add("msg", "dir_request")
+      .seal();
+}
+
+util::Result<DirectoryRequest> DirectoryRequest::read(const FormView& form) {
+  if (!tagged(form, "dir_request")) return wrong_type("dir_request");
+  return DirectoryRequest{};
 }
 
 util::Result<DirectoryRequest> DirectoryRequest::decode(
     const std::string& wire) {
-  auto form = decode_as(wire, "dir_request");
-  if (!form.ok()) return form.error();
-  return DirectoryRequest{};
+  return decode_wire<DirectoryRequest>(wire);
 }
 
 std::string DirectoryResponse::encode() const {
-  Form form;
-  form.set("msg", "dir_response");
-  form.set_int("n", std::int64_t(stations.size()));
-  for (std::size_t i = 0; i < stations.size(); ++i) {
-    form.set("s" + std::to_string(i), stations[i]);
-  }
-  return form.encode();
+  return encode(std::vector<std::string_view>(stations.begin(),
+                                              stations.end()));
 }
 
-util::Result<DirectoryResponse> DirectoryResponse::decode(
-    const std::string& wire) {
-  auto form = decode_as(wire, "dir_response");
-  if (!form.ok()) return form.error();
-  const auto count = form.value().get_int("n");
+std::string DirectoryResponse::encode(
+    const std::vector<std::string_view>& stations) {
+  // "msg=dir_response&n=<count>" and "#<crc>", then "&s<index>=<name>" per
+  // name: 24 bytes bounds any count's digits.
+  std::size_t capacity = 32 + 24;
+  for (const std::string_view name : stations) capacity += name.size() + 24;
+  FormWriter writer(capacity);
+  writer.add("msg", "dir_response");
+  writer.add_int("n", std::int64_t(stations.size()));
+  char key[24];
+  for_each_in_decimal_order(stations.size(), [&](std::size_t i) {
+    writer.add({key, station_key(i, key)}, stations[i]);
+  });
+  return writer.seal();
+}
+
+util::Result<DirectoryResponse> DirectoryResponse::read(const FormView& form) {
+  if (!tagged(form, "dir_response")) return wrong_type("dir_response");
+  const auto count = form.get_int("n");
   if (!count || *count < 0 || *count > kMaxDirectoryStations) {
     return util::make_error("dir_response: bad station count");
   }
   DirectoryResponse response;
   response.stations.reserve(std::size_t(*count));
-  for (std::int64_t i = 0; i < *count; ++i) {
-    const auto name = form.value().get("s" + std::to_string(i));
+  char key[24];
+  for (std::size_t i = 0; i < std::size_t(*count); ++i) {
+    const auto name = form.get({key, station_key(i, key)});
     if (!name) return util::make_error("dir_response: missing station field");
-    response.stations.push_back(*name);
+    response.stations.emplace_back(*name);
   }
   return response;
 }
 
-std::string StationStatsRequest::encode() const {
-  Form form;
-  form.set("msg", "stats_request");
-  form.set("station", station);
-  return form.encode();
+util::Result<DirectoryResponse> DirectoryResponse::decode(
+    const std::string& wire) {
+  return decode_wire<DirectoryResponse>(wire);
 }
 
-util::Result<StationStatsRequest> StationStatsRequest::decode(
-    const std::string& wire) {
-  auto form = decode_as(wire, "stats_request");
-  if (!form.ok()) return form.error();
-  const auto station = form.value().get("station");
+std::string StationStatsRequest::encode() const {
+  return FormWriter(station.size() + 48)
+      .add("msg", "stats_request")
+      .add("station", station)
+      .seal();
+}
+
+util::Result<StationStatsRequest> StationStatsRequest::read(
+    const FormView& form) {
+  if (!tagged(form, "stats_request")) return wrong_type("stats_request");
+  const auto station = form.get("station");
   if (!station) return util::make_error("stats_request: missing station");
   StationStatsRequest request;
   request.station = *station;
   return request;
 }
 
-std::string StationStatsResponse::encode() const {
-  Form form;
-  form.set("msg", "stats_response");
-  form.set("station", station);
-  form.set_int("known", known ? 1 : 0);
-  form.set_int("files", files);
-  form.set_int("bytes", bytes);
-  form.set_int("beacons", beacons);
-  return form.encode();
+util::Result<StationStatsRequest> StationStatsRequest::decode(
+    const std::string& wire) {
+  return decode_wire<StationStatsRequest>(wire);
 }
 
-util::Result<StationStatsResponse> StationStatsResponse::decode(
-    const std::string& wire) {
-  auto form = decode_as(wire, "stats_response");
-  if (!form.ok()) return form.error();
-  const auto station = form.value().get("station");
-  const auto known = form.value().get_int("known");
-  const auto files = form.value().get_int("files");
-  const auto bytes = form.value().get_int("bytes");
-  const auto beacons = form.value().get_int("beacons");
+std::string StationStatsResponse::encode() const {
+  return FormWriter(station.size() + 128)
+      .add_int("beacons", beacons)
+      .add_int("bytes", bytes)
+      .add_int("files", files)
+      .add_int("known", known ? 1 : 0)
+      .add("msg", "stats_response")
+      .add("station", station)
+      .seal();
+}
+
+util::Result<StationStatsResponse> StationStatsResponse::read(
+    const FormView& form) {
+  if (!tagged(form, "stats_response")) return wrong_type("stats_response");
+  const auto station = form.get("station");
+  const auto known = form.get_int("known");
+  const auto files = form.get_int("files");
+  const auto bytes = form.get_int("bytes");
+  const auto beacons = form.get_int("beacons");
   if (!station || !known || !files || !bytes || !beacons) {
     return util::make_error("stats_response: missing fields");
   }
@@ -251,44 +381,52 @@ util::Result<StationStatsResponse> StationStatsResponse::decode(
   return response;
 }
 
-std::string GroupStatusRequest::encode() const {
-  Form form;
-  form.set("msg", "group_request");
-  form.set("group", group);
-  return form.encode();
+util::Result<StationStatsResponse> StationStatsResponse::decode(
+    const std::string& wire) {
+  return decode_wire<StationStatsResponse>(wire);
 }
 
-util::Result<GroupStatusRequest> GroupStatusRequest::decode(
-    const std::string& wire) {
-  auto form = decode_as(wire, "group_request");
-  if (!form.ok()) return form.error();
-  const auto group = form.value().get("group");
+std::string GroupStatusRequest::encode() const {
+  return FormWriter(group.size() + 48)
+      .add("group", group)
+      .add("msg", "group_request")
+      .seal();
+}
+
+util::Result<GroupStatusRequest> GroupStatusRequest::read(
+    const FormView& form) {
+  if (!tagged(form, "group_request")) return wrong_type("group_request");
+  const auto group = form.get("group");
   if (!group) return util::make_error("group_request: missing group");
   GroupStatusRequest request;
   request.group = *group;
   return request;
 }
 
-std::string GroupStatusResponse::encode() const {
-  Form form;
-  form.set("msg", "group_response");
-  form.set("group", group);
-  form.set_int("members", members);
-  form.set_int("fresh", fresh);
-  form.set_int("converged", converged ? 1 : 0);
-  form.set_int("state", power::to_int(state));
-  return form.encode();
+util::Result<GroupStatusRequest> GroupStatusRequest::decode(
+    const std::string& wire) {
+  return decode_wire<GroupStatusRequest>(wire);
 }
 
-util::Result<GroupStatusResponse> GroupStatusResponse::decode(
-    const std::string& wire) {
-  auto form = decode_as(wire, "group_response");
-  if (!form.ok()) return form.error();
-  const auto group = form.value().get("group");
-  const auto members = form.value().get_int("members");
-  const auto fresh = form.value().get_int("fresh");
-  const auto converged = form.value().get_int("converged");
-  const auto state = form.value().get_int("state");
+std::string GroupStatusResponse::encode() const {
+  return FormWriter(group.size() + 128)
+      .add_int("converged", converged ? 1 : 0)
+      .add_int("fresh", fresh)
+      .add("group", group)
+      .add_int("members", members)
+      .add("msg", "group_response")
+      .add_int("state", power::to_int(state))
+      .seal();
+}
+
+util::Result<GroupStatusResponse> GroupStatusResponse::read(
+    const FormView& form) {
+  if (!tagged(form, "group_response")) return wrong_type("group_response");
+  const auto group = form.get("group");
+  const auto members = form.get_int("members");
+  const auto fresh = form.get_int("fresh");
+  const auto converged = form.get_int("converged");
+  const auto state = form.get_int("state");
   if (!group || !members || !fresh || !converged || !state.has_value()) {
     return util::make_error("group_response: missing fields");
   }
@@ -301,21 +439,29 @@ util::Result<GroupStatusResponse> GroupStatusResponse::decode(
   return response;
 }
 
-std::string QueryError::encode() const {
-  Form form;
-  form.set("msg", "error");
-  form.set("reason", reason);
-  return form.encode();
+util::Result<GroupStatusResponse> GroupStatusResponse::decode(
+    const std::string& wire) {
+  return decode_wire<GroupStatusResponse>(wire);
 }
 
-util::Result<QueryError> QueryError::decode(const std::string& wire) {
-  auto form = decode_as(wire, "error");
-  if (!form.ok()) return form.error();
-  const auto reason = form.value().get("reason");
+std::string QueryError::encode() const {
+  return FormWriter(reason.size() + 48)
+      .add("msg", "error")
+      .add("reason", reason)
+      .seal();
+}
+
+util::Result<QueryError> QueryError::read(const FormView& form) {
+  if (!tagged(form, "error")) return wrong_type("error");
+  const auto reason = form.get("reason");
   if (!reason) return util::make_error("error: missing reason");
   QueryError error;
   error.reason = *reason;
   return error;
+}
+
+util::Result<QueryError> QueryError::decode(const std::string& wire) {
+  return decode_wire<QueryError>(wire);
 }
 
 }  // namespace gw::proto

@@ -7,6 +7,12 @@
 // transfer sizes come from real encodings and corrupted messages are
 // detected rather than trusted — field lesson §VI applied to the control
 // plane.
+//
+// Wires are canonical: keys strictly increase in std::string order (the
+// order a std::map<std::string, …> iterates), and the CRC is 8 lowercase
+// hex digits. The writer checks the order as it appends and the parser
+// refuses anything else, so every wire the parser accepts re-encodes to
+// the same bytes.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +20,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "power/power_state.h"
@@ -22,9 +29,52 @@
 
 namespace gw::proto {
 
-// A flat, ordered key=value form. Keys and values must not contain '=', '&'
-// or '#' (the CRC separator); the station-side code only ever uses
-// identifiers and numbers.
+// Writes one canonical wire into one buffer: "k1=v1&k2=v2" as the fields
+// arrive, then "#crc32hex" on seal(). Every encoder in this file writes
+// through it.
+class FormWriter {
+ public:
+  // Reserves `capacity` bytes up front; a wire that outgrows it only
+  // costs a reallocation.
+  explicit FormWriter(std::size_t capacity) { wire_.reserve(capacity); }
+
+  // Both throw std::logic_error when `key` is not greater than the
+  // previous key: the canonical order is checked, not assumed.
+  FormWriter& add(std::string_view key, std::string_view value);
+  FormWriter& add_int(std::string_view key, std::int64_t value);
+
+  // Appends '#' and the body's CRC-32 as 8 lowercase hex digits and hands
+  // the wire over: one writer writes one wire.
+  [[nodiscard]] std::string seal();
+
+ private:
+  std::string wire_;
+  std::size_t key_at_ = 0;  // the previous key, as an offset into wire_
+  std::size_t key_size_ = 0;
+};
+
+// A wire parsed in place: every key and value views the caller's wire,
+// which must outlive this object. Keys are strictly increasing, so get()
+// is a binary search.
+class FormView {
+ public:
+  [[nodiscard]] std::optional<std::string_view> get(std::string_view key) const;
+
+  // The value of `key` through Form::parse_int; nullopt when the key is
+  // absent or its value is not a whole base-10 integer.
+  [[nodiscard]] std::optional<std::int64_t> get_int(std::string_view key) const;
+
+  [[nodiscard]] std::size_t size() const { return fields_.size(); }
+
+ private:
+  friend class Form;
+  std::vector<std::pair<std::string_view, std::string_view>> fields_;
+};
+
+// A flat, ordered key=value form builder, for crafting wires field by
+// field. Keys and values must not contain '=', '&' or '#' (the CRC
+// separator); the station-side code only ever uses identifiers and
+// numbers.
 class Form {
  public:
   void set(const std::string& key, const std::string& value) {
@@ -34,36 +84,34 @@ class Form {
     fields_[key] = std::to_string(value);
   }
 
-  [[nodiscard]] std::optional<std::string> get(const std::string& key) const {
-    const auto it = fields_.find(key);
-    if (it == fields_.end()) return std::nullopt;
-    return it->second;
-  }
-
   // Strict full-string integer parse: the entire value must be a base-10
   // integer (optional leading '-'). Leading whitespace, '+' signs, trailing
   // garbage ("42xyz"), and overflow all return nullopt — a field-lesson §VI
-  // server never guesses what a half-numeric value meant.
-  [[nodiscard]] std::optional<std::int64_t> get_int(
-      const std::string& key) const;
-
-  // The parser behind get_int, exposed so tests can pin its strictness.
+  // server never guesses what a half-numeric value meant. The parser behind
+  // FormView::get_int, exposed so tests can pin its strictness.
   [[nodiscard]] static std::optional<std::int64_t> parse_int(
       std::string_view text);
 
-  [[nodiscard]] std::size_t size() const { return fields_.size(); }
-
-  // Renders "k1=v1&k2=v2#crc32hex".
+  // Renders "k1=v1&k2=v2#crc32hex" through FormWriter.
   [[nodiscard]] std::string encode() const;
 
-  // Parses and verifies the CRC.
-  [[nodiscard]] static util::Result<Form> decode(const std::string& wire);
+  // Verifies the CRC and splits the fields in place, with one allocation
+  // (the field index). Refuses a CRC tail that is not 8 lowercase hex
+  // digits, an empty field, a field without '=', and keys that do not
+  // strictly increase — so a duplicate key is refused, never last-wins.
+  [[nodiscard]] static util::Result<FormView> decode(std::string_view wire);
+  // The view would dangle: keep the wire alive in a variable.
+  static void decode(std::string&& wire) = delete;
 
  private:
   std::map<std::string, std::string> fields_;
 };
 
 // --- typed messages -------------------------------------------------------
+//
+// Each type encodes straight into one FormWriter. read() takes its fields
+// from an already-parsed form, after checking the message tag; decode() is
+// Form::decode plus read().
 
 struct StateReport {
   std::string station;
@@ -71,6 +119,7 @@ struct StateReport {
   std::int64_t day_ms = 0;  // station RTC at report time
 
   [[nodiscard]] std::string encode() const;
+  [[nodiscard]] static util::Result<StateReport> read(const FormView& form);
   [[nodiscard]] static util::Result<StateReport> decode(
       const std::string& wire);
 };
@@ -78,6 +127,8 @@ struct StateReport {
 struct OverrideRequest {
   std::string station;
   [[nodiscard]] std::string encode() const;
+  [[nodiscard]] static util::Result<OverrideRequest> read(
+      const FormView& form);
   [[nodiscard]] static util::Result<OverrideRequest> decode(
       const std::string& wire);
 };
@@ -86,6 +137,8 @@ struct OverrideResponse {
   bool has_override = false;
   power::PowerState state = power::PowerState::kState3;
   [[nodiscard]] std::string encode() const;
+  [[nodiscard]] static util::Result<OverrideResponse> read(
+      const FormView& form);
   [[nodiscard]] static util::Result<OverrideResponse> decode(
       const std::string& wire);
 };
@@ -95,12 +148,14 @@ struct OverrideResponse {
 // The client-facing query surface served by station::SouthamptonServer
 // (docs/FLEET.md "The server read API"): a station directory, per-station
 // season rollups, and sync-group convergence status. Every message renders
-// through the same Form codec as the control plane, so query traffic has
-// real wire sizes and corrupted requests are detected, not trusted.
+// through the same codec as the control plane, so query traffic has real
+// wire sizes and corrupted requests are detected, not trusted.
 
 // "Which stations does this server know about?"
 struct DirectoryRequest {
   [[nodiscard]] std::string encode() const;
+  [[nodiscard]] static util::Result<DirectoryRequest> read(
+      const FormView& form);
   [[nodiscard]] static util::Result<DirectoryRequest> decode(
       const std::string& wire);
 };
@@ -113,6 +168,12 @@ struct DirectoryResponse {
   std::vector<std::string> stations;  // sorted by name (server contract)
 
   [[nodiscard]] std::string encode() const;
+  // The same bytes from views of the names, so the server can answer from
+  // its ledgers without copying a name.
+  [[nodiscard]] static std::string encode(
+      const std::vector<std::string_view>& stations);
+  [[nodiscard]] static util::Result<DirectoryResponse> read(
+      const FormView& form);
   [[nodiscard]] static util::Result<DirectoryResponse> decode(
       const std::string& wire);
 };
@@ -121,6 +182,8 @@ struct DirectoryResponse {
 struct StationStatsRequest {
   std::string station;
   [[nodiscard]] std::string encode() const;
+  [[nodiscard]] static util::Result<StationStatsRequest> read(
+      const FormView& form);
   [[nodiscard]] static util::Result<StationStatsRequest> decode(
       const std::string& wire);
 };
@@ -133,6 +196,8 @@ struct StationStatsResponse {
   std::int64_t beacons = 0;
 
   [[nodiscard]] std::string encode() const;
+  [[nodiscard]] static util::Result<StationStatsResponse> read(
+      const FormView& form);
   [[nodiscard]] static util::Result<StationStatsResponse> decode(
       const std::string& wire);
 };
@@ -141,6 +206,8 @@ struct StationStatsResponse {
 struct GroupStatusRequest {
   std::string group;
   [[nodiscard]] std::string encode() const;
+  [[nodiscard]] static util::Result<GroupStatusRequest> read(
+      const FormView& form);
   [[nodiscard]] static util::Result<GroupStatusRequest> decode(
       const std::string& wire);
 };
@@ -153,6 +220,8 @@ struct GroupStatusResponse {
   power::PowerState state = power::PowerState::kState0;  // when converged
 
   [[nodiscard]] std::string encode() const;
+  [[nodiscard]] static util::Result<GroupStatusResponse> read(
+      const FormView& form);
   [[nodiscard]] static util::Result<GroupStatusResponse> decode(
       const std::string& wire);
 };
@@ -163,6 +232,7 @@ struct GroupStatusResponse {
 struct QueryError {
   std::string reason;
   [[nodiscard]] std::string encode() const;
+  [[nodiscard]] static util::Result<QueryError> read(const FormView& form);
   [[nodiscard]] static util::Result<QueryError> decode(
       const std::string& wire);
 };

@@ -1,7 +1,5 @@
 #include "station/southampton.h"
 
-#include <set>
-
 namespace gw::station {
 
 std::size_t SouthamptonServer::compact_received() {
@@ -11,14 +9,39 @@ std::size_t SouthamptonServer::compact_received() {
   return cleared;
 }
 
-std::vector<std::string> SouthamptonServer::station_directory() const {
-  std::set<std::string> names;
-  for (const auto& [station, files] : files_by_station_) names.insert(station);
-  for (const auto& [station, count] : beacons_by_station_) {
-    names.insert(station);
+// One pass over the three name-ordered ledgers: each step visits the least
+// name under the three cursors and advances every cursor that holds it.
+template <class Visit>
+void SouthamptonServer::for_each_known_station(Visit visit) const {
+  auto files = files_by_station_.begin();
+  auto beacons = beacons_by_station_.begin();
+  const auto reporters = sync_.reporters();
+  auto reporter = reporters.begin();
+  while (true) {
+    const std::string* least = nullptr;
+    const auto offer = [&least](const std::string& name) {
+      if (least == nullptr || name < *least) least = &name;
+    };
+    if (files != files_by_station_.end()) offer(files->first);
+    if (beacons != beacons_by_station_.end()) offer(beacons->first);
+    if (reporter != reporters.end()) offer(*reporter);
+    if (least == nullptr) return;
+    // Map nodes stay put as the cursors move, so `name` stays valid.
+    const std::string& name = *least;
+    visit(name);
+    if (files != files_by_station_.end() && files->first == name) ++files;
+    if (beacons != beacons_by_station_.end() && beacons->first == name) {
+      ++beacons;
+    }
+    if (reporter != reporters.end() && *reporter == name) ++reporter;
   }
-  for (const auto& station : sync_.reported_stations()) names.insert(station);
-  return {names.begin(), names.end()};
+}
+
+std::vector<std::string> SouthamptonServer::station_directory() const {
+  std::vector<std::string> names;
+  for_each_known_station(
+      [&names](const std::string& name) { names.push_back(name); });
+  return names;
 }
 
 proto::StationStatsResponse SouthamptonServer::station_stats(
@@ -33,35 +56,34 @@ proto::StationStatsResponse SouthamptonServer::station_stats(
   return response;
 }
 
-std::string SouthamptonServer::handle_query(const std::string& wire,
+std::string SouthamptonServer::refuse(const char* reason) {
+  ++queries_refused_;
+  return proto::QueryError{reason}.encode();
+}
+
+std::string SouthamptonServer::handle_query(std::string_view wire,
                                             sim::SimTime now) {
   const auto form = proto::Form::decode(wire);
-  if (!form.ok()) {
-    ++queries_refused_;
-    return proto::QueryError{"bad_wire"}.encode();
-  }
-  const std::string msg = form.value().get("msg").value_or("");
+  if (!form.ok()) return refuse("bad_wire");
+  const std::string_view msg = form.value().get("msg").value_or("");
   if (msg == "dir_request") {
     ++queries_served_;
-    proto::DirectoryResponse response;
-    response.stations = station_directory();
-    return response.encode();
+    std::vector<std::string_view> names;
+    names.reserve(files_by_station_.size() + beacons_by_station_.size() +
+                  sync_.reporters().size());
+    for_each_known_station(
+        [&names](const std::string& name) { names.emplace_back(name); });
+    return proto::DirectoryResponse::encode(names);
   }
   if (msg == "stats_request") {
-    const auto request = proto::StationStatsRequest::decode(wire);
-    if (!request.ok()) {
-      ++queries_refused_;
-      return proto::QueryError{"bad_request"}.encode();
-    }
+    const auto request = proto::StationStatsRequest::read(form.value());
+    if (!request.ok()) return refuse("bad_request");
     ++queries_served_;
     return station_stats(request.value().station).encode();
   }
   if (msg == "group_request") {
-    const auto request = proto::GroupStatusRequest::decode(wire);
-    if (!request.ok()) {
-      ++queries_refused_;
-      return proto::QueryError{"bad_request"}.encode();
-    }
+    const auto request = proto::GroupStatusRequest::read(form.value());
+    if (!request.ok()) return refuse("bad_request");
     const auto view = sync_.group_view(request.value().group, now);
     proto::GroupStatusResponse response;
     response.group = request.value().group;
@@ -72,8 +94,7 @@ std::string SouthamptonServer::handle_query(const std::string& wire,
     ++queries_served_;
     return response.encode();
   }
-  ++queries_refused_;
-  return proto::QueryError{"unknown_msg"}.encode();
+  return refuse("unknown_msg");
 }
 
 }  // namespace gw::station

@@ -30,6 +30,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/remote_config.h"
@@ -244,7 +245,8 @@ class SouthamptonServer {
   // Every station the read side knows about — sync-ledger reporters, data
   // uploaders, beacon senders — in name order. Stations that are only
   // *targets* (queued commands, never heard from) are not listed: the
-  // directory is evidence of contact, not intent.
+  // directory is evidence of contact, not intent. One O(N) merge of the
+  // three name-ordered ledgers; nothing is kept beside them.
   [[nodiscard]] std::vector<std::string> station_directory() const;
 
   // Season rollup for one station; known=false when the directory has
@@ -252,11 +254,11 @@ class SouthamptonServer {
   [[nodiscard]] proto::StationStatsResponse station_stats(
       const std::string& station) const;
 
-  // Decodes one client query wire, serves it, and returns the encoded
-  // response (a typed response or a QueryError with reason "bad_wire",
-  // "bad_request" or "unknown_msg"). Read-only with respect to the
-  // ledgers; only the query counters move.
-  [[nodiscard]] std::string handle_query(const std::string& wire,
+  // Parses one client query wire once, in place, serves it from the live
+  // ledgers, and returns the encoded response (a typed response or a
+  // QueryError with reason "bad_wire", "bad_request" or "unknown_msg").
+  // Read-only with respect to the ledgers; only the query counters move.
+  [[nodiscard]] std::string handle_query(std::string_view wire,
                                          sim::SimTime now = sim::kEpoch);
 
   [[nodiscard]] std::uint64_t queries_served() const {
@@ -377,6 +379,13 @@ class SouthamptonServer {
     if (received_window_ == 0) return;
     while (received_.size() > received_window_) received_.pop_front();
   }
+
+  // Calls visit(name) for each directory station, in name order.
+  template <class Visit>
+  void for_each_known_station(Visit visit) const;
+
+  // Counts a refused query and encodes its QueryError.
+  std::string refuse(const char* reason);
 
   fault::FaultOracle* oracle_ = nullptr;
   obs::Hooks hooks_;

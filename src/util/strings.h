@@ -1,5 +1,5 @@
 // Small string helpers shared across modules (formatting tables for benches,
-// splitting the key=value payloads of the server API, fixed-width numbers).
+// fixed-width numbers, strict number parses).
 #pragma once
 
 #include <cstdint>
@@ -10,7 +10,6 @@
 
 namespace gw::util {
 
-[[nodiscard]] std::vector<std::string> split(std::string_view text, char sep);
 [[nodiscard]] std::string join(const std::vector<std::string>& parts,
                                std::string_view sep);
 [[nodiscard]] std::string trim(std::string_view text);

@@ -354,7 +354,8 @@ TEST(SyncServer, ReportedStationsListsLedgerInNameOrder) {
   server.report_state("weather", PowerState::kState3);
   server.report_state("base", PowerState::kState2);
   server.report_state("reference", PowerState::kState1);
-  const auto stations = server.reported_stations();
+  const std::vector<std::string> stations(server.reporters().begin(),
+                                          server.reporters().end());
   ASSERT_EQ(stations.size(), 3u);
   EXPECT_EQ(stations[0], "base");
   EXPECT_EQ(stations[1], "reference");

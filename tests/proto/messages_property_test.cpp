@@ -8,10 +8,15 @@
 //     std::stoll would have shrugged and returned 42.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "proto/messages.h"
+#include "util/crc32.h"
+#include "util/rng.h"
 
 namespace gw::proto {
 namespace {
@@ -178,6 +183,48 @@ TEST(MessagesProperty, CrcValidButMalformedFieldsFailTypedDecode) {
   stats.set("bytes", "+9000");  // '+' is not part of the wire grammar
   stats.set("beacons", "4");
   EXPECT_FALSE(StationStatsResponse::decode(stats.encode()).ok());
+}
+
+// Canonical wires. Over seeded random bodies from a four-letter alphabet,
+// the parser accepts exactly the bodies whose fields all carry '=' and
+// whose keys strictly increase, and a Form built from an accepted wire's
+// fields re-encodes to the same bytes.
+TEST(MessagesProperty, AcceptedWiresReencodeToTheSameBytes) {
+  util::Rng rng{20100621};
+  constexpr char kAlphabet[] = "ab=&";
+  int accepted = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    std::string body;
+    const std::uint64_t length = rng.uniform_index(12);
+    for (std::uint64_t i = 0; i < length; ++i) {
+      body += kAlphabet[rng.uniform_index(4)];
+    }
+    char crc[16];
+    std::snprintf(crc, sizeof crc, "%08x", util::crc32(body));
+    const std::string wire = body + "#" + crc;
+
+    // The canonical rule, checked independently of the parser.
+    bool canonical = true;
+    Form form;
+    std::optional<std::string> previous;
+    for (std::size_t start = 0; !body.empty() && canonical;) {
+      const std::size_t end = std::min(body.find('&', start), body.size());
+      const std::string field = body.substr(start, end - start);
+      const std::size_t eq = field.find('=');
+      const std::string key = field.substr(0, eq);
+      canonical = eq != std::string::npos && (!previous || *previous < key);
+      if (canonical) form.set(key, field.substr(eq + 1));
+      previous = key;
+      if (end == body.size()) break;
+      start = end + 1;
+    }
+    EXPECT_EQ(Form::decode(wire).ok(), canonical) << body;
+    if (canonical) {
+      ++accepted;
+      EXPECT_EQ(form.encode(), wire) << body;
+    }
+  }
+  EXPECT_GT(accepted, 1000);
 }
 
 }  // namespace

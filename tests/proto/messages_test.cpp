@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cstdio>
+#include <string>
+
 #include "util/crc32.h"
 
 namespace gw::proto {
@@ -22,7 +26,8 @@ TEST(Form, EncodeDecodeRoundTrip) {
 
 TEST(Form, EmptyFormRoundTrips) {
   Form form;
-  const auto decoded = Form::decode(form.encode());
+  const std::string wire = form.encode();
+  const auto decoded = Form::decode(wire);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().size(), 0u);
 }
@@ -37,22 +42,74 @@ TEST(Form, CrcDetectsCorruption) {
 }
 
 TEST(Form, MissingCrcRejected) {
-  EXPECT_FALSE(Form::decode("station=base&state=3").ok());
+  EXPECT_FALSE(Form::decode(std::string_view{"station=base&state=3"}).ok());
+}
+
+// `body` with its valid CRC appended, so only the field parser decides.
+std::string sealed(const std::string& body) {
+  char crc[16];
+  std::snprintf(crc, sizeof(crc), "%08x", util::crc32(body));
+  return body + "#" + crc;
 }
 
 TEST(Form, MalformedFieldRejected) {
-  // Body "stationbase" has no '=': re-encode with valid CRC to isolate the
-  // field parser.
-  const std::string body = "stationbase";
-  char crc[16];
-  std::snprintf(crc, sizeof(crc), "%08x", util::crc32(body));
-  EXPECT_FALSE(Form::decode(body + "#" + crc).ok());
+  // Each body has a valid CRC, to isolate the field parser: no '=', an
+  // empty field, a trailing or leading '&', and a bare key after a field.
+  for (const char* body : {"stationbase", "a=1&&b=2", "a=1&b=2&", "&a=1",
+                           "a=1&b"}) {
+    const std::string wire = sealed(body);
+    EXPECT_FALSE(Form::decode(wire).ok()) << body;
+  }
+}
+
+TEST(Form, DuplicateKeyRefused) {
+  // Both used to decode last-wins: the first was served as station s2, the
+  // second as a directory request.
+  for (const char* body : {"msg=stats_request&station=s1&station=s2",
+                           "msg=stats_request&msg=dir_request"}) {
+    const std::string wire = sealed(body);
+    EXPECT_FALSE(Form::decode(wire).ok()) << body;
+  }
+  EXPECT_FALSE(
+      StationStatsRequest::decode(sealed("msg=stats_request&station=s1&"
+                                         "station=s2"))
+          .ok());
+}
+
+TEST(Form, OutOfOrderKeysRefused) {
+  const std::string swapped = sealed("station=base&msg=stats_request");
+  EXPECT_FALSE(Form::decode(swapped).ok());
+  EXPECT_FALSE(StationStatsRequest::decode(swapped).ok());
+  const std::string sorted = sealed("msg=stats_request&station=base");
+  ASSERT_TRUE(Form::decode(sorted).ok());
+  EXPECT_EQ(StationStatsRequest::decode(sorted).value().station, "base");
+}
+
+TEST(Form, CrcTailIsExactlyEightLowercaseHexDigits) {
+  // A body whose CRC has a hex letter in it, so case matters.
+  std::string wire;
+  for (int i = 0; wire.find_first_of("abcdef", wire.find('#')) ==
+                  std::string::npos;
+       ++i) {
+    wire = sealed("msg=dir_request&n=" + std::to_string(i));
+  }
+  ASSERT_TRUE(Form::decode(wire).ok());
+  std::string upper = wire;
+  for (std::size_t i = upper.find('#'); i < upper.size(); ++i) {
+    upper[i] = char(std::toupper(static_cast<unsigned char>(upper[i])));
+  }
+  EXPECT_FALSE(Form::decode(upper).ok());
+  const std::string seven = wire.substr(0, wire.size() - 1);
+  EXPECT_FALSE(Form::decode(seven).ok());
+  const std::string nine = wire + "0";
+  EXPECT_FALSE(Form::decode(nine).ok());
 }
 
 TEST(Form, MissingKeyAndBadIntAreNullopt) {
   Form form;
   form.set("note", "not-a-number");
-  const auto decoded = Form::decode(form.encode());
+  const std::string wire = form.encode();
+  const auto decoded = Form::decode(wire);
   ASSERT_TRUE(decoded.ok());
   EXPECT_FALSE(decoded.value().get("absent").has_value());
   EXPECT_FALSE(decoded.value().get_int("note").has_value());
@@ -84,7 +141,8 @@ TEST(Form, GetIntRefusesTrailingGarbage) {
   Form form;
   form.set("state", "2xyz");
   form.set("clean", "2");
-  const auto decoded = Form::decode(form.encode());
+  const std::string wire = form.encode();
+  const auto decoded = Form::decode(wire);
   ASSERT_TRUE(decoded.ok());
   EXPECT_FALSE(decoded.value().get_int("state").has_value());
   EXPECT_EQ(decoded.value().get_int("clean").value_or(-1), 2);

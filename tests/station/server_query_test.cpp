@@ -5,11 +5,13 @@
 // counters.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "proto/messages.h"
 #include "station/southampton.h"
+#include "util/crc32.h"
 
 namespace gw::station {
 namespace {
@@ -155,6 +157,112 @@ TEST(ServerQuery, RefusalEnvelopeCodes) {
 
   EXPECT_EQ(server.queries_served(), 0u);
   EXPECT_EQ(server.queries_refused(), 3u);
+}
+
+TEST(ServerQuery, NonCanonicalWiresAreBadWire) {
+  auto server = seeded_server();
+  // CRC-valid, but a repeated key (once served last-wins as "reference")
+  // and keys out of order.
+  for (const char* body : {"msg=stats_request&station=base&station=reference",
+                           "msg=stats_request&msg=dir_request",
+                           "station=base&msg=stats_request"}) {
+    char crc[16];
+    std::snprintf(crc, sizeof crc, "%08x", util::crc32(body));
+    const auto error = proto::QueryError::decode(
+        server.handle_query(std::string(body) + "#" + crc));
+    ASSERT_TRUE(error.ok()) << body;
+    EXPECT_EQ(error.value().reason, "bad_wire") << body;
+  }
+  EXPECT_EQ(server.queries_served(), 0u);
+  EXPECT_EQ(server.queries_refused(), 3u);
+}
+
+std::string fleet_name(int i) {
+  char name[8];
+  std::snprintf(name, sizeof name, "s%03d", i);
+  return name;
+}
+
+// Station i uploaded, beaconed and reported by these rules, so the
+// directory merge meets every overlap of the three ledgers, and s011 and
+// s031 are in none of them.
+bool uploaded(int i) { return i % 4 != 3; }
+bool beaconed(int i) { return i % 3 == 0; }
+bool reported(int i) { return i % 5 != 1; }
+
+SouthamptonServer fleet_server() {
+  SouthamptonServer server;
+  for (int i = 0; i < 64; ++i) {
+    const std::string name = fleet_name(i);
+    server.sync().assign_group(name, "g" + std::to_string(i / 2));
+    const sim::SimTime at{1000 * std::int64_t(i)};
+    if (uploaded(i)) {
+      server.receive_file(name, "d", util::Bytes{1024 * (i + 1)}, at);
+    }
+    if (beaconed(i)) server.receive_beacon(name, {"fw", "md5", true}, at);
+    if (reported(i)) {
+      server.sync().report_state(name, core::PowerState(1 + i % 3), at);
+    }
+  }
+  return server;
+}
+
+TEST(ServerQuery, EveryAnswerMatchesAFormBuiltReference) {
+  auto server = fleet_server();
+  const sim::SimTime now{100000};
+
+  std::vector<std::string> names;
+  for (int i = 0; i < 64; ++i) {
+    if (uploaded(i) || beaconed(i) || reported(i)) {
+      names.push_back(fleet_name(i));
+    }
+  }
+  ASSERT_EQ(names.size(), 62u);
+  EXPECT_EQ(server.station_directory(), names);
+  proto::Form directory;
+  directory.set("msg", "dir_response");
+  directory.set_int("n", std::int64_t(names.size()));
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    directory.set("s" + std::to_string(i), names[i]);
+  }
+  EXPECT_EQ(server.handle_query(proto::DirectoryRequest{}.encode(), now),
+            directory.encode());
+
+  std::vector<std::string> stations = names;
+  stations.insert(stations.end(), {"s011", "s031", "ghost", ""});
+  for (const auto& name : stations) {
+    proto::Form stats;
+    stats.set("msg", "stats_response");
+    stats.set("station", name);
+    const bool known = server.files_from(name) > 0 ||
+                       server.beacons_from(name) > 0 ||
+                       server.sync().reported_state(name).has_value();
+    stats.set_int("known", known ? 1 : 0);
+    stats.set_int("files", server.files_from(name));
+    stats.set_int("bytes", server.bytes_from(name).count());
+    stats.set_int("beacons", server.beacons_from(name));
+    EXPECT_EQ(server.handle_query(proto::StationStatsRequest{name}.encode(),
+                                  now),
+              stats.encode())
+        << name;
+  }
+
+  for (int g = 0; g <= 32; ++g) {  // g32 has no members
+    const std::string group = "g" + std::to_string(g);
+    const auto view = server.sync().group_view(group, now);
+    proto::Form status;
+    status.set("msg", "group_response");
+    status.set("group", group);
+    status.set_int("members", view.members);
+    status.set_int("fresh", view.fresh);
+    status.set_int("converged", view.converged ? 1 : 0);
+    status.set_int("state", core::to_int(view.state));
+    EXPECT_EQ(server.handle_query(proto::GroupStatusRequest{group}.encode(),
+                                  now),
+              status.encode())
+        << group;
+  }
+  EXPECT_EQ(server.queries_refused(), 0u);
 }
 
 TEST(ServerQuery, QueriesNeverGrowTheLedgers) {

@@ -5,27 +5,6 @@
 namespace gw::util {
 namespace {
 
-TEST(Strings, SplitBasic) {
-  const auto parts = split("state=2,voltage=12.4", ',');
-  ASSERT_EQ(parts.size(), 2u);
-  EXPECT_EQ(parts[0], "state=2");
-  EXPECT_EQ(parts[1], "voltage=12.4");
-}
-
-TEST(Strings, SplitEmptyFields) {
-  const auto parts = split(",a,,b,", ',');
-  ASSERT_EQ(parts.size(), 5u);
-  EXPECT_EQ(parts[0], "");
-  EXPECT_EQ(parts[2], "");
-  EXPECT_EQ(parts[4], "");
-}
-
-TEST(Strings, SplitNoSeparator) {
-  const auto parts = split("alone", ',');
-  ASSERT_EQ(parts.size(), 1u);
-  EXPECT_EQ(parts[0], "alone");
-}
-
 TEST(Strings, JoinRoundTrip) {
   const std::vector<std::string> parts{"a", "b", "c"};
   EXPECT_EQ(join(parts, "/"), "a/b/c");
