@@ -81,13 +81,10 @@ void BM_EnvironmentMinute(benchmark::State& state) {
   sim::SimTime t = sim::at_midnight(2009, 3, 1);
   for (auto _ : state) {
     for (int consumer = 0; consumer < int(state.range(0)); ++consumer) {
-      auto& temperature = environment.temperature();
-      benchmark::DoNotOptimize(temperature.air(t));
+      benchmark::DoNotOptimize(environment.temperature().air(t));
       benchmark::DoNotOptimize(environment.solar().irradiance(t));
-      benchmark::DoNotOptimize(
-          environment.snow().panel_occlusion(t, temperature));
-      benchmark::DoNotOptimize(
-          environment.snow().turbine_buried(t, temperature));
+      benchmark::DoNotOptimize(environment.snow().panel_occlusion(t));
+      benchmark::DoNotOptimize(environment.snow().turbine_buried(t));
       benchmark::DoNotOptimize(environment.wind().speed(t));
     }
     t += sim::minutes(1);
@@ -133,10 +130,8 @@ BENCHMARK(BM_PowerTick);
 
 void BM_NackSession(benchmark::State& state) {
   for (auto _ : state) {
-    env::TemperatureModel temperature{env::TemperatureConfig{},
-                                      util::Rng{1}};
-    env::MeltModel melt{env::MeltConfig{}, util::Rng{2}};
-    proto::ProbeLink link{melt, temperature, util::Rng{3}};
+    const env::Environment environment{1};
+    proto::ProbeLink link{environment.melt(), util::Rng{3}};
     proto::ProbeStore store;
     for (std::uint32_t seq = 0; seq < std::uint32_t(state.range(0)); ++seq) {
       proto::ProbeReading reading;

@@ -24,9 +24,10 @@ namespace gw {
 namespace {
 
 struct Rig {
-  env::TemperatureModel temperature{env::TemperatureConfig{}, util::Rng{1}};
-  env::MeltModel melt{env::MeltConfig{}, util::Rng{2}};
-  proto::ProbeLink link{melt, temperature, util::Rng{3}};
+  // The melt season from the cold start of 2009.
+  env::Environment environment{env::EnvironmentConfig{}, 1,
+                               sim::at_midnight(2009, 1, 1)};
+  proto::ProbeLink link{environment.melt(), util::Rng{3}};
   proto::ProbeStore store;
 
   void fill(std::size_t n) {
@@ -36,12 +37,6 @@ struct Rig {
       reading.seq = seq;
       store.add(reading);
     }
-  }
-
-  // Advance the forward-only melt model into the target season.
-  void to_summer() {
-    (void)melt.water_index(sim::at_midnight(2009, 2, 1), temperature);
-    (void)melt.water_index(sim::at_midnight(2009, 7, 20), temperature);
   }
 };
 
@@ -59,7 +54,6 @@ obs::Hooks hooks() { return {&g_metrics, &g_journal}; }
 void headline() {
   bench::subheading("1. the 3000-reading summer fetch");
   Rig rig;
-  rig.to_summer();
   rig.fill(3000);
   proto::NackBulkTransfer protocol{rig.link, proto::NackConfig{}, hooks()};
   const auto stats = protocol.run(rig.store, kSummerNoon, sim::hours(6));
@@ -84,8 +78,6 @@ void nack_vs_ack(const char* season, sim::SimTime when, bool summer) {
   Rig nack_rig;
   Rig saw_rig;
   if (summer) {
-    nack_rig.to_summer();
-    saw_rig.to_summer();
   }
   nack_rig.fill(3000);
   saw_rig.fill(3000);
@@ -118,7 +110,6 @@ void firmware_failure() {
   bench::subheading(
       "3. deployed-firmware failure and the multi-day rescue (Sec V)");
   Rig rig;
-  rig.to_summer();
   rig.fill(3000);
   proto::NackConfig legacy;
   legacy.legacy_individual_limit = 100;  // tested regime only
@@ -143,13 +134,7 @@ void seasonal_sweep() {
   bench::row({"Date", "loss %", "delivered/3000 in 2h"}, {12, 8, 22});
   for (int month = 1; month <= 12; month += 1) {
     Rig rig;
-    // Walk the melt model to the target month.
-    sim::SimTime t = sim::at_midnight(2009, 1, 1);
     const sim::SimTime target = sim::at_midnight(2009, month, 15);
-    while (t < target) {
-      (void)rig.melt.water_index(t, rig.temperature);
-      t += sim::days(10);
-    }
     const double loss = rig.link.loss_probability(target + sim::hours(12));
     rig.fill(3000);
     proto::NackBulkTransfer protocol{rig.link, proto::NackConfig{}, hooks()};
@@ -229,7 +214,6 @@ void strategy_sweep() {
              {20, 12, 15, 16});
   for (const double ratio : {0.02, 0.05, 0.1, 0.2, 0.35, 0.5, 0.9}) {
     Rig rig;
-    rig.to_summer();
     rig.fill(3000);
     proto::NackConfig config;
     config.rerequest_all_ratio = ratio;
@@ -251,10 +235,9 @@ void strategy_sweep() {
   // stream is lost, so individual requests (two lossy trips each) lose to
   // simply replaying the dump.
   Rig bad;
-  bad.to_summer();
   proto::ProbeLinkConfig terrible;
   terrible.link_quality_factor = 5.0;  // ~65% summer loss
-  proto::ProbeLink bad_link{bad.melt, bad.temperature, util::Rng{13},
+  proto::ProbeLink bad_link{bad.environment.melt(), util::Rng{13},
                             terrible};
   bench::row({"(at ~65% loss)", "", "", ""}, {20, 12, 15, 16});
   for (const double ratio : {0.1, 0.9}) {

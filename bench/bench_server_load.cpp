@@ -2,8 +2,8 @@
 //
 // PR "control-plane hardening" acceptance bench: eight independent
 // 130-day seasons of a 64-station server, each mixing daily ingest
-// (uploads, state reports, update beacons, weekly compaction, a bounded
-// command queue kept deliberately over-full) with a client query stream —
+// (uploads, state reports, update beacons, a 4096-row receipt window, a
+// bounded command queue kept deliberately over-full) with a client query stream —
 // directory, per-station stats, group convergence — dispatched through
 // handle_query as real encoded wires. Across the eight trials the server
 // answers over a million queries, including corrupted wires (refused, not
@@ -46,7 +46,6 @@ struct LoadPoint {
   std::uint64_t ingest_rejected = 0;
   std::uint64_t future_reports_ignored = 0;
   std::uint64_t files_received = 0;
-  std::uint64_t compactions = 0;
   std::int64_t stats_bytes_sum = 0;    // folded from decoded responses
   std::int64_t group_fresh_sum = 0;    // ditto
   std::int64_t converged_checks = 0;   // group responses that said converged
@@ -134,7 +133,6 @@ LoadPoint run_trial(std::size_t trial) {
                                  {.id = "ping", .script = "uptime"},
                                  day_start + sim::hours(1));
     }
-    if (day % 7 == 6) (void)server.compact_received();
 
     // --- the client query stream ----------------------------------------
     const sim::SimTime query_time = day_start + sim::hours(12);
@@ -182,7 +180,6 @@ LoadPoint run_trial(std::size_t trial) {
   point.ingest_rejected = server.ingest_rejected();
   point.future_reports_ignored = server.sync().future_reports_ignored();
   point.files_received = server.files_received();
-  point.compactions = server.compactions();
   // gwlint: allow(banned-api): wall-clock trial timing feeds wall_seconds,
   // a host_dependent field excluded from the determinism diff
   point.wall_seconds = std::chrono::duration<double>(
@@ -224,7 +221,6 @@ void run() {
     total.ingest_rejected += p.ingest_rejected;
     total.future_reports_ignored += p.future_reports_ignored;
     total.files_received += p.files_received;
-    total.compactions += p.compactions;
     total.stats_bytes_sum += p.stats_bytes_sum;
     total.group_fresh_sum += p.group_fresh_sum;
     total.converged_checks += p.converged_checks;
@@ -251,7 +247,6 @@ void run() {
   set("ingest_rejected", double(total.ingest_rejected));
   set("future_reports_ignored", double(total.future_reports_ignored));
   set("files_received", double(total.files_received));
-  set("compactions", double(total.compactions));
   set("stats_bytes_sum", double(total.stats_bytes_sum));
   set("group_fresh_sum", double(total.group_fresh_sum));
   set("converged_checks", double(total.converged_checks));

@@ -10,10 +10,12 @@
 #      following links (needs python3, also gated);
 #   3. sanitizer leg: with GW_CHECK_SANITIZE=1 in the environment, builds
 #      system_test, snapshot_test, energy_test, station_test, core_test,
-#      proto_test and util_test in a separate build-asan/ dir with
-#      -DGW_SANITIZE=address (ASan+UBSan) and runs the fault soak, the
+#      proto_test, util_test and env_test in a separate build-asan/ dir
+#      with -DGW_SANITIZE=address (ASan+UBSan) and runs the fault soak, the
 #      energy-conservation season (a snapshot round trip included), the
-#      golden whole-world snapshot, the snapshot format sweeps, the
+#      golden whole-world snapshot, the trace-invariance season, the whole
+#      env suite (the weather tape indexes a vector by day), the snapshot
+#      format sweeps, the
 #      component restore checks, the whole station suite (the fleet and
 #      sharded fleet assembly, the Southampton server and its query path,
 #      fleet snapshot refusals and the field report), the whole core suite
@@ -68,7 +70,13 @@
 #      suppression policy: docs/STATIC_ANALYSIS.md;
 #  11. clang-tidy over the compilation database exported by CMake
 #      (build/compile_commands.json, curated checks in .clang-tidy) —
-#      gated on clang-tidy being installed, like the clang-format leg.
+#      gated on clang-tidy being installed, like the clang-format leg;
+#  12. native-build leg: with GW_CHECK_NATIVE=1, builds system_test with
+#      -O3 -march=native in a separate build-native/ dir and runs the
+#      golden whole-world snapshot and the trace-invariance season, so the
+#      pinned constants are shown to hold on a build that may use FMA
+#      (the root CMakeLists.txt compiles with -ffp-contract=off). Off by
+#      default for the same reason as the sanitizer legs.
 #
 # Exits non-zero on any real failure; missing tools skip their check.
 set -u
@@ -103,25 +111,26 @@ fi
 # --- 3. sanitizer soak (opt-in: GW_CHECK_SANITIZE=1) ----------------------
 if [ "${GW_CHECK_SANITIZE:-0}" = "1" ]; then
   if command -v cmake >/dev/null 2>&1; then
-    echo "== ASan+UBSan fault soak, restore paths, station, core and" \
-      "proto suites, CRC-32 (build-asan/)"
+    echo "== ASan+UBSan fault soak, restore paths, trace invariance," \
+      "station, core, proto and env suites, CRC-32 (build-asan/)"
     if cmake -B build-asan -S . -DGW_SANITIZE=address >/dev/null &&
        cmake --build build-asan --target system_test snapshot_test \
-         energy_test station_test core_test proto_test util_test -j \
-         >/dev/null &&
+         energy_test station_test core_test proto_test util_test env_test \
+         -j >/dev/null &&
        ./build-asan/tests/system_test \
-         --gtest_filter='FaultSoak.*:EnergyConservation.*:GoldenStateTest.*' &&
+         --gtest_filter='FaultSoak.*:EnergyConservation.*:GoldenStateTest.*:TraceInvariance.*' &&
        ./build-asan/tests/snapshot_test &&
        ./build-asan/tests/energy_test &&
        ./build-asan/tests/station_test &&
        ./build-asan/tests/core_test &&
        ./build-asan/tests/proto_test &&
+       ./build-asan/tests/env_test &&
        ./build-asan/tests/util_test --gtest_filter='Crc32.*'; then
-      echo "ok: fault soak, restore paths, station, core and proto suites" \
-        "and CRC-32 clean under ASan+UBSan"
+      echo "ok: fault soak, restore paths, trace invariance, station, core," \
+        "proto and env suites and CRC-32 clean under ASan+UBSan"
     else
-      echo "FAIL: sanitizer fault soak, restore paths, station, core or" \
-        "proto suite or CRC-32"
+      echo "FAIL: sanitizer fault soak, restore paths, trace invariance," \
+        "station, core, proto or env suite or CRC-32"
       failures=$((failures + 1))
     fi
   else
@@ -325,6 +334,28 @@ if command -v clang-tidy >/dev/null 2>&1; then
   fi
 else
   echo "skip: clang-tidy not installed"
+fi
+
+# --- 12. native build (opt-in: GW_CHECK_NATIVE=1) ---------------------------
+if [ "${GW_CHECK_NATIVE:-0}" = "1" ]; then
+  if command -v cmake >/dev/null 2>&1; then
+    echo "== -O3 -march=native golden snapshot + trace invariance" \
+      "(build-native/)"
+    if cmake -B build-native -S . -DCMAKE_BUILD_TYPE=Release \
+         -DCMAKE_CXX_FLAGS="-O3 -march=native" >/dev/null &&
+       cmake --build build-native --target system_test -j >/dev/null &&
+       ./build-native/tests/system_test \
+         --gtest_filter='GoldenStateTest.*:TraceInvariance.*'; then
+      echo "ok: pinned constants hold on a -march=native build"
+    else
+      echo "FAIL: native build golden snapshot or trace invariance"
+      failures=$((failures + 1))
+    fi
+  else
+    echo "skip: cmake not installed"
+  fi
+else
+  echo "skip: native build (set GW_CHECK_NATIVE=1 to enable)"
 fi
 
 if [ "$failures" -ne 0 ]; then

@@ -5,10 +5,9 @@
 namespace gw::baseline {
 
 RelayDeployment::RelayDeployment(sim::Simulation& simulation,
-                                 env::Environment& environment,
+                                 const env::Environment& environment,
                                  util::Rng rng, RelayConfig config)
     : simulation_(simulation),
-      environment_(environment),
       config_(config),
       rng_(rng) {
   power::PowerSystemConfig power_config;

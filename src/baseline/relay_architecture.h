@@ -77,8 +77,9 @@ struct RelayStats {
 // radio/GPRS on-time into the two PowerSystems.
 class RelayDeployment {
  public:
-  RelayDeployment(sim::Simulation& simulation, env::Environment& environment,
-                  util::Rng rng, RelayConfig config = {});
+  RelayDeployment(sim::Simulation& simulation,
+                  const env::Environment& environment, util::Rng rng,
+                  RelayConfig config = {});
 
   // Runs N daily windows (advancing the shared simulation clock).
   void run_days(int days);
@@ -95,7 +96,6 @@ class RelayDeployment {
   RelayDayOutcome run_window();
 
   sim::Simulation& simulation_;
-  env::Environment& environment_;
   RelayConfig config_;
   util::Rng rng_;
   std::unique_ptr<power::PowerSystem> base_power_;

@@ -38,15 +38,17 @@ class LogManager {
     auto& usage = usage_[component];
     const bool is_protected =
         static_cast<int>(level) >= static_cast<int>(config_.protected_floor);
+    // One size for every line, admitted or suppressed: what it renders to.
+    const std::size_t line_bytes = util::rendered_line_bytes(
+        time_ms, level, component.size(), message.size());
     if (!is_protected &&
         usage.bytes_today >= config_.component_daily_budget_bytes) {
       ++usage.suppressed_records;
-      usage.suppressed_bytes += message.size() + component.size() + 24;
+      usage.suppressed_bytes += line_bytes;
       ++total_suppressed_;
       return;
     }
-    usage.bytes_today += util::rendered_line_bytes(
-        time_ms, level, component.size(), message.size());
+    usage.bytes_today += line_bytes;
     logger_.log(time_ms, level, component, std::move(message));
   }
 

@@ -7,11 +7,13 @@
 // a mean of ~9-10 for an open-sky site; an ice cap has excellent horizons.
 // The model produces a smooth, deterministic count (two incommensurate
 // harmonics + per-hour jitter) that drives dGPS file size, fix probability
-// and fix time.
+// and fix time. Each hour's jitter is drawn on demand from a stream keyed
+// by (seed, hour), so the count is a pure function of time.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 
 #include "sim/time.h"
@@ -29,10 +31,11 @@ struct GpsSkyConfig {
 
 class GpsSky {
  public:
-  GpsSky(GpsSkyConfig config, util::Rng rng) : config_(config), rng_(rng) {}
+  GpsSky(GpsSkyConfig config, std::uint64_t seed)
+      : config_(config), seed_(seed) {}
 
   // Visible satellites at time t (>= 0, typically 5-13).
-  [[nodiscard]] int visible(sim::SimTime t) {
+  [[nodiscard]] int visible(sim::SimTime t) const {
     // Half a sidereal day: the constellation geometry repeats every
     // 11 h 57 m 58 s at a fixed site.
     constexpr double kHalfSiderealHours = 11.9661;
@@ -44,18 +47,20 @@ class GpsSky {
         config_.mean_visible +
         config_.orbital_amplitude * std::sin(phase) +
         config_.secondary_amplitude * std::sin(2.71 * phase + 1.3);
-    refresh_jitter(t);
-    const double n = smooth + jitter_state_;
+    // One jitter draw per (floored) hour, keyed by (seed, hour).
+    const auto hour = std::uint64_t(std::int64_t(std::floor(hours)));
+    const double n =
+        smooth + util::Rng{seed_}.fork(hour).normal(0.0, config_.jitter);
     return std::max(0, int(std::lround(n)));
   }
 
   // Whether a position/time fix is possible right now.
-  [[nodiscard]] bool fix_possible(sim::SimTime t) {
+  [[nodiscard]] bool fix_possible(sim::SimTime t) const {
     return visible(t) >= config_.min_for_fix;
   }
 
   // Fix acquisition scales down as more satellites are in view.
-  [[nodiscard]] sim::Duration fix_time(sim::SimTime t) {
+  [[nodiscard]] sim::Duration fix_time(sim::SimTime t) const {
     const int n = visible(t);
     if (n < config_.min_for_fix) return sim::minutes(30);  // effectively no
     const double seconds = 45.0 + 420.0 / double(n);
@@ -64,31 +69,15 @@ class GpsSky {
 
   // RINEX-style observation volume scales with tracked satellites: file
   // size multiplier relative to the nominal (mean) sky.
-  [[nodiscard]] double file_size_factor(sim::SimTime t) {
+  [[nodiscard]] double file_size_factor(sim::SimTime t) const {
     return std::max(0.4, double(visible(t)) / config_.mean_visible);
   }
 
   [[nodiscard]] const GpsSkyConfig& config() const { return config_; }
 
-  template <class Archive>
-  void persist(Archive& ar) {
-    ar.value(rng_);
-    ar.value(jitter_hour_);
-    ar.value(jitter_state_);
-  }
-
  private:
-  void refresh_jitter(sim::SimTime t) {
-    const std::int64_t hour = t.millis_since_epoch() / 3'600'000;
-    if (hour == jitter_hour_) return;
-    jitter_hour_ = hour;
-    jitter_state_ = rng_.normal(0.0, config_.jitter);
-  }
-
   GpsSkyConfig config_;
-  util::Rng rng_;
-  std::int64_t jitter_hour_ = -1;
-  double jitter_state_ = 0.0;
+  std::uint64_t seed_;
 };
 
 }  // namespace gw::env

@@ -9,7 +9,6 @@
 #pragma once
 
 #include "sim/time.h"
-#include "util/rng.h"
 
 namespace gw::env {
 
@@ -26,8 +25,8 @@ struct InterferenceConfig {
 
 class InterferenceModel {
  public:
-  InterferenceModel(InterferenceConfig config, RadioSite site, util::Rng rng)
-      : config_(config), site_(site), rng_(rng) {}
+  InterferenceModel(InterferenceConfig config, RadioSite site)
+      : config_(config), site_(site) {}
 
   // Probability that an established link drops during the minute at t.
   [[nodiscard]] double dropout_probability(sim::SimTime t) const {
@@ -41,22 +40,11 @@ class InterferenceModel {
     return rate * site_factor;
   }
 
-  // Draws whether the link drops in the minute at t.
-  [[nodiscard]] bool dropout(sim::SimTime t) {
-    return rng_.bernoulli(dropout_probability(t));
-  }
-
   [[nodiscard]] RadioSite site() const { return site_; }
-
-  template <class Archive>
-  void persist(Archive& ar) {
-    ar.value(rng_);
-  }
 
  private:
   InterferenceConfig config_;
-  RadioSite site_;  // gwlint: allow(persist-coverage): construction constant
-  util::Rng rng_;
+  RadioSite site_;
 };
 
 }  // namespace gw::env

@@ -1,57 +1,30 @@
 #include "env/melt.h"
 
 #include <algorithm>
-#include <cmath>
+
+#include "env/environment.h"
 
 namespace gw::env {
 
-MeltModel::MeltModel(MeltConfig config, util::Rng rng)
-    : config_(config), rng_(rng), index_(config.winter_floor) {}
-
-void MeltModel::advance_to(sim::SimTime t, TemperatureModel& temperature) {
-  const std::int64_t target_day = t.millis_since_epoch() / 86'400'000;
-  if (day_ < 0) {
-    day_ = target_day - 1;
-    // Initialise to the season: start from the floor in the cold half of
-    // the year, from a wet state in summer.
-    const int doy = sim::day_of_year(t);
-    index_ = (doy > 150 && doy < 270) ? 0.8 : config_.winter_floor;
-  }
-  while (day_ < target_day) {
-    ++day_;
-    // Surface melt is driven by the afternoon maximum, not the daily mean —
-    // spring afternoons cross 0°C weeks before the mean does, which is what
-    // puts the Fig 6 conductivity rise in April.
-    const sim::SimTime afternoon{day_ * 86'400'000 + 54'000'000};  // 15:00
-    const double temp_c = temperature.air(afternoon).value();
-    if (temp_c > 0.0) {
-      index_ += config_.degree_day_gain * temp_c;
-    }
-    index_ -= config_.decay_per_day * (index_ - config_.winter_floor);
-    index_ = std::clamp(index_, config_.winter_floor, 1.0);
-  }
-}
-
-double MeltModel::water_index(sim::SimTime t, TemperatureModel& temperature) {
-  advance_to(t, temperature);
-  return index_;
+double MeltModel::water_index(sim::SimTime t) const {
+  return environment_.weather(t).melt_index;
 }
 
 util::MicroSiemens MeltModel::conductivity(sim::SimTime t,
-                                           TemperatureModel& temperature,
                                            double probe_base_us,
-                                           double probe_gain_us) {
-  const double w = water_index(t, temperature);
-  const double noise = rng_.normal(0.0, 0.15 + 0.4 * w);
+                                           double probe_gain_us,
+                                           double noise_z) const {
+  const double w = water_index(t);
+  const double noise = (0.15 + 0.4 * w) * noise_z;
   return util::MicroSiemens{
       std::max(0.0, probe_base_us + probe_gain_us * w + noise)};
 }
 
-double MeltModel::probe_link_loss(sim::SimTime t,
-                                  TemperatureModel& temperature) {
-  const double w = water_index(t, temperature);
-  return config_.winter_packet_loss +
-         (config_.summer_packet_loss - config_.winter_packet_loss) * w;
+double MeltModel::probe_link_loss(sim::SimTime t) const {
+  const MeltConfig& config = environment_.config().melt;
+  const double w = water_index(t);
+  return config.winter_packet_loss +
+         (config.summer_packet_loss - config.winter_packet_loss) * w;
 }
 
 }  // namespace gw::env

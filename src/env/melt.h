@@ -6,16 +6,17 @@
 //     rises sharply when spring melt reaches the bed;
 //   * §III/§V — probe radio works *better* in winter "due to the drier ice
 //     conditions"; in summer 3000 readings commonly lost ~400 packets.
-// The model integrates positive degree-days (with decay) into a water index
-// in [0, 1]; conductivity and probe-link loss are both functions of it.
+// The weather tape (env/environment.h) integrates positive degree-days
+// (with decay) into a water index in [0, 1]; conductivity and probe-link
+// loss are both functions of it.
 #pragma once
 
-#include "env/temperature.h"
 #include "sim/time.h"
-#include "util/rng.h"
 #include "util/units.h"
 
 namespace gw::env {
+
+class Environment;
 
 struct MeltConfig {
   double degree_day_gain = 0.035;  // index gain per positive degree-day
@@ -27,42 +28,28 @@ struct MeltConfig {
   double summer_packet_loss = 0.133;
 };
 
-// Forward-only like SnowModel: sample in chronological order.
 class MeltModel {
  public:
-  MeltModel(MeltConfig config, util::Rng rng);
+  explicit MeltModel(const Environment& environment)
+      : environment_(environment) {}
 
-  // Basal water index in [0, 1]; advances internal integration to t.
-  [[nodiscard]] double water_index(sim::SimTime t,
-                                   TemperatureModel& temperature);
+  // Basal water index in [0, 1] of the day containing t.
+  [[nodiscard]] double water_index(sim::SimTime t) const;
 
   // Electrical conductivity seen by a probe. Probes differ in where they
   // sit relative to drainage channels, expressed as (base, gain) pairs.
+  // `noise_z` is a standard-normal draw from the caller's own stream,
+  // scaled here by the melt-dependent spread.
   [[nodiscard]] util::MicroSiemens conductivity(sim::SimTime t,
-                                                TemperatureModel& temperature,
                                                 double probe_base_us,
-                                                double probe_gain_us);
+                                                double probe_gain_us,
+                                                double noise_z) const;
 
   // Packet-loss probability for the base-station <-> probe radio link.
-  [[nodiscard]] double probe_link_loss(sim::SimTime t,
-                                       TemperatureModel& temperature);
-
-  [[nodiscard]] const MeltConfig& config() const { return config_; }
-
-  template <class Archive>
-  void persist(Archive& ar) {
-    ar.value(rng_);
-    ar.value(day_);
-    ar.value(index_);
-  }
+  [[nodiscard]] double probe_link_loss(sim::SimTime t) const;
 
  private:
-  void advance_to(sim::SimTime t, TemperatureModel& temperature);
-
-  MeltConfig config_;
-  util::Rng rng_;
-  std::int64_t day_ = -1;
-  double index_ = 0.0;
+  const Environment& environment_;
 };
 
 }  // namespace gw::env

@@ -2,53 +2,27 @@
 
 #include <algorithm>
 
+#include "env/environment.h"
+
 namespace gw::env {
 
-SnowModel::SnowModel(SnowConfig config, util::Rng rng)
-    : config_(config), rng_(rng) {}
-
-void SnowModel::advance_to(sim::SimTime t, TemperatureModel& temperature) {
-  const std::int64_t target_day = t.millis_since_epoch() / 86'400'000;
-  if (day_ < 0) day_ = target_day - 1;
-  while (day_ < target_day) {
-    ++day_;
-    const sim::SimTime noon{day_ * 86'400'000 + 43'200'000};
-    const double temp_c = temperature.air(noon).value();
-    storm_today_ = false;
-    if (temp_c < 0.5) {
-      depth_m_ += config_.background_accumulation_m;
-      if (rng_.bernoulli(config_.storm_probability_per_day)) {
-        storm_today_ = true;
-        depth_m_ += rng_.exponential(1.0 / config_.storm_accumulation_m);
-      }
-    } else {
-      // Degree-day melt.
-      depth_m_ -= config_.melt_rate_m_per_degree_day * temp_c;
-    }
-    depth_m_ = std::max(0.0, depth_m_);
-  }
+util::Metres SnowModel::depth(sim::SimTime t) const {
+  return util::Metres{environment_.weather(t).snow_depth_m};
 }
 
-util::Metres SnowModel::depth(sim::SimTime t, TemperatureModel& temperature) {
-  advance_to(t, temperature);
-  return util::Metres{depth_m_};
+double SnowModel::panel_occlusion(sim::SimTime t) const {
+  return std::clamp(environment_.weather(t).snow_depth_m /
+                        environment_.config().snow.panel_burial_depth_m,
+                    0.0, 1.0);
 }
 
-double SnowModel::panel_occlusion(sim::SimTime t,
-                                  TemperatureModel& temperature) {
-  advance_to(t, temperature);
-  return std::clamp(depth_m_ / config_.panel_burial_depth_m, 0.0, 1.0);
+bool SnowModel::turbine_buried(sim::SimTime t) const {
+  return environment_.weather(t).snow_depth_m >=
+         environment_.config().snow.turbine_burial_depth_m;
 }
 
-bool SnowModel::turbine_buried(sim::SimTime t,
-                               TemperatureModel& temperature) {
-  advance_to(t, temperature);
-  return depth_m_ >= config_.turbine_burial_depth_m;
-}
-
-bool SnowModel::storm_today(sim::SimTime t, TemperatureModel& temperature) {
-  advance_to(t, temperature);
-  return storm_today_;
+bool SnowModel::storm_today(sim::SimTime t) const {
+  return environment_.weather(t).storm;
 }
 
 }  // namespace gw::env

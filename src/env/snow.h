@@ -2,19 +2,19 @@
 //
 // Deep snow is a recurring antagonist in the paper: it buried and damaged
 // the base station, ruled out a directional antenna on the café, and makes
-// the wind turbine useless in an Icelandic winter. The model integrates
-// daily accumulation (when cold, with storm events) against temperature-
-// driven melt, and exposes derived factors: how much of the solar panel is
-// occluded, whether the turbine is buried, and a storm flag used by the
-// damage fault models.
+// the wind turbine useless in an Icelandic winter. The weather tape
+// (env/environment.h) integrates daily accumulation (when cold, with storm
+// events) against temperature-driven melt; this model exposes the derived
+// factors: how much of the solar panel is occluded, whether the turbine is
+// buried, and a storm flag used by the damage fault models.
 #pragma once
 
-#include "env/temperature.h"
 #include "sim/time.h"
-#include "util/rng.h"
 #include "util/units.h"
 
 namespace gw::env {
+
+class Environment;
 
 // Calibrated for Vatnajökull's heavy maritime snowfall (§II: snow "would
 // even stop that [wind] source from being useful"; the base station was
@@ -30,45 +30,25 @@ struct SnowConfig {
   double turbine_burial_depth_m = 2.0;
 };
 
-// Forward-only: state integrates day by day from the first query onward, so
-// callers must sample in chronological order (querying an earlier time
-// returns the state already reached — exactly how a physical gauge behaves).
+// The pack as the day containing t left it.
 class SnowModel {
  public:
-  SnowModel(SnowConfig config, util::Rng rng);
+  explicit SnowModel(const Environment& environment)
+      : environment_(environment) {}
 
-  // Advances internal state to the day containing t and returns snow depth.
-  [[nodiscard]] util::Metres depth(sim::SimTime t,
-                                   TemperatureModel& temperature);
+  [[nodiscard]] util::Metres depth(sim::SimTime t) const;
 
   // Fraction of solar panel output lost to snow cover, in [0, 1].
-  [[nodiscard]] double panel_occlusion(sim::SimTime t,
-                                       TemperatureModel& temperature);
+  [[nodiscard]] double panel_occlusion(sim::SimTime t) const;
 
-  [[nodiscard]] bool turbine_buried(sim::SimTime t,
-                                    TemperatureModel& temperature);
+  [[nodiscard]] bool turbine_buried(sim::SimTime t) const;
 
   // True on days with an active storm event (drives structural damage
   // faults in the station models).
-  [[nodiscard]] bool storm_today(sim::SimTime t,
-                                 TemperatureModel& temperature);
-
-  template <class Archive>
-  void persist(Archive& ar) {
-    ar.value(rng_);
-    ar.value(day_);
-    ar.value(depth_m_);
-    ar.value(storm_today_);
-  }
+  [[nodiscard]] bool storm_today(sim::SimTime t) const;
 
  private:
-  void advance_to(sim::SimTime t, TemperatureModel& temperature);
-
-  SnowConfig config_;
-  util::Rng rng_;
-  std::int64_t day_ = -1;
-  double depth_m_ = 0.0;
-  bool storm_today_ = false;
+  const Environment& environment_;
 };
 
 }  // namespace gw::env

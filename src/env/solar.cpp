@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numbers>
 
+#include "env/environment.h"
+
 namespace gw::env {
 namespace {
 
@@ -16,9 +18,9 @@ double declination_deg(int doy) {
 
 }  // namespace
 
-SolarModel::SolarModel(SolarConfig config, util::Rng rng)
-    : config_(config), rng_(rng), cloud_state_(config.cloud_mean) {
-  lat_rad_ = config_.latitude_deg * kDegToRad;
+SolarModel::SolarModel(const Environment& environment)
+    : environment_(environment) {
+  lat_rad_ = environment.config().solar.latitude_deg * kDegToRad;
   sin_lat_ = std::sin(lat_rad_);
   cos_lat_ = std::cos(lat_rad_);
 }
@@ -51,7 +53,7 @@ double SolarModel::sin_elevation(sim::SimTime t) const {
          cos_lat_ * day.cos_decl * std::cos(hour_angle);
 }
 
-util::WattsPerSquareMetre SolarModel::irradiance(sim::SimTime t) {
+util::WattsPerSquareMetre SolarModel::irradiance(sim::SimTime t) const {
   if (last_at_ == t) return util::WattsPerSquareMetre{last_w_};
   const double sin_el = sin_elevation(t);
   last_at_ = t;
@@ -59,33 +61,14 @@ util::WattsPerSquareMetre SolarModel::irradiance(sim::SimTime t) {
   if (sin_el <= 0.0) return util::WattsPerSquareMetre{last_w_};
   // Simple air-mass attenuation: direct+diffuse scale roughly with sin(el)
   // raised to a small extra power near the horizon.
-  const double clear = config_.clear_sky_peak * sin_el *
+  const double clear = environment_.config().solar.clear_sky_peak * sin_el *
                        std::pow(sin_el, 0.15);
-  last_w_ = clear * cloud_factor(t);
+  last_w_ = clear * environment_.weather(t).cloud;
   return util::WattsPerSquareMetre{last_w_};
 }
 
 double SolarModel::daylight_hours(sim::SimTime t) const {
   return geometry_for(t).daylight_hours;
-}
-
-double SolarModel::cloud_factor(sim::SimTime t) {
-  const std::int64_t day = t.millis_since_epoch() / 86'400'000;
-  if (day != cloud_day_) {
-    // AR(1) walk around the mean; one draw per simulated day keeps weather
-    // persistent across the diurnal cycle, as real fronts are.
-    const double innovation =
-        rng_.normal(0.0, config_.cloud_stddev *
-                             std::sqrt(1.0 - config_.cloud_persistence *
-                                                 config_.cloud_persistence));
-    cloud_state_ = config_.cloud_mean +
-                   config_.cloud_persistence *
-                       (cloud_state_ - config_.cloud_mean) +
-                   innovation;
-    cloud_state_ = std::clamp(cloud_state_, 0.08, 1.0);
-    cloud_day_ = day;
-  }
-  return cloud_state_;
 }
 
 }  // namespace gw::env

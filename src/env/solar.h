@@ -3,9 +3,10 @@
 // Vatnajökull sits at ~64°N: near-total darkness around the winter solstice
 // and ~20 h days in June. The model computes solar elevation from the
 // standard declination/hour-angle formulas, converts to clear-sky
-// irradiance, and multiplies by a slowly-varying stochastic cloud factor.
-// This is what makes winter the hard season the paper designs for: the
-// solar panel contributes essentially nothing from November to February.
+// irradiance, and multiplies by a slowly-varying stochastic cloud factor,
+// the weather tape's (env/environment.h), one value a day. This is what
+// makes winter the hard season the paper designs for: the solar panel
+// contributes essentially nothing from November to February.
 #pragma once
 
 #include <cstdint>
@@ -13,10 +14,11 @@
 #include <optional>
 
 #include "sim/time.h"
-#include "util/rng.h"
 #include "util/units.h"
 
 namespace gw::env {
+
+class Environment;
 
 struct SolarConfig {
   double latitude_deg = 64.3;   // Vatnajökull ice cap
@@ -28,30 +30,16 @@ struct SolarConfig {
 
 class SolarModel {
  public:
-  SolarModel(SolarConfig config, util::Rng rng);
+  explicit SolarModel(const Environment& environment);
 
   // Sine of solar elevation (may be negative: sun below horizon).
   [[nodiscard]] double sin_elevation(sim::SimTime t) const;
 
   // Irradiance on a horizontal surface, including cloud attenuation.
-  [[nodiscard]] util::WattsPerSquareMetre irradiance(sim::SimTime t);
+  [[nodiscard]] util::WattsPerSquareMetre irradiance(sim::SimTime t) const;
 
   // Daylight length in hours for the day containing t (cloud-independent).
   [[nodiscard]] double daylight_hours(sim::SimTime t) const;
-
-  [[nodiscard]] const SolarConfig& config() const { return config_; }
-
-  // Snapshot support (docs/SNAPSHOT.md): the AR(1) cloud state and the RNG
-  // stream are dynamics. The per-day geometry memo and the last answer are
-  // derived caches and never saved; load forgets the last answer, which
-  // belonged to the world this model held before.
-  template <class Archive>
-  void persist(Archive& ar) {
-    ar.value(rng_);
-    ar.value(cloud_day_);
-    ar.value(cloud_state_);
-    if constexpr (!Archive::kIsSaver) last_at_.reset();
-  }
 
  private:
   // Memoized per-day geometry: declination and daylight length depend only
@@ -70,29 +58,18 @@ class SolarModel {
   };
 
   const DayGeometry& geometry_for(sim::SimTime t) const;
-  double cloud_factor(sim::SimTime t);
 
-  SolarConfig config_;
-  util::Rng rng_;
-  // Derived from config_.latitude at construction; pure caches.
-  double sin_lat_ = 0.0;  // gwlint: allow(persist-coverage): derived cache
-  double cos_lat_ = 0.0;  // gwlint: allow(persist-coverage): derived cache
-  double lat_rad_ = 0.0;  // gwlint: allow(persist-coverage): derived cache
-  // gwlint: allow(persist-coverage): per-day cache, recomputed on first use
+  const Environment& environment_;
+  // Derived from the latitude at construction.
+  double sin_lat_ = 0.0;
+  double cos_lat_ = 0.0;
+  double lat_rad_ = 0.0;
   mutable std::int64_t cached_day_ = std::numeric_limits<std::int64_t>::min();
-  // gwlint: allow(persist-coverage): per-day cache, recomputed on first use
   mutable DayGeometry cached_;
-  // AR(1) cloud state, refreshed once per simulated day.
-  std::int64_t cloud_day_ = -1;
-  double cloud_state_ = 0.0;
   // The last instant answered by irradiance() and its answer, night zeros
-  // included: every station of a fleet asks about the same minute, and two
-  // consecutive queries for one instant cannot cross the day boundary that
-  // moves the cloud walk.
-  // gwlint: allow(persist-coverage): per-instant memo, cleared on load
-  std::optional<sim::SimTime> last_at_;
-  // gwlint: allow(persist-coverage): per-instant memo, cleared on load
-  double last_w_ = 0.0;
+  // included: every station of a fleet asks about the same minute.
+  mutable std::optional<sim::SimTime> last_at_;
+  mutable double last_w_ = 0.0;
 };
 
 }  // namespace gw::env

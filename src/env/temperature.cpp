@@ -3,39 +3,38 @@
 #include <cmath>
 #include <numbers>
 
+#include "env/environment.h"
+
 namespace gw::env {
 
-TemperatureModel::TemperatureModel(TemperatureConfig config, util::Rng rng)
-    : config_(config), rng_(rng) {}
+double TemperatureModel::seasonal_c(const TemperatureConfig& config,
+                                    sim::SimTime t) {
+  const int doy = sim::day_of_year(t);
+  // Warmest around late July (doy ~205).
+  return config.annual_mean_c +
+         config.seasonal_amplitude_c *
+             std::cos(2.0 * std::numbers::pi * (doy - 205) / 365.0);
+}
 
-util::Celsius TemperatureModel::air(sim::SimTime t) {
-  if (last_at_ == t) return util::Celsius{last_c_};
-  const std::int64_t day = t.millis_since_epoch() / 86'400'000;
-  if (day != day_) {
-    day_ = day;
-    const double innovation =
-        rng_.normal(0.0, config_.noise_stddev_c *
-                             std::sqrt(1.0 - config_.noise_persistence *
-                                                 config_.noise_persistence));
-    noise_state_ =
-        config_.noise_persistence * noise_state_ + innovation;
-  }
-  const std::int64_t index = sim::day_index(t);
-  if (index != seasonal_day_) {
-    seasonal_day_ = index;
-    const int doy = sim::day_of_year(t);
-    // Warmest around late July (doy ~205).
-    seasonal_c_ = config_.annual_mean_c +
-                  config_.seasonal_amplitude_c *
-                      std::cos(2.0 * std::numbers::pi * (doy - 205) / 365.0);
-  }
+double TemperatureModel::diurnal_c(const TemperatureConfig& config,
+                                   sim::SimTime t) {
   const double hour = sim::time_of_day(t).to_hours();
   // Warmest mid-afternoon (~15:00).
-  const double diurnal =
-      config_.diurnal_amplitude_c *
-      std::cos(2.0 * std::numbers::pi * (hour - 15.0) / 24.0);
+  return config.diurnal_amplitude_c *
+         std::cos(2.0 * std::numbers::pi * (hour - 15.0) / 24.0);
+}
+
+util::Celsius TemperatureModel::air(sim::SimTime t) const {
+  if (last_at_ == t) return util::Celsius{last_c_};
+  const std::int64_t day = sim::day_index(t);
+  const TemperatureConfig& config = environment_.config().temperature;
+  if (day != seasonal_day_) {
+    seasonal_day_ = day;
+    seasonal_c_ = seasonal_c(config, t);
+  }
   last_at_ = t;
-  last_c_ = seasonal_c_ + diurnal + noise_state_;
+  last_c_ = seasonal_c_ + diurnal_c(config, t) +
+            environment_.weather(day).temperature_noise_c;
   return util::Celsius{last_c_};
 }
 

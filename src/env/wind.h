@@ -5,13 +5,15 @@
 // paper notes the expected snow "would even stop that source from being
 // useful". Daily mean speeds are Weibull-distributed with a seasonal scale
 // (stormier winters); within a day an AR(1) gust process modulates the mean.
+// Both live on the weather tape (env/environment.h).
 #pragma once
 
 #include "sim/time.h"
-#include "util/rng.h"
 #include "util/units.h"
 
 namespace gw::env {
+
+class Environment;
 
 struct WindConfig {
   double weibull_shape = 2.0;
@@ -23,31 +25,13 @@ struct WindConfig {
 
 class WindModel {
  public:
-  WindModel(WindConfig config, util::Rng rng);
+  explicit WindModel(const Environment& environment)
+      : environment_(environment) {}
 
-  [[nodiscard]] util::MetresPerSecond speed(sim::SimTime t);
-
-  [[nodiscard]] const WindConfig& config() const { return config_; }
-
-  template <class Archive>
-  void persist(Archive& ar) {
-    ar.value(rng_);
-    ar.value(day_);
-    ar.value(hour_);
-    ar.value(daily_mean_);
-    ar.value(gust_state_);
-  }
+  [[nodiscard]] util::MetresPerSecond speed(sim::SimTime t) const;
 
  private:
-  void refresh_day(sim::SimTime t);
-  void refresh_hour(sim::SimTime t);
-
-  WindConfig config_;
-  util::Rng rng_;
-  std::int64_t day_ = -1;
-  std::int64_t hour_ = -1;
-  double daily_mean_ = 0.0;
-  double gust_state_ = 0.0;
+  const Environment& environment_;
 };
 
 }  // namespace gw::env

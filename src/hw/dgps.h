@@ -62,7 +62,7 @@ class DgpsReceiver {
   // stochastic jitter stands in (unit-test mode).
   DgpsReceiver(sim::Simulation& simulation, power::PowerSystem& power,
                util::Rng rng, DgpsConfig config = {},
-               env::GpsSky* sky = nullptr)
+               const env::GpsSky* sky = nullptr)
       : simulation_(simulation),
         power_(power),
         config_(config),
@@ -227,7 +227,7 @@ class DgpsReceiver {
   power::PowerSystem& power_;
   DgpsConfig config_;
   util::Rng rng_;
-  env::GpsSky* sky_;
+  const env::GpsSky* sky_;
   fault::FaultOracle* oracle_ = nullptr;
   // gwlint: allow(persist-coverage): registry handle re-acquired when the
   // identically-configured power system is rebuilt before restore

@@ -24,7 +24,7 @@ struct RadioModemConfig {
 class RadioModem {
  public:
   RadioModem(sim::Simulation& simulation, power::PowerSystem& power,
-             env::InterferenceModel& interference,
+             const env::InterferenceModel& interference,
              RadioModemConfig config = {})
       : simulation_(simulation),
         power_(power),
@@ -58,10 +58,6 @@ class RadioModem {
     return interference_.dropout_probability(t);
   }
 
-  [[nodiscard]] bool draw_drop(sim::SimTime t) {
-    return interference_.dropout(t);
-  }
-
   [[nodiscard]] const RadioModemConfig& config() const { return config_; }
 
  private:
@@ -75,7 +71,7 @@ class RadioModem {
 
   sim::Simulation& simulation_;
   power::PowerSystem& power_;
-  env::InterferenceModel& interference_;
+  const env::InterferenceModel& interference_;
   RadioModemConfig config_;
   power::LoadHandle load_;
   bool powered_ = false;

@@ -36,14 +36,14 @@ struct SensorSuiteConfig {
 
 class SensorSuite {
  public:
-  SensorSuite(env::Environment& environment, power::PowerSystem& power,
+  SensorSuite(const env::Environment& environment, power::PowerSystem& power,
               util::Rng rng, SensorSuiteConfig config = {})
       : environment_(environment), power_(power), config_(config), rng_(rng) {}
 
   // One full scan, as the MSP430 performs on its sampling schedule.
   [[nodiscard]] std::vector<SensorReading> read_all(sim::SimTime t) {
     std::vector<SensorReading> readings;
-    auto& temperature = environment_.temperature();
+    const auto& temperature = environment_.temperature();
 
     readings.push_back({"air_temperature",
                         temperature.air(t).value() +
@@ -57,7 +57,7 @@ class SensorSuite {
         {"enclosure_humidity", humidity(t), "%"});
     readings.push_back(
         {"snow_level",
-         std::max(0.0, environment_.snow().depth(t, temperature).value() +
+         std::max(0.0, environment_.snow().depth(t).value() +
                            rng_.normal(0.0, config_.snow_noise_m)),
          "m"});
     readings.push_back(
@@ -85,8 +85,7 @@ class SensorSuite {
  private:
   [[nodiscard]] double humidity(sim::SimTime t) {
     // Wetter when melt is active; bounded to a plausible RH band.
-    const double w = environment_.melt().water_index(
-        t, environment_.temperature());
+    const double w = environment_.melt().water_index(t);
     return std::clamp(55.0 + 35.0 * w + rng_.normal(0.0, config_.humidity_noise),
                       20.0, 100.0);
   }
@@ -97,13 +96,12 @@ class SensorSuite {
     const std::int64_t day = t.millis_since_epoch() / 86'400'000;
     if (day == tilt_day_) return;
     tilt_day_ = day;
-    const double w = environment_.melt().water_index(
-        t, environment_.temperature());
+    const double w = environment_.melt().water_index(t);
     pitch_deg_ += rng_.normal(0.0, 0.05 + 0.4 * w);
     roll_deg_ += rng_.normal(0.0, 0.05 + 0.4 * w);
   }
 
-  env::Environment& environment_;
+  const env::Environment& environment_;
   power::PowerSystem& power_;
   SensorSuiteConfig config_;
   util::Rng rng_;

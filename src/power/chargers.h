@@ -24,8 +24,8 @@ class Charger {
  public:
   virtual ~Charger() = default;
   [[nodiscard]] virtual std::string name() const = 0;
-  [[nodiscard]] virtual util::Watts output(sim::SimTime t,
-                                           env::Environment& environment) = 0;
+  [[nodiscard]] virtual util::Watts output(
+      sim::SimTime t, const env::Environment& environment) = 0;
 };
 
 struct SolarPanelConfig {
@@ -42,11 +42,10 @@ class SolarPanel final : public Charger {
 
   [[nodiscard]] std::string name() const override { return "solar"; }
 
-  [[nodiscard]] util::Watts output(sim::SimTime t,
-                                   env::Environment& environment) override {
+  [[nodiscard]] util::Watts output(
+      sim::SimTime t, const env::Environment& environment) override {
     const double irradiance = environment.solar().irradiance(t).value();
-    const double occlusion =
-        environment.snow().panel_occlusion(t, environment.temperature());
+    const double occlusion = environment.snow().panel_occlusion(t);
     const double fraction = irradiance / config_.rated_irradiance;
     return config_.rated * std::min(1.2, fraction) *
            config_.system_efficiency * (1.0 - occlusion);
@@ -72,9 +71,9 @@ class WindTurbine final : public Charger {
 
   [[nodiscard]] std::string name() const override { return "wind"; }
 
-  [[nodiscard]] util::Watts output(sim::SimTime t,
-                                   env::Environment& environment) override {
-    if (environment.snow().turbine_buried(t, environment.temperature())) {
+  [[nodiscard]] util::Watts output(
+      sim::SimTime t, const env::Environment& environment) override {
+    if (environment.snow().turbine_buried(t)) {
       return util::Watts{0.0};
     }
     const double v = environment.wind().speed(t).value();
@@ -116,7 +115,7 @@ class MainsCharger final : public Charger {
   }
 
   [[nodiscard]] util::Watts output(sim::SimTime t,
-                                   env::Environment&) override {
+                                   const env::Environment&) override {
     return in_season(t) ? config_.rated : util::Watts{0.0};
   }
 

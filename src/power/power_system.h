@@ -49,8 +49,8 @@ struct PowerSystemConfig {
 
 class PowerSystem {
  public:
-  PowerSystem(sim::Simulation& simulation, env::Environment& environment,
-              PowerSystemConfig config)
+  PowerSystem(sim::Simulation& simulation,
+              const env::Environment& environment, PowerSystemConfig config)
       : simulation_(simulation),
         environment_(environment),
         config_(config),
@@ -123,7 +123,7 @@ class PowerSystem {
   // breakdown lands under "energy" as <component>.<state>.joules /
   // .seconds plus the two conservation meters. Call at any natural
   // boundary (the station does so at the end of each daily run).
-  void publish_ledgers() {
+  void publish_ledgers() const {
     if (hooks_.metrics == nullptr) return;
     auto& metrics = *hooks_.metrics;
     for (std::size_t i = 0; i < chargers_.size(); ++i) {
@@ -196,7 +196,7 @@ class PowerSystem {
 
   // Instantaneous terminal voltage under the present net current — what the
   // Gumsense ADC samples every 30 minutes.
-  [[nodiscard]] util::Volts terminal_voltage() {
+  [[nodiscard]] util::Volts terminal_voltage() const {
     const util::Amps net = last_charge_current_ - total_load_current();
     return battery_.terminal_voltage(net);
   }
@@ -349,7 +349,7 @@ class PowerSystem {
   }
 
   sim::Simulation& simulation_;
-  env::Environment& environment_;
+  const env::Environment& environment_;
   PowerSystemConfig config_;
   LeadAcidBattery battery_;
   // gwlint: allow(persist-coverage): polymorphic chargers are built from

@@ -79,6 +79,12 @@ util::Error wrong_type(std::string_view msg) {
   return util::make_error(std::string(msg) + ": wrong message type");
 }
 
+// A typed read takes exactly the keys it names. A form of any other size
+// lacks one or carries one the read would drop, so it is refused.
+util::Error wrong_size(std::string_view msg) {
+  return util::make_error(std::string(msg) + ": unexpected fields");
+}
+
 }  // namespace
 
 // --- FormWriter -------------------------------------------------------------
@@ -198,6 +204,7 @@ std::string StateReport::encode() const {
 
 util::Result<StateReport> StateReport::read(const FormView& form) {
   if (!tagged(form, "state_report")) return wrong_type("state_report");
+  if (form.size() != 4) return wrong_size("state_report");
   const auto station = form.get("station");
   const auto state = form.get_int("state");
   const auto rtc = form.get_int("rtc_ms");
@@ -226,6 +233,7 @@ std::string OverrideRequest::encode() const {
 
 util::Result<OverrideRequest> OverrideRequest::read(const FormView& form) {
   if (!tagged(form, "override_request")) return wrong_type("override_request");
+  if (form.size() != 2) return wrong_size("override_request");
   const auto station = form.get("station");
   if (!station) return util::make_error("override_request: missing station");
   OverrideRequest request;
@@ -252,6 +260,7 @@ util::Result<OverrideResponse> OverrideResponse::read(const FormView& form) {
   if (!tagged(form, "override_response")) {
     return wrong_type("override_response");
   }
+  if (form.size() != 3) return wrong_size("override_response");
   const auto has = form.get_int("has");
   const auto state = form.get_int("state");
   if (!has || !state) {
@@ -277,6 +286,7 @@ std::string DirectoryRequest::encode() const {
 
 util::Result<DirectoryRequest> DirectoryRequest::read(const FormView& form) {
   if (!tagged(form, "dir_request")) return wrong_type("dir_request");
+  if (form.size() != 1) return wrong_size("dir_request");
   return DirectoryRequest{};
 }
 
@@ -312,6 +322,7 @@ util::Result<DirectoryResponse> DirectoryResponse::read(const FormView& form) {
   if (!count || *count < 0 || *count > kMaxDirectoryStations) {
     return util::make_error("dir_response: bad station count");
   }
+  if (form.size() != std::size_t(*count) + 2) return wrong_size("dir_response");
   DirectoryResponse response;
   response.stations.reserve(std::size_t(*count));
   char key[24];
@@ -338,6 +349,7 @@ std::string StationStatsRequest::encode() const {
 util::Result<StationStatsRequest> StationStatsRequest::read(
     const FormView& form) {
   if (!tagged(form, "stats_request")) return wrong_type("stats_request");
+  if (form.size() != 2) return wrong_size("stats_request");
   const auto station = form.get("station");
   if (!station) return util::make_error("stats_request: missing station");
   StationStatsRequest request;
@@ -364,6 +376,7 @@ std::string StationStatsResponse::encode() const {
 util::Result<StationStatsResponse> StationStatsResponse::read(
     const FormView& form) {
   if (!tagged(form, "stats_response")) return wrong_type("stats_response");
+  if (form.size() != 6) return wrong_size("stats_response");
   const auto station = form.get("station");
   const auto known = form.get_int("known");
   const auto files = form.get_int("files");
@@ -396,6 +409,7 @@ std::string GroupStatusRequest::encode() const {
 util::Result<GroupStatusRequest> GroupStatusRequest::read(
     const FormView& form) {
   if (!tagged(form, "group_request")) return wrong_type("group_request");
+  if (form.size() != 2) return wrong_size("group_request");
   const auto group = form.get("group");
   if (!group) return util::make_error("group_request: missing group");
   GroupStatusRequest request;
@@ -422,6 +436,7 @@ std::string GroupStatusResponse::encode() const {
 util::Result<GroupStatusResponse> GroupStatusResponse::read(
     const FormView& form) {
   if (!tagged(form, "group_response")) return wrong_type("group_response");
+  if (form.size() != 6) return wrong_size("group_response");
   const auto group = form.get("group");
   const auto members = form.get_int("members");
   const auto fresh = form.get_int("fresh");
@@ -453,6 +468,7 @@ std::string QueryError::encode() const {
 
 util::Result<QueryError> QueryError::read(const FormView& form) {
   if (!tagged(form, "error")) return wrong_type("error");
+  if (form.size() != 2) return wrong_size("error");
   const auto reason = form.get("reason");
   if (!reason) return util::make_error("error: missing reason");
   QueryError error;

@@ -66,7 +66,8 @@ class PppLink {
       bool dropped = false;
       while (survived < total_minutes) {
         const double step = std::min(1.0, total_minutes - survived);
-        if (modem_.draw_drop(now + sim::minutes(survived))) {
+        if (rng_.bernoulli(modem_.drop_probability_per_minute(
+                now + sim::minutes(survived)))) {
           dropped = true;
           survived += step * rng_.uniform();
           break;

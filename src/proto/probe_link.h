@@ -8,8 +8,9 @@
 // and the stop-and-wait baseline) run over this.
 #pragma once
 
+#include <algorithm>
+
 #include "env/melt.h"
-#include "env/temperature.h"
 #include "sim/time.h"
 #include "util/rng.h"
 #include "util/units.h"
@@ -26,14 +27,14 @@ struct ProbeLinkConfig {
 
 class ProbeLink {
  public:
-  ProbeLink(env::MeltModel& melt, env::TemperatureModel& temperature,
-            util::Rng rng, ProbeLinkConfig config = {})
-      : melt_(melt), temperature_(temperature), config_(config), rng_(rng) {}
+  ProbeLink(const env::MeltModel& melt, util::Rng rng,
+            ProbeLinkConfig config = {})
+      : melt_(melt), config_(config), rng_(rng) {}
 
   // Instantaneous per-packet loss probability.
-  [[nodiscard]] double loss_probability(sim::SimTime t) {
-    return std::min(0.95, melt_.probe_link_loss(t, temperature_) *
-                              config_.link_quality_factor);
+  [[nodiscard]] double loss_probability(sim::SimTime t) const {
+    return std::min(0.95,
+                    melt_.probe_link_loss(t) * config_.link_quality_factor);
   }
 
   // Draws whether a single packet survives the trip at time t.
@@ -65,8 +66,7 @@ class ProbeLink {
   }
 
  private:
-  env::MeltModel& melt_;
-  env::TemperatureModel& temperature_;
+  const env::MeltModel& melt_;
   ProbeLinkConfig config_;
   util::Rng rng_;
   std::uint64_t packets_attempted_ = 0;

@@ -5,7 +5,8 @@ namespace gw::station {
 Fleet::Fleet(FleetConfig config)
     : FleetAssembly(std::move(config), "Fleet"),
       simulation_(sim::to_time(config_.start)),
-      environment_(config_.environment, config_.seed) {
+      environment_(config_.environment, config_.seed,
+                   sim::to_time(config_.start)) {
   fault::FaultOracle* oracle = nullptr;
   if (fault_plan_.has_value()) {
     fault_oracle_ =

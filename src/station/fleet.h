@@ -39,7 +39,6 @@ class Fleet : public FleetAssembly {
   void run_days(double days);
 
   [[nodiscard]] sim::Simulation& simulation() { return simulation_; }
-  [[nodiscard]] env::Environment& environment() { return environment_; }
   [[nodiscard]] SouthamptonServer& server() { return server_; }
 
   // 30-minute series: "<station>.voltage", "<station>.state",

@@ -70,7 +70,7 @@ FleetAssembly::FleetAssembly(FleetConfig config, const std::string& owner)
 }
 
 void FleetAssembly::build_station(std::size_t index, sim::Simulation& kernel,
-                                  env::Environment& environment,
+                                  const env::Environment& environment,
                                   SouthamptonServer& server,
                                   fault::FaultOracle* oracle) {
   const StationSpec& spec = config_.stations[index];
@@ -124,25 +124,31 @@ void FleetAssembly::finish_build() {
 }
 
 void FleetAssembly::sample_stations(std::size_t first, std::size_t last,
-                                    sim::Trace& trace) {
+                                    sim::Trace& trace) const {
   for (std::size_t s = first; s < last; ++s) {
-    Station& built = *stations_[s];
+    const Station& built = station(s);
     const TraceNames& names = trace_names_[s];
     const sim::SimTime now = built.simulation().now();
     trace.add(names.voltage, now, built.power().terminal_voltage().value());
     trace.add(names.state, now, double(core::to_int(built.current_state())));
     trace.add(names.soc, now, built.power().battery().soc());
   }
+  const util::Rng noise{config_.seed};
   for (std::size_t s = first; s < last; ++s) {
-    env::Environment& environment = stations_[s]->environment();
-    const sim::SimTime now = stations_[s]->simulation().now();
+    const Station& built = station(s);
+    const env::MeltModel& melt = built.environment().melt();
+    const sim::SimTime now = built.simulation().now();
     for (std::size_t p = 0; p < probes_[s].size(); ++p) {
       const ProbeNode& probe = *probes_[s][p];
       if (!probe.alive()) continue;
-      const auto conductivity = environment.melt().conductivity(
-          now, environment.temperature(), probe.config().conductivity_base_us,
-          probe.config().conductivity_gain_us);
-      trace.add(trace_names_[s].conductivity[p], now, conductivity.value());
+      const std::string& series = trace_names_[s].conductivity[p];
+      const auto conductivity = melt.conductivity(
+          now, probe.config().conductivity_base_us,
+          probe.config().conductivity_gain_us,
+          noise.fork(series)
+              .fork(std::uint64_t(now.millis_since_epoch()))
+              .normal());
+      trace.add(series, now, conductivity.value());
     }
   }
 }
@@ -195,9 +201,10 @@ std::vector<FleetAssembly::GroupStatus> FleetAssembly::group_status() const {
 obs::MetricsRegistry& FleetAssembly::update_rollup() {
   int up = 0;
   double yield_bytes = 0.0;
-  for (const auto& built : stations_) {
-    if (built->current_state() != core::PowerState::kState0) ++up;
-    yield_bytes += double(server_.bytes_from(built->name()).count());
+  for (std::size_t s = 0; s < size(); ++s) {
+    const Station& built = station(s);
+    if (built.current_state() != core::PowerState::kState0) ++up;
+    yield_bytes += double(server_.bytes_from(built.name()).count());
   }
   const auto groups = group_status();
   int converged = 0;

@@ -1,8 +1,9 @@
 // FleetAssembly: what the serial Fleet and the ShardedFleet share — the
 // fleet description (FleetConfig), the per-station build, the trace sampler
 // and the rollup. A fleet derives from it and keeps only what really
-// differs: its kernel, a shared versus per-station environment / server /
-// fault oracle, the sharded barrier drain, and snapshots.
+// differs: its kernel and environment (one per kernel), a shared versus
+// per-station server / fault oracle, the sharded barrier drain, and
+// snapshots.
 //
 // Construction order is part of the determinism contract, because it fixes
 // kernel sequence numbers and rng draw order: a fleet builds every station
@@ -144,8 +145,8 @@ class FleetAssembly {
   // to `server`, and `oracle` attached when non-null. Its rng stream forks
   // by name, so the assembly sequence never perturbs the draws.
   void build_station(std::size_t index, sim::Simulation& kernel,
-                     env::Environment& environment, SouthamptonServer& server,
-                     fault::FaultOracle* oracle);
+                     const env::Environment& environment,
+                     SouthamptonServer& server, fault::FaultOracle* oracle);
   // Pass 2, after every station: each station's probes from the variant
   // table, on its station's kernel and environment; then every station's
   // start(); then, with the trace on, every station's series names.
@@ -153,9 +154,10 @@ class FleetAssembly {
 
   // Records stations [first, last) into `trace` at their kernel's clock:
   // voltage, state and SoC of each, then the conductivity of each live
-  // probe, read from its station's environment.
+  // probe, read from its station's environment with noise keyed by
+  // (series, sample time): an observer draws from no stream of the world.
   void sample_stations(std::size_t first, std::size_t last,
-                       sim::Trace& trace);
+                       sim::Trace& trace) const;
 
   FleetConfig config_;
   // config_.fault_spec, parsed; absent when the spec is empty.

@@ -5,7 +5,6 @@
 //
 //   meta               world shape — seed, start, station names, probe counts
 //   kernel             simulation clock, sequence counter, live-event count
-//   env                every environment model's stochastic state
 //   fault              fault-oracle trip counters + instrumentation
 //   server             the Southampton ingest/query server
 //   fleet              trace, rollup sinks, convergence memory, trace event
@@ -15,6 +14,9 @@
 // Restore rebuilds the object graph by constructing a fresh Fleet from the
 // identical FleetConfig (wiring, callbacks, and configuration all come from
 // the constructor), then overwrites the dynamic state section by section.
+// The environment has no section: it is a pure function of the seed, the
+// config and the start that meta pins, so the restored fleet's weather
+// tape rebuilds itself from the start as it is read.
 // Pending events are not serialised as closures: each owner records a
 // rebuild record (live flag + execution time + sequence number) and
 // re-schedules its own callback through Simulation::schedule_rebuilt, which
@@ -155,7 +157,6 @@ std::vector<std::uint8_t> Fleet::save_snapshot() {
       auto checkpoint = simulation_.checkpoint();
       ar.value(checkpoint);
     });
-    out.section("env", [&](snapshot::Saver& ar) { ar.value(environment_); });
     out.section("fault",
                 [&](snapshot::Saver& ar) { persist_fault_section(ar); });
     out.section("server", [&](snapshot::Saver& ar) { ar.value(server_); });
@@ -206,7 +207,6 @@ void Fleet::restore_snapshot(std::span<const std::uint8_t> bytes) {
                [&](snapshot::Loader& ar) { ar.value(checkpoint); });
   simulation_.begin_restore(checkpoint);
 
-  read_section("env", [&](snapshot::Loader& ar) { ar.value(environment_); });
   read_section("fault",
                [&](snapshot::Loader& ar) { persist_fault_section(ar); });
   read_section("server", [&](snapshot::Loader& ar) { ar.value(server_); });

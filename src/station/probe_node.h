@@ -35,14 +35,13 @@ struct ProbeNodeConfig {
 
 class ProbeNode {
  public:
-  ProbeNode(sim::Simulation& simulation, env::Environment& environment,
+  ProbeNode(sim::Simulation& simulation, const env::Environment& environment,
             util::Rng rng, ProbeNodeConfig config)
       : simulation_(simulation),
         environment_(environment),
         config_(config),
         rng_(rng),
-        link_(environment.melt(), environment.temperature(),
-              rng.fork("link"),
+        link_(environment.melt(), rng.fork("link"),
               proto::ProbeLinkConfig{
                   .link_quality_factor = config.link_quality_factor}),
         deployed_at_(simulation.now()) {
@@ -117,13 +116,11 @@ class ProbeNode {
     reading.sampled_ms = now.millis_since_epoch();
     reading.conductivity_us =
         environment_.melt()
-            .conductivity(now, environment_.temperature(),
-                          config_.conductivity_base_us,
-                          config_.conductivity_gain_us)
+            .conductivity(now, config_.conductivity_base_us,
+                          config_.conductivity_gain_us, rng_.normal())
             .value();
     // Basal water pressure tracks the melt index (stick-slip studies, §I).
-    const double w =
-        environment_.melt().water_index(now, environment_.temperature());
+    const double w = environment_.melt().water_index(now);
     reading.pressure_kpa = 600.0 + 250.0 * w + rng_.normal(0.0, 8.0);
     reading.tilt_deg = tilt_ += rng_.normal(0.0, 0.02 + 0.1 * w);
     reading.temperature_c = -0.4 + rng_.normal(0.0, 0.05);
@@ -131,7 +128,7 @@ class ProbeNode {
   }
 
   sim::Simulation& simulation_;
-  env::Environment& environment_;
+  const env::Environment& environment_;
   ProbeNodeConfig config_;
   util::Rng rng_;
   proto::ProbeLink link_;

@@ -56,19 +56,23 @@ ShardedFleet::ShardedFleet(ShardedFleetConfig config)
   sharded_config.lookahead = latency_;
   sharded_config.start = sim::to_time(config_.start);
   sharded_ = std::make_unique<sim::ShardedSimulation>(sharded_config);
+  environments_.reserve(shard_count);
+  for (std::size_t k = 0; k < shard_count; ++k) {
+    environments_.push_back(std::make_unique<env::Environment>(
+        config_.environment, config_.seed, sharded_config.start));
+  }
 
-  // Pass 1: one world per station, on its group's shard. The replica
-  // server mirrors the serial wiring (oracle, sync groups) but owns only
-  // this station's traffic; its report log feeds the barrier drains. The
-  // hub is FleetAssembly's server, wired like the serial fleet's.
+  // Pass 1: one world per station, on its group's shard and that shard's
+  // environment. The replica server mirrors the serial wiring (oracle, sync
+  // groups) but owns only this station's traffic; its report log feeds the
+  // barrier drains. The hub is FleetAssembly's server, wired like the
+  // serial fleet's.
   std::map<std::string, std::vector<std::size_t>> groups;
   worlds_.reserve(config_.stations.size());
   for (std::size_t s = 0; s < config_.stations.size(); ++s) {
     const StationSpec& spec = config_.stations[s];
     auto world = std::make_unique<World>();
     world->shard = group_slot.at(group_key(spec)) % shard_count;
-    world->environment =
-        std::make_unique<env::Environment>(config_.environment, config_.seed);
     world->server = std::make_unique<SouthamptonServer>();
     world->server->sync().enable_report_log();
     if (fault_plan_.has_value()) {
@@ -77,8 +81,9 @@ ShardedFleet::ShardedFleet(ShardedFleetConfig config)
       world->oracle->set_hooks(
           obs::Hooks{&world->fault_metrics, &world->fault_journal});
     }
-    build_station(s, sharded_->shard(world->shard), *world->environment,
-                  *world->server, world->oracle.get());
+    build_station(s, sharded_->shard(world->shard),
+                  *environments_[world->shard], *world->server,
+                  world->oracle.get());
     if (!spec.sync_group.empty()) groups[spec.sync_group].push_back(s);
     worlds_.push_back(std::move(world));
   }
@@ -96,7 +101,7 @@ ShardedFleet::ShardedFleet(ShardedFleetConfig config)
     }
   }
 
-  // Pass 2: probes, on their station's shard and environment replica.
+  // Pass 2: probes, on their station's shard and environment.
   finish_build();
   if (config_.trace_enabled) {
     for (std::size_t s = 0; s < worlds_.size(); ++s) sample_trace(s);

@@ -9,12 +9,12 @@
 //     lockstep and chats daily — keep it on one shard; an ungrouped
 //     station is its own singleton group), groups round-robined over
 //     shards in spec order;
-//   * every mutable dependency becomes station-owned: each station gets
-//     its own env::Environment replica (the environment models are
-//     call-history-stateful, so sharing one across shards would both race
-//     and make draws depend on the partition), its own SouthamptonServer
-//     *replica* (the only server object its daily run touches), and its
-//     own FaultOracle + fault instrumentation pair;
+//   * each shard owns one env::Environment: the weather is a pure
+//     function of (seed, config, start, time), so every shard's answers
+//     are the serial Fleet's, and no shard touches another's;
+//   * every station gets its own SouthamptonServer *replica* (the only
+//     server object its daily run touches) and its own FaultOracle + fault
+//     instrumentation pair;
 //   * cross-station coupling happens only through timestamped messages
 //     drained from the replicas at window barriers: fresh sync reports are
 //     relayed into every group peer's replica as kernel-exact events at
@@ -26,10 +26,9 @@
 //
 // The result: rollup gauges, per-station metrics/journals, traces, hub
 // ledgers, and events_executed() are byte-identical at any worker count
-// and any shard count (tests/system/sharded_determinism_test.cpp). A
-// sharded world is *not* draw-for-draw identical to the serial Fleet —
-// per-station environment replicas change which rng streams interleave —
-// it is the serial world of the sharded semantics, defined as shards=1.
+// and any shard count (tests/system/sharded_determinism_test.cpp). Its
+// weather is the serial Fleet's, but the message latency makes it the
+// serial world of the sharded semantics, defined as shards=1.
 #pragma once
 
 #include <cstddef>
@@ -158,7 +157,6 @@ class ShardedFleet : public FleetAssembly {
   struct World {
     std::size_t shard = 0;
     std::vector<std::size_t> peers;   // same-group worlds, excluding self
-    std::unique_ptr<env::Environment> environment;
     obs::MetricsRegistry fault_metrics;
     obs::EventJournal fault_journal;
     std::unique_ptr<fault::FaultOracle> oracle;  // null when no fault plan
@@ -178,6 +176,7 @@ class ShardedFleet : public FleetAssembly {
   // Cross-shard message latency = window length (ShardedFleetConfig).
   sim::Duration latency_;
   std::unique_ptr<sim::ShardedSimulation> sharded_;
+  std::vector<std::unique_ptr<env::Environment>> environments_;  // by shard
   std::vector<std::unique_ptr<World>> worlds_;
 };
 

@@ -2,13 +2,6 @@
 
 namespace gw::station {
 
-std::size_t SouthamptonServer::compact_received() {
-  const std::size_t cleared = received_.size();
-  received_.clear();
-  if (cleared > 0) ++compactions_;
-  return cleared;
-}
-
 // One pass over the three name-ordered ledgers: each step visits the least
 // name under the three cursors and advances every cursor that holds it.
 template <class Visit>
@@ -67,6 +60,9 @@ std::string SouthamptonServer::handle_query(std::string_view wire,
   if (!form.ok()) return refuse("bad_wire");
   const std::string_view msg = form.value().get("msg").value_or("");
   if (msg == "dir_request") {
+    if (!proto::DirectoryRequest::read(form.value()).ok()) {
+      return refuse("bad_request");
+    }
     ++queries_served_;
     std::vector<std::string_view> names;
     names.reserve(files_by_station_.size() + beacons_by_station_.size() +

@@ -12,11 +12,10 @@
 // it is whatever sync group it later joins. Per-station queues can be
 // bounded (set_station_queue_limit) and a full queue *rejects* the enqueue
 // — explicit backpressure with a journalled drop, never an unbounded deque
-// on a 130-day soak. The raw receipt ledger can be cleared
-// (compact_received) or capped behind a rolling window
-// (set_received_window); the lifetime totals are counters and survive
-// both. Read paths never mutate: fetching or querying a station with
-// nothing queued leaves the ledgers untouched.
+// on a 130-day soak. The raw receipt ledger can be capped behind a rolling
+// window (set_received_window); the lifetime totals are counters and
+// survive the trim. Read paths never mutate: fetching or querying a
+// station with nothing queued leaves the ledgers untouched.
 //
 // The server also answers a consumer read API (proto "consumer read API"
 // messages): station directory, per-station season rollups, and sync-group
@@ -140,15 +139,7 @@ class SouthamptonServer {
     return received_;
   }
 
-  // Clears the raw receipt deque and returns the number of receipts
-  // cleared; a call that clears something counts as one compaction round.
-  // The lifetime totals (files_received, files_from, bytes_from) are
-  // counters, so they stay exact.
-  std::size_t compact_received();
-
-  [[nodiscard]] std::uint64_t compactions() const { return compactions_; }
-
-  // Exact lifetime totals, independent of the receipt window/compaction.
+  // Exact lifetime totals, independent of the receipt window.
   [[nodiscard]] std::uint64_t files_received() const {
     return files_received_;
   }
@@ -318,7 +309,6 @@ class SouthamptonServer {
     ar.value(sync_);
     ar.value(received_);
     ar.value(received_window_);
-    ar.value(compactions_);
     ar.value(files_received_);
     ar.value(bytes_by_station_);
     ar.value(files_by_station_);
@@ -392,7 +382,6 @@ class SouthamptonServer {
   core::SyncServer sync_;
   std::deque<ReceivedFile> received_;
   std::size_t received_window_ = 0;  // 0 = unbounded
-  std::uint64_t compactions_ = 0;
   std::uint64_t files_received_ = 0;
   std::map<std::string, util::Bytes> bytes_by_station_;
   std::map<std::string, int> files_by_station_;

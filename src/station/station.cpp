@@ -34,7 +34,8 @@ std::vector<double> recovery_hour_buckets() {
 
 }  // namespace
 
-Station::Station(sim::Simulation& simulation, env::Environment& environment,
+Station::Station(sim::Simulation& simulation,
+                 const env::Environment& environment,
                  SouthamptonServer& server, util::Rng rng,
                  StationConfig config)
     : simulation_(simulation),

@@ -162,7 +162,7 @@ struct StationStats {
 
 class Station {
  public:
-  Station(sim::Simulation& simulation, env::Environment& environment,
+  Station(sim::Simulation& simulation, const env::Environment& environment,
           SouthamptonServer& server, util::Rng rng, StationConfig config);
 
   // Non-copyable: owns device graph wired by reference.
@@ -189,6 +189,7 @@ class Station {
   [[nodiscard]] bool degraded() const { return degraded_; }
   [[nodiscard]] const StationStats& stats() const { return stats_; }
   [[nodiscard]] power::PowerSystem& power() { return power_; }
+  [[nodiscard]] const power::PowerSystem& power() const { return power_; }
   [[nodiscard]] hw::Gumsense& board() { return board_; }
   [[nodiscard]] hw::DgpsReceiver& dgps() { return dgps_; }
   [[nodiscard]] hw::GprsModem& gprs() { return gprs_; }
@@ -208,9 +209,14 @@ class Station {
   [[nodiscard]] const std::string& name() const { return config_.name; }
   [[nodiscard]] const StationConfig& config() const { return config_; }
   // The kernel and environment this station runs on: its fleet's, or its
-  // shard's and its own environment replica in a ShardedFleet.
+  // shard's in a ShardedFleet.
   [[nodiscard]] sim::Simulation& simulation() { return simulation_; }
-  [[nodiscard]] env::Environment& environment() { return environment_; }
+  [[nodiscard]] const sim::Simulation& simulation() const {
+    return simulation_;
+  }
+  [[nodiscard]] const env::Environment& environment() const {
+    return environment_;
+  }
 
   // The unified observability pair (docs/OBSERVABILITY.md): every subsystem
   // of this station reports into one registry/journal, exported per-station
@@ -313,7 +319,7 @@ class Station {
   void set_state(core::PowerState state);
 
   sim::Simulation& simulation_;
-  env::Environment& environment_;
+  const env::Environment& environment_;
   SouthamptonServer& server_;
   StationConfig config_;
   util::Rng rng_;

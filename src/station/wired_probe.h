@@ -31,7 +31,7 @@ struct WiredProbeConfig {
 
 class WiredProbe {
  public:
-  WiredProbe(sim::Simulation& simulation, env::Environment& environment,
+  WiredProbe(sim::Simulation& simulation, const env::Environment& environment,
              util::Rng rng, WiredProbeConfig config)
       : simulation_(simulation),
         environment_(environment),
@@ -88,19 +88,17 @@ class WiredProbe {
     reading.sampled_ms = now.millis_since_epoch();
     reading.conductivity_us =
         environment_.melt()
-            .conductivity(now, environment_.temperature(),
-                          config_.conductivity_base_us,
-                          config_.conductivity_gain_us)
+            .conductivity(now, config_.conductivity_base_us,
+                          config_.conductivity_gain_us, rng_.normal())
             .value();
-    const double w =
-        environment_.melt().water_index(now, environment_.temperature());
+    const double w = environment_.melt().water_index(now);
     reading.pressure_kpa = 600.0 + 250.0 * w + rng_.normal(0.0, 8.0);
     reading.temperature_c = -0.4 + rng_.normal(0.0, 0.05);
     pending_.push_back(reading);
   }
 
   sim::Simulation& simulation_;
-  env::Environment& environment_;
+  const env::Environment& environment_;
   WiredProbeConfig config_;
   util::Rng rng_;
   sim::SimTime deployed_at_;

@@ -56,6 +56,13 @@ class Rng {
     return Rng{splitmix64(mix)};
   }
 
+  // Independent stream keyed by a counter (a day, an hour, an instant):
+  // what it draws depends on what the draw is about, not on draw order.
+  [[nodiscard]] Rng fork(std::uint64_t key) const {
+    std::uint64_t mix = seed_ ^ splitmix64(key);
+    return Rng{splitmix64(mix)};
+  }
+
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
   // --- snapshot support (docs/SNAPSHOT.md) ---------------------------------

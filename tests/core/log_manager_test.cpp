@@ -117,5 +117,30 @@ TEST(LogManager, SavedTransferSeconds) {
   EXPECT_LT(saved, 60.0 * 60.0);
 }
 
+TEST(LogManager, SuppressedLinesChargeTheirRenderedBytes) {
+  // One size formula for every line: N suppressed DEBUG lines add exactly
+  // N rendered line sizes to the bytes behind saved_transfer_seconds.
+  constexpr std::int64_t kTime = 1'220'227'200'000;  // 13 digits
+  const std::string message = "rx frame seq=1";
+  util::Logger reference;
+  reference.debug(kTime, "probes", message);
+  const std::size_t line = reference.pending_bytes();
+
+  util::Logger logger;
+  LogBudgetConfig config;
+  config.component_daily_budget_bytes = line;
+  LogManager manager{logger, config};
+  manager.debug(kTime, "probes", message);  // admitted: fills the budget
+  constexpr std::size_t kSuppressed = 1000;
+  for (std::size_t i = 0; i < kSuppressed; ++i) {
+    manager.debug(kTime, "probes", message);
+  }
+  ASSERT_EQ(manager.suppressed_for("probes"), kSuppressed);
+  const util::BitsPerSecond rate{8.0};  // one byte a second
+  EXPECT_DOUBLE_EQ(manager.saved_transfer_seconds(rate),
+                   util::transfer_seconds(
+                       util::Bytes{std::int64_t(kSuppressed * line)}, rate));
+}
+
 }  // namespace
 }  // namespace gw::core

@@ -8,7 +8,7 @@ namespace gw::env {
 namespace {
 
 TEST(GpsSky, VisibleCountsPlausible) {
-  GpsSky sky{GpsSkyConfig{}, util::Rng{1}};
+  const GpsSky sky{GpsSkyConfig{}, 1};
   util::Summary counts;
   for (int hour = 0; hour < 24 * 30; ++hour) {
     const auto t = sim::at_midnight(2009, 6, 1) + sim::hours(hour);
@@ -25,7 +25,7 @@ TEST(GpsSky, GeometryRepeatsHalfSiderealDay) {
   GpsSkyConfig config;
   config.jitter = 0.0;               // isolate the deterministic harmonic
   config.secondary_amplitude = 0.0;  // the beat term is incommensurate
-  GpsSky sky{config, util::Rng{1}};
+  const GpsSky sky{config, 1};
   const auto t0 = sim::at_midnight(2009, 6, 1);
   // 11.9661 h period: same count one period later.
   const auto period = sim::hours(11.9661);
@@ -41,10 +41,10 @@ TEST(GpsSky, FixNeedsEnoughSatellites) {
   config.orbital_amplitude = 0.0;
   config.secondary_amplitude = 0.0;
   config.jitter = 0.0;
-  GpsSky bad{config, util::Rng{1}};
+  const GpsSky bad{config, 1};
   EXPECT_FALSE(bad.fix_possible(sim::at_midnight(2009, 6, 1)));
 
-  GpsSky good{GpsSkyConfig{}, util::Rng{1}};
+  const GpsSky good{GpsSkyConfig{}, 1};
   int possible = 0;
   for (int hour = 0; hour < 240; ++hour) {
     if (good.fix_possible(sim::at_midnight(2009, 6, 1) + sim::hours(hour))) {
@@ -60,18 +60,18 @@ TEST(GpsSky, MoreSatellitesFasterFix) {
   many_config.orbital_amplitude = 0.0;
   many_config.secondary_amplitude = 0.0;
   many_config.jitter = 0.0;
-  GpsSky many{many_config, util::Rng{1}};
+  const GpsSky many{many_config, 1};
 
   GpsSkyConfig few_config = many_config;
   few_config.mean_visible = 5.0;
-  GpsSky few{few_config, util::Rng{1}};
+  const GpsSky few{few_config, 1};
 
   const auto t = sim::at_midnight(2009, 6, 1);
   EXPECT_LT(many.fix_time(t), few.fix_time(t));
 }
 
 TEST(GpsSky, FileSizeFactorTracksVisibility) {
-  GpsSky sky{GpsSkyConfig{}, util::Rng{1}};
+  const GpsSky sky{GpsSkyConfig{}, 1};
   for (int hour = 0; hour < 100; ++hour) {
     const auto t = sim::at_midnight(2009, 6, 1) + sim::hours(hour);
     const double factor = sky.file_size_factor(t);
@@ -81,8 +81,8 @@ TEST(GpsSky, FileSizeFactorTracksVisibility) {
 }
 
 TEST(GpsSky, Deterministic) {
-  GpsSky a{GpsSkyConfig{}, util::Rng{9}};
-  GpsSky b{GpsSkyConfig{}, util::Rng{9}};
+  const GpsSky a{GpsSkyConfig{}, 9};
+  const GpsSky b{GpsSkyConfig{}, 9};
   for (int hour = 0; hour < 100; ++hour) {
     const auto t = sim::at_midnight(2009, 6, 1) + sim::hours(hour);
     EXPECT_EQ(a.visible(t), b.visible(t));

@@ -1,31 +1,29 @@
-#include "env/solar.h"
-
 #include <gtest/gtest.h>
+
+#include "env/environment.h"
 
 namespace gw::env {
 namespace {
 
-SolarModel make_model() { return SolarModel{SolarConfig{}, util::Rng{1}}; }
-
 TEST(Solar, DarkAtMidnightInSeptember) {
-  auto model = make_model();
+  const Environment world{1};
   const auto midnight = sim::at_midnight(2009, 9, 22);
-  EXPECT_DOUBLE_EQ(model.irradiance(midnight).value(), 0.0);
+  EXPECT_DOUBLE_EQ(world.solar().irradiance(midnight).value(), 0.0);
 }
 
 TEST(Solar, BrightAtNoonInSeptember) {
-  auto model = make_model();
+  const Environment world{1};
   const auto noon = sim::at_midnight(2009, 9, 22) + sim::hours(12);
-  EXPECT_GT(model.irradiance(noon).value(), 50.0);
+  EXPECT_GT(world.solar().irradiance(noon).value(), 50.0);
 }
 
 TEST(Solar, NoonIsTheDiurnalMaximum) {
-  auto model = make_model();
+  const Environment world{1};
   const auto day = sim::at_midnight(2009, 6, 21);
   double best = -1.0;
   int best_hour = -1;
   for (int hour = 0; hour < 24; ++hour) {
-    const double w = model.irradiance(day + sim::hours(hour)).value();
+    const double w = world.solar().irradiance(day + sim::hours(hour)).value();
     if (w > best) {
       best = w;
       best_hour = hour;
@@ -35,19 +33,20 @@ TEST(Solar, NoonIsTheDiurnalMaximum) {
 }
 
 TEST(Solar, PolarNightInDecember) {
-  auto model = make_model();
   // At 64.3°N, around the winter solstice the sun barely rises; daylight is
   // ~3-4 h and noon irradiance is tiny compared with June.
+  const Environment winter{1};
+  const Environment summer{1};
   const auto december_noon = sim::at_midnight(2009, 12, 21) + sim::hours(12);
   const auto june_noon = sim::at_midnight(2009, 6, 21) + sim::hours(12);
-  auto model2 = make_model();
-  const double december = model.irradiance(december_noon).value();
-  const double june = model2.irradiance(june_noon).value();
+  const double december = winter.solar().irradiance(december_noon).value();
+  const double june = summer.solar().irradiance(june_noon).value();
   EXPECT_LT(december, june * 0.12);
 }
 
 TEST(Solar, DaylightHoursSeasonality) {
-  const auto model = make_model();
+  const Environment world{1};
+  const SolarModel& model = world.solar();
   const double june = model.daylight_hours(sim::at_midnight(2009, 6, 21));
   const double december =
       model.daylight_hours(sim::at_midnight(2009, 12, 21));
@@ -61,33 +60,36 @@ TEST(Solar, CloudFactorBoundsIrradiance) {
   // Across many seeds, noon irradiance never exceeds the clear-sky value
   // and is never negative.
   for (std::uint64_t seed = 0; seed < 30; ++seed) {
-    SolarModel model{SolarConfig{}, util::Rng{seed}};
+    const Environment world{seed};
     const auto noon = sim::at_midnight(2009, 6, 21) + sim::hours(12);
-    const double w = model.irradiance(noon).value();
+    const double w = world.solar().irradiance(noon).value();
     EXPECT_GE(w, 0.0);
     EXPECT_LE(w, 990.0);
   }
 }
 
 TEST(Solar, CloudPersistsWithinADay) {
-  auto model = make_model();
   // Two samples in the same day share the cloud draw, so their ratio equals
   // the clear-sky ratio exactly.
+  const Environment cloudy{1};
+  EnvironmentConfig clear_config;
+  clear_config.solar.cloud_stddev = 0.0;
+  const Environment clear{clear_config, 99};
   const auto day = sim::at_midnight(2009, 6, 21);
-  const double w10 = model.irradiance(day + sim::hours(10)).value();
-  const double w14 = model.irradiance(day + sim::hours(14)).value();
-  SolarModel clear{SolarConfig{.cloud_stddev = 0.0}, util::Rng{99}};
-  const double c10 = clear.irradiance(day + sim::hours(10)).value();
-  const double c14 = clear.irradiance(day + sim::hours(14)).value();
+  const double w10 = cloudy.solar().irradiance(day + sim::hours(10)).value();
+  const double w14 = cloudy.solar().irradiance(day + sim::hours(14)).value();
+  const double c10 = clear.solar().irradiance(day + sim::hours(10)).value();
+  const double c14 = clear.solar().irradiance(day + sim::hours(14)).value();
   EXPECT_NEAR(w10 / w14, c10 / c14, 1e-9);
 }
 
 TEST(Solar, DeterministicPerSeed) {
-  SolarModel a{SolarConfig{}, util::Rng{77}};
-  SolarModel b{SolarConfig{}, util::Rng{77}};
+  const Environment a{77};
+  const Environment b{77};
   for (int day = 0; day < 30; ++day) {
     const auto t = sim::at_midnight(2009, 5, 1) + sim::days(day) + sim::hours(12);
-    EXPECT_DOUBLE_EQ(a.irradiance(t).value(), b.irradiance(t).value());
+    EXPECT_DOUBLE_EQ(a.solar().irradiance(t).value(),
+                     b.solar().irradiance(t).value());
   }
 }
 

@@ -1,12 +1,13 @@
-#include "env/temperature.h"
-
 #include <gtest/gtest.h>
+
+#include "env/environment.h"
 
 namespace gw::env {
 namespace {
 
 TEST(Temperature, SummerWarmerThanWinter) {
-  TemperatureModel model{TemperatureConfig{}, util::Rng{1}};
+  const Environment world{1};
+  const TemperatureModel& model = world.temperature();
   double january = 0.0;
   double july = 0.0;
   for (int day = 0; day < 28; ++day) {
@@ -21,36 +22,42 @@ TEST(Temperature, SummerWarmerThanWinter) {
 }
 
 TEST(Temperature, WinterBelowFreezing) {
-  TemperatureModel model{TemperatureConfig{}, util::Rng{2}};
+  const Environment world{2};
   double sum = 0.0;
   for (int day = 0; day < 60; ++day) {
-    sum += model.air(sim::at_midnight(2009, 1, 1) + sim::days(day) +
-                     sim::hours(12))
+    sum += world.temperature()
+               .air(sim::at_midnight(2009, 1, 1) + sim::days(day) +
+                    sim::hours(12))
                .value();
   }
   EXPECT_LT(sum / 60, 0.0);
 }
 
 TEST(Temperature, DiurnalAfternoonPeak) {
-  TemperatureModel model{TemperatureConfig{.noise_stddev_c = 0.0}, util::Rng{3}};
+  EnvironmentConfig still;
+  still.temperature.noise_stddev_c = 0.0;
+  const Environment world{still, 3};
   const auto day = sim::at_midnight(2009, 7, 10);
+  const TemperatureModel& model = world.temperature();
   const double afternoon = model.air(day + sim::hours(15)).value();
   const double night = model.air(day + sim::hours(3)).value();
   EXPECT_GT(afternoon, night);
 }
 
 TEST(Temperature, EnclosureWarmerThanAir) {
-  TemperatureModel model{TemperatureConfig{}, util::Rng{4}};
+  const Environment world{4};
   const auto t = sim::at_midnight(2009, 1, 15) + sim::hours(12);
-  EXPECT_GT(model.enclosure(t).value(), model.air(t).value());
+  EXPECT_GT(world.temperature().enclosure(t).value(),
+            world.temperature().air(t).value());
 }
 
 TEST(Temperature, Deterministic) {
-  TemperatureModel a{TemperatureConfig{}, util::Rng{5}};
-  TemperatureModel b{TemperatureConfig{}, util::Rng{5}};
+  const Environment a{5};
+  const Environment b{5};
   for (int day = 0; day < 50; ++day) {
     const auto t = sim::at_midnight(2009, 3, 1) + sim::days(day);
-    EXPECT_DOUBLE_EQ(a.air(t).value(), b.air(t).value());
+    EXPECT_DOUBLE_EQ(a.temperature().air(t).value(),
+                     b.temperature().air(t).value());
   }
 }
 

@@ -81,8 +81,8 @@ TEST(Sensors, TiltDriftsFasterInMeltSeason) {
   SensorSuiteConfig config;
   config.has_pitch_roll = true;
   SensorSuite suite{f.environment, f.power, util::Rng{2}, config};
-  // Winter months: little drift. (Walk chronologically: melt model is
-  // forward-only.)
+  // Winter months: little drift. (Winter first: the weather is anchored at
+  // the first day asked about.)
   sim::SimTime t = sim::at_midnight(2010, 1, 1);
   double winter_drift = 0.0;
   double prev = 0.0;

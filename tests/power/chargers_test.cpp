@@ -68,13 +68,11 @@ TEST(WindTurbineCharger, BuriedTurbineProducesNothing) {
   config.snow.background_accumulation_m = 0.2;  // bury fast
   env::Environment environment{config, 3};
   WindTurbine turbine{WindTurbineConfig{}};
-  // Snow integrates forward from the first query: walk from October so by
-  // late winter the turbine is buried (depth > 2 m) and output is 0.
-  (void)environment.snow().depth(sim::at_midnight(2008, 10, 1),
-                                 environment.temperature());
+  // Snow integrates from the first day asked about: anchor in October so
+  // by late winter the turbine is buried (depth > 2 m) and output is 0.
+  (void)environment.snow().depth(sim::at_midnight(2008, 10, 1));
   const auto t = sim::at_midnight(2009, 3, 1) + sim::hours(12);
-  ASSERT_TRUE(
-      environment.snow().turbine_buried(t, environment.temperature()));
+  ASSERT_TRUE(environment.snow().turbine_buried(t));
   EXPECT_DOUBLE_EQ(turbine.output(t, environment).value(), 0.0);
 }
 

@@ -2,13 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include "env/environment.h"
+
 namespace gw::proto {
 namespace {
 
 struct Fixture {
-  env::TemperatureModel temperature{env::TemperatureConfig{}, util::Rng{1}};
-  env::MeltModel melt{env::MeltConfig{}, util::Rng{2}};
-  ProbeLink link{melt, temperature, util::Rng{3}};
+  env::Environment environment{1};
+  ProbeLink link{environment.melt(), util::Rng{3}};
   ProbeStore store;
 
   void fill(std::size_t n) {
@@ -40,7 +41,7 @@ TEST(NackBulkTransfer, DeliversEverythingInWinter) {
 
 TEST(NackBulkTransfer, SummerStreamLosesRoughlyPaperFraction) {
   Fixture f;
-  // Advance the melt model into summer first (forward-only).
+  // Anchor the weather in winter, then read summer.
   (void)f.link.loss_probability(kWinter);
   f.fill(3000);
   NackBulkTransfer protocol{f.link};
@@ -87,11 +88,10 @@ TEST(NackBulkTransfer, MultiDaySessionsEventuallyDrain) {
 }
 
 TEST(NackBulkTransfer, RerequestAllWhenMissingDominates) {
-  env::TemperatureModel temperature{env::TemperatureConfig{}, util::Rng{1}};
-  env::MeltModel melt{env::MeltConfig{}, util::Rng{2}};
+  env::Environment environment{1};
   ProbeLinkConfig terrible;
   terrible.link_quality_factor = 30.0;  // ~60% summer loss
-  ProbeLink link{melt, temperature, util::Rng{3}, terrible};
+  ProbeLink link{environment.melt(), util::Rng{3}, terrible};
   (void)link.loss_probability(kWinter);
   ProbeStore store;
   for (std::uint32_t seq = 0; seq < 300; ++seq) {

@@ -2,14 +2,15 @@
 // implementations of §V must agree, statistically, on what matters.
 #include <gtest/gtest.h>
 
+#include "env/environment.h"
+
 #include "proto/frame_session.h"
 
 namespace gw::proto {
 namespace {
 
 struct Rig {
-  env::TemperatureModel temperature{env::TemperatureConfig{}, util::Rng{1}};
-  env::MeltModel melt{env::MeltConfig{}, util::Rng{2}};
+  env::Environment environment{1};
 
   void to_summer(ProbeLink& link) {
     (void)link.loss_probability(sim::at_midnight(2009, 2, 1));
@@ -32,7 +33,7 @@ const sim::SimTime kSummerNoon = sim::at_midnight(2009, 7, 20) + sim::hours(12);
 
 TEST(FrameSession, WinterSessionDeliversEverything) {
   Rig rig;
-  ProbeLink link{rig.melt, rig.temperature, util::Rng{3}};
+  ProbeLink link{rig.environment.melt(), util::Rng{3}};
   ProbeStore store;
   fill(store, 300);
   ProbeResponder responder{store, 21};
@@ -49,7 +50,7 @@ TEST(FrameSession, AgreesWithAbstractModelOnSummerFetch) {
   // Same 3000-reading summer fetch through both implementations; shapes
   // must match within sampling noise.
   Rig rig_a;
-  ProbeLink link_a{rig_a.melt, rig_a.temperature, util::Rng{3}};
+  ProbeLink link_a{rig_a.environment.melt(), util::Rng{3}};
   rig_a.to_summer(link_a);
   ProbeStore store_a;
   fill(store_a, 3000);
@@ -57,7 +58,7 @@ TEST(FrameSession, AgreesWithAbstractModelOnSummerFetch) {
   const auto model = abstract.run(store_a, kSummerNoon, sim::hours(12));
 
   Rig rig_b;
-  ProbeLink link_b{rig_b.melt, rig_b.temperature, util::Rng{3}};
+  ProbeLink link_b{rig_b.environment.melt(), util::Rng{3}};
   rig_b.to_summer(link_b);
   ProbeStore store_b;
   fill(store_b, 3000);
@@ -80,7 +81,7 @@ TEST(FrameSession, AgreesWithAbstractModelOnSummerFetch) {
 
 TEST(FrameSession, CorruptionInflatesMissList) {
   Rig clean_rig;
-  ProbeLink clean_link{clean_rig.melt, clean_rig.temperature, util::Rng{3}};
+  ProbeLink clean_link{clean_rig.environment.melt(), util::Rng{3}};
   ProbeStore clean_store;
   fill(clean_store, 2000);
   ProbeResponder clean_responder{clean_store, 21};
@@ -92,7 +93,7 @@ TEST(FrameSession, CorruptionInflatesMissList) {
                 sim::hours(8));
 
   Rig dirty_rig;
-  ProbeLink dirty_link{dirty_rig.melt, dirty_rig.temperature, util::Rng{3}};
+  ProbeLink dirty_link{dirty_rig.environment.melt(), util::Rng{3}};
   ProbeStore dirty_store;
   fill(dirty_store, 2000);
   ProbeResponder dirty_responder{dirty_store, 21};
@@ -111,7 +112,7 @@ TEST(FrameSession, CorruptionInflatesMissList) {
 
 TEST(FrameSession, BudgetRespected) {
   Rig rig;
-  ProbeLink link{rig.melt, rig.temperature, util::Rng{3}};
+  ProbeLink link{rig.environment.melt(), util::Rng{3}};
   ProbeStore store;
   fill(store, 3000);
   ProbeResponder responder{store, 21};

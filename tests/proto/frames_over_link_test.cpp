@@ -4,6 +4,8 @@
 // outright losses (§V: "records missing or broken data packets").
 #include <gtest/gtest.h>
 
+#include "env/environment.h"
+
 #include "proto/probe_frames.h"
 #include "proto/probe_link.h"
 #include "util/rng.h"
@@ -49,9 +51,8 @@ TEST(FramesOverLink, BrokenFramesBehaveLikeMissingOnes) {
   // The §V algorithm treats a CRC-rejected frame exactly like a lost one:
   // its sequence number lands on the re-request list. Simulate one stream
   // and verify the bookkeeping matches the NACK protocol's model.
-  env::TemperatureModel temperature{env::TemperatureConfig{}, util::Rng{1}};
-  env::MeltModel melt{env::MeltConfig{}, util::Rng{2}};
-  ProbeLink link{melt, temperature, util::Rng{3}};
+  env::Environment environment{1};
+  ProbeLink link{environment.melt(), util::Rng{3}};
   util::Rng corruption{4};
 
   const auto when = sim::at_midnight(2009, 2, 1);

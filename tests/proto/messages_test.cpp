@@ -76,6 +76,18 @@ TEST(Form, DuplicateKeyRefused) {
           .ok());
 }
 
+TEST(DirectoryResponse, NameBeyondTheCountIsRefused) {
+  // One name announced, two sent: a read that dropped the second would
+  // accept a wire that does not re-encode to itself.
+  EXPECT_FALSE(
+      DirectoryResponse::decode(sealed("msg=dir_response&n=1&s0=a&s1=b"))
+          .ok());
+  const auto honest = DirectoryResponse::decode(
+      sealed("msg=dir_response&n=2&s0=a&s1=b"));
+  ASSERT_TRUE(honest.ok());
+  EXPECT_EQ(honest.value().stations, (std::vector<std::string>{"a", "b"}));
+}
+
 TEST(Form, OutOfOrderKeysRefused) {
   const std::string swapped = sealed("station=base&msg=stats_request");
   EXPECT_FALSE(Form::decode(swapped).ok());

@@ -2,15 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include "env/environment.h"
+
 #include "proto/reading.h"
 
 namespace gw::proto {
 namespace {
 
 struct Fixture {
-  env::TemperatureModel temperature{env::TemperatureConfig{}, util::Rng{1}};
-  env::MeltModel melt{env::MeltConfig{}, util::Rng{2}};
-  ProbeLink link{melt, temperature, util::Rng{3}};
+  env::Environment environment{1};
+  ProbeLink link{environment.melt(), util::Rng{3}};
 };
 
 TEST(ProbeLink, WinterLossNearTwoPercent) {
@@ -21,7 +22,7 @@ TEST(ProbeLink, WinterLossNearTwoPercent) {
 
 TEST(ProbeLink, SummerLossNearPaperRate) {
   Fixture f;
-  // Walk chronologically into summer (forward-only melt model).
+  // Anchor the weather in winter, then read summer.
   (void)f.link.loss_probability(sim::at_midnight(2009, 2, 1));
   const double loss = f.link.loss_probability(sim::at_midnight(2009, 7, 20));
   // §V: ~400/3000 ≈ 13% on the weakest summer link.
@@ -29,23 +30,21 @@ TEST(ProbeLink, SummerLossNearPaperRate) {
 }
 
 TEST(ProbeLink, QualityFactorScalesLoss) {
-  env::TemperatureModel temperature{env::TemperatureConfig{}, util::Rng{1}};
-  env::MeltModel melt{env::MeltConfig{}, util::Rng{2}};
+  env::Environment environment{1};
   ProbeLinkConfig weak;
   weak.link_quality_factor = 2.0;
-  ProbeLink nominal{melt, temperature, util::Rng{3}};
-  ProbeLink degraded{melt, temperature, util::Rng{3}, weak};
+  ProbeLink nominal{environment.melt(), util::Rng{3}};
+  ProbeLink degraded{environment.melt(), util::Rng{3}, weak};
   const auto t = sim::at_midnight(2009, 2, 1);
   EXPECT_NEAR(degraded.loss_probability(t),
               2.0 * nominal.loss_probability(t), 1e-12);
 }
 
 TEST(ProbeLink, LossCappedBelowOne) {
-  env::TemperatureModel temperature{env::TemperatureConfig{}, util::Rng{1}};
-  env::MeltModel melt{env::MeltConfig{}, util::Rng{2}};
+  env::Environment environment{1};
   ProbeLinkConfig broken;
   broken.link_quality_factor = 1000.0;
-  ProbeLink link{melt, temperature, util::Rng{3}, broken};
+  ProbeLink link{environment.melt(), util::Rng{3}, broken};
   EXPECT_LE(link.loss_probability(sim::at_midnight(2009, 7, 1)), 0.95);
 }
 

@@ -1,6 +1,8 @@
 // Property sweeps over the bulk-transfer protocols across the loss range.
 #include <gtest/gtest.h>
 
+#include "env/environment.h"
+
 #include "proto/bulk_transfer.h"
 
 namespace gw::proto {
@@ -9,19 +11,18 @@ namespace {
 // A link with a pinned, season-independent loss rate (via quality factor
 // against the winter floor).
 struct PinnedLink {
-  env::TemperatureModel temperature{env::TemperatureConfig{}, util::Rng{1}};
-  env::MeltModel melt;
+  env::Environment environment;
   ProbeLink link;
 
   explicit PinnedLink(double loss, std::uint64_t seed = 3)
-      : melt(pin_config(), util::Rng{2}),
-        link(melt, temperature, util::Rng{seed},
+      : environment(pin_config(), 1),
+        link(environment.melt(), util::Rng{seed},
              ProbeLinkConfig{.link_quality_factor = loss / 0.02}) {}
 
-  static env::MeltConfig pin_config() {
-    env::MeltConfig config;
-    config.winter_packet_loss = 0.02;
-    config.summer_packet_loss = 0.02;  // flat: quality factor sets loss
+  static env::EnvironmentConfig pin_config() {
+    env::EnvironmentConfig config;
+    config.melt.winter_packet_loss = 0.02;
+    config.melt.summer_packet_loss = 0.02;  // flat: quality factor sets loss
     return config;
   }
 };

@@ -68,7 +68,8 @@ TEST(ServerQuery, StatsSurviveCompactionExactly) {
   auto server = seeded_server();
   // Known only through its upload: no beacon, no state report.
   server.receive_file("weather", "met_1", 2_KiB, sim::SimTime{2500});
-  server.compact_received();
+  server.set_received_window(1);
+  ASSERT_EQ(server.received().size(), 1u);
   proto::StationStatsRequest request;
   request.station = "base";
   const auto wire = server.handle_query(request.encode(), sim::SimTime{5000});
@@ -175,6 +176,34 @@ TEST(ServerQuery, NonCanonicalWiresAreBadWire) {
   }
   EXPECT_EQ(server.queries_served(), 0u);
   EXPECT_EQ(server.queries_refused(), 3u);
+}
+
+// A sealed wire of `body` whose fields are canonical at the form level but
+// carry one key the typed read does not read.
+std::string with_crc(const char* body) {
+  char crc[16];
+  std::snprintf(crc, sizeof crc, "%08x", util::crc32(body));
+  return std::string(body) + "#" + crc;
+}
+
+TEST(ServerQuery, StatsRequestWithAnExtraKeyIsRefused) {
+  auto server = seeded_server();
+  const auto error = proto::QueryError::decode(server.handle_query(
+      with_crc("msg=stats_request&station=s001&zzz=1"), sim::SimTime{5000}));
+  ASSERT_TRUE(error.ok());
+  EXPECT_EQ(error.value().reason, "bad_request");
+  EXPECT_EQ(server.queries_served(), 0u);
+  EXPECT_EQ(server.queries_refused(), 1u);
+}
+
+TEST(ServerQuery, DirectoryRequestWithAnExtraKeyIsRefused) {
+  auto server = seeded_server();
+  const auto error = proto::QueryError::decode(server.handle_query(
+      with_crc("msg=dir_request&zzz=1"), sim::SimTime{5000}));
+  ASSERT_TRUE(error.ok());
+  EXPECT_EQ(error.value().reason, "bad_request");
+  EXPECT_EQ(server.queries_served(), 0u);
+  EXPECT_EQ(server.queries_refused(), 1u);
 }
 
 std::string fleet_name(int i) {

@@ -72,20 +72,19 @@ struct GoldenSection {
 // deliberate behaviour change moves a subsystem.
 constexpr GoldenSection kGolden[] = {
     {"meta", 0xe54be544u},
-    {"kernel", 0xdb3ee77bu},
-    {"env", 0x0e07ed78u},
-    {"fault", 0x4ba2a70cu},
-    {"server", 0xba88da50u},
+    {"kernel", 0xd7270826u},
+    {"fault", 0x702f7349u},
+    {"server", 0xf18c2d33u},
     {"fleet", 0x57681deeu},
-    {"station/base", 0x57943147u},
-    {"probe/base/20", 0xe9c3468bu},
-    {"probe/base/21", 0xc8a23578u},
-    {"probe/base/22", 0x795de2afu},
-    {"station/reference", 0x0d677f6au},
+    {"station/base", 0x4999d1e4u},
+    {"probe/base/20", 0xafe3f1feu},
+    {"probe/base/21", 0x00e69659u},
+    {"probe/base/22", 0x057e1737u},
+    {"station/reference", 0x7d4ade01u},
 };
-constexpr std::uint32_t kGoldenFingerprint = 0xd3407005u;
-constexpr std::size_t kGoldenSealedBytes = 88413;
-constexpr std::uint32_t kGoldenFileCrc = 0x71174aa8u;
+constexpr std::uint32_t kGoldenFingerprint = 0xd54fdc29u;
+constexpr std::size_t kGoldenSealedBytes = 88181;
+constexpr std::uint32_t kGoldenFileCrc = 0x7fad8545u;
 
 TEST(GoldenStateTest, TwentyDayFaultedSeasonFingerprint) {
   Fleet fleet{golden_config()};

@@ -61,8 +61,7 @@ TEST_P(ShapeSeeds, MeltOnsetLandsInSpring) {
   sim::SimTime onset{0};
   for (int day = 0; day < 365; ++day) {
     const auto t = sim::at_midnight(2009, 1, 1) + sim::days(day);
-    const double w =
-        environment.melt().water_index(t, environment.temperature());
+    const double w = environment.melt().water_index(t);
     if (w > 0.3) {
       onset = t;
       break;
@@ -76,24 +75,23 @@ TEST_P(ShapeSeeds, MeltOnsetLandsInSpring) {
 
 TEST_P(ShapeSeeds, WinterConductivityFlatAndLow) {
   env::Environment environment{GetParam()};
+  util::Rng noise{GetParam()};
   double max_feb = 0.0;
   for (int day = 0; day < 28; ++day) {
     const auto t = sim::at_midnight(2009, 2, 1) + sim::days(day);
     max_feb = std::max(
-        max_feb, environment.melt()
-                     .conductivity(t, environment.temperature(), 0.8, 13.5)
-                     .value());
+        max_feb,
+        environment.melt().conductivity(t, 0.8, 13.5, noise.normal()).value());
   }
   EXPECT_LT(max_feb, 4.0);  // Fig 6 winter band
 }
 
 TEST_P(ShapeSeeds, SummerProbeLossInPaperBand) {
   env::Environment environment{GetParam()};
-  // Walk to late July.
-  (void)environment.melt().water_index(sim::at_midnight(2009, 2, 1),
-                                       environment.temperature());
-  const double loss = environment.melt().probe_link_loss(
-      sim::at_midnight(2009, 7, 25), environment.temperature());
+  // Anchor in February, then read late July.
+  (void)environment.melt().water_index(sim::at_midnight(2009, 2, 1));
+  const double loss =
+      environment.melt().probe_link_loss(sim::at_midnight(2009, 7, 25));
   EXPECT_GT(loss, 0.08);
   EXPECT_LE(loss, 0.14);  // §V's ~13 %
 }
@@ -118,19 +116,18 @@ TEST_P(ShapeSeeds, ClearSkySolarPeaksAtNoon) {
 
 TEST_P(ShapeSeeds, WinterSnowBuriesPanelBeforeTurbine) {
   env::Environment environment{GetParam()};
-  auto& snow = environment.snow();
-  auto& temperature = environment.temperature();
+  const auto& snow = environment.snow();
   sim::SimTime panel_dark{0};
   sim::SimTime turbine_dead{0};
   for (int day = 0; day < 365; ++day) {
     const auto t = sim::at_midnight(2008, 10, 1) + sim::days(day);
-    (void)snow.depth(t, temperature);
+    (void)snow.depth(t);
     if (panel_dark.millis_since_epoch() == 0 &&
-        snow.panel_occlusion(t, temperature) >= 1.0) {
+        snow.panel_occlusion(t) >= 1.0) {
       panel_dark = t;
     }
     if (turbine_dead.millis_since_epoch() == 0 &&
-        snow.turbine_buried(t, temperature)) {
+        snow.turbine_buried(t)) {
       turbine_dead = t;
     }
   }
