@@ -1,5 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the library's hot kernels: the
-// event queue that drives multi-year simulations, the MD5 used by the
+// event queue that drives multi-year simulations (a burst drained through
+// the heap, and the steady one-minute rescheduling the delay lanes serve),
+// the MD5 used by the
 // update pipeline, CRC32 framing checks, the battery integrator, one
 // simulated minute of environment queries and of the PowerSystem tick, a
 // full NACK protocol session, and the Southampton query path (one wire
@@ -8,6 +10,7 @@
 // in the substrate are visible.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -41,6 +44,30 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1000)->Arg(10000);
+
+void BM_KernelPeriodic(benchmark::State& state) {
+  // range(0) one-minute sources spread across the minute, each
+  // rescheduling itself through schedule_in like a station's power tick:
+  // the kernel's steady traffic at glacbench's sim.pending_p50 (15 on
+  // paper_season, 719 on fleet64_ops). One iteration is one event.
+  struct Source {
+    sim::Simulation* simulation;
+    void operator()() const {
+      simulation->schedule_in(sim::minutes(1), Source{simulation});
+    }
+  };
+  const std::int64_t sources = state.range(0);
+  sim::Simulation simulation;
+  for (std::int64_t i = 0; i < sources; ++i) {
+    simulation.schedule_at(sim::SimTime{i * 60'000 / sources},
+                           Source{&simulation});
+  }
+  simulation.run_until(sim::SimTime{60'000});  // every source rescheduled
+  for (auto _ : state) simulation.step();
+  benchmark::DoNotOptimize(simulation.events_executed());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_KernelPeriodic)->Arg(15)->Arg(719);
 
 void BM_Md5Throughput(benchmark::State& state) {
   const std::string payload(std::size_t(state.range(0)), 'x');

@@ -9,7 +9,9 @@
 //
 // Energy is accounted in integer microjoules. Every tick the owning
 // PowerSystem charges each component one quantum per constant-activity
-// span; the same quantum is added to a battery-side delivered meter, so
+// span (a steady component, with no plan and a temperature-independent
+// state, has one span per tick and charges it from a cached quantum); the
+// same quantum is added to a battery-side delivered meter, so
 // the per-component, per-state ledgers sum *exactly* to the battery-side
 // total — integer addition is associative, so the invariant holds across
 // brown-outs, snapshot round-trips, and any regrouping of the sum.
@@ -94,6 +96,7 @@ class ComponentModel {
   void set_activity(std::size_t index) {
     activity_ = checked(index);
     plan_.clear();
+    steady_ = SteadyQuantum{};
   }
 
   // Lays down a contiguous timed overlay starting at `now`: each entry is
@@ -159,6 +162,30 @@ class ComponentModel {
     if (cursor < to) emit(activity_, cursor, to);
   }
 
+  // True when a tick charges this component one span of its base
+  // activity at a temperature-independent draw: no plan, and the state's
+  // temp_coeff is 0. Such a tick adds the same quantum and the same
+  // milliseconds every time.
+  [[nodiscard]] bool steady() const {
+    return plan_.empty() && spec_.states[activity_].temp_coeff == 0.0;
+  }
+
+  // A steady component's tick of length `dt` > 0: charges the base
+  // activity what attribute() would emit for [now - dt, now) — one
+  // quantum at the nominal draw, from a cache keyed by (state, dt) — and
+  // adds the same quantum to `meter`. Returns the draw.
+  util::Watts charge_steady(sim::Duration dt, MicroJoules& meter) {
+    const ActivityState& state = spec_.states[activity_];
+    if (steady_.state != activity_ || steady_.dt_ms != dt.millis()) {
+      steady_ = SteadyQuantum{activity_, dt.millis(),
+                              quantum(state.draw, dt.to_seconds())};
+    }
+    energy_uj_[activity_] += steady_.uj;
+    active_ms_[activity_] += dt.millis();
+    meter += steady_.uj;
+    return state.draw;
+  }
+
   // Drops plan segments that ended at or before `now`.
   void prune_plan(sim::SimTime now) {
     std::size_t drop = 0;
@@ -219,6 +246,7 @@ class ComponentModel {
         mismatch("component " + spec_.name +
                  " restores an index or ledger length outside its states");
       }
+      steady_ = SteadyQuantum{};
     }
   }
 
@@ -233,6 +261,14 @@ class ComponentModel {
       ar.value(end);
     }
   };
+
+  // charge_steady's cache: the quantum of `state` over a `dt_ms` tick.
+  struct SteadyQuantum {
+    std::size_t state = kNoState;
+    std::int64_t dt_ms = 0;
+    MicroJoules uj = 0;
+  };
+  static constexpr std::size_t kNoState = ~std::size_t{0};
 
   [[noreturn]] static void mismatch(std::string detail) {
     throw snapshot::SnapshotError(snapshot::SnapshotErrc::kStateMismatch,
@@ -252,6 +288,9 @@ class ComponentModel {
   sim::SimTime plan_anchor_;
   std::vector<MicroJoules> energy_uj_;
   std::vector<std::int64_t> active_ms_;
+  // gwlint: allow(persist-coverage): derived from the spec and the tick
+  // length; set_activity() and a restore clear it
+  SteadyQuantum steady_;
 };
 
 }  // namespace gw::energy

@@ -5,6 +5,7 @@
 #include <numbers>
 
 #include "env/environment.h"
+#include "env/minute_table.h"
 
 namespace gw::env {
 namespace {
@@ -16,7 +17,17 @@ double declination_deg(int doy) {
   return 23.44 * std::sin(2.0 * std::numbers::pi * (284.0 + doy) / 365.0);
 }
 
+// cos of the hour angle `time_of_day` past midnight.
+double hour_angle_cos(sim::Duration time_of_day) {
+  const double hour_angle = (time_of_day.to_hours() - 12.0) * 15.0 * kDegToRad;
+  return std::cos(hour_angle);
+}
+
 }  // namespace
+
+double SolarModel::cos_hour_angle(sim::Duration time_of_day) {
+  return by_minute_table<hour_angle_cos>(time_of_day);
+}
 
 SolarModel::SolarModel(const Environment& environment)
     : environment_(environment) {
@@ -47,10 +58,8 @@ const SolarModel::DayGeometry& SolarModel::geometry_for(
 
 double SolarModel::sin_elevation(sim::SimTime t) const {
   const DayGeometry& day = geometry_for(t);
-  const double hour = sim::time_of_day(t).to_hours();
-  const double hour_angle = (hour - 12.0) * 15.0 * kDegToRad;
   return sin_lat_ * day.sin_decl +
-         cos_lat_ * day.cos_decl * std::cos(hour_angle);
+         cos_lat_ * day.cos_decl * cos_hour_angle(sim::time_of_day(t));
 }
 
 util::WattsPerSquareMetre SolarModel::irradiance(sim::SimTime t) const {

@@ -41,6 +41,10 @@ class SolarModel {
   // Daylight length in hours for the day containing t (cloud-independent).
   [[nodiscard]] double daylight_hours(sim::SimTime t) const;
 
+  // cos of the solar hour angle `time_of_day` (in [0, 24 h)) past
+  // midnight; on the minute, read from a table (env/minute_table.h).
+  [[nodiscard]] static double cos_hour_angle(sim::Duration time_of_day);
+
  private:
   // Memoized per-day geometry: declination and daylight length depend only
   // on (latitude, day), yet the charger integrates irradiance every

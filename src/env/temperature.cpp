@@ -4,8 +4,23 @@
 #include <numbers>
 
 #include "env/environment.h"
+#include "env/minute_table.h"
 
 namespace gw::env {
+namespace {
+
+// cos of the diurnal phase `time_of_day` past midnight; warmest
+// mid-afternoon (~15:00).
+double diurnal_phase_cos(sim::Duration time_of_day) {
+  const double hour = time_of_day.to_hours();
+  return std::cos(2.0 * std::numbers::pi * (hour - 15.0) / 24.0);
+}
+
+}  // namespace
+
+double TemperatureModel::diurnal_cos(sim::Duration time_of_day) {
+  return by_minute_table<diurnal_phase_cos>(time_of_day);
+}
 
 double TemperatureModel::seasonal_c(const TemperatureConfig& config,
                                     sim::SimTime t) {
@@ -18,10 +33,7 @@ double TemperatureModel::seasonal_c(const TemperatureConfig& config,
 
 double TemperatureModel::diurnal_c(const TemperatureConfig& config,
                                    sim::SimTime t) {
-  const double hour = sim::time_of_day(t).to_hours();
-  // Warmest mid-afternoon (~15:00).
-  return config.diurnal_amplitude_c *
-         std::cos(2.0 * std::numbers::pi * (hour - 15.0) / 24.0);
+  return config.diurnal_amplitude_c * diurnal_cos(sim::time_of_day(t));
 }
 
 util::Celsius TemperatureModel::air(sim::SimTime t) const {

@@ -46,6 +46,10 @@ class TemperatureModel {
                                          sim::SimTime t);
   [[nodiscard]] static double diurnal_c(const TemperatureConfig& config,
                                         sim::SimTime t);
+  // cos of the diurnal phase `time_of_day` (in [0, 24 h)) past midnight,
+  // the factor diurnal_c scales by the amplitude; on the minute, read from
+  // a table (env/minute_table.h).
+  [[nodiscard]] static double diurnal_cos(sim::Duration time_of_day);
 
  private:
   const Environment& environment_;

@@ -270,11 +270,22 @@ class PowerSystem {
     }
     last_charge_current_ = harvest_total / config_.nominal;
 
+    // Every quantum charged to a component also feeds the battery-side
+    // meter, keeping the conservation invariant exact by construction.
+    // A steady component charges its cached quantum and adds its draw to
+    // the load sum, in component order: while no component walks, that
+    // sum makes the same additions total_load_power() would.
+    util::Watts steady_load{0.0};
+    bool walked = false;
     for (auto& component : components_) {
+      if (dt > sim::Duration{0} && component.steady()) {
+        steady_load += component.charge_steady(dt, delivered_uj_);
+        continue;
+      }
+      walked = true;
       // Attribution: split the interval across the plan overlay so
       // sub-tick spans (GPRS registration vs tx) land in the right
-      // per-state ledger. Each quantum also feeds the battery-side meter,
-      // keeping the conservation invariant exact by construction.
+      // per-state ledger.
       component.attribute(
           now - dt, now,
           [&](std::size_t state, sim::SimTime from, sim::SimTime to) {
@@ -286,11 +297,13 @@ class PowerSystem {
           });
       component.prune_plan(now);
     }
+    const util::Amps load_current =
+        walked ? total_load_current() : steady_load / config_.nominal;
 
     // Physics: the state active at tick time governs the whole interval, so
     // battery drain equals the attributed energy whenever a plan's states
     // share one draw, as every stock component's do.
-    battery_.step(last_charge_current_, total_load_current(), dt_hours, temp);
+    battery_.step(last_charge_current_, load_current, dt_hours, temp);
 
     if (battery_.empty() && !browned_out_) {
       browned_out_ = true;

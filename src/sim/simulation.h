@@ -7,10 +7,15 @@
 // (a monotonic sequence number breaks ties), so runs are bit-reproducible.
 //
 // Hot-path design (docs/PERFORMANCE.md):
-//   * one 4-ary implicit min-heap of 16-byte POD nodes (time, sequence,
-//     slot index) holds every pending event: schedule_at() is one
-//     hole-based sift-up and step() one sift-down. Every model reschedules
-//     itself one event at a time, so there is no burst to batch;
+//   * pending events are 16-byte POD nodes (time, sequence, slot index)
+//     in a 4-ary implicit min-heap plus four FIFO *delay lanes*. Every
+//     model reschedules itself one event at a time, mostly at a fixed
+//     period (the power tick, the samplers), so schedule_in(d) appends to
+//     the lane bound to d: with `now` never falling and the sequence
+//     always rising, one delay's keys arrive already in (time, seq) order.
+//     schedule_at(), schedule_rebuilt() and any delay without a free lane
+//     take the heap (one hole-based sift-up); step() pops the earliest of
+//     the heap's head and the lanes' heads;
 //   * callbacks are InlineCallback (48-byte small-buffer storage, no
 //     per-event allocation for the lambdas this repo schedules), built
 //     in place in a chunked slot slab whose addresses never move — so an
@@ -22,6 +27,8 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -57,9 +64,25 @@ class Simulation {
                       std::forward<F>(fn));
   }
 
+  // Schedules `fn` at now + delay (delay >= 0), in the same (time, seq)
+  // order as schedule_at(now + delay). The node is appended to the lane
+  // bound to `delay`, or to an empty lane rebound to it; with every lane
+  // bound and busy it goes to the heap.
   template <typename F>
   EventId schedule_in(Duration delay, F&& fn) {
-    return schedule_at(now_ + delay, std::forward<F>(fn));
+    const SimTime at = now_ + delay;
+    if (at < now_) throw std::invalid_argument("schedule_at in the past");
+    if (next_seq_ == kMaxSeq) renumber_sequences();
+    const int lane = lane_for(delay.millis());
+    if (lane == kHeap) {
+      return push_event(at.millis_since_epoch(), next_seq_++,
+                        std::forward<F>(fn));
+    }
+    const std::uint32_t index = fill_slot(std::forward<F>(fn));
+    lanes_[std::size_t(lane)].push(
+        HeapNode{at.millis_since_epoch(), next_seq_++, index});
+    open_lanes_ |= 1u << lane;
+    return id_of(index);
   }
 
   // Cancels a pending event; cancelling an already-fired or unknown id is a
@@ -86,27 +109,12 @@ class Simulation {
 
   // Runs the next event, if any; returns false when the queue is exhausted.
   bool step() {
-    while (!heap_.empty()) {
-      const HeapNode node = heap_pop();
-      Slot& slot = slot_at(node.slot);
-      if (slot.state == SlotState::kCancelled) {
-        free_slot(node.slot, slot);
-        continue;
-      }
-      now_ = SimTime{node.at_ms};
-      ++events_executed_;
-      --live_count_;
-      // Mark free *before* invoking so a self-cancel is a no-op, but keep
-      // the slot off the free list until after: the callback may schedule
-      // (slot addresses are chunk-stable, so `slot` stays valid) and must
-      // not be handed its own still-occupied slot.
-      slot.state = SlotState::kFree;
-      slot.fn.invoke_and_reset();
-      slot.next_free = free_head_;
-      free_head_ = node.slot;
-      return true;
-    }
-    return false;
+    const Head head = live_head();
+    if (head.node == nullptr) return false;
+    const HeapNode node = *head.node;
+    pop(head.source);
+    run_node(node);
+    return true;
   }
 
   // Runs every event with timestamp <= deadline, then advances the clock to
@@ -114,9 +122,11 @@ class Simulation {
   void run_until(SimTime deadline) {
     const std::int64_t deadline_ms = deadline.millis_since_epoch();
     while (true) {
-      purge_cancelled_heads();
-      if (heap_.empty() || heap_.front().at_ms > deadline_ms) break;
-      step();
+      const Head head = live_head();
+      if (head.node == nullptr || head.node->at_ms > deadline_ms) break;
+      const HeapNode node = *head.node;
+      pop(head.source);
+      run_node(node);
     }
     if (now_ < deadline) now_ = deadline;
   }
@@ -180,6 +190,12 @@ class Simulation {
     for (const HeapNode& node : heap_) {
       if (node.slot == index) return std::make_pair(node.at_ms, node.seq);
     }
+    for (const Lane& lane : lanes_) {
+      for (std::uint32_t i = 0; i < lane.size; ++i) {
+        const HeapNode& node = lane.at(i);
+        if (node.slot == index) return std::make_pair(node.at_ms, node.seq);
+      }
+    }
     return std::nullopt;
   }
 
@@ -190,6 +206,8 @@ class Simulation {
   // construction are simply overwritten — never cancel() them.
   void begin_restore(const KernelCheckpoint& ckpt) {
     heap_.clear();
+    for (Lane& lane : lanes_) lane.clear();
+    open_lanes_ = 0;
     chunks_.clear();
     slot_count_ = 0;
     free_head_ = kNoSlot;
@@ -201,8 +219,8 @@ class Simulation {
   }
 
   // Re-registers one saved event under its exact saved key. Components
-  // rebuild in section order, not sequence order; the heap orders them by
-  // key like any other push.
+  // rebuild in section order, not sequence order, so the event always
+  // takes the heap, which orders it by key like any other push.
   template <typename F>
   EventId schedule_rebuilt(std::int64_t at_ms, std::uint32_t seq, F&& fn) {
     if (!restoring_) {
@@ -264,6 +282,49 @@ class Simulation {
   // until the Simulation dies, so Slot& stays valid across callbacks.
   static constexpr std::uint32_t kChunkShift = 8;
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
+  // Enough for the power tick, the 30-minute samplers, the probe
+  // samplers and one transient delay.
+  static constexpr int kLanes = 4;
+  static constexpr std::int64_t kUnbound = -1;  // delays are >= 0
+  // Where a node is queued: a lane index 0..kLanes-1, or the heap.
+  static constexpr int kHeap = -1;
+
+  // A FIFO of the nodes scheduled with one delay: appends arrive in
+  // (time, seq) order, so the front is the lane's earliest node. A ring
+  // whose power-of-two storage grows to the lane's peak occupancy and is
+  // kept; only an empty lane is rebound to another delay.
+  struct Lane {
+    std::int64_t delay_ms = kUnbound;
+    std::vector<HeapNode> ring;
+    std::uint32_t mask = 0;  // ring.size() - 1
+    std::uint32_t head = 0;
+    std::uint32_t size = 0;
+
+    [[nodiscard]] const HeapNode& at(std::uint32_t i) const {
+      return ring[(head + i) & mask];
+    }
+    void push(HeapNode node) {
+      if (size == ring.size()) grow();
+      ring[(head + size) & mask] = node;
+      ++size;
+    }
+    void pop() {
+      head = (head + 1) & mask;
+      --size;
+    }
+    void clear() {
+      delay_ms = kUnbound;
+      head = 0;
+      size = 0;
+    }
+    void grow() {
+      std::vector<HeapNode> wider(ring.empty() ? 8 : 2 * ring.size());
+      for (std::uint32_t i = 0; i < size; ++i) wider[i] = at(i);
+      ring.swap(wider);
+      mask = std::uint32_t(ring.size() - 1);
+      head = 0;
+    }
+  };
 
   static bool earlier(const HeapNode& a, const HeapNode& b) {
     if (a.at_ms != b.at_ms) return a.at_ms < b.at_ms;
@@ -294,16 +355,42 @@ class Simulation {
     free_head_ = index;
   }
 
-  // Builds `fn` in a fresh slot and queues it under (at_ms, seq).
+  // Builds `fn` in a fresh slot, pending and counted live; the caller
+  // queues the slot's node.
   template <typename F>
-  EventId push_event(std::int64_t at_ms, std::uint32_t seq, F&& fn) {
+  std::uint32_t fill_slot(F&& fn) {
     const std::uint32_t index = acquire_slot();
     Slot& slot = slot_at(index);
     slot.fn.emplace(std::forward<F>(fn));
     slot.state = SlotState::kPending;
-    heap_push(HeapNode{at_ms, seq, index});
     ++live_count_;
-    return (std::uint64_t{index} << 32) | slot.generation;
+    return index;
+  }
+
+  [[nodiscard]] EventId id_of(std::uint32_t index) {
+    return (std::uint64_t{index} << 32) | slot_at(index).generation;
+  }
+
+  // Builds `fn` in a fresh slot and queues it in the heap under
+  // (at_ms, seq).
+  template <typename F>
+  EventId push_event(std::int64_t at_ms, std::uint32_t seq, F&& fn) {
+    const std::uint32_t index = fill_slot(std::forward<F>(fn));
+    heap_push(HeapNode{at_ms, seq, index});
+    return id_of(index);
+  }
+
+  // The lane bound to `delay_ms`, else the first empty lane, rebound to
+  // it; kHeap when every lane is bound to another delay and busy.
+  int lane_for(std::int64_t delay_ms) {
+    int empty = kHeap;
+    for (int i = 0; i < kLanes; ++i) {
+      const Lane& lane = lanes_[std::size_t(i)];
+      if (lane.delay_ms == delay_ms) return i;
+      if (empty == kHeap && lane.size == 0) empty = i;
+    }
+    if (empty != kHeap) lanes_[std::size_t(empty)].delay_ms = delay_ms;
+    return empty;
   }
 
   // 4-ary implicit heap: hole-based sift (the inserted/last node is held in
@@ -321,8 +408,10 @@ class Simulation {
     heap_[child] = node;
   }
 
-  HeapNode heap_pop() {
-    const HeapNode top = heap_.front();
+  // Kept out of line: inlined into the pop loop beside the lane code, g++
+  // 12 -O2 compiled a sift-down that ran BM_EventQueueScheduleRun, the
+  // heap-only burst, 15-30 % slower.
+  [[gnu::noinline]] void heap_pop() {
     const HeapNode last = heap_.back();
     heap_.pop_back();
     const std::size_t size = heap_.size();
@@ -342,25 +431,78 @@ class Simulation {
       }
       heap_[parent] = last;
     }
-    return top;
   }
 
-  // Drops tombstones sitting at the head so the earliest visible node is a
-  // live event (run_until's deadline check relies on this).
-  void purge_cancelled_heads() {
-    while (!heap_.empty()) {
-      Slot& slot = slot_at(heap_.front().slot);
-      if (slot.state != SlotState::kCancelled) break;
-      free_slot(heap_.front().slot, slot);
+  // The earliest queued node (null when nothing is queued) and where it
+  // sits. With every lane empty it is the heap's head alone.
+  struct Head {
+    const HeapNode* node;
+    int source;
+  };
+
+  [[nodiscard]] Head earliest() const {
+    Head best{heap_.empty() ? nullptr : heap_.data(), kHeap};
+    for (unsigned open = open_lanes_; open != 0; open &= open - 1) {
+      const int i = std::countr_zero(open);
+      const HeapNode& front = lanes_[std::size_t(i)].at(0);
+      if (best.node == nullptr || earlier(front, *best.node)) {
+        best = Head{&front, i};
+      }
+    }
+    return best;
+  }
+
+  void pop(int source) {
+    if (source == kHeap) {
       heap_pop();
+      return;
+    }
+    Lane& lane = lanes_[std::size_t(source)];
+    lane.pop();
+    if (lane.size == 0) open_lanes_ &= ~(1u << source);
+  }
+
+  // Drops tombstones sitting at the head of the queue and returns the
+  // earliest live node (run_until's deadline check relies on this).
+  Head live_head() {
+    while (true) {
+      const Head head = earliest();
+      if (head.node == nullptr) return head;
+      const std::uint32_t index = head.node->slot;
+      Slot& slot = slot_at(index);
+      if (slot.state != SlotState::kCancelled) return head;
+      free_slot(index, slot);
+      pop(head.source);
     }
   }
 
+  // Runs the popped live node's callback at its time.
+  void run_node(HeapNode node) {
+    Slot& slot = slot_at(node.slot);
+    now_ = SimTime{node.at_ms};
+    ++events_executed_;
+    --live_count_;
+    // Mark free *before* invoking so a self-cancel is a no-op, but keep
+    // the slot off the free list until after: the callback may schedule
+    // (slot addresses are chunk-stable, so `slot` stays valid) and must
+    // not be handed its own still-occupied slot.
+    slot.state = SlotState::kFree;
+    slot.fn.invoke_and_reset();
+    slot.next_free = free_head_;
+    free_head_ = node.slot;
+  }
+
   // Re-packs every pending node's tie-break sequence number into 1..n.
-  // Sorting the heap by (time, seq) preserves the exact execution order,
-  // and a sorted array is a valid d-ary min-heap, so determinism is
-  // unaffected. Amortized cost ~0: once every 2^32 - 1 scheduled events.
+  // The lanes drain into the heap, and sorting it by (time, seq)
+  // preserves the exact execution order; a sorted array is a valid d-ary
+  // min-heap, so determinism is unaffected. Amortized cost ~0: once every
+  // 2^32 - 1 scheduled events.
   void renumber_sequences() {
+    for (Lane& lane : lanes_) {
+      for (std::uint32_t i = 0; i < lane.size; ++i) heap_.push_back(lane.at(i));
+      lane.clear();
+    }
+    open_lanes_ = 0;
     std::sort(heap_.begin(), heap_.end(), earlier);
     std::uint32_t seq = 1;
     for (HeapNode& node : heap_) node.seq = seq++;
@@ -371,7 +513,9 @@ class Simulation {
   std::uint32_t next_seq_ = 1;
   std::uint64_t events_executed_ = 0;
   std::size_t live_count_ = 0;
-  std::vector<HeapNode> heap_;  // every pending node, 4-ary min-heap order
+  std::vector<HeapNode> heap_;  // pending nodes off the lanes, 4-ary min-heap
+  std::array<Lane, kLanes> lanes_;
+  unsigned open_lanes_ = 0;  // bit i set while lanes_[i] holds a node
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t slot_count_ = 0;
   std::uint32_t free_head_ = kNoSlot;

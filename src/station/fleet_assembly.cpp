@@ -56,6 +56,14 @@ FleetAssembly::FleetAssembly(FleetConfig config, const std::string& owner)
     throw std::invalid_argument(owner +
                                 ": trace_interval must be positive");
   }
+  // A power tick rescheduled at its own instant would never let the clock
+  // advance, and a negative one would only fail deep in the kernel.
+  for (const StationSpec& spec : config_.stations) {
+    if (spec.station.power.tick <= sim::Duration{0}) {
+      throw std::invalid_argument(owner + ": station " + spec.station.name +
+                                  " power.tick must be positive");
+    }
+  }
   if (!config_.fault_spec.empty()) {
     auto plan = fault::FaultPlan::parse(config_.fault_spec);
     if (!plan.ok()) {
@@ -111,14 +119,19 @@ void FleetAssembly::finish_build() {
   for (auto& built : stations_) built->start();
 
   if (!config_.trace_enabled) return;
+  const util::Rng noise{config_.seed};
   trace_names_.reserve(stations_.size());
   for (std::size_t s = 0; s < stations_.size(); ++s) {
     const std::string& name = stations_[s]->name();
     TraceNames& names = trace_names_.emplace_back(TraceNames{
-        name + ".voltage", name + ".state", name + ".soc", {}});
+        name + ".voltage", name + ".state", name + ".soc", {}, {}});
+    names.conductivity.reserve(probes_[s].size());
+    names.conductivity_noise.reserve(probes_[s].size());
     for (const auto& probe : probes_[s]) {
       names.conductivity.push_back(probe_series_name(name, probe->id()) +
                                    ".conductivity");
+      names.conductivity_noise.push_back(
+          noise.fork(names.conductivity.back()));
     }
   }
 }
@@ -133,22 +146,21 @@ void FleetAssembly::sample_stations(std::size_t first, std::size_t last,
     trace.add(names.state, now, double(core::to_int(built.current_state())));
     trace.add(names.soc, now, built.power().battery().soc());
   }
-  const util::Rng noise{config_.seed};
   for (std::size_t s = first; s < last; ++s) {
     const Station& built = station(s);
+    const TraceNames& names = trace_names_[s];
     const env::MeltModel& melt = built.environment().melt();
     const sim::SimTime now = built.simulation().now();
     for (std::size_t p = 0; p < probes_[s].size(); ++p) {
       const ProbeNode& probe = *probes_[s][p];
       if (!probe.alive()) continue;
-      const std::string& series = trace_names_[s].conductivity[p];
       const auto conductivity = melt.conductivity(
           now, probe.config().conductivity_base_us,
           probe.config().conductivity_gain_us,
-          noise.fork(series)
+          names.conductivity_noise[p]
               .fork(std::uint64_t(now.millis_since_epoch()))
               .normal());
-      trace.add(series, now, conductivity.value());
+      trace.add(names.conductivity[p], now, conductivity.value());
     }
   }
 }

@@ -29,6 +29,7 @@
 #include "station/probe_node.h"
 #include "station/southampton.h"
 #include "station/station.h"
+#include "util/rng.h"
 
 namespace gw::station {
 
@@ -135,7 +136,8 @@ class FleetAssembly {
 
  protected:
   // Checks `config` — unique station names, a positive trace interval when
-  // the trace is on, a parseable fault plan — and wires the fleet server.
+  // the trace is on, a positive power tick on every station, a parseable
+  // fault plan — and wires the fleet server.
   // `owner` ("Fleet" or "ShardedFleet") prefixes every
   // std::invalid_argument.
   FleetAssembly(FleetConfig config, const std::string& owner);
@@ -180,14 +182,17 @@ class FleetAssembly {
  private:
   // One station's trace series names: "<station>.voltage",
   // "<station>.state", "<station>.soc", and "<probe series>.conductivity"
-  // per probe, in the station's probe order. Built once, when the trace
-  // starts, instead of on every sample. They are names, not handles into a
-  // trace, so a restore that replaces the trace invalidates nothing.
+  // per probe, in the station's probe order, beside each conductivity
+  // series' noise stream, util::Rng{seed}.fork(series). Built once, when
+  // the trace starts, instead of on every sample. They are names and
+  // pure functions of the config, not handles into a trace, so a restore
+  // that replaces the trace invalidates nothing.
   struct TraceNames {
     std::string voltage;
     std::string state;
     std::string soc;
     std::vector<std::string> conductivity;
+    std::vector<util::Rng> conductivity_noise;
   };
   // trace_names_[i] names stations_[i]'s series; empty with the trace off.
   std::vector<TraceNames> trace_names_;

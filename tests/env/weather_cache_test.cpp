@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <numbers>
 
 #include "env/environment.h"
+#include "env/solar.h"
+#include "env/temperature.h"
 
 namespace gw::env {
 namespace {
@@ -77,6 +81,46 @@ TEST(WeatherCache, SolarDayKeyFloorsBeforeTheEpoch) {
             bits(after.solar().sin_elevation(kFirstMsOf1970)));
   EXPECT_EQ(bits(both.solar().daylight_hours(kFirstMsOf1970)),
             bits(after.solar().daylight_hours(kFirstMsOf1970)));
+}
+
+// The hour-angle and diurnal cosines are read from tables of the day's
+// 1440 minutes on the minute. Every entry must carry the bits of the
+// formula the models evaluated on every call before the tables, as must
+// the off-minute and out-of-range instants that still call it.
+TEST(WeatherCache, MinuteTablesMatchTheFormulas) {
+  const auto hour_angle_cos = [](sim::Duration time_of_day) {
+    const double hour = time_of_day.to_hours();
+    return std::cos((hour - 12.0) * 15.0 * (std::numbers::pi / 180.0));
+  };
+  const auto diurnal_cos = [](sim::Duration time_of_day) {
+    const double hour = time_of_day.to_hours();
+    return std::cos(2.0 * std::numbers::pi * (hour - 15.0) / 24.0);
+  };
+  for (std::int64_t minute = 0; minute < 1440; ++minute) {
+    for (const std::int64_t offset_ms : {std::int64_t{0}, std::int64_t{1},
+                                         std::int64_t{30'000}}) {
+      const sim::Duration t = sim::milliseconds(minute * 60'000 + offset_ms);
+      ASSERT_EQ(bits(SolarModel::cos_hour_angle(t)), bits(hour_angle_cos(t)))
+          << "minute " << minute << " + " << offset_ms << " ms";
+      ASSERT_EQ(bits(TemperatureModel::diurnal_cos(t)), bits(diurnal_cos(t)))
+          << "minute " << minute << " + " << offset_ms << " ms";
+    }
+  }
+  for (const sim::Duration outside : {sim::hours(24), sim::minutes(-1)}) {
+    EXPECT_EQ(bits(SolarModel::cos_hour_angle(outside)),
+              bits(hour_angle_cos(outside)));
+    EXPECT_EQ(bits(TemperatureModel::diurnal_cos(outside)),
+              bits(diurnal_cos(outside)));
+  }
+  // The temperature model's diurnal term scales the table's cosine.
+  const TemperatureConfig config;
+  const sim::SimTime midnight = sim::at_midnight(2009, 6, 21);
+  for (std::int64_t minute = 0; minute < 1440; ++minute) {
+    const sim::Duration t = sim::milliseconds(minute * 60'000);
+    ASSERT_EQ(bits(TemperatureModel::diurnal_c(config, midnight + t)),
+              bits(config.diurnal_amplitude_c * diurnal_cos(t)))
+        << "minute " << minute;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "snapshot/archive.h"
 
 namespace gw::power {
@@ -242,6 +246,139 @@ TEST(PowerSystem, RestoreRefusesDifferentChargerCount) {
   } catch (const snapshot::SnapshotError& error) {
     EXPECT_EQ(error.code(), snapshot::SnapshotErrc::kStateMismatch);
   }
+}
+
+// --- the cached steady quantum (docs/ENERGY.md) ----------------------------
+
+// What the tick computed before steady components charged a cached
+// quantum: every component's ledgers walked through attribute(), and the
+// battery stepped with the summed draw of the states active at the tick.
+// The test world has no chargers, so the battery sees no charge current.
+struct AttributionReference {
+  std::vector<std::vector<energy::MicroJoules>> energy_uj;
+  std::vector<std::vector<std::int64_t>> active_ms;
+  energy::MicroJoules delivered = 0;
+  LeadAcidBattery battery;
+
+  AttributionReference(const PowerSystem& power, const BatteryConfig& config)
+      : battery(config) {
+    sync(power);
+  }
+
+  // Adopts `power`'s ledgers and battery, e.g. after a restore.
+  void sync(const PowerSystem& power) {
+    energy_uj.assign(power.component_count(), {});
+    active_ms.assign(power.component_count(), {});
+    for (std::size_t c = 0; c < power.component_count(); ++c) {
+      const energy::ComponentModel& component = power.component(c);
+      for (std::size_t i = 0; i < component.state_count(); ++i) {
+        energy_uj[c].push_back(component.energy_uj(i));
+        active_ms[c].push_back(component.active_ms(i));
+      }
+    }
+    delivered = power.delivered_microjoules();
+    battery.set_soc(power.battery().soc());
+  }
+
+  // Advances the clock by `dt`, charges the reference, ticks `power`, and
+  // requires every ledger and meter to agree to the bit.
+  void tick(Fixture& f, PowerSystem& power, sim::Duration dt) {
+    f.simulation.run_until(f.simulation.now() + dt);
+    const sim::SimTime now = f.simulation.now();
+    const util::Celsius temp = f.environment.temperature().air(now);
+    util::Watts load{0.0};
+    for (std::size_t c = 0; c < power.component_count(); ++c) {
+      const energy::ComponentModel& component = power.component(c);
+      component.attribute(
+          now - dt, now,
+          [&](std::size_t state, sim::SimTime from, sim::SimTime to) {
+            const sim::Duration span = to - from;
+            const energy::MicroJoules uj = energy::quantum(
+                component.draw_at(state, temp), span.to_seconds());
+            energy_uj[c][state] += uj;
+            active_ms[c][state] += span.millis();
+            delivered += uj;
+          });
+      load += component.draw_at(component.active_at(now), temp);
+    }
+    battery.step(util::Amps{0.0}, load / f.config.nominal, dt.to_hours(),
+                 temp);
+    power.tick(dt);
+
+    for (std::size_t c = 0; c < power.component_count(); ++c) {
+      const energy::ComponentModel& component = power.component(c);
+      for (std::size_t i = 0; i < component.state_count(); ++i) {
+        ASSERT_EQ(component.energy_uj(i), energy_uj[c][i])
+            << component.name() << "." << component.state(i).name;
+        ASSERT_EQ(component.active_ms(i), active_ms[c][i])
+            << component.name() << "." << component.state(i).name;
+      }
+    }
+    ASSERT_EQ(power.delivered_microjoules(), delivered);
+    ASSERT_EQ(power.component_microjoules(), delivered);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(power.battery().soc()),
+              std::bit_cast<std::uint64_t>(battery.soc()));
+  }
+};
+
+// Three components that are steady whenever they have no plan: an MSP430,
+// a three-state modem and a radio, the modem on and idle.
+void wire_steady_world(PowerSystem& power) {
+  power.set_activity(power.add_component(switched_load("msp430", 0.6_mW)),
+                     1);
+  power.set_activity(power.add_component(modem_spec()), 1);
+  power.add_component(switched_load("radio", 3960_mW));
+}
+
+// The cache is keyed by (state, tick length) and cleared by set_activity
+// and a restore, so no transition may leave a quantum behind: ticks of two
+// lengths, state changes, a plan that starts and ends, a restore into a
+// world whose cache holds another state's quantum, and a brown-out must
+// all charge exactly what attribution alone would.
+TEST(PowerSystem, CachedSteadyQuantumMatchesAttribution) {
+  Fixture f;
+  f.config.battery.initial_soc = 0.03;
+  f.config.battery.self_discharge_per_day = 0.0;
+  PowerSystem saved{f.simulation, f.environment, f.config};
+  wire_steady_world(saved);
+  constexpr LoadHandle kModem = 1;
+  constexpr LoadHandle kRadio = 2;
+  AttributionReference reference{saved, f.config.battery};
+  for (int i = 0; i < 5; ++i) reference.tick(f, saved, sim::minutes(1));
+  for (int i = 0; i < 3; ++i) reference.tick(f, saved, sim::minutes(7));
+  saved.set_activity(kModem, 2);
+  for (int i = 0; i < 3; ++i) reference.tick(f, saved, sim::minutes(1));
+  // 150 s of registering-equivalent idle then tx, laid over three ticks.
+  saved.plan_activity(kModem, {{1, sim::seconds(90)}, {2, sim::seconds(60)}});
+  for (int i = 0; i < 4; ++i) reference.tick(f, saved, sim::minutes(1));
+  ASSERT_FALSE(saved.component(kModem).has_plan());
+  snapshot::Saver saver;
+  saved.persist(saver);  // the modem in tx
+
+  // The same wiring with the modem idle: its cache holds idle's quantum
+  // when the tx snapshot lands.
+  PowerSystem restored{f.simulation, f.environment, f.config};
+  wire_steady_world(restored);
+  AttributionReference restored_reference{restored, f.config.battery};
+  restored_reference.tick(f, restored, sim::minutes(1));
+  snapshot::Loader loader{saver.bytes()};
+  restored.persist(loader);
+  ASSERT_EQ(restored.component(kModem).activity(), 2u);
+  restored_reference.sync(restored);
+  for (int i = 0; i < 3; ++i) {
+    restored_reference.tick(f, restored, sim::minutes(1));
+  }
+
+  // Drain to a brown-out with the radio on: every component drops to off.
+  restored.set_activity(kRadio, 1);
+  for (int i = 0; i < 200 && !restored.browned_out(); ++i) {
+    restored_reference.tick(f, restored, sim::minutes(7));
+  }
+  ASSERT_TRUE(restored.browned_out());
+  for (int i = 0; i < 3; ++i) {
+    restored_reference.tick(f, restored, sim::minutes(1));
+  }
+  EXPECT_EQ(restored.component(kModem).activity(), 0u);
 }
 
 TEST(PowerSystem, SolarDayChargesBatterySeptember) {

@@ -1,4 +1,5 @@
-// Golden event-order property test for the event kernel's heap.
+// Golden event-order property test for the event kernel's heap and delay
+// lanes.
 //
 // The kernel's contract is a total order — (timestamp, then scheduling
 // sequence) — that must survive any mix of tied bursts, steady-state
@@ -7,11 +8,14 @@
 // workload against both sim::Simulation and a deliberately naive reference
 // kernel (linear scan for the minimum, the obviously-correct O(n^2)
 // implementation of the same contract) and requires the two execution
-// traces to match event for event.
+// traces to match event for event. A second workload adds periodic
+// sources that reschedule through schedule_in() at five fixed delays, one
+// more than the kernel has lanes, so some of them queue in the heap.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <vector>
 
 #include "sim/simulation.h"
@@ -31,6 +35,10 @@ class ReferenceKernel {
   std::uint64_t schedule(std::int64_t at, std::function<void()> fn) {
     events_.push_back(Event{at, next_seq_, std::move(fn), false});
     return next_seq_++;
+  }
+
+  std::uint64_t schedule_in(std::int64_t delay, std::function<void()> fn) {
+    return schedule(now_ + delay, std::move(fn));
   }
 
   void cancel(std::uint64_t seq) {
@@ -92,21 +100,42 @@ class ReferenceKernel {
   std::int64_t now_ = 0;
 };
 
+// The periodic sources' delays: five, one more than the kernel's lanes.
+// 0 reschedules at the firing instant, behind everything already due.
+constexpr std::int64_t kPeriodicDelays[] = {0, 2, 5, 13, 40};
+
 // Drives one kernel through the scripted workload. Kernel is duck-typed:
-// schedule(at, fn) -> id, cancel(id), run_until(deadline), run_all(),
-// now(). Every decision is drawn from the same seeded Rng stream, so both
+// cancel(id); the callables schedule an event at an absolute time or after
+// a delay (returning its id), run to a deadline, drain, and read the
+// clock. Every decision is drawn from the same seeded Rng stream, so both
 // kernels see the identical operation sequence; the only free variable is
 // the order the kernel fires events in — which is exactly what the trace
-// records.
-template <typename Kernel, typename ScheduleAt, typename RunUntil>
+// records. With `periodic`, each round also starts periodic sources.
+template <typename Kernel, typename ScheduleAt, typename ScheduleIn,
+          typename RunUntil>
 std::vector<int> run_workload(std::uint64_t seed, Kernel& kernel,
-                              ScheduleAt schedule_at, RunUntil run_until,
+                              ScheduleAt schedule_at, ScheduleIn schedule_in,
+                              RunUntil run_until,
                               std::function<void()> run_all,
-                              std::function<std::int64_t()> now) {
+                              std::function<std::int64_t()> now,
+                              bool periodic) {
   util::Rng rng{seed};
   std::vector<int> trace;
   std::vector<std::uint64_t> live_ids;
   int next_label = 0;
+
+  // A periodic source records itself and reschedules `repeats` more times
+  // at its own delay, like the power tick and the samplers. Cancelling one
+  // of its ids ends it.
+  std::function<void(int, std::int64_t, int)> fire_periodic =
+      [&](int label, std::int64_t delay, int repeats) {
+        trace.push_back(label);
+        if (repeats > 0) {
+          live_ids.push_back(schedule_in(delay, [&, label, delay, repeats] {
+            fire_periodic(label, delay, repeats - 1);
+          }));
+        }
+      };
 
   // Self-rescheduling events schedule while the queue drains: a fired
   // event schedules a child at a deterministic offset (ties with other
@@ -124,6 +153,18 @@ std::vector<int> run_workload(std::uint64_t seed, Kernel& kernel,
       };
 
   for (int round = 0; round < 40; ++round) {
+    if (periodic) {
+      const int sources = 1 + int(rng.uniform_index(3));
+      for (int i = 0; i < sources; ++i) {
+        const std::int64_t delay = kPeriodicDelays[rng.uniform_index(
+            std::size(kPeriodicDelays))];
+        const int repeats = 5 + int(rng.uniform_index(20));
+        const int label = 500000 + next_label++;
+        live_ids.push_back(schedule_in(delay, [&, label, delay, repeats] {
+          fire_periodic(label, delay, repeats);
+        }));
+      }
+    }
     // Burst: a batch of events over a narrow window (lots of exact ties).
     const int burst = 5 + int(rng.uniform_index(60));
     for (int i = 0; i < burst; ++i) {
@@ -156,7 +197,7 @@ std::vector<int> run_workload(std::uint64_t seed, Kernel& kernel,
 // `first_seq`, when not 1, starts the kernel's tie-break sequence counter
 // there through a restored checkpoint. `next_seq`, when given, receives
 // the counter after the run, so a caller can tell that it wrapped.
-std::vector<int> trace_simulation(std::uint64_t seed,
+std::vector<int> trace_simulation(std::uint64_t seed, bool periodic,
                                   std::uint32_t first_seq = 1,
                                   std::uint32_t* next_seq = nullptr) {
   Simulation simulation{SimTime{0}};
@@ -171,29 +212,35 @@ std::vector<int> trace_simulation(std::uint64_t seed,
       [&](std::int64_t at, std::function<void()> fn) {
         return simulation.schedule_at(SimTime{at}, std::move(fn));
       },
+      [&](std::int64_t delay, std::function<void()> fn) {
+        return simulation.schedule_in(Duration{delay}, std::move(fn));
+      },
       [&](std::int64_t deadline) { simulation.run_until(SimTime{deadline}); },
       [&] { simulation.run_all(); },
-      [&] { return simulation.now().millis_since_epoch(); });
+      [&] { return simulation.now().millis_since_epoch(); }, periodic);
   if (next_seq != nullptr) *next_seq = simulation.checkpoint().next_seq;
   return trace;
 }
 
-std::vector<int> trace_reference(std::uint64_t seed) {
+std::vector<int> trace_reference(std::uint64_t seed, bool periodic) {
   ReferenceKernel kernel{0};
   return run_workload(
       seed, kernel,
       [&](std::int64_t at, std::function<void()> fn) {
         return kernel.schedule(at, std::move(fn));
       },
+      [&](std::int64_t delay, std::function<void()> fn) {
+        return kernel.schedule_in(delay, std::move(fn));
+      },
       [&](std::int64_t deadline) { kernel.run_until(deadline); },
-      [&] { kernel.run_all(); }, [&] { return kernel.now(); });
+      [&] { kernel.run_all(); }, [&] { return kernel.now(); }, periodic);
 }
 
 class EventOrderGolden : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(EventOrderGolden, MatchesReferenceKernel) {
-  const std::vector<int> expected = trace_reference(GetParam());
-  const std::vector<int> actual = trace_simulation(GetParam());
+  const std::vector<int> expected = trace_reference(GetParam(), false);
+  const std::vector<int> actual = trace_simulation(GetParam(), false);
   ASSERT_GT(expected.size(), 100u) << "workload degenerated";
   EXPECT_EQ(actual, expected);
 }
@@ -203,10 +250,31 @@ TEST_P(EventOrderGolden, MatchesReferenceKernel) {
 // and cancelled events pending.
 TEST_P(EventOrderGolden, MatchesReferenceKernelAcrossSequenceWrap) {
   constexpr std::uint32_t kNearWrap = 0xffffffffu - 1000;
-  const std::vector<int> expected = trace_reference(GetParam());
+  const std::vector<int> expected = trace_reference(GetParam(), false);
   std::uint32_t next_seq = 0;
   const std::vector<int> actual =
-      trace_simulation(GetParam(), kNearWrap, &next_seq);
+      trace_simulation(GetParam(), false, kNearWrap, &next_seq);
+  ASSERT_LT(next_seq, kNearWrap) << "the sequence counter never wrapped";
+  EXPECT_EQ(actual, expected);
+}
+
+// Periodic sources at five delays fill the four lanes and spill into the
+// heap; cancels leave tombstones in both.
+TEST_P(EventOrderGolden, MatchesReferenceKernelWithDelayLanes) {
+  const std::vector<int> expected = trace_reference(GetParam(), true);
+  const std::vector<int> actual = trace_simulation(GetParam(), true);
+  ASSERT_GT(expected.size(), 1000u) << "workload degenerated";
+  EXPECT_EQ(actual, expected);
+}
+
+// The wrap drains the lanes into the heap mid-workload; lanes refill
+// after it under the new sequence numbers.
+TEST_P(EventOrderGolden, MatchesReferenceKernelWithDelayLanesAcrossWrap) {
+  constexpr std::uint32_t kNearWrap = 0xffffffffu - 1000;
+  const std::vector<int> expected = trace_reference(GetParam(), true);
+  std::uint32_t next_seq = 0;
+  const std::vector<int> actual =
+      trace_simulation(GetParam(), true, kNearWrap, &next_seq);
   ASSERT_LT(next_seq, kNearWrap) << "the sequence counter never wrapped";
   EXPECT_EQ(actual, expected);
 }

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -205,6 +207,48 @@ TEST(Simulation, PendingTracksBurstsAndDrains) {
   simulation.run_all();
   EXPECT_EQ(fired, 75);
   EXPECT_EQ(simulation.pending(), 0u);
+}
+
+// schedule_in() queues a node in the delay lane bound to its delay (or in
+// the heap once all four lanes are bound to other delays and busy). A
+// lane's nodes answer pending_key() with the keys schedule_at() would have
+// given them, cancel() tombstones them, and a cancelled head is skipped
+// before run_until() compares the next event with its deadline.
+TEST(Simulation, LaneNodesAnswerPendingKeyAndCancel) {
+  Simulation simulation{SimTime{1000}};
+  std::vector<int> order;
+  const auto record = [&order](int label) {
+    return [&order, label] { order.push_back(label); };
+  };
+  const EventId a = simulation.schedule_in(Duration{60}, record(1));
+  const EventId b = simulation.schedule_in(Duration{60}, record(2));
+  const EventId c = simulation.schedule_at(SimTime{1060}, record(3));
+  // The 60-ms lane and three more bound: the 40- and 50-ms nodes queue
+  // in the heap.
+  std::vector<EventId> spread;
+  for (int delay = 10; delay <= 50; delay += 10) {
+    spread.push_back(simulation.schedule_in(Duration{delay}, record(delay)));
+  }
+  using Key = std::pair<std::int64_t, std::uint32_t>;
+  EXPECT_EQ(simulation.pending_key(a), (Key{1060, 1}));
+  EXPECT_EQ(simulation.pending_key(b), (Key{1060, 2}));
+  EXPECT_EQ(simulation.pending_key(c), (Key{1060, 3}));
+  for (std::size_t i = 0; i < spread.size(); ++i) {
+    EXPECT_EQ(simulation.pending_key(spread[i]),
+              (Key{1010 + 10 * std::int64_t(i), std::uint32_t(4 + i)}));
+  }
+
+  simulation.cancel(a);          // a lane's head
+  simulation.cancel(spread[0]);  // the 10-ms lane's only node
+  EXPECT_EQ(simulation.pending_key(a), std::nullopt);
+  EXPECT_EQ(simulation.pending(), 6u);
+  simulation.run_until(SimTime{1019});
+  EXPECT_TRUE(order.empty());
+  EXPECT_EQ(simulation.now(), SimTime{1019});
+  simulation.run_until(SimTime{1060});
+  EXPECT_EQ(order, (std::vector<int>{20, 30, 40, 50, 2, 3}));
+  EXPECT_EQ(simulation.pending_key(b), std::nullopt);
+  EXPECT_TRUE(simulation.empty());
 }
 
 // The 32-bit tie-break sequence wraps once per 2^32 - 1 schedules, and the

@@ -155,6 +155,32 @@ TEST(FleetTest, RefusesNonPositiveTraceInterval) {
   EXPECT_GT(fleet.simulation().events_executed(), 0u);
 }
 
+// A power tick rescheduled at its own instant never lets the clock
+// advance, so run_days would spin; a negative one fails only deep in the
+// kernel. The constructor refuses both, naming the station, before
+// anything runs.
+void expect_fleet_refuses_power_tick(sim::Duration tick) {
+  FleetConfig config = uniform_fleet_config(2, 1);
+  config.stations[1].station.power.tick = tick;
+  try {
+    Fleet fleet{config};
+    FAIL() << "a fleet ticking every " << tick.millis() << " ms was built";
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("power.tick"), std::string::npos) << what;
+    EXPECT_NE(what.find(config.stations[1].station.name), std::string::npos)
+        << what;
+  }
+}
+
+TEST(FleetTest, RefusesZeroPowerTick) {
+  expect_fleet_refuses_power_tick(sim::Duration{0});
+}
+
+TEST(FleetTest, RefusesNegativePowerTick) {
+  expect_fleet_refuses_power_tick(sim::minutes(-1));
+}
+
 TEST(FleetTest, ServerReceivedWindowIsWiredThrough) {
   auto config = quad_config();
   config.server_received_window = 8;
