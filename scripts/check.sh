@@ -9,24 +9,14 @@
 #      resolve, and every docs/*.md must be reachable from README.md by
 #      following links (needs python3, also gated);
 #   3. sanitizer leg: with GW_CHECK_SANITIZE=1 in the environment, builds
-#      system_test, snapshot_test, energy_test, station_test, core_test,
-#      proto_test, util_test, env_test, sim_test and power_test in a
-#      separate build-asan/ dir with -DGW_SANITIZE=address (ASan+UBSan) and
-#      runs the fault soak, the energy-conservation season (a snapshot
-#      round trip included), the golden whole-world snapshot, the
-#      trace-invariance season, the whole env suite (the weather tape
-#      indexes a vector by day, the minute tables by minute of day), the
-#      snapshot format sweeps, the
-#      component restore checks, the whole station suite (the fleet and
-#      sharded fleet assembly, the Southampton server and its query path,
-#      fleet snapshot refusals and the field report), the whole core suite
-#      (the sync ledger among it), the whole proto suite (the form parser
-#      hands out views into the caller's wire), the CRC-32 tests (the
-#      carry-less-multiply fold makes unaligned 16-byte loads up to the end
-#      of its input), the whole sim suite (the kernel's delay lanes are
-#      rings with wrapping indices) and the whole power suite (the tick's
-#      cached steady quantum) under it. Off by default — it is a full
-#      extra build — and gated on cmake being available;
+#      the whole tree in a separate build-asan/ dir with
+#      -DGW_SANITIZE=address (ASan+UBSan) and runs every test binary
+#      under it through ctest, except the repo_* tests (repo_check would
+#      run this script again from inside itself). UBSAN_OPTIONS=
+#      halt_on_error=1 makes a UBSan report fail its test instead of only
+#      printing. A new test binary joins the leg by being registered with
+#      ctest. Off by default — it is a full extra build — and gated on
+#      cmake being available;
 #   4. thread-sanitizer leg: with GW_CHECK_TSAN=1, builds runner_test and
 #      sim_test in a separate build-tsan/ dir with -DGW_SANITIZE=thread and
 #      runs the Monte Carlo runner tests (pool handoff + determinism) plus
@@ -115,29 +105,14 @@ fi
 # --- 3. sanitizer soak (opt-in: GW_CHECK_SANITIZE=1) ----------------------
 if [ "${GW_CHECK_SANITIZE:-0}" = "1" ]; then
   if command -v cmake >/dev/null 2>&1; then
-    echo "== ASan+UBSan fault soak, restore paths, trace invariance," \
-      "station, core, proto, env, sim and power suites, CRC-32" \
-      "(build-asan/)"
+    echo "== ASan+UBSan: every test binary (build-asan/)"
     if cmake -B build-asan -S . -DGW_SANITIZE=address >/dev/null &&
-       cmake --build build-asan --target system_test snapshot_test \
-         energy_test station_test core_test proto_test util_test env_test \
-         sim_test power_test -j >/dev/null &&
-       ./build-asan/tests/system_test \
-         --gtest_filter='FaultSoak.*:EnergyConservation.*:GoldenStateTest.*:TraceInvariance.*' &&
-       ./build-asan/tests/snapshot_test &&
-       ./build-asan/tests/energy_test &&
-       ./build-asan/tests/station_test &&
-       ./build-asan/tests/core_test &&
-       ./build-asan/tests/proto_test &&
-       ./build-asan/tests/env_test &&
-       ./build-asan/tests/util_test --gtest_filter='Crc32.*' &&
-       ./build-asan/tests/sim_test &&
-       ./build-asan/tests/power_test; then
-      echo "ok: fault soak, restore paths, trace invariance, station, core," \
-        "proto, env, sim and power suites and CRC-32 clean under ASan+UBSan"
+       cmake --build build-asan -j4 >/dev/null &&
+       UBSAN_OPTIONS=halt_on_error=1 ctest --test-dir build-asan \
+         -E '^repo_' -j4 --output-on-failure; then
+      echo "ok: every test clean under ASan+UBSan"
     else
-      echo "FAIL: sanitizer fault soak, restore paths, trace invariance," \
-        "station, core, proto, env, sim or power suite or CRC-32"
+      echo "FAIL: a test failed or reported under ASan+UBSan"
       failures=$((failures + 1))
     fi
   else

@@ -1,84 +1,127 @@
-// Log-volume budgeting (§VI field lesson).
+// The station log as a byte meter, with log-volume budgeting (§VI field
+// lesson).
 //
-// "the amount of output from the binaries ... is excessive for remote
-// debugging ... when a probe is communicated with for the first time in a
-// few months then over 1 megabyte of log data can be produced, which then
-// takes time/power/money to transfer but is of little use."
+// On the deployed systems "all messages or errors are redirected to a
+// standard logfile which is sent back daily with the data" (§VI), and
+// "when a probe is communicated with for the first time in a few months
+// then over 1 megabyte of log data can be produced, which then takes
+// time/power/money to transfer but is of little use." What the simulator
+// models is that cost, not the text: every line is metered at the bytes
+// it renders to, and the daily upload takes the pending count as the size
+// of its `log_<iso>` file. No line is kept.
 //
-// The LogManager fronts the station Logger with per-component daily byte
-// budgets: once a component exhausts its budget, its records below the
-// protected floor are suppressed at the source and replaced, at day
-// rollover, by a single summary line ("probes: suppressed 11734 records,
-// 1.1 MiB"). Warnings and errors always get through — the field rule is to
-// cut *redundant* output, not evidence.
+// Each component has a daily byte budget: once it is spent, the
+// component's lines below the protected floor are suppressed at the
+// source and replaced, at day rollover, by a single summary line
+// ("probes: suppressed 11734 records, 1.1 MiB"). Warnings and errors
+// always get through, and count toward their component's budget like
+// every other admitted line — the field rule is to cut *redundant*
+// output, not evidence.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
+#include <utility>
 
-#include "util/logging.h"
 #include "util/units.h"
 
 namespace gw::core {
 
-struct LogBudgetConfig {
-  std::size_t component_daily_budget_bytes = 16 * 1024;
-  // Severities at or above this are never suppressed.
-  util::LogLevel protected_floor = util::LogLevel::kWarn;
-};
+enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
+
+[[nodiscard]] inline const char* to_string(LogLevel level) {
+  switch (level) {
+    case LogLevel::kDebug:
+      return "DEBUG";
+    case LogLevel::kInfo:
+      return "INFO";
+    case LogLevel::kWarn:
+      return "WARN";
+    case LogLevel::kError:
+      return "ERROR";
+  }
+  return "?";
+}
+
+// Size of the logfile line "<time> <LEVEL> <component>: <message>\n", the
+// time in milliseconds zero-padded to at least 13 digits, which is what
+// the GPRS link has to carry. It needs only the two text lengths, so a
+// line is measured without being rendered.
+[[nodiscard]] inline std::size_t rendered_line_bytes(
+    std::int64_t time_ms, LogLevel level, std::size_t component_chars,
+    std::size_t message_chars) {
+  const std::size_t time_digits =
+      std::max<std::size_t>(13, std::to_string(time_ms).size());
+  const std::size_t level_chars = std::string_view(to_string(level)).size();
+  return time_digits + 1 + level_chars + 1 + component_chars + 2 +
+         message_chars + 1;
+}
 
 class LogManager {
  public:
-  LogManager(util::Logger& logger, LogBudgetConfig config = {})
-      : logger_(logger), config_(config) {}
+  // Bytes a component may log per day before its unprotected lines are
+  // suppressed.
+  static constexpr std::size_t kComponentDailyBudgetBytes = 16 * 1024;
+  // Severities at or above this are never suppressed.
+  static constexpr LogLevel kProtectedFloor = LogLevel::kWarn;
 
-  void log(std::int64_t time_ms, util::LogLevel level,
-           const std::string& component, std::string message) {
+  void log(std::int64_t time_ms, LogLevel level, const std::string& component,
+           std::string_view message) {
     auto& usage = usage_[component];
-    const bool is_protected =
-        static_cast<int>(level) >= static_cast<int>(config_.protected_floor);
     // One size for every line, admitted or suppressed: what it renders to.
-    const std::size_t line_bytes = util::rendered_line_bytes(
+    const std::size_t line_bytes = rendered_line_bytes(
         time_ms, level, component.size(), message.size());
-    if (!is_protected &&
-        usage.bytes_today >= config_.component_daily_budget_bytes) {
+    if (level < kProtectedFloor &&
+        usage.bytes_today >= kComponentDailyBudgetBytes) {
       ++usage.suppressed_records;
       usage.suppressed_bytes += line_bytes;
       ++total_suppressed_;
       return;
     }
     usage.bytes_today += line_bytes;
-    logger_.log(time_ms, level, component, std::move(message));
+    pending_bytes_ += line_bytes;
   }
 
-  void debug(std::int64_t t, const std::string& c, std::string m) {
-    log(t, util::LogLevel::kDebug, c, std::move(m));
+  void debug(std::int64_t t, const std::string& c, std::string_view m) {
+    log(t, LogLevel::kDebug, c, m);
   }
-  void info(std::int64_t t, const std::string& c, std::string m) {
-    log(t, util::LogLevel::kInfo, c, std::move(m));
+  void info(std::int64_t t, const std::string& c, std::string_view m) {
+    log(t, LogLevel::kInfo, c, m);
   }
-  void warn(std::int64_t t, const std::string& c, std::string m) {
-    log(t, util::LogLevel::kWarn, c, std::move(m));
+  void warn(std::int64_t t, const std::string& c, std::string_view m) {
+    log(t, LogLevel::kWarn, c, m);
   }
-  void error(std::int64_t t, const std::string& c, std::string m) {
-    log(t, util::LogLevel::kError, c, std::move(m));
+  void error(std::int64_t t, const std::string& c, std::string_view m) {
+    log(t, LogLevel::kError, c, m);
   }
 
-  // Day rollover: emits one summary line per suppressed component and
-  // resets the budgets (called at the top of each daily run).
+  // Day rollover: meters one summary line per suppressed component, outside
+  // any budget, and resets the budgets (called at the top of each daily
+  // run).
   void new_day(std::int64_t time_ms) {
     for (auto& [component, usage] : usage_) {
       if (usage.suppressed_records > 0) {
-        logger_.info(time_ms, component,
-                     "log budget: suppressed " +
-                         std::to_string(usage.suppressed_records) +
-                         " records (" +
-                         std::to_string(usage.suppressed_bytes / 1024) +
-                         " KiB) yesterday");
+        const std::string summary =
+            "log budget: suppressed " +
+            std::to_string(usage.suppressed_records) + " records (" +
+            std::to_string(usage.suppressed_bytes / 1024) + " KiB) yesterday";
+        pending_bytes_ += rendered_line_bytes(
+            time_ms, LogLevel::kInfo, component.size(), summary.size());
       }
       usage = Usage{};
     }
+  }
+
+  // Bytes logged since the last drain: the size of the logfile the next
+  // upload carries.
+  [[nodiscard]] std::size_t pending_bytes() const { return pending_bytes_; }
+
+  // Daily upload: returns the pending bytes and starts a new logfile.
+  [[nodiscard]] std::size_t drain_bytes() {
+    return std::exchange(pending_bytes_, 0);
   }
 
   [[nodiscard]] std::size_t total_suppressed() const {
@@ -102,6 +145,7 @@ class LogManager {
 
   template <class Archive>
   void persist(Archive& ar) {
+    ar.value(pending_bytes_);
     ar.value(usage_);
     ar.value(total_suppressed_);
   }
@@ -120,8 +164,7 @@ class LogManager {
     }
   };
 
-  util::Logger& logger_;
-  LogBudgetConfig config_;
+  std::size_t pending_bytes_ = 0;
   std::map<std::string, Usage> usage_;
   std::size_t total_suppressed_ = 0;
 };

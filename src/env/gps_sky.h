@@ -54,16 +54,16 @@ class GpsSky {
     return std::max(0, int(std::lround(n)));
   }
 
-  // Whether a position/time fix is possible right now.
-  [[nodiscard]] bool fix_possible(sim::SimTime t) const {
-    return visible(t) >= config_.min_for_fix;
+  // Whether a position/time fix is possible with `satellites` in view (a
+  // count from visible(), so one look at the sky serves a whole fix).
+  [[nodiscard]] bool fix_possible(int satellites) const {
+    return satellites >= config_.min_for_fix;
   }
 
   // Fix acquisition scales down as more satellites are in view.
-  [[nodiscard]] sim::Duration fix_time(sim::SimTime t) const {
-    const int n = visible(t);
-    if (n < config_.min_for_fix) return sim::minutes(30);  // effectively no
-    const double seconds = 45.0 + 420.0 / double(n);
+  [[nodiscard]] sim::Duration fix_time(int satellites) const {
+    if (!fix_possible(satellites)) return sim::minutes(30);  // effectively no
+    const double seconds = 45.0 + 420.0 / double(satellites);
     return sim::seconds(seconds);
   }
 

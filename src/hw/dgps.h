@@ -149,7 +149,9 @@ class DgpsReceiver {
   [[nodiscard]] util::Result<sim::SimTime> time_fix() {
     if (!powered_) return util::make_error("dgps: not powered");
     const sim::SimTime now = simulation_.now();
-    if (sky_ != nullptr && !sky_->fix_possible(now)) {
+    // One count of the sky decides both the refusal and the acquisition.
+    const int satellites = sky_ != nullptr ? sky_->visible(now) : 0;
+    if (sky_ != nullptr && !sky_->fix_possible(satellites)) {
       return util::make_error("dgps: too few satellites visible");
     }
     // An active dgps_no_fix window scales the success chance down (severity
@@ -166,10 +168,10 @@ class DgpsReceiver {
       }
       return util::make_error("dgps: no fix acquired");
     }
-    const sim::Duration acquisition =
-        sky_ != nullptr ? sky_->fix_time(simulation_.now())
-                        : config_.fix_acquisition;
-    return simulation_.now() + acquisition;
+    const sim::Duration acquisition = sky_ != nullptr
+                                          ? sky_->fix_time(satellites)
+                                          : config_.fix_acquisition;
+    return now + acquisition;
   }
 
   // Satellites in view right now (0 when no sky model is attached).

@@ -1,8 +1,8 @@
 // MetricsRegistry: counters, gauges, and fixed-bucket histograms.
 //
 // The repo used to measure itself three different ways (sim::Trace series,
-// util::Logger byte accounting, power::PowerSystem energy ledgers) with no
-// common registry and no machine-readable export. This is the common
+// the station log's byte accounting, power::PowerSystem energy ledgers) with
+// no common registry and no machine-readable export. This is the common
 // registry: every metric is keyed by (component, name) — the naming contract
 // is documented in docs/OBSERVABILITY.md — and handles are stable references
 // into node-based maps, so a subsystem looks its metric up once and then

@@ -1,4 +1,4 @@
-// Trace recorder: named time series + annotated step log.
+// Trace recorder: named time series.
 //
 // The benches regenerate the paper's figures by sampling model state into a
 // Trace and printing the series (Fig 5: voltage + power state; Fig 6: probe
@@ -51,10 +51,6 @@ class Trace {
   // helpers' empty-series contract) can see it before the first sample.
   void declare(const std::string& series) { series_[series]; }
 
-  void annotate(SimTime t, std::string text) {
-    annotations_.push_back({t, std::move(text)});
-  }
-
   [[nodiscard]] const std::vector<TracePoint>& series(
       const std::string& name) const {
     const auto it = series_.find(name);
@@ -75,27 +71,12 @@ class Trace {
     return names;
   }
 
-  struct Annotation {
-    SimTime time;
-    std::string text;
-
-    template <class Archive>
-    void persist(Archive& ar) {
-      ar.value(time);
-      ar.value(text);
-    }
-  };
-  [[nodiscard]] const std::vector<Annotation>& annotations() const {
-    return annotations_;
-  }
-
   // The bytes of ar.value(series_), but each series moves as one block of
   // points: a save claims once and a restore bounds-checks once per
   // series, instead of twice per point.
   template <class Archive>
   void persist(Archive& ar) {
     ar.entries(series_, [&ar](auto& points) { ar.records(points); });
-    ar.value(annotations_);
   }
 
   // --- small analysis helpers used by tests and benches -----------------
@@ -149,7 +130,6 @@ class Trace {
   }
 
   std::map<std::string, std::vector<TracePoint>> series_;
-  std::vector<Annotation> annotations_;
 };
 
 }  // namespace gw::sim

@@ -42,7 +42,7 @@
 
 namespace gw::snapshot {
 
-inline constexpr std::uint16_t kFormatVersion = 4;
+inline constexpr std::uint16_t kFormatVersion = 5;
 inline constexpr std::string_view kMagic = "GWSNAP";
 
 class StateWriter {

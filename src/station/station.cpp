@@ -59,7 +59,6 @@ Station::Station(sim::Simulation& simulation,
       recovery_(simulation, board_.msp(), dgps_, rng.fork("recovery"),
                 config.recovery),
       updates_(rng.fork("updates")),
-      log_manager_(logger_, config.log_budget),
       priority_analyzer_(config.data_priority),
       state_(config.initial_state),
       local_voltage_state_(config.initial_state) {
@@ -117,8 +116,8 @@ void Station::set_state(core::PowerState state) {
                   double(core::to_int(state)));
   state_ = state;
   state_history_.push_back({simulation_.now(), state_});
-  logger_.info(simulation_.now().millis_since_epoch(), "power",
-               "state -> " + std::to_string(core::to_int(state_)));
+  log_manager_.info(simulation_.now().millis_since_epoch(), "power",
+                    "state -> " + std::to_string(core::to_int(state_)));
 }
 
 // --- daily run ----------------------------------------------------------
@@ -147,8 +146,9 @@ void Station::on_wake() {
   run_timer_.emplace(metrics_.histogram("station", "run_seconds"),
                      &sim_clock_seconds, &simulation_);
   watchdog_.arm([this] {
-    logger_.error(simulation_.now().millis_since_epoch(), "watchdog",
-                  "2h limit hit during step " + sequence_->current_step());
+    log_manager_.error(simulation_.now().millis_since_epoch(), "watchdog",
+                       "2h limit hit during step " +
+                           sequence_->current_step());
     if (sequence_) sequence_->abort();
   });
   apply_frequency_plan();
@@ -322,8 +322,8 @@ std::optional<sim::Duration> Station::probe_chunk() {
       // out ("vanishing offline", §V).
       const auto timeout = sim::seconds(15);
       probe_budget_used_ += timeout;
-      logger_.warn(simulation_.now().millis_since_epoch(), "probes",
-                   "probe " + std::to_string(probe->id()) + " silent");
+      log_manager_.warn(simulation_.now().millis_since_epoch(), "probes",
+                        "probe " + std::to_string(probe->id()) + " silent");
       return timeout;
     }
 
@@ -342,17 +342,15 @@ std::optional<sim::Duration> Station::probe_chunk() {
             core::DataPriority::kUrgent) {
       urgent_data_today_ = true;
     }
-    if (config_.verbose_probe_logging) {
-      // The deployed binaries logged every frame (§VI's 1 MB problem); the
-      // LogManager budget suppresses the flood after the first few KiB.
-      for (const auto& reading : stats.delivered_readings) {
-        log_manager_.debug(
-            simulation_.now().millis_since_epoch(), "probes",
-            "rx probe=" + std::to_string(reading.probe_id) +
-                " seq=" + std::to_string(reading.seq) +
-                " cond=" + util::format_fixed(reading.conductivity_us, 2) +
-                " pres=" + util::format_fixed(reading.pressure_kpa, 1));
-      }
+    // The deployed binaries logged every frame (§VI's 1 MB problem); the
+    // LogManager budget suppresses the flood after the first few KiB.
+    for (const auto& reading : stats.delivered_readings) {
+      log_manager_.debug(
+          simulation_.now().millis_since_epoch(), "probes",
+          "rx probe=" + std::to_string(reading.probe_id) +
+              " seq=" + std::to_string(reading.seq) +
+              " cond=" + util::format_fixed(reading.conductivity_us, 2) +
+              " pres=" + util::format_fixed(reading.pressure_kpa, 1));
     }
     log_manager_.info(simulation_.now().millis_since_epoch(), "probes",
                  "probe " + std::to_string(probe->id()) + ": " +
@@ -440,10 +438,10 @@ void Station::compute_local_state() {
   daily_averages_.push_back({simulation_.now(), *average});
   local_voltage_state_ = policy_.state_for(*average);
   metrics_.gauge("power_policy", "daily_average_volts").set(average->value());
-  logger_.info(simulation_.now().millis_since_epoch(), "power",
-               "daily avg " + util::format_fixed(average->value(), 2) +
-                   " V -> local state " +
-                   std::to_string(core::to_int(local_voltage_state_)));
+  log_manager_.info(simulation_.now().millis_since_epoch(), "power",
+                    "daily avg " + util::format_fixed(average->value(), 2) +
+                        " V -> local state " +
+                        std::to_string(core::to_int(local_voltage_state_)));
 }
 
 void Station::package_data() {
@@ -460,10 +458,10 @@ void Station::package_data() {
     sensor_file_.reset();
   }
   // The daily logfile rides along with the data (§VI).
-  const std::string log_text = logger_.drain();
-  if (!log_text.empty()) {
+  const std::size_t log_bytes = log_manager_.drain_bytes();
+  if (log_bytes > 0) {
     uploads_.enqueue("log_" + sim::format_iso(simulation_.now()),
-                     util::Bytes{std::int64_t(log_text.size())}, science);
+                     util::Bytes{std::int64_t(log_bytes)}, science);
   }
 }
 
@@ -605,10 +603,10 @@ sim::Duration Station::run_special() {
   // with the deployed post-upload ordering, since today's upload already
   // happened).
   ++stats_.specials_executed;
-  logger_.info(simulation_.now().millis_since_epoch(), "special",
-               "executed " + command->id + " (" +
-                   std::to_string(command->output_size.count()) +
-                   " B output)");
+  log_manager_.info(simulation_.now().millis_since_epoch(), "special",
+                    "executed " + command->id + " (" +
+                        std::to_string(command->output_size.count()) +
+                        " B output)");
   core::SpecialExecution execution;
   execution.id = command->id;
   execution.executed_at = simulation_.now();
@@ -737,8 +735,8 @@ void Station::cancel_gps_program() {
 void Station::on_brown_out() {
   ++stats_.brown_outs;
   brown_out_at_ = simulation_.now();
-  logger_.error(simulation_.now().millis_since_epoch(), "power",
-                "battery exhausted: brown-out");
+  log_manager_.error(simulation_.now().millis_since_epoch(), "power",
+                     "battery exhausted: brown-out");
   if (sequence_ && sequence_->running()) sequence_->abort();
   watchdog_.disarm();
   cancel_gps_program();
@@ -784,8 +782,8 @@ void Station::on_cold_boot() {
       set_state(core::PowerState::kState0);
       board_.set_daily_wake(config_.wake_time_of_day, [this] { on_wake(); });
       schedule_gps_program();
-      logger_.warn(simulation_.now().millis_since_epoch(), "recovery",
-                   "cold boot: clock restored, state 0");
+      log_manager_.warn(simulation_.now().millis_since_epoch(), "recovery",
+                        "cold boot: clock restored, state 0");
       break;
     case core::RecoveryOutcome::kDeferred:
       // "sleep for a day and try again."
@@ -820,7 +818,6 @@ void Station::persist(Archive& ar) {
   ar.value(rng_);
   ar.value(metrics_);
   ar.value(journal_);
-  ar.value(logger_);
   ar.value(power_);
   ar.value(board_);
   ar.value(dgps_);

@@ -60,7 +60,6 @@
 #include "sim/simulation.h"
 #include "station/probe_node.h"
 #include "station/southampton.h"
-#include "util/logging.h"
 
 namespace gw::station {
 
@@ -93,11 +92,6 @@ struct StationConfig {
   hw::GumsenseBusConfig bus;
   proto::TransferManagerConfig uploads;
   proto::NackConfig probe_protocol;
-  core::LogBudgetConfig log_budget;
-  // Log every received probe reading at debug level (the deployed binaries'
-  // behaviour that produced >1 MB logs, §VI). The LogManager's budget is
-  // what keeps it affordable.
-  bool verbose_probe_logging = true;
   // §VII extension: analyse the day's probe data and force a GPRS session
   // in state 0 when the data is urgent (melt onset, pressure spike). Off =
   // deployed behaviour.
@@ -197,7 +191,6 @@ class Station {
   [[nodiscard]] hw::SerialLink& serial() { return serial_; }
   [[nodiscard]] hw::GumsenseBus& bus() { return bus_; }
   [[nodiscard]] proto::TransferManager& uploads() { return uploads_; }
-  [[nodiscard]] util::Logger& logger() { return logger_; }
   [[nodiscard]] core::LogManager& log_manager() { return log_manager_; }
   [[nodiscard]] core::DataPriorityAnalyzer& priority_analyzer() {
     return priority_analyzer_;
@@ -344,7 +337,6 @@ class Station {
   core::Watchdog watchdog_;
   core::RecoveryManager recovery_;
   core::UpdateManager updates_;
-  util::Logger logger_;
   core::LogManager log_manager_;
   core::DataPriorityAnalyzer priority_analyzer_;
   core::RemoteConfig remote_config_;

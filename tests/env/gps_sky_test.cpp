@@ -42,12 +42,13 @@ TEST(GpsSky, FixNeedsEnoughSatellites) {
   config.secondary_amplitude = 0.0;
   config.jitter = 0.0;
   const GpsSky bad{config, 1};
-  EXPECT_FALSE(bad.fix_possible(sim::at_midnight(2009, 6, 1)));
+  EXPECT_FALSE(bad.fix_possible(bad.visible(sim::at_midnight(2009, 6, 1))));
 
   const GpsSky good{GpsSkyConfig{}, 1};
   int possible = 0;
   for (int hour = 0; hour < 240; ++hour) {
-    if (good.fix_possible(sim::at_midnight(2009, 6, 1) + sim::hours(hour))) {
+    const auto t = sim::at_midnight(2009, 6, 1) + sim::hours(hour);
+    if (good.fix_possible(good.visible(t))) {
       ++possible;
     }
   }
@@ -67,7 +68,7 @@ TEST(GpsSky, MoreSatellitesFasterFix) {
   const GpsSky few{few_config, 1};
 
   const auto t = sim::at_midnight(2009, 6, 1);
-  EXPECT_LT(many.fix_time(t), few.fix_time(t));
+  EXPECT_LT(many.fix_time(many.visible(t)), few.fix_time(few.visible(t)));
 }
 
 TEST(GpsSky, FileSizeFactorTracksVisibility) {

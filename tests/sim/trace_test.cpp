@@ -83,13 +83,6 @@ TEST(Trace, EmptySeriesThrowsConsistently) {
   EXPECT_THROW((void)trace.value_at("empty", SimTime{0}), std::out_of_range);
 }
 
-TEST(Trace, Annotations) {
-  Trace trace;
-  trace.annotate(SimTime{42}, "override released");
-  ASSERT_EQ(trace.annotations().size(), 1u);
-  EXPECT_EQ(trace.annotations()[0].text, "override released");
-}
-
 TEST(Trace, SeriesNamesSorted) {
   Trace trace;
   trace.add("b", SimTime{0}, 0);
@@ -110,7 +103,6 @@ TEST(Trace, WholeSeriesCodecWritesTheElementWiseBytes) {
   trace.add("voltage", SimTime{-1}, -0.0);
   trace.add("voltage", SimTime{0}, 12.5);
   trace.add("state", SimTime{60'000}, -3.0);
-  trace.annotate(SimTime{-5}, "boot");
 
   snapshot::Saver saver;
   saver.value(trace);
@@ -122,7 +114,6 @@ TEST(Trace, WholeSeriesCodecWritesTheElementWiseBytes) {
   }
   snapshot::Saver element_wise;
   element_wise.value(series);
-  element_wise.value(trace.annotations());
   EXPECT_EQ(bytes, element_wise.take());
 
   snapshot::Saver counter = snapshot::Saver::counter();
@@ -146,8 +137,6 @@ TEST(Trace, WholeSeriesCodecWritesTheElementWiseBytes) {
           << name << " point " << i;
     }
   }
-  ASSERT_EQ(restored.annotations().size(), 1u);
-  EXPECT_EQ(restored.annotations()[0].text, "boot");
   snapshot::Saver resaved;
   resaved.value(restored);
   EXPECT_EQ(resaved.take(), bytes);

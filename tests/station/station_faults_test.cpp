@@ -81,7 +81,6 @@ TEST(StationFaults, VerboseProbeLoggingIsBudgeted) {
   // what the daily upload carries.
   Fixture f;
   auto config = f.reliable_base();
-  config.verbose_probe_logging = true;
   auto& station = f.make(config);
   ProbeNodeConfig probe_config;
   probe_config.probe_id = 21;

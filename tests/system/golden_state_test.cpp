@@ -75,16 +75,16 @@ constexpr GoldenSection kGolden[] = {
     {"kernel", 0xd7270826u},
     {"fault", 0x702f7349u},
     {"server", 0xf18c2d33u},
-    {"fleet", 0x57681deeu},
-    {"station/base", 0x4999d1e4u},
+    {"fleet", 0x1dcdf777u},
+    {"station/base", 0x16ca6becu},
     {"probe/base/20", 0xafe3f1feu},
     {"probe/base/21", 0x00e69659u},
     {"probe/base/22", 0x057e1737u},
-    {"station/reference", 0x7d4ade01u},
+    {"station/reference", 0x3f78c1acu},
 };
-constexpr std::uint32_t kGoldenFingerprint = 0xd54fdc29u;
-constexpr std::size_t kGoldenSealedBytes = 88181;
-constexpr std::uint32_t kGoldenFileCrc = 0x7fad8545u;
+constexpr std::uint32_t kGoldenFingerprint = 0x39310183u;
+constexpr std::size_t kGoldenSealedBytes = 88183;
+constexpr std::uint32_t kGoldenFileCrc = 0xbde34362u;
 
 TEST(GoldenStateTest, TwentyDayFaultedSeasonFingerprint) {
   Fleet fleet{golden_config()};
