@@ -67,10 +67,13 @@
 #      gated on clang-tidy being installed, like the clang-format leg;
 #  12. native-build leg: with GW_CHECK_NATIVE=1, builds system_test with
 #      -O3 -march=native in a separate build-native/ dir and runs the
-#      golden whole-world snapshot and the trace-invariance season, so the
-#      pinned constants are shown to hold on a build that may use FMA
-#      (the root CMakeLists.txt compiles with -ffp-contract=off). Off by
-#      default for the same reason as the sanitizer legs.
+#      golden whole-world snapshot, the trace-invariance season, the
+#      pinned log bytes and the pinned daily-run step times and event
+#      counts (GoldenStateTest.*, TraceInvariance.*, LogBytes.*,
+#      DailyRun.*), so the pinned constants are shown to hold on a build
+#      that may use FMA (the root CMakeLists.txt compiles with
+#      -ffp-contract=off). Off by default for the same reason as the
+#      sanitizer legs.
 #
 # Exits non-zero on any real failure; missing tools skip their check.
 set -u
@@ -321,16 +324,16 @@ fi
 # --- 12. native build (opt-in: GW_CHECK_NATIVE=1) ---------------------------
 if [ "${GW_CHECK_NATIVE:-0}" = "1" ]; then
   if command -v cmake >/dev/null 2>&1; then
-    echo "== -O3 -march=native golden snapshot + trace invariance" \
-      "(build-native/)"
+    echo "== -O3 -march=native golden snapshot, trace invariance," \
+      "log bytes, daily run (build-native/)"
+    pinned='GoldenStateTest.*:TraceInvariance.*:LogBytes.*:DailyRun.*'
     if cmake -B build-native -S . -DCMAKE_BUILD_TYPE=Release \
          -DCMAKE_CXX_FLAGS="-O3 -march=native" >/dev/null &&
        cmake --build build-native --target system_test -j >/dev/null &&
-       ./build-native/tests/system_test \
-         --gtest_filter='GoldenStateTest.*:TraceInvariance.*'; then
+       ./build-native/tests/system_test --gtest_filter="$pinned"; then
       echo "ok: pinned constants hold on a -march=native build"
     else
-      echo "FAIL: native build golden snapshot or trace invariance"
+      echo "FAIL: native build pinned constants (see the failing test)"
       failures=$((failures + 1))
     fi
   else

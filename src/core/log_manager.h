@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -68,9 +69,13 @@ class LogManager {
   // Severities at or above this are never suppressed.
   static constexpr LogLevel kProtectedFloor = LogLevel::kWarn;
 
-  void log(std::int64_t time_ms, LogLevel level, const std::string& component,
+  void log(std::int64_t time_ms, LogLevel level, std::string_view component,
            std::string_view message) {
-    auto& usage = usage_[component];
+    auto it = usage_.lower_bound(component);
+    if (it == usage_.end() || it->first != component) {
+      it = usage_.emplace_hint(it, component, Usage{});
+    }
+    Usage& usage = it->second;
     // One size for every line, admitted or suppressed: what it renders to.
     const std::size_t line_bytes = rendered_line_bytes(
         time_ms, level, component.size(), message.size());
@@ -85,16 +90,16 @@ class LogManager {
     pending_bytes_ += line_bytes;
   }
 
-  void debug(std::int64_t t, const std::string& c, std::string_view m) {
+  void debug(std::int64_t t, std::string_view c, std::string_view m) {
     log(t, LogLevel::kDebug, c, m);
   }
-  void info(std::int64_t t, const std::string& c, std::string_view m) {
+  void info(std::int64_t t, std::string_view c, std::string_view m) {
     log(t, LogLevel::kInfo, c, m);
   }
-  void warn(std::int64_t t, const std::string& c, std::string_view m) {
+  void warn(std::int64_t t, std::string_view c, std::string_view m) {
     log(t, LogLevel::kWarn, c, m);
   }
-  void error(std::int64_t t, const std::string& c, std::string_view m) {
+  void error(std::int64_t t, std::string_view c, std::string_view m) {
     log(t, LogLevel::kError, c, m);
   }
 
@@ -165,7 +170,9 @@ class LogManager {
   };
 
   std::size_t pending_bytes_ = 0;
-  std::map<std::string, Usage> usage_;
+  // Transparent, so log() finds a component by its string_view and builds
+  // the key only for the component's first line.
+  std::map<std::string, Usage, std::less<>> usage_;
   std::size_t total_suppressed_ = 0;
 };
 

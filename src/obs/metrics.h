@@ -246,29 +246,4 @@ class MetricsRegistry {
   std::map<MetricKey, Histogram> histograms_;
 };
 
-// RAII latency probe: observes clock() - start into a histogram on
-// destruction. The clock is injected (simulated seconds in the station,
-// wall seconds in a host profiler) so obs stays clock-agnostic.
-class ScopedTimer {
- public:
-  using Clock = double (*)(void*);
-
-  ScopedTimer(Histogram& histogram, Clock clock, void* clock_ctx)
-      : histogram_(histogram),
-        clock_(clock),
-        clock_ctx_(clock_ctx),
-        start_(clock(clock_ctx)) {}
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  ~ScopedTimer() { histogram_.observe(clock_(clock_ctx_) - start_); }
-
- private:
-  Histogram& histogram_;
-  Clock clock_;
-  void* clock_ctx_;
-  double start_;
-};
-
 }  // namespace gw::obs

@@ -213,8 +213,8 @@ class Saver {
     for (const T& item : v) value(item);
   }
 
-  template <class K, class V>
-  void value(const std::map<K, V>& v) {
+  template <class K, class V, class C>
+  void value(const std::map<K, V, C>& v) {
     entries(v, [this](const V& item) { value(item); });
   }
 
@@ -237,8 +237,8 @@ class Saver {
 
   // A map as value(v) writes it, each item through save_item(item): for a
   // caller with a codec of its own for the items.
-  template <class K, class V, class SaveItem>
-  void entries(const std::map<K, V>& v, SaveItem&& save_item) {
+  template <class K, class V, class C, class SaveItem>
+  void entries(const std::map<K, V, C>& v, SaveItem&& save_item) {
     put_u64(v.size());
     for (const auto& [key, item] : v) {
       value(key);
@@ -369,8 +369,8 @@ class Loader {
     }
   }
 
-  template <class K, class V>
-  void value(std::map<K, V>& v) {
+  template <class K, class V, class C>
+  void value(std::map<K, V, C>& v) {
     entries(v, [this](V& item) { value(item); });
   }
 
@@ -398,8 +398,8 @@ class Loader {
   }
 
   // A map written by Saver::entries, each item through load_item(item).
-  template <class K, class V, class LoadItem>
-  void entries(std::map<K, V>& v, LoadItem&& load_item) {
+  template <class K, class V, class C, class LoadItem>
+  void entries(std::map<K, V, C>& v, LoadItem&& load_item) {
     const std::uint64_t n = take_u64();
     v.clear();
     for (std::uint64_t i = 0; i < n; ++i) {

@@ -1,7 +1,8 @@
 #include "station/station.h"
 
 #include <algorithm>
-#include <functional>
+#include <array>
+#include <string_view>
 
 #include "snapshot/archive.h"
 #include "util/strings.h"
@@ -20,11 +21,71 @@ constexpr util::Bytes kSpecialQuery{768};
 constexpr std::int64_t kSampleRecordBytes = 16;
 constexpr std::int64_t kSensorRecordBytes = 24;
 
-// Clock for the daily-run ScopedTimer: simulated seconds since the epoch.
-double sim_clock_seconds(void* ctx) {
-  return double(
-             static_cast<sim::Simulation*>(ctx)->now().millis_since_epoch()) /
-         1e3;
+// Fig 4 as a table: the daily run's steps, in order. Each row names its
+// step (the station.step_seconds.<step> histogram), the body it calls and
+// how often, whether Fig 4's "Power state = 0 -> Stop" gates it, and which
+// stations run it. A chunked body does one unit of work per call (one
+// probe session, one dGPS file) and returns nullopt when it has nothing
+// more to do, so the 2-hour cut lands between chunks and a backlog drains
+// file by file across days (§VI). A gated step that the stop holds back
+// completes at once, in zero time.
+enum Body : std::uint8_t {
+  kProbeData,
+  kReadMsp,
+  kLocalState,
+  kSpecial,
+  kGpsFiles,
+  kPackage,
+  kUploadState,
+  kUploadData,
+  kOverride,
+  kUpdate,
+  kRemoteConfig,
+};
+enum Runs : std::uint8_t { kOnce, kInChunks };
+enum Gate : std::uint8_t { kAnyState, kStopsInState0 };
+enum When : std::uint8_t {
+  kEveryStation,
+  kBaseStationOnly,  // Fig 4's "Basestation?"
+  kSpecialFirst,     // execute_special_before_upload: §VI's suggested order
+  kSpecialLast,      // the deployed order
+};
+
+struct DailyStep {
+  std::string_view name;
+  Body body;
+  Runs runs;
+  Gate gate;
+  When when;
+};
+
+constexpr std::array<DailyStep, 12> kDailyRun{{
+    {"get_probe_data", kProbeData, kInChunks, kAnyState, kBaseStationOnly},
+    {"read_msp", kReadMsp, kOnce, kAnyState, kEveryStation},
+    {"calc_power_state", kLocalState, kOnce, kAnyState, kEveryStation},
+    {"get_special_early", kSpecial, kOnce, kStopsInState0, kSpecialFirst},
+    {"get_gps_files", kGpsFiles, kInChunks, kStopsInState0, kEveryStation},
+    {"package_data", kPackage, kOnce, kStopsInState0, kEveryStation},
+    {"upload_power_state", kUploadState, kOnce, kStopsInState0, kEveryStation},
+    {"upload_data", kUploadData, kOnce, kStopsInState0, kEveryStation},
+    {"get_override", kOverride, kOnce, kStopsInState0, kEveryStation},
+    {"get_special", kSpecial, kOnce, kStopsInState0, kSpecialLast},
+    {"check_updates", kUpdate, kOnce, kStopsInState0, kEveryStation},
+    {"check_config", kRemoteConfig, kOnce, kStopsInState0, kEveryStation},
+}};
+
+bool runs_at(const DailyStep& step, const StationConfig& config) {
+  switch (step.when) {
+    case kEveryStation:
+      return true;
+    case kBaseStationOnly:
+      return config.role == StationRole::kBaseStation;
+    case kSpecialFirst:
+      return config.execute_special_before_upload;
+    case kSpecialLast:
+      return !config.execute_special_before_upload;
+  }
+  return false;
 }
 
 // Buckets for recovery.time_to_recover_hours: an hour to a month.
@@ -123,7 +184,7 @@ void Station::set_state(core::PowerState state) {
 // --- daily run ----------------------------------------------------------
 
 void Station::on_wake() {
-  if (sequence_ && sequence_->running()) {
+  if (run_.has_value()) {
     ++stats_.windows_missed;  // previous run somehow still alive
     return;
   }
@@ -143,17 +204,17 @@ void Station::on_wake() {
                       : std::size_t(day_counter_) % probes_.size();
   probe_budget_used_ = sim::Duration{0};
   metrics_.counter("station", "wakes").increment();
-  run_timer_.emplace(metrics_.histogram("station", "run_seconds"),
-                     &sim_clock_seconds, &simulation_);
+  run_.emplace();
+  run_->step_started = run_started_;
   watchdog_.arm([this] {
+    const std::string_view step =
+        run_.has_value() ? kDailyRun[run_->step].name : "(idle)";
     log_manager_.error(simulation_.now().millis_since_epoch(), "watchdog",
-                       "2h limit hit during step " +
-                           sequence_->current_step());
-    if (sequence_) sequence_->abort();
+                       "2h limit hit during step " + std::string(step));
+    abort_run();
   });
   apply_frequency_plan();
-  build_sequence();
-  sequence_->run([this](bool aborted) { finish_run(aborted); });
+  advance_run();
 }
 
 // DVFS (docs/ENERGY.md): pick the operating point the day's window runs at
@@ -169,85 +230,84 @@ void Station::apply_frequency_plan() {
   board_.gumstix().set_frequency_index(index);
 }
 
-void Station::build_sequence() {
-  sequence_ = std::make_unique<core::ActionSequence>(simulation_);
-
-  // A one-shot step: runs its body once, consuming the returned duration.
-  const auto one_shot = [](std::function<sim::Duration()> fn) {
-    return [fn = std::move(fn),
-            done = false]() mutable -> std::optional<sim::Duration> {
-      if (done) return std::nullopt;
-      done = true;
-      return fn();
-    };
-  };
-  // Fig 4's "Power state = 0 -> Stop": steps below the gate evaporate when
-  // the station is in survival mode (unless §VII's data-priority override
-  // has earned today a forced session).
-  const auto gated = [this](core::ActionSequence::Chunk fn) {
-    return [this, fn = std::move(fn)]() mutable -> std::optional<sim::Duration> {
-      if (!comms_allowed()) return std::nullopt;
-      return fn();
-    };
-  };
-
-  // Fig 4: "Basestation?" — probe jobs run first and in every power state
-  // (Table 2: winter radio is the good radio).
-  if (config_.role == StationRole::kBaseStation) {
-    sequence_->add_step("get_probe_data", [this] { return probe_chunk(); });
+void Station::advance_run() {
+  run_->pending.reset();
+  for (; run_->step < kDailyRun.size(); ++run_->step) {
+    const DailyStep& step = kDailyRun[run_->step];
+    if (!runs_at(step, config_)) continue;
+    if (const auto spent = call_step()) {
+      run_->pending =
+          simulation_.schedule_in(*spent, [this] { advance_run(); });
+      return;
+    }
+    const sim::SimTime now = simulation_.now();
+    metrics_.histogram("station", "step_seconds." + std::string(step.name))
+        .observe((now - run_->step_started).to_seconds());
+    run_->step_started = now;
+    run_->body_ran = false;
   }
+  finish_run(/*aborted=*/false);
+}
 
+std::optional<sim::Duration> Station::call_step() {
+  const DailyStep& step = kDailyRun[run_->step];
+  if (step.runs == kOnce && run_->body_ran) return std::nullopt;
+  // Fig 4's stop holds unless §VII's data priority has forced a session.
+  if (step.gate == kStopsInState0 && !comms_allowed()) return std::nullopt;
+  run_->body_ran = true;
   // CPU-bound steps stretch with the selected DVFS point (identity at the
-  // top point): slower silicon spends longer — but fewer joules — on the
+  // top point): slower silicon spends longer, but fewer joules, on the
   // same work.
-  sequence_->add_fixed("read_msp", board_.gumstix().scaled(sim::seconds(8)),
-                       [this] { read_msp_and_sensors(); });
-  sequence_->add_fixed("calc_power_state",
-                       board_.gumstix().scaled(sim::seconds(1)),
-                       [this] { compute_local_state(); });
-
-  if (config_.execute_special_before_upload) {
-    // §VI's suggested reordering: remote code runs before the transfer so a
-    // backlog cannot starve it.
-    sequence_->add_step("get_special_early",
-                        gated(one_shot([this] { return run_special(); })));
+  const hw::Gumstix& cpu = board_.gumstix();
+  switch (step.body) {
+    case kProbeData:
+      return probe_chunk();
+    case kReadMsp:
+      read_msp_and_sensors();
+      return cpu.scaled(sim::seconds(8));
+    case kLocalState:
+      compute_local_state();
+      return cpu.scaled(sim::seconds(1));
+    case kSpecial:
+      return run_special();
+    case kGpsFiles:
+      return gps_fetch_chunk();
+    case kPackage:
+      package_data();
+      return cpu.scaled(sim::seconds(12));
+    case kUploadState:
+      return upload_power_state();
+    case kUploadData:
+      return upload_data();
+    case kOverride:
+      return fetch_override();
+    case kUpdate:
+      return apply_pending_update();
+    case kRemoteConfig:
+      return apply_pending_config();
   }
+  return std::nullopt;
+}
 
-  sequence_->add_step("get_gps_files",
-                      gated([this] { return gps_fetch_chunk(); }));
-  sequence_->add_step("package_data", gated(one_shot([this] {
-                        package_data();
-                        return board_.gumstix().scaled(sim::seconds(12));
-                      })));
-  sequence_->add_step("upload_power_state", gated(one_shot([this] {
-                        return upload_power_state();
-                      })));
-  sequence_->add_step("upload_data",
-                      gated(one_shot([this] { return upload_data(); })));
-  sequence_->add_step("get_override",
-                      gated(one_shot([this] { return fetch_override(); })));
-  if (!config_.execute_special_before_upload) {
-    sequence_->add_step("get_special",
-                        gated(one_shot([this] { return run_special(); })));
-  }
-  sequence_->add_step("check_updates", gated(one_shot([this] {
-                        return apply_pending_update();
-                      })));
-  sequence_->add_step("check_config", gated(one_shot([this] {
-                        return apply_pending_config();
-                      })));
+void Station::abort_run() {
+  if (!run_.has_value()) return;
+  if (run_->pending.has_value()) simulation_.cancel(*run_->pending);
+  finish_run(/*aborted=*/true);
 }
 
 void Station::finish_run(bool aborted) {
   watchdog_.disarm();
-  run_timer_.reset();  // observes into station.run_seconds
-  if (sequence_) {
-    last_run_steps_ = sequence_->completed_steps();
-    for (const auto& step : sequence_->step_durations()) {
-      metrics_.histogram("station", "step_seconds." + step.name)
-          .observe(step.elapsed.to_seconds());
+  metrics_.histogram("station", "run_seconds")
+      .observe(double(simulation_.now().millis_since_epoch()) / 1e3 -
+               double(run_started_.millis_since_epoch()) / 1e3);
+  // The steps before the current one all completed.
+  last_run_steps_.clear();
+  for (std::size_t i = 0; i < run_->step; ++i) {
+    if (runs_at(kDailyRun[i], config_)) {
+      last_run_steps_.emplace_back(kDailyRun[i].name);
     }
   }
+  run_.reset();
   if (aborted) {
     ++stats_.runs_aborted;
     metrics_.counter("station", "runs_aborted").increment();
@@ -699,20 +759,11 @@ proto::NackConfig Station::effective_probe_protocol() const {
 
 void Station::schedule_gps_program() {
   cancel_gps_program();
-  // The Gumstix derives the day plan from the power state and writes it
-  // into MSP430 RAM as a serialised image; the microcontroller executes
-  // what it parses back (a corrupted image yields no program rather than a
-  // garbage one).
+  // The Gumstix derives the day plan from the power state; the MSP430
+  // powers the dGPS at each of its slots.
   const auto schedule =
       core::DaySchedule::for_state(state_, config_.wake_time_of_day);
-  const auto parsed = core::DaySchedule::parse(schedule.serialize());
-  if (!parsed.ok()) {
-    log_manager_.error(simulation_.now().millis_since_epoch(), "schedule",
-                       "RAM schedule image rejected: " +
-                           parsed.error().message);
-    return;
-  }
-  for (const auto& slot : parsed.value().gps_slots) {
+  for (const auto& slot : schedule.gps_slots) {
     gps_program_.push_back(
         simulation_.schedule_in(slot, [this] { fire_gps_slot(); }));
   }
@@ -737,7 +788,7 @@ void Station::on_brown_out() {
   brown_out_at_ = simulation_.now();
   log_manager_.error(simulation_.now().millis_since_epoch(), "power",
                      "battery exhausted: brown-out");
-  if (sequence_ && sequence_->running()) sequence_->abort();
+  abort_run();
   watchdog_.disarm();
   cancel_gps_program();
   cf_.power_cut();
@@ -804,13 +855,13 @@ void Station::fire_recovery_retry() {
 // The full station state minus wiring (probes_, hooks, callbacks — all
 // re-established by constructing an identical fleet before restoring).
 // Pending events are captured as rebuild records; anything whose closure
-// cannot be rebuilt from data (an in-run ActionSequence, the armed
-// watchdog, a dGPS reading or GPRS session in flight) makes the save refuse
-// with kNotQuiescent instead of silently dropping work.
+// cannot be rebuilt from data (a daily run in flight, the armed watchdog,
+// a dGPS reading or GPRS session in flight) makes the save refuse with
+// kNotQuiescent instead of silently dropping work.
 template <class Archive>
 void Station::persist(Archive& ar) {
   if constexpr (Archive::kIsSaver) {
-    if ((sequence_ && sequence_->running()) || run_timer_.has_value()) {
+    if (run_.has_value()) {
       throw snapshot::SnapshotError(snapshot::SnapshotErrc::kNotQuiescent,
                                     "daily run in progress", config_.name);
     }

@@ -7,7 +7,7 @@
 // software* and differ only in peripherals and duties.
 //
 // The daily run, executed when the Gumsense wakes the Gumstix at the
-// scheduled window (12:00 UTC):
+// scheduled window (12:00 UTC), is the step table in station.cpp:
 //
 //   [base only] get sub-glacial probe data       (NACK bulk protocol, §V)
 //   get readings from MSP (voltage samples + sensor scan)
@@ -20,7 +20,7 @@
 //   get override power state                     (min rule + clamps)
 //   get special -> execute                       (§V remote config)
 //
-// A 2-hour watchdog armed at wake aborts the sequence wherever it stands
+// A 2-hour watchdog armed at wake aborts the run wherever it stands
 // (§VI); brown-out kills everything and the §IV cold-boot recovery path
 // restores clock, schedule, and state 0 when charge returns.
 #pragma once
@@ -31,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "core/action_sequence.h"
 #include "core/data_priority.h"
 #include "core/log_manager.h"
 #include "core/power_policy.h"
@@ -97,8 +96,7 @@ struct StationConfig {
   // deployed behaviour.
   bool enable_data_priority = false;
   // §VII-adjacent extension: science data (probe readings, sensors, log)
-  // jumps ahead of dGPS backlog files in the upload queue. Requires
-  // uploads.priority_ordering; this flag sets the priorities.
+  // jumps ahead of dGPS backlog files in the upload queue.
   bool prioritize_science_data = false;
   core::DataPriorityConfig data_priority;
   // Forced communication still needs a sliver of battery.
@@ -267,12 +265,19 @@ class Station {
   // --- daily run (Fig 4) -------------------------------------------------
   void on_wake();
   void apply_frequency_plan();
-  void build_sequence();
+  // Runs the step table from the current step until a step takes time
+  // (scheduling its continuation) or the table ends (finishing the run).
+  void advance_run();
+  // One call of the current step: the time it takes, or nullopt once the
+  // step is done.
+  std::optional<sim::Duration> call_step();
+  // Watchdog expiry or brown-out: nothing further runs; the in-flight
+  // step's time was already spent.
+  void abort_run();
   void finish_run(bool aborted);
   void shutdown_peripherals();
 
-  // Step bodies (chunk functions live inside build_sequence; these helpers
-  // do the per-chunk work).
+  // Step bodies: each call does one unit of the step's work.
   std::optional<sim::Duration> probe_chunk();
   std::optional<sim::Duration> gps_fetch_chunk();
   void read_msp_and_sensors();
@@ -357,7 +362,14 @@ class Station {
   core::PowerState state_;
   core::PowerState local_voltage_state_;
   std::optional<core::PowerState> last_override_;
-  std::unique_ptr<core::ActionSequence> sequence_;
+  // A daily run in flight; empty between runs.
+  struct Run {
+    std::size_t step = 0;                 // row of the step table
+    bool body_ran = false;                // the row's body has run once
+    std::optional<sim::EventId> pending;  // the row's continuation
+    sim::SimTime step_started{};          // when the row began
+  };
+  std::optional<Run> run_;
   std::vector<sim::EventId> gps_program_;
   // Deferred §IV cold-boot retry ("sleep for a day and try again") — tracked
   // so a checkpoint taken while a station waits out a flat battery restores
@@ -366,9 +378,6 @@ class Station {
   std::vector<StateChange> state_history_;
   std::vector<DailyAverage> daily_averages_;
   std::vector<std::string> last_run_steps_;
-  // Daily-run latency probe (simulated clock): armed at wake, observed into
-  // station.run_seconds when the run finishes.
-  std::optional<obs::ScopedTimer> run_timer_;
   // Brown-out edge time, for the recovery.time_to_recover_hours histogram.
   std::optional<sim::SimTime> brown_out_at_;
   StationStats stats_;

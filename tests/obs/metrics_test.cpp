@@ -102,17 +102,5 @@ TEST(MetricsRegistry, IterationIsOrderedByComponentThenName) {
   EXPECT_EQ(order, (std::vector<std::string>{"a.a", "a.z", "z.a"}));
 }
 
-TEST(ScopedTimer, ObservesElapsedOnDestruction) {
-  double now = 10.0;
-  const auto clock = [](void* ctx) { return *static_cast<double*>(ctx); };
-  Histogram histogram{{1.0, 10.0}};
-  {
-    ScopedTimer timer{histogram, clock, &now};
-    now = 12.5;
-  }
-  ASSERT_EQ(histogram.count(), 1u);
-  EXPECT_DOUBLE_EQ(histogram.sum(), 2.5);
-}
-
 }  // namespace
 }  // namespace gw::obs

@@ -114,9 +114,7 @@ TEST(TransferManager, PriorityOrderingJumpsBacklog) {
   // §VII-adjacent extension: today's science beats last month's GPS files.
   Fixture f;
   f.modem.power_on();
-  proto::TransferManagerConfig config;
-  config.priority_ordering = true;
-  proto::TransferManager manager{config};
+  proto::TransferManager manager;
   for (int i = 0; i < 100; ++i) {
     manager.enqueue("dgps_backlog_" + std::to_string(i), 165_KiB);
   }
@@ -132,16 +130,8 @@ TEST(TransferManager, PriorityOrderingJumpsBacklog) {
   EXPECT_TRUE(probe_file_gone);
 }
 
-TEST(TransferManager, FifoByDefaultEvenWithPriorities) {
-  proto::TransferManager manager;  // deployed behaviour
-  manager.enqueue("old", 10_KiB);
-  manager.enqueue("new", 10_KiB, /*priority=*/5);
-  EXPECT_EQ(manager.queue().front().name, "old");
-}
-
 TEST(TransferManager, PriorityNeverPreemptsPartialProgress) {
   proto::TransferManagerConfig config;
-  config.priority_ordering = true;
   config.chunk_resume = true;
   proto::TransferManager manager{config};
   manager.enqueue("half_done", 100_KiB);

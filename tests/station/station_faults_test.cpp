@@ -147,7 +147,6 @@ TEST(StationFaults, ScienceDataJumpsGpsBacklog) {
   // the queue, today's probe readings still reach Southampton today.
   Fixture f;
   auto config = f.reliable_base();
-  config.uploads.priority_ordering = true;
   config.prioritize_science_data = true;
   auto& station = f.make(config);
   ProbeNodeConfig probe_config;
