@@ -321,6 +321,8 @@ TEST(StationRecovery, BrownOutThenColdBootRestoresOperation) {
   EXPECT_TRUE(station.power().browned_out());
   // RTC is at the epoch and no wake schedule exists: windows pass silently.
   EXPECT_LT(station.board().msp().rtc_now(), sim::at_midnight(1971, 1, 1));
+  EXPECT_FALSE(station.board().msp().wake_schedule().has_value());
+  EXPECT_FALSE(station.board().wake_armed());
 
   // Charge returns (field-season mains hookup).
   power::MainsChargerConfig mains;
@@ -335,6 +337,9 @@ TEST(StationRecovery, BrownOutThenColdBootRestoresOperation) {
                 station.recovery().ntp_resyncs(), 1);
   EXPECT_LT(std::abs(station.board().msp().rtc_error_ms()), 120'000);
   EXPECT_GT(station.stats().runs_completed, 0);
+  // §IV: the station rewrote the RAM schedule it lost and re-armed the wake.
+  EXPECT_EQ(station.board().msp().wake_schedule(), config.wake_time_of_day);
+  EXPECT_TRUE(station.board().wake_armed());
 }
 
 TEST(StationDaily, DeterministicAcrossIdenticalRuns) {
