@@ -78,7 +78,7 @@ AblationResult run_winter_station(bool enabled) {
     station_config->policy.state1_threshold = util::Volts{99.0};
     station_config->policy.state2_threshold = util::Volts{99.0};
     station_config->policy.state3_threshold = util::Volts{99.0};
-    station_config->initial_state = core::PowerState::kState0;
+    station_config->initial_state = power::PowerState::kState0;
     station_config->gprs.registration_success = 1.0;
     station_config->gprs.drop_per_minute = 0.0;
   }

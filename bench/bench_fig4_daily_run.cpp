@@ -92,7 +92,7 @@ void run() {
     Rig& rig = *state0.rig;
     auto config = reliable("base", station::StationRole::kBaseStation);
     config.power.battery.initial_soc = 0.06;  // collapsed cell: state 0
-    config.initial_state = core::PowerState::kState0;
+    config.initial_state = power::PowerState::kState0;
     state0.station = std::make_unique<station::Station>(
         rig.simulation, rig.environment, rig.server, util::Rng{3}, config);
     station::Station& starved = *state0.station;

@@ -32,13 +32,13 @@ void run() {
   config.base.gprs.drop_per_minute = 0.0;
   config.reference.gprs.registration_success = 1.0;
   config.reference.gprs.drop_per_minute = 0.0;
-  config.base.initial_state = core::PowerState::kState2;
-  config.reference.initial_state = core::PowerState::kState2;
+  config.base.initial_state = power::PowerState::kState2;
+  config.reference.initial_state = power::PowerState::kState2;
   station::Fleet deployment{config.to_fleet_config()};
 
   // Hold the stations in state 2 by remote override (the Fig 5 annotation),
   // releasing at 13:00 on 23 Sep.
-  deployment.server().sync().set_manual_override(core::PowerState::kState2);
+  deployment.server().sync().set_manual_override(power::PowerState::kState2);
   const sim::SimTime release = sim::to_time({2009, 9, 23, 13, 0, 0});
   deployment.simulation().schedule_at(release, [&deployment] {
     deployment.server().sync().set_manual_override(std::nullopt);

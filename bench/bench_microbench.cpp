@@ -191,7 +191,7 @@ station::SouthamptonServer query_server() {
       server.receive_file(name, "day" + std::to_string(day),
                           util::Bytes{std::int64_t(1 + i) * 40 * 1024}, at);
       server.sync().report_state(name,
-                                 core::PowerState(2 + (day + i / 2) % 2), at);
+                                 power::PowerState(2 + (day + i / 2) % 2), at);
       if (i % 3 == 0) server.receive_beacon(name, {"fw", "md5", true}, at);
     }
   }

@@ -51,7 +51,7 @@ void end_to_end() {
       "runs completed=%d\n",
       s.stats().cold_boots, s.recovery().gps_resyncs(),
       (long long)s.board().msp().rtc_error_ms(),
-      core::to_int(s.current_state()), s.stats().runs_completed);
+      power::to_int(s.current_state()), s.stats().runs_completed);
   bench::paper_vs_measured("restart state after recovery", "0 (Table 2)",
                            "station restarted in state 0, then adapted");
 }

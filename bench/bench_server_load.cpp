@@ -119,7 +119,7 @@ LoadPoint run_trial(std::size_t trial) {
       const bool drifted =
           i == 0 && oracle.severity(fault::FaultKind::kRtcDrift, at) > 0.0;
       server.sync().report_state(
-          name, core::PowerState(2 + (day + i / 2) % 2),
+          name, power::PowerState(2 + (day + i / 2) % 2),
           drifted ? at + sim::days(1) : at);
       if ((day + i) % 7 == 0) {
         server.receive_beacon(name, {"basestation.py", "md5", true}, at);

@@ -40,8 +40,8 @@ LagResult measure_lag(sim::Duration reference_offset) {
   config.reference.gprs.drop_per_minute = 0.0;
   config.base.power.battery.initial_soc = 1.0;
   config.reference.power.battery.initial_soc = 1.0;
-  config.base.initial_state = core::PowerState::kState3;
-  config.reference.initial_state = core::PowerState::kState3;
+  config.base.initial_state = power::PowerState::kState3;
+  config.reference.initial_state = power::PowerState::kState3;
   config.reference.wake_time_of_day = sim::hours(12) + reference_offset;
   config.trace_enabled = false;
   station::Fleet deployment{config.to_fleet_config()};
@@ -62,7 +62,7 @@ LagResult measure_lag(sim::Duration reference_offset) {
   auto transition_time = [](const station::Station& s) {
     for (const auto& change : s.state_history()) {
       if (change.at >= sim::at_midnight(2009, 9, 4) &&
-          change.state <= core::PowerState::kState2) {
+          change.state <= power::PowerState::kState2) {
         return change.at;
       }
     }

@@ -35,17 +35,17 @@ void run() {
               "GPRS"},
              {6, 18, 11, 8, 11, 5});
   const struct {
-    core::PowerState state;
+    power::PowerState state;
     const char* threshold;
   } rows[] = {
-      {core::PowerState::kState3, "12.5"},
-      {core::PowerState::kState2, "12.0"},
-      {core::PowerState::kState1, "11.5"},
-      {core::PowerState::kState0, "-"},
+      {power::PowerState::kState3, "12.5"},
+      {power::PowerState::kState2, "12.0"},
+      {power::PowerState::kState1, "11.5"},
+      {power::PowerState::kState0, "-"},
   };
   for (const auto& r : rows) {
     const auto actions = core::PowerPolicy::actions_for(r.state);
-    bench::row({std::to_string(core::to_int(r.state)), r.threshold,
+    bench::row({std::to_string(power::to_int(r.state)), r.threshold,
                 actions.probe_jobs ? "Yes" : "No",
                 actions.sensor_readings ? "Yes" : "No",
                 actions.gps_readings_per_day > 0
@@ -61,7 +61,7 @@ void run() {
     const auto state = policy.state_for(util::Volts{v});
     const auto actions = core::PowerPolicy::actions_for(state);
     bench::row({util::format_fixed(v, 2),
-                std::to_string(core::to_int(state)),
+                std::to_string(power::to_int(state)),
                 std::to_string(actions.gps_readings_per_day),
                 actions.gprs ? "Yes" : "No"},
                {14, 6, 8, 5});
@@ -70,16 +70,16 @@ void run() {
   bench::subheading("Paper-vs-measured checks");
   bench::paper_vs_measured(
       "state at 12.5 V", "3",
-      std::to_string(core::to_int(policy.state_for(util::Volts{12.5}))));
+      std::to_string(power::to_int(policy.state_for(util::Volts{12.5}))));
   bench::paper_vs_measured(
       "state at 12.0 V", "2",
-      std::to_string(core::to_int(policy.state_for(util::Volts{12.0}))));
+      std::to_string(power::to_int(policy.state_for(util::Volts{12.0}))));
   bench::paper_vs_measured(
       "state at 11.5 V", "1",
-      std::to_string(core::to_int(policy.state_for(util::Volts{11.5}))));
+      std::to_string(power::to_int(policy.state_for(util::Volts{11.5}))));
   bench::paper_vs_measured(
       "state below 11.5 V", "0",
-      std::to_string(core::to_int(policy.state_for(util::Volts{11.2}))));
+      std::to_string(power::to_int(policy.state_for(util::Volts{11.2}))));
 
   // The activity-state refactor adds a per-state component dimension to
   // this table: which Gumstix operating point each power state selects
@@ -124,7 +124,7 @@ void run() {
       .set(thresholds.state1_threshold.value());
   for (const auto& r : rows) {
     const auto actions = core::PowerPolicy::actions_for(r.state);
-    const std::string prefix = "state" + std::to_string(core::to_int(r.state));
+    const std::string prefix = "state" + std::to_string(power::to_int(r.state));
     registry.gauge("table2", prefix + ".gps_per_day")
         .set(double(actions.gps_readings_per_day));
     registry.gauge("table2", prefix + ".gprs").set(actions.gprs ? 1.0 : 0.0);

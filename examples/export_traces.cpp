@@ -36,10 +36,10 @@ int run_fig5() {
   station::DeploymentConfig config;
   config.start = sim::DateTime{2009, 9, 15, 0, 0, 0};
   config.base.power.battery.initial_soc = 0.97;
-  config.base.initial_state = core::PowerState::kState2;
-  config.reference.initial_state = core::PowerState::kState2;
+  config.base.initial_state = power::PowerState::kState2;
+  config.reference.initial_state = power::PowerState::kState2;
   station::Fleet deployment{config.to_fleet_config()};
-  deployment.server().sync().set_manual_override(core::PowerState::kState2);
+  deployment.server().sync().set_manual_override(power::PowerState::kState2);
   deployment.simulation().schedule_at(
       sim::to_time({2009, 9, 23, 13, 0, 0}), [&deployment] {
         deployment.server().sync().set_manual_override(std::nullopt);

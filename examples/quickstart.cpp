@@ -26,7 +26,7 @@ int main() {
     const auto& stats = s->stats();
     std::printf("[%s station]\n", s->name().c_str());
     std::printf("  power state now: %d, battery SoC %.0f%%\n",
-                core::to_int(s->current_state()),
+                power::to_int(s->current_state()),
                 100.0 * s->power().battery().soc());
     std::printf("  daily runs: %d completed, %d aborted by watchdog\n",
                 stats.runs_completed, stats.runs_aborted);

@@ -26,16 +26,16 @@ int main() {
 
   // --- 1. manual override --------------------------------------------------
   std::printf("1. Holding both stations in state 2 by manual override\n");
-  server.sync().set_manual_override(core::PowerState::kState2);
+  server.sync().set_manual_override(power::PowerState::kState2);
   deployment.run_days(3.0);
   std::printf("   day 3: base state %d, reference state %d\n",
-              core::to_int(deployment.station(0).current_state()),
-              core::to_int(deployment.station(1).current_state()));
+              power::to_int(deployment.station(0).current_state()),
+              power::to_int(deployment.station(1).current_state()));
   server.sync().set_manual_override(std::nullopt);
   deployment.run_days(2.0);
   std::printf("   released: base state %d, reference state %d\n\n",
-              core::to_int(deployment.station(0).current_state()),
-              core::to_int(deployment.station(1).current_state()));
+              power::to_int(deployment.station(0).current_state()),
+              power::to_int(deployment.station(1).current_state()));
 
   // --- 2. special command ---------------------------------------------------
   std::printf("2. Queueing a diagnostic script for the base station\n");

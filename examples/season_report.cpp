@@ -38,10 +38,10 @@ int main(int argc, char** argv) {
   const auto start = sim::to_time(config.start);
   for (int day = 0; day < int(days); day += 7) {
     const auto week_start = start + sim::days(day);
-    int state = core::to_int(deployment.station(0).current_state());
+    int state = power::to_int(deployment.station(0).current_state());
     // Walk the history for the state in effect at week start.
     for (const auto& change : deployment.station(0).state_history()) {
-      if (change.at <= week_start) state = core::to_int(change.state);
+      if (change.at <= week_start) state = power::to_int(change.state);
     }
     if (day % 28 == 0) {
       std::printf("\n  %s ", sim::format_iso(week_start).substr(0, 10).c_str());

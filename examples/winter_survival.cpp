@@ -36,7 +36,7 @@ void run_winter(bool adaptive) {
       station_config->policy.state3_threshold = util::Volts{0.0};
       station_config->policy.state2_threshold = util::Volts{0.0};
       station_config->policy.state1_threshold = util::Volts{0.0};
-      station_config->initial_state = core::PowerState::kState3;
+      station_config->initial_state = power::PowerState::kState3;
     }
   }
   config.trace_enabled = false;
@@ -70,7 +70,7 @@ void run_winter(bool adaptive) {
     std::printf("  %04d-%02d  %9.1f %10.1f %6.0f%% %6d %6d %11d\n", dt.year,
                 dt.month, harvest - prev_harvest, consumed - prev_consumed,
                 100.0 * base.power().battery().soc(),
-                core::to_int(base.current_state()), files - prev_files,
+                power::to_int(base.current_state()), files - prev_files,
                 base.stats().brown_outs);
     prev_harvest = harvest;
     prev_consumed = consumed;

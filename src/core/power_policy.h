@@ -21,12 +21,9 @@
 
 namespace gw::core {
 
-// The state enum itself is shared vocabulary and lives one layer down
-// (power/power_state.h) so the wire codec can name states without reaching
-// up into core. Aliased here: `core::PowerState` stays valid everywhere.
-using power::from_int;
-using power::PowerState;
-using power::to_int;
+// The states are power::PowerState (power/power_state.h): shared vocabulary
+// one layer down, so the wire codec can name them without reaching up into
+// core.
 
 struct StateActions {
   bool probe_jobs = true;       // always attempted (Table 2)
@@ -47,29 +44,35 @@ class PowerPolicy {
 
   // Maps the daily average voltage to the highest state whose minimum
   // threshold it clears (Table 2).
-  [[nodiscard]] PowerState state_for(util::Volts daily_average) const {
-    if (daily_average >= config_.state3_threshold) return PowerState::kState3;
-    if (daily_average >= config_.state2_threshold) return PowerState::kState2;
-    if (daily_average >= config_.state1_threshold) return PowerState::kState1;
-    return PowerState::kState0;
+  [[nodiscard]] power::PowerState state_for(util::Volts daily_average) const {
+    if (daily_average >= config_.state3_threshold) {
+      return power::PowerState::kState3;
+    }
+    if (daily_average >= config_.state2_threshold) {
+      return power::PowerState::kState2;
+    }
+    if (daily_average >= config_.state1_threshold) {
+      return power::PowerState::kState1;
+    }
+    return power::PowerState::kState0;
   }
 
-  [[nodiscard]] static StateActions actions_for(PowerState state) {
+  [[nodiscard]] static StateActions actions_for(power::PowerState state) {
     StateActions actions;
     switch (state) {
-      case PowerState::kState3:
+      case power::PowerState::kState3:
         actions.gps_readings_per_day = 12;
         actions.gprs = true;
         break;
-      case PowerState::kState2:
+      case power::PowerState::kState2:
         actions.gps_readings_per_day = 1;
         actions.gprs = true;
         break;
-      case PowerState::kState1:
+      case power::PowerState::kState1:
         actions.gps_readings_per_day = 0;
         actions.gprs = true;
         break;
-      case PowerState::kState0:
+      case power::PowerState::kState0:
         actions.gps_readings_per_day = 0;
         actions.gprs = false;
         break;

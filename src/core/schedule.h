@@ -28,7 +28,7 @@ struct DaySchedule {
 
   // The schedule a given power state implies.
   [[nodiscard]] static DaySchedule for_state(
-      PowerState state, sim::Duration wake_time = sim::hours(12)) {
+      power::PowerState state, sim::Duration wake_time = sim::hours(12)) {
     DaySchedule schedule;
     schedule.wake_time = wake_time;
     const int per_day = PowerPolicy::actions_for(state).gps_readings_per_day;

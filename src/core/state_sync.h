@@ -42,13 +42,14 @@ namespace gw::core {
 struct SyncRules {
   // Station-side clamp combining the voltage-derived state with the
   // server's override (if any).
-  [[nodiscard]] static PowerState apply(
-      PowerState voltage_allowed, std::optional<PowerState> server_override) {
+  [[nodiscard]] static power::PowerState apply(
+      power::PowerState voltage_allowed,
+      std::optional<power::PowerState> server_override) {
     if (!server_override.has_value()) return voltage_allowed;  // fetch failed
     // A remote command can lower the state but never below 1 (§III): the
     // station must keep communicating so the override can be undone.
-    const PowerState floor_protected =
-        std::max(*server_override, PowerState::kState1);
+    const power::PowerState floor_protected =
+        std::max(*server_override, power::PowerState::kState1);
     return std::min(voltage_allowed, floor_protected);
   }
 };
@@ -82,7 +83,7 @@ class SyncServer {
 
   // `at` defaults to the epoch so timestamp-free callers (unit tests,
   // benches predating expiry) keep the old always-fresh behaviour.
-  void report_state(const std::string& station, PowerState state,
+  void report_state(const std::string& station, power::PowerState state,
                     sim::SimTime at = sim::kEpoch) {
     latest_[station] = Entry{state, at};
     if (report_log_enabled_) report_log_.push_back({station, state, at});
@@ -99,7 +100,7 @@ class SyncServer {
 
   struct ReportRecord {
     std::string station;
-    PowerState state = PowerState::kState0;
+    power::PowerState state = power::PowerState::kState0;
     sim::SimTime reported_at{};
 
     template <class Archive>
@@ -123,7 +124,7 @@ class SyncServer {
 
   // Applies a report relayed from another replica: same ledger update as
   // report_state (freshness keeps the *original* report time), no log entry.
-  void record_remote_state(const std::string& station, PowerState state,
+  void record_remote_state(const std::string& station, power::PowerState state,
                            sim::SimTime reported_at) {
     latest_[station] = Entry{state, reported_at};
   }
@@ -151,13 +152,13 @@ class SyncServer {
 
   // Operator intervention ("easy manual overriding of the power states if
   // required", §III). Fleet-wide: floors every station. nullopt clears it.
-  void set_manual_override(std::optional<PowerState> override_state) {
+  void set_manual_override(std::optional<power::PowerState> override_state) {
     manual_override_ = override_state;
   }
 
   // Group-scoped operator override: floors only that group's members.
   void set_group_override(const std::string& group,
-                          std::optional<PowerState> override_state) {
+                          std::optional<power::PowerState> override_state) {
     if (override_state.has_value()) {
       group_overrides_[group] = *override_state;
     } else {
@@ -165,7 +166,7 @@ class SyncServer {
     }
   }
 
-  [[nodiscard]] std::optional<PowerState> group_override(
+  [[nodiscard]] std::optional<power::PowerState> group_override(
       const std::string& group) const {
     const auto it = group_overrides_.find(group);
     if (it == group_overrides_.end()) return std::nullopt;
@@ -178,9 +179,9 @@ class SyncServer {
   // their group's fresh reports, floored by the group override; ungrouped
   // stations self-sync (only their own fresh report binds). The fleet-wide
   // manual override applies to everyone.
-  [[nodiscard]] std::optional<PowerState> override_for_client(
+  [[nodiscard]] std::optional<power::PowerState> override_for_client(
       const std::string& station, sim::SimTime now = sim::kEpoch) const {
-    std::optional<PowerState> lowest = manual_override_;
+    std::optional<power::PowerState> lowest = manual_override_;
     const std::string group = group_of(station);
     if (group.empty()) {
       const auto it = latest_.find(station);
@@ -198,7 +199,7 @@ class SyncServer {
     return lowest;
   }
 
-  [[nodiscard]] std::optional<PowerState> reported_state(
+  [[nodiscard]] std::optional<power::PowerState> reported_state(
       const std::string& station) const {
     const auto it = latest_.find(station);
     if (it == latest_.end()) return std::nullopt;
@@ -224,7 +225,8 @@ class SyncServer {
     int members = 0;
     int fresh = 0;
     bool converged = false;
-    PowerState state = PowerState::kState0;  // agreed state when converged
+    // The agreed state when converged.
+    power::PowerState state = power::PowerState::kState0;
   };
   [[nodiscard]] GroupView group_view(const std::string& group,
                                      sim::SimTime now = sim::kEpoch) const {
@@ -235,7 +237,7 @@ class SyncServer {
       ++view.members;
       const auto it = latest_.find(member);
       if (it == latest_.end()) continue;
-      std::optional<PowerState> folded;
+      std::optional<power::PowerState> folded;
       fold_entry(it->second, now, folded);
       if (!folded.has_value()) continue;  // stale or future-dated
       if (view.fresh > 0 && *folded != view.state) agree = false;
@@ -243,7 +245,7 @@ class SyncServer {
       ++view.fresh;
     }
     view.converged = view.members > 0 && view.fresh == view.members && agree;
-    if (!view.converged) view.state = PowerState::kState0;
+    if (!view.converged) view.state = power::PowerState::kState0;
     return view;
   }
 
@@ -263,7 +265,7 @@ class SyncServer {
 
  private:
   struct Entry {
-    PowerState state = PowerState::kState0;
+    power::PowerState state = power::PowerState::kState0;
     sim::SimTime reported_at{};
 
     template <class Archive>
@@ -283,14 +285,14 @@ class SyncServer {
   // time reaches the claimed timestamp the entry folds normally, so honest
   // reports (reported_at <= now) behave exactly as before.
   void fold_entry(const Entry& entry, sim::SimTime now,
-                  std::optional<PowerState>& lowest) const {
+                  std::optional<power::PowerState>& lowest) const {
     if (entry.reported_at > now) {  // from the future: not evidence
       ++future_reports_ignored_;
       if (hooks_.journal != nullptr) {
         hooks_.journal->record(now.millis_since_epoch(),
                                obs::EventType::kFutureReport, "state_sync",
                                (entry.reported_at - now).to_seconds(),
-                               double(to_int(entry.state)));
+                               double(power::to_int(entry.state)));
       }
       return;
     }
@@ -306,8 +308,8 @@ class SyncServer {
   bool report_log_enabled_ = false;
   std::vector<ReportRecord> report_log_;
   std::map<std::string, std::string> group_of_;
-  std::map<std::string, PowerState> group_overrides_;
-  std::optional<PowerState> manual_override_;
+  std::map<std::string, power::PowerState> group_overrides_;
+  std::optional<power::PowerState> manual_override_;
 };
 
 }  // namespace gw::core

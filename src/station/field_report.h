@@ -42,7 +42,7 @@ class FieldReport {
     std::string out;
     out += "[" + station.name() + " station]\n";
     out += "  power state " +
-           std::to_string(core::to_int(station.current_state())) +
+           std::to_string(power::to_int(station.current_state())) +
            ", battery " +
            util::format_fixed(100.0 * station.power().battery().soc(), 0) +
            "% SoC";

@@ -62,8 +62,8 @@ FleetConfig uniform_fleet_config(int stations, std::uint64_t seed) {
     // Real fleets don't wake in perfect unison: stagger the daily windows
     // a few minutes apart (47 is coprime to 60, so offsets spread).
     spec.station.wake_time_of_day = sim::hours(12) + sim::minutes(i % 47);
-    spec.station.initial_state = base_role ? core::PowerState::kState3
-                                           : core::PowerState::kState2;
+    spec.station.initial_state = base_role ? power::PowerState::kState3
+                                           : power::PowerState::kState2;
     spec.station.power.battery.initial_soc = base_role ? 1.0 : 0.7;
     spec.sync_group = numbered_name('g', i / 2);
     spec.chargers = base_role

@@ -143,7 +143,7 @@ void FleetAssembly::sample_stations(std::size_t first, std::size_t last,
     const TraceNames& names = trace_names_[s];
     const sim::SimTime now = built.simulation().now();
     trace.add(names.voltage, now, built.power().terminal_voltage().value());
-    trace.add(names.state, now, double(core::to_int(built.current_state())));
+    trace.add(names.state, now, double(power::to_int(built.current_state())));
     trace.add(names.soc, now, built.power().battery().soc());
   }
   for (std::size_t s = first; s < last; ++s) {
@@ -193,7 +193,7 @@ std::vector<FleetAssembly::GroupStatus> FleetAssembly::group_status() const {
   for (std::size_t s = 0; s < stations_.size(); ++s) {
     const std::string& group = config_.stations[s].sync_group;
     if (group.empty()) continue;
-    const core::PowerState state = stations_[s]->current_state();
+    const power::PowerState state = stations_[s]->current_state();
     GroupStatus& status = by_group[group];
     if (status.members == 0) {
       status.name = group;
@@ -215,7 +215,7 @@ obs::MetricsRegistry& FleetAssembly::update_rollup() {
   double yield_bytes = 0.0;
   for (std::size_t s = 0; s < size(); ++s) {
     const Station& built = station(s);
-    if (built.current_state() != core::PowerState::kState0) ++up;
+    if (built.current_state() != power::PowerState::kState0) ++up;
     yield_bytes += double(server_.bytes_from(built.name()).count());
   }
   const auto groups = group_status();
@@ -238,7 +238,7 @@ obs::MetricsRegistry& FleetAssembly::update_rollup() {
           group.converged ? obs::EventType::kGroupConverged
                           : obs::EventType::kGroupDiverged,
           group.name, double(group.members),
-          group.converged ? double(core::to_int(group.state)) : 0.0);
+          group.converged ? double(power::to_int(group.state)) : 0.0);
       last_converged_[group.name] = group.converged;
     }
   }

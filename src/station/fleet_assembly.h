@@ -114,7 +114,7 @@ class FleetAssembly {
     std::string name;
     int members = 0;
     bool converged = false;
-    core::PowerState state = core::PowerState::kState0;  // when converged
+    power::PowerState state = power::PowerState::kState0;  // when converged
   };
   // Status of every sync group, in group-name order.
   // gw::context(coordinator)

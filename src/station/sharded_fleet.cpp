@@ -142,7 +142,7 @@ bool ShardedFleet::queue_config_update(const std::string& station_name,
 }
 
 void ShardedFleet::set_manual_override(
-    std::optional<core::PowerState> override_state) {
+    std::optional<power::PowerState> override_state) {
   for (auto& world : worlds_) {
     world->server->sync().set_manual_override(override_state);
   }
@@ -150,7 +150,7 @@ void ShardedFleet::set_manual_override(
 }
 
 void ShardedFleet::set_group_override(
-    const std::string& group, std::optional<core::PowerState> override_state) {
+    const std::string& group, std::optional<power::PowerState> override_state) {
   for (auto& world : worlds_) {
     world->server->sync().set_group_override(group, override_state);
   }

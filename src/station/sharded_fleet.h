@@ -123,10 +123,10 @@ class ShardedFleet : public FleetAssembly {
   bool queue_config_update(const std::string& station_name,
                            core::ConfigUpdate update);
   // gw::context(coordinator)
-  void set_manual_override(std::optional<core::PowerState> override_state);
+  void set_manual_override(std::optional<power::PowerState> override_state);
   // gw::context(coordinator)
   void set_group_override(const std::string& group,
-                          std::optional<core::PowerState> override_state);
+                          std::optional<power::PowerState> override_state);
 
   // --- the hub ------------------------------------------------------------
 

@@ -168,17 +168,17 @@ void Station::start() {
   schedule_gps_program();
 }
 
-void Station::set_state(core::PowerState state) {
+void Station::set_state(power::PowerState state) {
   if (state == state_) return;
   metrics_.counter("power_policy", "transitions").increment();
   journal_.record(simulation_.now().millis_since_epoch(),
                   obs::EventType::kStateTransition, "power_policy",
-                  double(core::to_int(state_)),
-                  double(core::to_int(state)));
+                  double(power::to_int(state_)),
+                  double(power::to_int(state)));
   state_ = state;
   state_history_.push_back({simulation_.now(), state_});
   log_manager_.info(simulation_.now().millis_since_epoch(), "power",
-                    "state -> " + std::to_string(core::to_int(state_)));
+                    "state -> " + std::to_string(power::to_int(state_)));
 }
 
 // --- daily run ----------------------------------------------------------
@@ -223,7 +223,7 @@ void Station::on_wake() {
 void Station::apply_frequency_plan() {
   const auto& plan = board_.gumstix().frequency_plan();
   const int configured =
-      config_.gumstix_freq_by_state[std::size_t(core::to_int(state_))];
+      config_.gumstix_freq_by_state[std::size_t(power::to_int(state_))];
   const std::size_t index =
       configured < 0 ? plan.size() - 1
                      : std::min(std::size_t(configured), plan.size() - 1);
@@ -315,21 +315,21 @@ void Station::finish_run(bool aborted) {
     ++stats_.runs_completed;
     metrics_.counter("station", "runs_completed").increment();
     recovery_.record_successful_run();
-    if (local_voltage_state_ == core::PowerState::kState0) {
+    if (local_voltage_state_ == power::PowerState::kState0) {
       ++stats_.state0_days;
     }
   }
   // New effective state: voltage-derived, clamped by the server override
   // fetched this run (§III rules).
-  const core::PowerState applied =
+  const power::PowerState applied =
       core::SyncRules::apply(local_voltage_state_, last_override_);
   if (applied < local_voltage_state_) {
     // The server's min-rule pulled us below what the battery allows (§III).
     metrics_.counter("state_sync", "clamps").increment();
     journal_.record(simulation_.now().millis_since_epoch(),
                     obs::EventType::kSyncClamp, "state_sync",
-                    double(core::to_int(local_voltage_state_)),
-                    double(core::to_int(applied)));
+                    double(power::to_int(local_voltage_state_)),
+                    double(power::to_int(applied)));
   }
   if (last_override_.has_value()) {
     metrics_.counter("state_sync", "overrides_received").increment();
@@ -339,7 +339,7 @@ void Station::finish_run(bool aborted) {
   // station ends the day in (the Table 2 duty-cycle observable).
   metrics_
       .counter("power_policy",
-               "occupancy_days.state" + std::to_string(core::to_int(state_)))
+               "occupancy_days.state" + std::to_string(power::to_int(state_)))
       .increment();
   if (degraded_) {
     ++stats_.degraded_days;
@@ -425,7 +425,7 @@ std::optional<sim::Duration> Station::probe_chunk() {
 
 std::optional<sim::Duration> Station::gps_fetch_chunk() {
   // Fig 4 gates the GPS fetch on state > 1.
-  if (local_voltage_state_ < core::PowerState::kState2) return std::nullopt;
+  if (local_voltage_state_ < power::PowerState::kState2) return std::nullopt;
   const auto next = dgps_.peek_oldest();
   if (!next.ok()) {
     if (dgps_.powered()) dgps_.power_off();
@@ -501,7 +501,7 @@ void Station::compute_local_state() {
   log_manager_.info(simulation_.now().millis_since_epoch(), "power",
                     "daily avg " + util::format_fixed(average->value(), 2) +
                         " V -> local state " +
-                        std::to_string(core::to_int(local_voltage_state_)));
+                        std::to_string(power::to_int(local_voltage_state_)));
 }
 
 void Station::package_data() {
@@ -702,7 +702,7 @@ sim::Duration Station::apply_pending_update() {
 }
 
 bool Station::comms_allowed() {
-  if (local_voltage_state_ != core::PowerState::kState0) return true;
+  if (local_voltage_state_ != power::PowerState::kState0) return true;
   if (!config_.enable_data_priority || !urgent_data_today_) return false;
   if (power_.battery().soc() < config_.forced_comms_min_soc) return false;
   // §VII: "forcing communication even if the available power is marginal
@@ -794,7 +794,7 @@ void Station::on_brown_out() {
   cf_.power_cut();
   gprs_.power_off();
   dgps_.power_off();
-  set_state(core::PowerState::kState0);
+  set_state(power::PowerState::kState0);
 }
 
 void Station::on_cold_boot() {
@@ -829,8 +829,8 @@ void Station::on_cold_boot() {
       }
       // §IV: clock restored -> rewrite the RAM schedule and restart in
       // state 0.
-      local_voltage_state_ = core::PowerState::kState0;
-      set_state(core::PowerState::kState0);
+      local_voltage_state_ = power::PowerState::kState0;
+      set_state(power::PowerState::kState0);
       board_.set_daily_wake(config_.wake_time_of_day, [this] { on_wake(); });
       schedule_gps_program();
       log_manager_.warn(simulation_.now().millis_since_epoch(), "recovery",

@@ -69,7 +69,7 @@ struct StationConfig {
   StationRole role = StationRole::kBaseStation;
   sim::Duration wake_time_of_day = sim::hours(12);  // daily window, §I
   sim::Duration watchdog_limit = sim::hours(2);     // §VI
-  core::PowerState initial_state = core::PowerState::kState2;
+  power::PowerState initial_state = power::PowerState::kState2;
 
   // §VI suggested fix: run the special *before* the data upload so a big
   // backlog cannot starve remote commands. Off = deployed (Fig 4) order.
@@ -177,7 +177,7 @@ class Station {
 
   // --- observation -------------------------------------------------------
 
-  [[nodiscard]] core::PowerState current_state() const { return state_; }
+  [[nodiscard]] power::PowerState current_state() const { return state_; }
   [[nodiscard]] bool degraded() const { return degraded_; }
   [[nodiscard]] const StationStats& stats() const { return stats_; }
   [[nodiscard]] power::PowerSystem& power() { return power_; }
@@ -222,7 +222,7 @@ class Station {
   // (time, state) transitions, newest last — the Fig 5 state series.
   struct StateChange {
     sim::SimTime at;
-    core::PowerState state;
+    power::PowerState state;
 
     template <class Archive>
     void persist(Archive& ar) {
@@ -314,7 +314,7 @@ class Station {
   // --- failure / recovery -------------------------------------------------
   void on_brown_out();
   void on_cold_boot();
-  void set_state(core::PowerState state);
+  void set_state(power::PowerState state);
 
   sim::Simulation& simulation_;
   const env::Environment& environment_;
@@ -359,9 +359,9 @@ class Station {
   std::size_t run_readings_ = 0;      // probe readings fetched this run
   std::vector<util::Volts> pending_voltages_;
   std::optional<proto::UploadFile> sensor_file_;
-  core::PowerState state_;
-  core::PowerState local_voltage_state_;
-  std::optional<core::PowerState> last_override_;
+  power::PowerState state_;
+  power::PowerState local_voltage_state_;
+  std::optional<power::PowerState> last_override_;
   // A daily run in flight; empty between runs.
   struct Run {
     std::size_t step = 0;                 // row of the step table

@@ -9,32 +9,32 @@ using util::Volts;
 
 TEST(PowerPolicy, Table2Thresholds) {
   PowerPolicy policy;
-  EXPECT_EQ(policy.state_for(Volts{13.0}), PowerState::kState3);
-  EXPECT_EQ(policy.state_for(Volts{12.5}), PowerState::kState3);
-  EXPECT_EQ(policy.state_for(Volts{12.49}), PowerState::kState2);
-  EXPECT_EQ(policy.state_for(Volts{12.0}), PowerState::kState2);
-  EXPECT_EQ(policy.state_for(Volts{11.99}), PowerState::kState1);
-  EXPECT_EQ(policy.state_for(Volts{11.5}), PowerState::kState1);
-  EXPECT_EQ(policy.state_for(Volts{11.49}), PowerState::kState0);
-  EXPECT_EQ(policy.state_for(Volts{9.0}), PowerState::kState0);
+  EXPECT_EQ(policy.state_for(Volts{13.0}), power::PowerState::kState3);
+  EXPECT_EQ(policy.state_for(Volts{12.5}), power::PowerState::kState3);
+  EXPECT_EQ(policy.state_for(Volts{12.49}), power::PowerState::kState2);
+  EXPECT_EQ(policy.state_for(Volts{12.0}), power::PowerState::kState2);
+  EXPECT_EQ(policy.state_for(Volts{11.99}), power::PowerState::kState1);
+  EXPECT_EQ(policy.state_for(Volts{11.5}), power::PowerState::kState1);
+  EXPECT_EQ(policy.state_for(Volts{11.49}), power::PowerState::kState0);
+  EXPECT_EQ(policy.state_for(Volts{9.0}), power::PowerState::kState0);
 }
 
 TEST(PowerPolicy, Table2Actions) {
-  const auto s3 = PowerPolicy::actions_for(PowerState::kState3);
+  const auto s3 = PowerPolicy::actions_for(power::PowerState::kState3);
   EXPECT_TRUE(s3.probe_jobs);
   EXPECT_TRUE(s3.sensor_readings);
   EXPECT_EQ(s3.gps_readings_per_day, 12);
   EXPECT_TRUE(s3.gprs);
 
-  const auto s2 = PowerPolicy::actions_for(PowerState::kState2);
+  const auto s2 = PowerPolicy::actions_for(power::PowerState::kState2);
   EXPECT_EQ(s2.gps_readings_per_day, 1);
   EXPECT_TRUE(s2.gprs);
 
-  const auto s1 = PowerPolicy::actions_for(PowerState::kState1);
+  const auto s1 = PowerPolicy::actions_for(power::PowerState::kState1);
   EXPECT_EQ(s1.gps_readings_per_day, 0);
   EXPECT_TRUE(s1.gprs);
 
-  const auto s0 = PowerPolicy::actions_for(PowerState::kState0);
+  const auto s0 = PowerPolicy::actions_for(power::PowerState::kState0);
   EXPECT_EQ(s0.gps_readings_per_day, 0);
   EXPECT_FALSE(s0.gprs);
   // Probe jobs and sensing continue in every state (Table 2 / §III).
@@ -43,12 +43,12 @@ TEST(PowerPolicy, Table2Actions) {
 }
 
 TEST(PowerPolicy, StatesOrdered) {
-  EXPECT_LT(PowerState::kState0, PowerState::kState1);
-  EXPECT_LT(PowerState::kState2, PowerState::kState3);
-  EXPECT_EQ(to_int(PowerState::kState3), 3);
-  EXPECT_EQ(from_int(2), PowerState::kState2);
-  EXPECT_EQ(from_int(-5), PowerState::kState0);
-  EXPECT_EQ(from_int(9), PowerState::kState3);
+  EXPECT_LT(power::PowerState::kState0, power::PowerState::kState1);
+  EXPECT_LT(power::PowerState::kState2, power::PowerState::kState3);
+  EXPECT_EQ(power::to_int(power::PowerState::kState3), 3);
+  EXPECT_EQ(power::from_int(2), power::PowerState::kState2);
+  EXPECT_EQ(power::from_int(-5), power::PowerState::kState0);
+  EXPECT_EQ(power::from_int(9), power::PowerState::kState3);
 }
 
 TEST(PowerPolicy, DailyAverage) {
@@ -77,8 +77,9 @@ TEST(PowerPolicy, AveragingBeatsMiddaySpotReading) {
   ASSERT_TRUE(avg.has_value());
   EXPECT_LT(avg->value(), midday.value());
   PowerPolicy policy;
-  EXPECT_EQ(policy.state_for(midday), PowerState::kState3);   // misleading
-  EXPECT_EQ(policy.state_for(*avg), PowerState::kState2);     // honest
+  EXPECT_EQ(policy.state_for(midday),
+            power::PowerState::kState3);  // misleading
+  EXPECT_EQ(policy.state_for(*avg), power::PowerState::kState2);  // honest
 }
 
 class ThresholdSweep : public ::testing::TestWithParam<double> {};

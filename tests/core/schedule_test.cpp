@@ -6,23 +6,23 @@ namespace gw::core {
 namespace {
 
 TEST(DaySchedule, ForStateMatchesTable2) {
-  const auto s3 = DaySchedule::for_state(PowerState::kState3);
+  const auto s3 = DaySchedule::for_state(power::PowerState::kState3);
   EXPECT_EQ(s3.gps_slots.size(), 12u);
   // 12 slots at 2-hour spacing — the Fig 5 dip rhythm.
   EXPECT_EQ(s3.gps_slots[0], sim::hours(2));
   EXPECT_EQ(s3.gps_slots[11], sim::hours(24));
 
-  const auto s2 = DaySchedule::for_state(PowerState::kState2);
+  const auto s2 = DaySchedule::for_state(power::PowerState::kState2);
   ASSERT_EQ(s2.gps_slots.size(), 1u);
   EXPECT_EQ(s2.gps_slots[0], sim::hours(24));
 
-  EXPECT_TRUE(DaySchedule::for_state(PowerState::kState1).gps_slots.empty());
-  EXPECT_TRUE(DaySchedule::for_state(PowerState::kState0).gps_slots.empty());
+  EXPECT_TRUE(DaySchedule::for_state(power::PowerState::kState1).gps_slots.empty());
+  EXPECT_TRUE(DaySchedule::for_state(power::PowerState::kState0).gps_slots.empty());
 }
 
 TEST(DaySchedule, SerializeParseRoundTrip) {
-  for (const auto state : {PowerState::kState0, PowerState::kState1,
-                           PowerState::kState2, PowerState::kState3}) {
+  for (const auto state : {power::PowerState::kState0, power::PowerState::kState1,
+                           power::PowerState::kState2, power::PowerState::kState3}) {
     const auto original = DaySchedule::for_state(state, sim::hours(12));
     const auto image = original.serialize();
     const auto parsed = DaySchedule::parse(image);
@@ -33,20 +33,20 @@ TEST(DaySchedule, SerializeParseRoundTrip) {
 
 TEST(DaySchedule, CustomWakeTimeSurvivesRoundTrip) {
   const auto original =
-      DaySchedule::for_state(PowerState::kState2, sim::hours(9.5));
+      DaySchedule::for_state(power::PowerState::kState2, sim::hours(9.5));
   const auto parsed = DaySchedule::parse(original.serialize());
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value().wake_time, sim::minutes(570));
 }
 
 TEST(DaySchedule, CorruptedImageRejected) {
-  auto image = DaySchedule::for_state(PowerState::kState3).serialize();
+  auto image = DaySchedule::for_state(power::PowerState::kState3).serialize();
   image[5] ^= 0x01;
   EXPECT_FALSE(DaySchedule::parse(image).ok());
 }
 
 TEST(DaySchedule, TruncatedImageRejected) {
-  const auto image = DaySchedule::for_state(PowerState::kState3).serialize();
+  const auto image = DaySchedule::for_state(power::PowerState::kState3).serialize();
   const std::span<const std::uint8_t> truncated(image.data(),
                                                 image.size() - 5);
   EXPECT_FALSE(DaySchedule::parse(truncated).ok());
@@ -55,7 +55,7 @@ TEST(DaySchedule, TruncatedImageRejected) {
 }
 
 TEST(DaySchedule, BadMagicRejected) {
-  auto image = DaySchedule::for_state(PowerState::kState2).serialize();
+  auto image = DaySchedule::for_state(power::PowerState::kState2).serialize();
   // Flip the magic AND refresh the CRC, isolating the magic check.
   image[0] = 'X';
   const std::size_t body = image.size() - 4;
@@ -71,7 +71,7 @@ TEST(DaySchedule, BadMagicRejected) {
 
 TEST(DaySchedule, ImageIsCompact) {
   // It must fit comfortably in MSP430 RAM alongside the sample buffer.
-  EXPECT_LE(DaySchedule::for_state(PowerState::kState3).serialize().size(),
+  EXPECT_LE(DaySchedule::for_state(power::PowerState::kState3).serialize().size(),
             40u);
 }
 

@@ -30,7 +30,7 @@ TEST(GumsenseBus, SetScheduleInstallsWake) {
   Fixture f;
   GumsenseBus bus{f.msp, util::Rng{1}};
   const auto schedule =
-      core::DaySchedule::for_state(core::PowerState::kState2,
+      core::DaySchedule::for_state(power::PowerState::kState2,
                                    sim::hours(12));
   ASSERT_TRUE(bus.set_schedule(schedule).ok());
   ASSERT_TRUE(f.msp.wake_schedule().has_value());

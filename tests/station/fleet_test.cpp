@@ -65,12 +65,12 @@ TEST(FleetTest, SyncGroupsConvergeIndependently) {
 TEST(FleetTest, GroupOverrideHoldsOnlyItsPair) {
   Fleet fleet{quad_config()};
   fleet.server().sync().set_group_override("pair0",
-                                           core::PowerState::kState1);
+                                           power::PowerState::kState1);
   fleet.run_days(4.0);
-  EXPECT_EQ(fleet.station(0).current_state(), core::PowerState::kState1);
-  EXPECT_EQ(fleet.station(1).current_state(), core::PowerState::kState1);
+  EXPECT_EQ(fleet.station(0).current_state(), power::PowerState::kState1);
+  EXPECT_EQ(fleet.station(1).current_state(), power::PowerState::kState1);
   // pair1 climbed to what its (full, mains-backed) batteries allow.
-  EXPECT_GT(core::to_int(fleet.station(2).current_state()), 1);
+  EXPECT_GT(power::to_int(fleet.station(2).current_state()), 1);
 }
 
 TEST(FleetTest, ProbeSeriesAreStationScoped) {

@@ -27,16 +27,16 @@ SouthamptonServer seeded_server() {
   server.receive_file("reference", "dgps_r", 165_KiB, sim::SimTime{1500});
   server.receive_beacon("base", {"basestation.py", "md5", true},
                         sim::SimTime{3000});
-  server.sync().report_state("base", core::PowerState::kState2,
+  server.sync().report_state("base", power::PowerState::kState2,
                              sim::SimTime{4000});
-  server.sync().report_state("reference", core::PowerState::kState2,
+  server.sync().report_state("reference", power::PowerState::kState2,
                              sim::SimTime{4100});
   return server;
 }
 
 TEST(ServerQuery, DirectoryListsEveryKnownStationSorted) {
   auto server = seeded_server();
-  server.sync().report_state("weather", core::PowerState::kState3,
+  server.sync().report_state("weather", power::PowerState::kState3,
                              sim::SimTime{100});
   const auto wire = server.handle_query(proto::DirectoryRequest{}.encode(),
                                         sim::SimTime{5000});
@@ -109,10 +109,10 @@ TEST(ServerQuery, GroupStatusReflectsLedgerConvergence) {
   EXPECT_EQ(response.value().members, 2);
   EXPECT_EQ(response.value().fresh, 2);
   EXPECT_TRUE(response.value().converged);
-  EXPECT_EQ(response.value().state, core::PowerState::kState2);
+  EXPECT_EQ(response.value().state, power::PowerState::kState2);
 
   // One member disagrees: still fresh, no longer converged.
-  server.sync().report_state("reference", core::PowerState::kState1,
+  server.sync().report_state("reference", power::PowerState::kState1,
                              sim::SimTime{4200});
   wire = server.handle_query(request.encode(), sim::SimTime{5000});
   response = proto::GroupStatusResponse::decode(wire);
@@ -230,7 +230,7 @@ SouthamptonServer fleet_server() {
     }
     if (beaconed(i)) server.receive_beacon(name, {"fw", "md5", true}, at);
     if (reported(i)) {
-      server.sync().report_state(name, core::PowerState(1 + i % 3), at);
+      server.sync().report_state(name, power::PowerState(1 + i % 3), at);
     }
   }
   return server;
@@ -285,7 +285,7 @@ TEST(ServerQuery, EveryAnswerMatchesAFormBuiltReference) {
     status.set_int("members", view.members);
     status.set_int("fresh", view.fresh);
     status.set_int("converged", view.converged ? 1 : 0);
-    status.set_int("state", core::to_int(view.state));
+    status.set_int("state", power::to_int(view.state));
     EXPECT_EQ(server.handle_query(proto::GroupStatusRequest{group}.encode(),
                                   now),
               status.encode())

@@ -151,7 +151,7 @@ std::string fingerprint(int stations, std::size_t shards, unsigned workers,
     const auto& stats = fleet.station(i).stats();
     out += fleet.station(i).name() + ":" +
            std::to_string(stats.runs_completed) + "," +
-           std::to_string(core::to_int(fleet.station(i).current_state())) +
+           std::to_string(power::to_int(fleet.station(i).current_state())) +
            "," +
            std::to_string(
                fleet.hub().bytes_from(fleet.station(i).name()).count()) +

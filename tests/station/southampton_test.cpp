@@ -287,10 +287,10 @@ TEST(Southampton, SyncLedgerAccessible) {
   SouthamptonServer server;
   server.sync().assign_group("base", "dgps");
   server.sync().assign_group("reference", "dgps");
-  server.sync().report_state("base", core::PowerState::kState3);
-  server.sync().report_state("reference", core::PowerState::kState1);
+  server.sync().report_state("base", power::PowerState::kState3);
+  server.sync().report_state("reference", power::PowerState::kState1);
   EXPECT_EQ(*server.sync().override_for_client("base"),
-            core::PowerState::kState1);
+            power::PowerState::kState1);
 }
 
 }  // namespace

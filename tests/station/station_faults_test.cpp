@@ -20,7 +20,7 @@ struct Fixture {
     config.gprs.registration_success = 1.0;
     config.gprs.drop_per_minute = 0.0;
     config.power.battery.initial_soc = 1.0;
-    config.initial_state = core::PowerState::kState3;
+    config.initial_state = power::PowerState::kState3;
     return config;
   }
 
@@ -112,7 +112,7 @@ TEST(StationFaults, ForcedCommsNeedsUrgentDataAndCharge) {
   config.policy.state1_threshold = util::Volts{99.0};
   config.policy.state2_threshold = util::Volts{99.0};
   config.policy.state3_threshold = util::Volts{99.0};
-  config.initial_state = core::PowerState::kState0;
+  config.initial_state = power::PowerState::kState0;
   auto& station = f.make(config);
   ProbeNodeConfig probe_config;
   probe_config.probe_id = 21;
@@ -132,11 +132,11 @@ TEST(StationFaults, DeadI2cBusKeepsCurrentStateNoCrash) {
   Fixture f;
   auto config = f.reliable_base();
   config.bus.nak_probability = 1.0;
-  config.initial_state = core::PowerState::kState2;
+  config.initial_state = power::PowerState::kState2;
   auto& station = f.make(config);
   f.run_days(3.0);
   EXPECT_EQ(station.stats().runs_completed, 3);
-  EXPECT_EQ(station.current_state(), core::PowerState::kState2);
+  EXPECT_EQ(station.current_state(), power::PowerState::kState2);
   EXPECT_TRUE(station.daily_averages().empty());  // no samples ever arrived
   EXPECT_GT(station.bus().naks(), 5);
   EXPECT_GT(f.server.files_from("base"), 0);  // still shipping data

@@ -69,7 +69,7 @@ TEST(StationDaily, HealthyBatteryReachesStateThree) {
   auto& station = f.make(config);
   f.run_days(2.0);
   // Mains-backed full battery averages well above 12.5 V.
-  EXPECT_EQ(station.current_state(), core::PowerState::kState3);
+  EXPECT_EQ(station.current_state(), power::PowerState::kState3);
   ASSERT_FALSE(station.daily_averages().empty());
   EXPECT_GT(station.daily_averages().back().average.value(), 12.5);
 }
@@ -80,14 +80,14 @@ TEST(StationDaily, LowBatteryDropsToLowState) {
   config.power.battery.initial_soc = 0.10;  // below the OCV knee
   auto& station = f.make(config, /*with_mains=*/false);
   f.run_days(2.0);
-  EXPECT_LE(core::to_int(station.current_state()), 1);
+  EXPECT_LE(power::to_int(station.current_state()), 1);
 }
 
 TEST(StationDaily, StateZeroGateStopsCommunications) {
   Fixture f;
   StationConfig config = f.reference_config();
   config.power.battery.initial_soc = 0.06;  // deep in the collapsed tail
-  config.initial_state = core::PowerState::kState0;
+  config.initial_state = power::PowerState::kState0;
   auto& station = f.make(config, /*with_mains=*/false);
   f.run_days(2.0);
   // Fig 4: state 0 -> Stop. No GPRS sessions at all.
@@ -100,7 +100,7 @@ TEST(StationDaily, GpsProgramFollowsState) {
   Fixture f;
   StationConfig config = f.reference_config();
   config.power.battery.initial_soc = 1.0;
-  config.initial_state = core::PowerState::kState3;
+  config.initial_state = power::PowerState::kState3;
   auto& station = f.make(config);
   f.run_days(2.0);
   // State 3: ~12 scheduled readings/day (rescheduling at the window drops
@@ -115,7 +115,7 @@ TEST(StationDaily, GpsProgramFollowsState) {
 TEST(StationDaily, StateOneSkipsGps) {
   Fixture f;
   StationConfig config = f.reference_config();
-  config.initial_state = core::PowerState::kState1;
+  config.initial_state = power::PowerState::kState1;
   config.power.battery.initial_soc = 0.30;  // ~12.05 V rest: state 2 band
   auto& station = f.make(config, /*with_mains=*/false);
   f.run_days(1.0);
@@ -128,25 +128,25 @@ TEST(StationDaily, ServerOverrideHoldsStationDown) {
   Fixture f;
   StationConfig config = f.reference_config();
   config.power.battery.initial_soc = 1.0;
-  f.server.sync().set_manual_override(core::PowerState::kState2);
+  f.server.sync().set_manual_override(power::PowerState::kState2);
   auto& station = f.make(config);
   f.run_days(3.0);
-  EXPECT_EQ(station.current_state(), core::PowerState::kState2);
+  EXPECT_EQ(station.current_state(), power::PowerState::kState2);
   // Released: climbs back to 3 on the next daily run.
   f.server.sync().set_manual_override(std::nullopt);
   // The other ledger entry (its own report) must not hold it down.
   f.run_days(2.0);
-  EXPECT_EQ(station.current_state(), core::PowerState::kState3);
+  EXPECT_EQ(station.current_state(), power::PowerState::kState3);
 }
 
 TEST(StationDaily, OverrideCannotForceStateZero) {
   Fixture f;
   StationConfig config = f.reference_config();
   config.power.battery.initial_soc = 1.0;
-  f.server.sync().set_manual_override(core::PowerState::kState0);
+  f.server.sync().set_manual_override(power::PowerState::kState0);
   auto& station = f.make(config);
   f.run_days(2.0);
-  EXPECT_EQ(station.current_state(), core::PowerState::kState1);
+  EXPECT_EQ(station.current_state(), power::PowerState::kState1);
   EXPECT_GT(station.gprs().sessions_attempted(), 0);  // still talking
 }
 

@@ -102,12 +102,12 @@ TEST(Coverage, DeploymentTraceCadenceExact) {
 TEST(Coverage, SyncServerManyStations) {
   core::SyncServer server;
   for (const char* name : {"a", "b", "c"}) server.assign_group(name, "trio");
-  server.report_state("a", core::PowerState::kState3);
-  server.report_state("b", core::PowerState::kState2);
-  server.report_state("c", core::PowerState::kState1);
-  EXPECT_EQ(*server.override_for_client("a"), core::PowerState::kState1);
-  server.report_state("c", core::PowerState::kState3);
-  EXPECT_EQ(*server.override_for_client("a"), core::PowerState::kState2);
+  server.report_state("a", power::PowerState::kState3);
+  server.report_state("b", power::PowerState::kState2);
+  server.report_state("c", power::PowerState::kState1);
+  EXPECT_EQ(*server.override_for_client("a"), power::PowerState::kState1);
+  server.report_state("c", power::PowerState::kState3);
+  EXPECT_EQ(*server.override_for_client("a"), power::PowerState::kState2);
 }
 
 TEST(Coverage, TransferManagerDropResumeAccounting) {

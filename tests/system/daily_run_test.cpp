@@ -169,7 +169,7 @@ TEST(DailyRun, StateZeroDayGatesInZeroTime) {
   config.name = "base";
   config.role = StationRole::kBaseStation;
   config.power.battery.initial_soc = 0.06;
-  config.initial_state = core::PowerState::kState0;
+  config.initial_state = power::PowerState::kState0;
   Station& station = rig.make(config, /*with_mains=*/false);
   ProbeNodeConfig probe_config;
   probe_config.probe_id = 21;

@@ -70,7 +70,7 @@ TEST(LogBytes, ChattyProbeStationIsBudgeted) {
   config.gprs.registration_success = 1.0;
   config.gprs.drop_per_minute = 0.0;
   config.power.battery.initial_soc = 1.0;
-  config.initial_state = core::PowerState::kState3;
+  config.initial_state = power::PowerState::kState3;
   Station station{simulation, environment, server, util::Rng{99}, config};
   power::MainsChargerConfig mains{.season_start_month = 1,
                                   .season_end_month = 12};

@@ -35,8 +35,8 @@ TEST_P(SeedSweep, NinetyDayInvariants) {
     // State history is well-formed: values in range, timestamps monotone.
     sim::SimTime previous{-1};
     for (const auto& change : station->state_history()) {
-      EXPECT_GE(core::to_int(change.state), 0);
-      EXPECT_LE(core::to_int(change.state), 3);
+      EXPECT_GE(power::to_int(change.state), 0);
+      EXPECT_LE(power::to_int(change.state), 3);
       EXPECT_GE(change.at, previous);
       previous = change.at;
     }
