@@ -130,7 +130,7 @@ if [ "${GW_CHECK_TSAN:-0}" = "1" ]; then
   if command -v cmake >/dev/null 2>&1; then
     echo "== TSan runner + sharded kernel tests (build-tsan/)"
     if cmake -B build-tsan -S . -DGW_SANITIZE=thread >/dev/null &&
-       cmake --build build-tsan --target runner_test sim_test -j \
+       cmake --build build-tsan --target runner_test sim_test -j4 \
          >/dev/null &&
        ./build-tsan/tests/runner_test &&
        ./build-tsan/tests/sim_test --gtest_filter='Sharded*'; then
@@ -329,7 +329,7 @@ if [ "${GW_CHECK_NATIVE:-0}" = "1" ]; then
     pinned='GoldenStateTest.*:TraceInvariance.*:LogBytes.*:DailyRun.*'
     if cmake -B build-native -S . -DCMAKE_BUILD_TYPE=Release \
          -DCMAKE_CXX_FLAGS="-O3 -march=native" >/dev/null &&
-       cmake --build build-native --target system_test -j >/dev/null &&
+       cmake --build build-native --target system_test -j4 >/dev/null &&
        ./build-native/tests/system_test --gtest_filter="$pinned"; then
       echo "ok: pinned constants hold on a -march=native build"
     else

@@ -27,8 +27,6 @@
 #include <string_view>
 #include <utility>
 
-#include "util/units.h"
-
 namespace gw::core {
 
 enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
@@ -133,19 +131,10 @@ class LogManager {
     return total_suppressed_;
   }
 
+  // Lines `component` has had suppressed since the last new_day.
   [[nodiscard]] std::size_t suppressed_for(const std::string& component) const {
     const auto it = usage_.find(component);
     return it == usage_.end() ? 0 : it->second.suppressed_records;
-  }
-
-  // What the suppression saved on the daily GPRS upload, in link-seconds.
-  [[nodiscard]] double saved_transfer_seconds(
-      util::BitsPerSecond rate) const {
-    std::size_t bytes = 0;
-    for (const auto& [component, usage] : usage_) {
-      bytes += usage.suppressed_bytes;
-    }
-    return util::transfer_seconds(util::Bytes{std::int64_t(bytes)}, rate);
   }
 
   template <class Archive>

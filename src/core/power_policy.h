@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "power/power_state.h"
+#include "sim/time.h"
 #include "util/units.h"
 
 namespace gw::core {
@@ -78,6 +79,19 @@ class PowerPolicy {
         break;
     }
     return actions;
+  }
+
+  // Table 2's dGPS program: the offsets from the daily wake at which the
+  // MSP430 powers the receiver, one every 24/n hours for n readings a day
+  // (state 3's twelve give the Fig 5 two-hour rhythm).
+  [[nodiscard]] static std::vector<sim::Duration> gps_slots_for(
+      power::PowerState state) {
+    const int per_day = actions_for(state).gps_readings_per_day;
+    std::vector<sim::Duration> slots;
+    for (int k = 1; k <= per_day; ++k) {
+      slots.push_back(sim::hours(24.0 / per_day) * k);
+    }
+    return slots;
   }
 
   [[nodiscard]] const PowerPolicyConfig& config() const { return config_; }

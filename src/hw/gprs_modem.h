@@ -99,7 +99,7 @@ class GprsModem {
     // tick would otherwise be invisible to the energy ledger (and a real
     // modem's boot/shutdown housekeeping eats that long anyway).
     duration =
-        std::max(duration, power_.tick_interval() + sim::seconds(1));
+        std::max(duration, power::PowerSystem::kTick + sim::seconds(1));
     power_on();
     const std::uint64_t generation = hold_generation_;
     simulation_.schedule_in(duration, [this, generation] {

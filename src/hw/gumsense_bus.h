@@ -1,24 +1,16 @@
-// The I2C command channel between the Gumstix and the MSP430 (Fig 2).
+// The I2C channel between the Gumstix and the MSP430 (Fig 2).
 //
 // Fig 2 shows the two processors joined by I2C, with the MSP430 owning the
-// RTC, the sample store, the power switches and the wake schedule. This is
-// that wire protocol: fixed-format commands with a checksum byte, because
-// an inter-chip link on a freezing, condensation-prone board is not assumed
-// clean (§II's hardware-debugging acknowledgement was earned). Commands:
-//
-//   kReadSamples  -> drain the voltage-sample ring (the daily average input)
-//   kSetSchedule  -> install a serialised DaySchedule image in MSP RAM
-//   kReadRtc      -> read the microcontroller clock
-//   kSetRtc       -> discipline it (GPS/NTP fix, §IV)
-//
-// Transfers are tiny (tens of bytes at 100 kHz) — duration is negligible
-// next to everything else the window does, so the bus does not charge
-// simulated time; what it adds is the *framing and failure* semantics.
+// RTC, the sample store, the power switches and the wake schedule. The
+// daily run crosses it once, to drain the voltage-sample ring (the daily
+// average input), and that exchange carries the link's *framing and
+// failure* semantics: an inter-chip link on a freezing, condensation-prone
+// board is not assumed clean (§II's hardware-debugging acknowledgement was
+// earned), so a NAKed transaction is retried. The transfer is tiny (tens
+// of bytes at 100 kHz) — negligible next to everything else the window
+// does, so the bus does not charge simulated time.
 #pragma once
 
-#include <cstdint>
-#include <optional>
-#include <span>
 #include <vector>
 
 #include "hw/msp430.h"
@@ -26,13 +18,6 @@
 #include "util/rng.h"
 
 namespace gw::hw {
-
-enum class BusCommand : std::uint8_t {
-  kReadSamples = 0x01,
-  kSetSchedule = 0x02,
-  kReadRtc = 0x03,
-  kSetRtc = 0x04,
-};
 
 struct GumsenseBusConfig {
   // Probability a transaction is NAKed and must be retried (cold solder,
@@ -51,49 +36,10 @@ class GumsenseBus {
 
   // Drains the MSP430 sample ring over the bus.
   [[nodiscard]] util::Result<std::vector<VoltageSample>> read_samples() {
-    if (!transact(BusCommand::kReadSamples)) {
-      return util::make_error("i2c: read_samples NAK");
-    }
+    if (!transact()) return util::make_error("i2c: read_samples NAK");
     return msp_.drain_samples();
   }
 
-  // Writes a serialised schedule image; the MSP parses and installs it.
-  //
-  // Templated on the schedule type (in practice core::DaySchedule) rather
-  // than naming it: the bus is a dumb transport one layer *below* the
-  // schedule's owner, so it must not include core headers — it only needs
-  // "serialises to an image, parses back with CRC, exposes wake_time".
-  template <typename Schedule>
-  util::Status set_schedule(const Schedule& schedule) {
-    if (!transact(BusCommand::kSetSchedule)) {
-      return util::Status::failure("i2c: set_schedule NAK");
-    }
-    const auto image = schedule.serialize();
-    const auto parsed = Schedule::parse(image);
-    if (!parsed.ok()) {
-      return util::Status::failure("i2c: schedule image rejected: " +
-                                   parsed.error().message);
-    }
-    msp_.set_wake_schedule(parsed.value().wake_time);
-    return {};
-  }
-
-  [[nodiscard]] util::Result<sim::SimTime> read_rtc() {
-    if (!transact(BusCommand::kReadRtc)) {
-      return util::make_error("i2c: read_rtc NAK");
-    }
-    return msp_.rtc_now();
-  }
-
-  util::Status set_rtc(sim::SimTime value) {
-    if (!transact(BusCommand::kSetRtc)) {
-      return util::Status::failure("i2c: set_rtc NAK");
-    }
-    msp_.set_rtc(value);
-    return {};
-  }
-
-  [[nodiscard]] int transactions() const { return transactions_; }
   [[nodiscard]] int naks() const { return naks_; }
 
   template <class Archive>
@@ -105,8 +51,7 @@ class GumsenseBus {
 
  private:
   // One framed transaction with retry-on-NAK.
-  bool transact(BusCommand command) {
-    (void)command;
+  bool transact() {
     for (int attempt = 0; attempt <= config_.max_retries; ++attempt) {
       ++transactions_;
       if (!rng_.bernoulli(config_.nak_probability)) return true;

@@ -197,33 +197,4 @@ std::string write_bench_json(const BenchReport& report,
   return file.good() ? path : "";
 }
 
-std::string registry_csv(const MetricsRegistry& registry) {
-  std::string out = "kind,component,name,value,count,sum,min,max\n";
-  for (const auto& [key, counter] : registry.counters()) {
-    out += "counter," + key.component + "," + key.name + "," +
-           fmt(counter.value()) + ",,,,\n";
-  }
-  for (const auto& [key, gauge] : registry.gauges()) {
-    out += "gauge," + key.component + "," + key.name + "," +
-           fmt(gauge.value()) + ",,,,\n";
-  }
-  for (const auto& [key, histogram] : registry.histograms()) {
-    out += "histogram," + key.component + "," + key.name + ",," +
-           fmt(histogram.count()) + "," + fmt(histogram.sum()) + "," +
-           fmt(histogram.min()) + "," + fmt(histogram.max()) + "\n";
-  }
-  return out;
-}
-
-std::string series_csv(const std::vector<Series>& series) {
-  std::string out = "series,time_ms,value\n";
-  for (const auto& s : series) {
-    for (const auto& point : s.points) {
-      out += s.name + "," + fmt(point.time_ms) + "," + fmt(point.value) +
-             "\n";
-    }
-  }
-  return out;
-}
-
 }  // namespace gw::obs

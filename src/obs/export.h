@@ -1,6 +1,6 @@
 // Machine-readable export of the observability state: the registry, the
 // journal, and time series, rendered to JSON ("glacsweb.bench.v1", the
-// schema docs/OBSERVABILITY.md documents field by field) and to CSV.
+// schema docs/OBSERVABILITY.md documents field by field).
 //
 // The benches use BenchReport + write_bench_json() to drop a
 // BENCH_<name>.json next to their stdout tables, which is what makes the
@@ -64,15 +64,6 @@ struct BenchReport {
 // the path; empty string on I/O failure (benches warn but keep printing).
 std::string write_bench_json(const BenchReport& report,
                              const std::string& directory = ".");
-
-// --- CSV -----------------------------------------------------------------
-
-// kind,component,name,value,count,sum,min,max — one row per metric;
-// counters and gauges fill `value`, histograms fill the aggregate columns.
-[[nodiscard]] std::string registry_csv(const MetricsRegistry& registry);
-
-// series,time_ms,value — one row per point, series in given order.
-[[nodiscard]] std::string series_csv(const std::vector<Series>& series);
 
 // JSON string escaping, exposed for the doc examples and tests.
 [[nodiscard]] std::string json_escape(const std::string& text);

@@ -42,13 +42,15 @@ using LoadHandle = std::size_t;
 
 struct PowerSystemConfig {
   BatteryConfig battery;
-  sim::Duration tick = sim::minutes(1);
   double recovery_soc = 0.15;  // cold-boot allowed above this
   util::Volts nominal{12.0};
 };
 
 class PowerSystem {
  public:
+  // The integration step of the periodic tick.
+  static constexpr sim::Duration kTick = sim::minutes(1);
+
   PowerSystem(sim::Simulation& simulation,
               const env::Environment& environment, PowerSystemConfig config)
       : simulation_(simulation),
@@ -150,7 +152,6 @@ class PowerSystem {
 
   // --- observation ---------------------------------------------------------
 
-  [[nodiscard]] sim::Duration tick_interval() const { return config_.tick; }
   [[nodiscard]] LeadAcidBattery& battery() { return battery_; }
   [[nodiscard]] const LeadAcidBattery& battery() const { return battery_; }
   [[nodiscard]] bool browned_out() const { return browned_out_; }
@@ -353,11 +354,11 @@ class PowerSystem {
   }
 
   void schedule_tick() {
-    tick_event_ = simulation_.schedule_in(config_.tick, [this] { fire_tick(); });
+    tick_event_ = simulation_.schedule_in(kTick, [this] { fire_tick(); });
   }
 
   void fire_tick() {
-    tick(config_.tick);
+    tick(kTick);
     schedule_tick();
   }
 

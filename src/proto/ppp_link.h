@@ -52,7 +52,6 @@ class PppLink {
          ++attempt) {
       // Dial + ppp negotiation.
       now += config_.dial_time;
-      ++dials_;
       if (!rng_.bernoulli(config_.dial_success)) {
         ++dial_failures_;
         continue;
@@ -87,7 +86,6 @@ class PppLink {
         outcome.elapsed = now - start;
         return outcome;
       }
-      ++interference_drops_;
       // Interference: remain powered and redial (§II's retry rule).
     }
 
@@ -97,17 +95,13 @@ class PppLink {
     return outcome;
   }
 
-  [[nodiscard]] int dials() const { return dials_; }
   [[nodiscard]] int dial_failures() const { return dial_failures_; }
-  [[nodiscard]] int interference_drops() const { return interference_drops_; }
 
  private:
   hw::RadioModem& modem_;
   PppConfig config_;
   util::Rng rng_;
-  int dials_ = 0;
   int dial_failures_ = 0;
-  int interference_drops_ = 0;
 };
 
 }  // namespace gw::proto

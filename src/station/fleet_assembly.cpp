@@ -44,25 +44,23 @@ FleetAssembly::FleetAssembly(FleetConfig config, const std::string& owner)
     : config_(std::move(config)) {
   // A station's name keys its rng stream, its server ledgers,
   // find_station() and its snapshot section, so two specs may not share
-  // one.
+  // one. It also rides every control-plane wire as a form value, which
+  // cannot carry the codec's '=', '&' or '#'.
   std::set<std::string> seen;
   for (const StationSpec& spec : config_.stations) {
     if (!seen.insert(spec.station.name).second) {
       throw std::invalid_argument(owner + ": duplicate station name " +
                                   spec.station.name);
     }
+    if (spec.station.name.find_first_of("=&#") != std::string::npos) {
+      throw std::invalid_argument(owner + ": station name " +
+                                  spec.station.name +
+                                  " contains '=', '&' or '#'");
+    }
   }
   if (config_.trace_enabled && config_.trace_interval <= sim::Duration{0}) {
     throw std::invalid_argument(owner +
                                 ": trace_interval must be positive");
-  }
-  // A power tick rescheduled at its own instant would never let the clock
-  // advance, and a negative one would only fail deep in the kernel.
-  for (const StationSpec& spec : config_.stations) {
-    if (spec.station.power.tick <= sim::Duration{0}) {
-      throw std::invalid_argument(owner + ": station " + spec.station.name +
-                                  " power.tick must be positive");
-    }
   }
   if (!config_.fault_spec.empty()) {
     auto plan = fault::FaultPlan::parse(config_.fault_spec);

@@ -135,9 +135,9 @@ class FleetAssembly {
   }
 
  protected:
-  // Checks `config` — unique station names, a positive trace interval when
-  // the trace is on, a positive power tick on every station, a parseable
-  // fault plan — and wires the fleet server.
+  // Checks `config` — unique station names the wire codec can carry, a
+  // positive trace interval when the trace is on, a parseable fault plan —
+  // and wires the fleet server.
   // `owner` ("Fleet" or "ShardedFleet") prefixes every
   // std::invalid_argument.
   FleetAssembly(FleetConfig config, const std::string& owner);

@@ -103,9 +103,6 @@ class SouthamptonServer {
   void set_station_queue_limit(std::size_t limit) {
     station_queue_limit_ = limit;
   }
-  [[nodiscard]] std::size_t station_queue_limit() const {
-    return station_queue_limit_;
-  }
 
   // Enqueues refused by a full per-station queue (all kinds).
   [[nodiscard]] std::uint64_t ingest_rejected() const {

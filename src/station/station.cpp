@@ -532,15 +532,11 @@ sim::Duration Station::upload_power_state() {
   report.station = config_.name;
   report.state = local_voltage_state_;
   report.day_ms = board_.msp().rtc_now().millis_since_epoch();
-  const std::string wire = report.encode();
-  const auto outcome = gprs_.attempt_transfer(proto::wire_size(wire));
+  const auto outcome =
+      gprs_.attempt_transfer(proto::wire_size(report.encode()));
   if (outcome.success && server_reachable()) {
-    // The server decodes what actually arrived.
-    const auto decoded = proto::StateReport::decode(wire);
-    if (decoded.ok()) {
-      server_.sync().report_state(decoded.value().station,
-                                  decoded.value().state, simulation_.now());
-    }
+    server_.sync().report_state(report.station, report.state,
+                                simulation_.now());
   } else {
     // GPRS session failed, or it came up but Southampton never answered.
     ++stats_.state_upload_failures;
@@ -626,23 +622,17 @@ sim::Duration Station::fetch_override() {
   gprs_.power_on();
   proto::OverrideRequest request;
   request.station = config_.name;
-  const std::string request_wire = request.encode();
   // Request up + response down ride one session.
   proto::OverrideResponse response;
   const auto server_override =
       server_.sync().override_for_client(config_.name, simulation_.now());
   response.has_override = server_override.has_value();
   if (server_override.has_value()) response.state = *server_override;
-  const std::string response_wire = response.encode();
-  const auto outcome = gprs_.attempt_transfer(
-      proto::wire_size(request_wire) + proto::wire_size(response_wire));
+  const auto outcome =
+      gprs_.attempt_transfer(proto::wire_size(request.encode()) +
+                             proto::wire_size(response.encode()));
   if (outcome.success && server_reachable()) {
-    const auto decoded = proto::OverrideResponse::decode(response_wire);
-    if (decoded.ok() && decoded.value().has_override) {
-      last_override_ = decoded.value().state;
-    } else {
-      last_override_.reset();
-    }
+    last_override_ = server_override;
   } else {
     // §III: fetch failed — rely on the local state.
     last_override_.reset();
@@ -721,9 +711,8 @@ sim::Duration Station::apply_pending_config() {
   const auto update = server_.fetch_config_update(config_.name);
   if (!update.has_value()) return sim::Duration{0};
   gprs_.power_on();
-  const auto payload =
-      util::Bytes{std::int64_t(update->canonical_encoding().size()) + 180};
-  const auto outcome = gprs_.attempt_transfer(payload);
+  const auto outcome =
+      gprs_.attempt_transfer(proto::wire_size(update->canonical_encoding()));
   if (!outcome.success) {
     // Retry tomorrow.
     server_.queue_config_update(config_.name, *update, simulation_.now());
@@ -761,9 +750,7 @@ void Station::schedule_gps_program() {
   cancel_gps_program();
   // The Gumstix derives the day plan from the power state; the MSP430
   // powers the dGPS at each of its slots.
-  const auto schedule =
-      core::DaySchedule::for_state(state_, config_.wake_time_of_day);
-  for (const auto& slot : schedule.gps_slots) {
+  for (const sim::Duration slot : core::PowerPolicy::gps_slots_for(state_)) {
     gps_program_.push_back(
         simulation_.schedule_in(slot, [this] { fire_gps_slot(); }));
   }

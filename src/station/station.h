@@ -36,7 +36,6 @@
 #include "core/power_policy.h"
 #include "core/recovery.h"
 #include "core/remote_config.h"
-#include "core/schedule.h"
 #include "core/special_command.h"
 #include "core/state_sync.h"
 #include "core/update_manager.h"
@@ -190,9 +189,6 @@ class Station {
   [[nodiscard]] hw::GumsenseBus& bus() { return bus_; }
   [[nodiscard]] proto::TransferManager& uploads() { return uploads_; }
   [[nodiscard]] core::LogManager& log_manager() { return log_manager_; }
-  [[nodiscard]] core::DataPriorityAnalyzer& priority_analyzer() {
-    return priority_analyzer_;
-  }
   [[nodiscard]] core::RemoteConfig& remote_config() { return remote_config_; }
   [[nodiscard]] core::RecoveryManager& recovery() { return recovery_; }
   [[nodiscard]] core::UpdateManager& updates() { return updates_; }

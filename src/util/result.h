@@ -58,7 +58,6 @@ class [[nodiscard]] Status {
   Status() = default;
   Status(Error error) : error_(std::move(error)), failed_(true) {}  // NOLINT(google-explicit-constructor)
 
-  static Status ok_status() { return Status{}; }
   static Status failure(std::string message) {
     return Status{Error{std::move(message)}};
   }

@@ -250,21 +250,10 @@ TEST(LogManager, NewDayEmitsSummaryAndResets) {
   EXPECT_EQ(manager.drain_bytes(), summary_bytes + 64);
 }
 
-TEST(LogManager, SavedTransferSeconds) {
-  LogManager manager;
-  for (int i = 0; i < 3000; ++i) {
-    manager.debug(i, "probes", std::string(300, 'x'));
-  }
-  // ~970 KB suppressed at 5000 bps ≈ 26 min saved.
-  const double saved = manager.saved_transfer_seconds(
-      util::BitsPerSecond{5000.0});
-  EXPECT_GT(saved, 10.0 * 60.0);
-  EXPECT_LT(saved, 60.0 * 60.0);
-}
-
 TEST(LogManager, SuppressedLinesChargeTheirRenderedBytes) {
-  // One size formula for every line: N suppressed DEBUG lines add exactly
-  // N rendered line sizes to the bytes behind saved_transfer_seconds.
+  // One size formula for every line: 1000 suppressed DEBUG lines of 64
+  // rendered bytes each are 64 000 bytes (62 KiB) in the next day's
+  // summary, and that summary is metered at its own rendered size.
   LogManager manager;
   fill_probes_budget(manager);
   constexpr std::size_t kSuppressed = 1000;
@@ -272,11 +261,15 @@ TEST(LogManager, SuppressedLinesChargeTheirRenderedBytes) {
     manager.debug(kTime, "probes", k64ByteMessage);
   }
   ASSERT_EQ(manager.suppressed_for("probes"), kSuppressed);
-  const util::BitsPerSecond rate{8.0};  // one byte a second
-  EXPECT_DOUBLE_EQ(
-      manager.saved_transfer_seconds(rate),
-      util::transfer_seconds(util::Bytes{std::int64_t(kSuppressed * 64)},
-                             rate));
+  ASSERT_EQ(manager.drain_bytes(), kBudget);
+
+  constexpr std::int64_t kNextDay = kTime + 86'400'000;
+  manager.new_day(kNextDay);
+  EXPECT_EQ(manager.pending_bytes(),
+            render({{kNextDay, LogLevel::kInfo, "probes",
+                     "log budget: suppressed 1000 records (62 KiB) "
+                     "yesterday"}})
+                .size());
 }
 
 TEST(LogManager, PersistRoundTripsPendingBytesAndBudgets) {

@@ -42,6 +42,21 @@ TEST(PowerPolicy, Table2Actions) {
   EXPECT_TRUE(s0.sensor_readings);
 }
 
+TEST(PowerPolicy, GpsSlotsMatchTable2) {
+  const auto s3 = PowerPolicy::gps_slots_for(power::PowerState::kState3);
+  ASSERT_EQ(s3.size(), 12u);
+  // 12 slots at 2-hour spacing — the Fig 5 dip rhythm.
+  EXPECT_EQ(s3[0], sim::hours(2));
+  EXPECT_EQ(s3[11], sim::hours(24));
+
+  const auto s2 = PowerPolicy::gps_slots_for(power::PowerState::kState2);
+  ASSERT_EQ(s2.size(), 1u);
+  EXPECT_EQ(s2[0], sim::hours(24));
+
+  EXPECT_TRUE(PowerPolicy::gps_slots_for(power::PowerState::kState1).empty());
+  EXPECT_TRUE(PowerPolicy::gps_slots_for(power::PowerState::kState0).empty());
+}
+
 TEST(PowerPolicy, StatesOrdered) {
   EXPECT_LT(power::PowerState::kState0, power::PowerState::kState1);
   EXPECT_LT(power::PowerState::kState2, power::PowerState::kState3);

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/schedule.h"
 #include "env/environment.h"
 
 namespace gw::hw {
@@ -26,27 +25,6 @@ TEST(GumsenseBus, ReadSamplesDrainsRing) {
   EXPECT_EQ(f.msp.pending_samples(), 0u);
 }
 
-TEST(GumsenseBus, SetScheduleInstallsWake) {
-  Fixture f;
-  GumsenseBus bus{f.msp, util::Rng{1}};
-  const auto schedule =
-      core::DaySchedule::for_state(power::PowerState::kState2,
-                                   sim::hours(12));
-  ASSERT_TRUE(bus.set_schedule(schedule).ok());
-  ASSERT_TRUE(f.msp.wake_schedule().has_value());
-  EXPECT_EQ(*f.msp.wake_schedule(), sim::hours(12));
-}
-
-TEST(GumsenseBus, RtcRoundTrip) {
-  Fixture f;
-  GumsenseBus bus{f.msp, util::Rng{1}};
-  f.simulation.run_until(f.simulation.now() + sim::days(10));
-  const auto before = bus.read_rtc();
-  ASSERT_TRUE(before.ok());
-  ASSERT_TRUE(bus.set_rtc(f.simulation.now()).ok());
-  EXPECT_EQ(f.msp.rtc_error_ms(), 0);
-}
-
 TEST(GumsenseBus, RetriesAbsorbOccasionalNaks) {
   Fixture f;
   GumsenseBusConfig config;
@@ -54,7 +32,7 @@ TEST(GumsenseBus, RetriesAbsorbOccasionalNaks) {
   GumsenseBus bus{f.msp, util::Rng{3}, config};
   int failures = 0;
   for (int i = 0; i < 200; ++i) {
-    if (!bus.read_rtc().ok()) ++failures;
+    if (!bus.read_samples().ok()) ++failures;
   }
   // P(fail) = 0.3^4 ≈ 0.008.
   EXPECT_LT(failures, 6);
@@ -66,12 +44,10 @@ TEST(GumsenseBus, DeadBusSurfacesErrors) {
   GumsenseBusConfig config;
   config.nak_probability = 1.0;
   GumsenseBus bus{f.msp, util::Rng{3}, config};
+  f.simulation.run_until(f.simulation.now() + sim::days(1));
   EXPECT_FALSE(bus.read_samples().ok());
-  EXPECT_FALSE(bus.set_schedule(core::DaySchedule{}).ok());
-  EXPECT_FALSE(bus.read_rtc().ok());
-  EXPECT_FALSE(bus.set_rtc(f.simulation.now()).ok());
-  // The MSP state was never touched.
-  EXPECT_FALSE(f.msp.wake_schedule().has_value());
+  // The MSP state was never touched: the day's samples still wait.
+  EXPECT_EQ(f.msp.pending_samples(), 48u);
 }
 
 }  // namespace

@@ -97,25 +97,5 @@ TEST(BenchReportJson, DeterministicAcrossIdenticalBuilds) {
   EXPECT_EQ(registry_json(*first), registry_json(*second));
 }
 
-TEST(RegistryCsv, OneRowPerMetric) {
-  MetricsRegistry registry;
-  registry.counter("station", "wakes").increment(3);
-  registry.gauge("power", "battery_soc").set(0.875);
-  registry.histogram("station", "run_seconds", {60.0}).observe(30.0);
-  EXPECT_EQ(registry_csv(registry),
-            "kind,component,name,value,count,sum,min,max\n"
-            "counter,station,wakes,3,,,,\n"
-            "gauge,power,battery_soc,0.875,,,,\n"
-            "histogram,station,run_seconds,,1,30,30,30\n");
-}
-
-TEST(SeriesCsv, OneRowPerPoint) {
-  const std::vector<Series> series = {{"v", {{0, 1.5}, {1000, 2.5}}}};
-  EXPECT_EQ(series_csv(series),
-            "series,time_ms,value\n"
-            "v,0,1.5\n"
-            "v,1000,2.5\n");
-}
-
 }  // namespace
 }  // namespace gw::obs

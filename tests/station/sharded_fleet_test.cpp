@@ -227,31 +227,22 @@ TEST(ShardedFleetTest, RefusesNonPositiveTraceInterval) {
   }
 }
 
-// The sharded assembly applies the serial fleet's power-tick check.
-void expect_sharded_fleet_refuses_power_tick(sim::Duration tick) {
-  ShardedFleetConfig config;
-  config.fleet = uniform_fleet_config(2, 1);
-  config.fleet.stations[1].station.power.tick = tick;
-  config.workers = 1;
-  try {
-    ShardedFleet fleet{config};
-    FAIL() << "a sharded fleet ticking every " << tick.millis()
-           << " ms was built";
-  } catch (const std::invalid_argument& error) {
-    const std::string what = error.what();
-    EXPECT_NE(what.find("power.tick"), std::string::npos) << what;
-    EXPECT_NE(what.find(config.fleet.stations[1].station.name),
-              std::string::npos)
-        << what;
+// The sharded assembly applies the serial fleet's station-name check.
+TEST(ShardedFleetTest, RefusesStationNameTheWireCannotCarry) {
+  for (const std::string name : {"s=1", "s&1", "s#1"}) {
+    ShardedFleetConfig config;
+    config.fleet = uniform_fleet_config(2, 1);
+    config.fleet.stations[1].station.name = name;
+    config.workers = 1;
+    try {
+      ShardedFleet fleet{config};
+      FAIL() << "a sharded fleet with a station named " << name
+             << " was built";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(name), std::string::npos)
+          << error.what();
+    }
   }
-}
-
-TEST(ShardedFleetTest, RefusesZeroPowerTick) {
-  expect_sharded_fleet_refuses_power_tick(sim::Duration{0});
-}
-
-TEST(ShardedFleetTest, RefusesNegativePowerTick) {
-  expect_sharded_fleet_refuses_power_tick(sim::minutes(-1));
 }
 
 TEST(ShardedFleetTest, FindStationAndProbeNaming) {
