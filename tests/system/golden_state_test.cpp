@@ -1,9 +1,10 @@
 // Golden whole-world state fingerprint (docs/SNAPSHOT.md).
 //
 // A 20-day faulted two-station season is snapshotted and every section's
-// CRC-32 — plus the whole-world fingerprint — is pinned. Any change to any
-// subsystem's dynamics, rng draw order, or persist field list shows up here
-// as a named section, not a blind hash mismatch. The size of the whole
+// CRC-32 — plus the whole-world fingerprint — is pinned, once with the
+// trace off and once with it on. Any change to any subsystem's dynamics,
+// rng draw order, or persist field list shows up here as a named section,
+// not a blind hash mismatch. The size of the whole
 // sealed stream and its stored file CRC (the trailing four bytes, which
 // must equal the CRC-32 of every byte before them) are pinned too: they
 // cover the framing, which no section CRC sees. The CRC-32 of the whole
@@ -68,6 +69,60 @@ struct GoldenSection {
   std::uint32_t crc;
 };
 
+// What a golden season pins: every section CRC in order, the fingerprint,
+// the size of the sealed stream and its stored file CRC.
+struct Golden {
+  std::span<const GoldenSection> sections;
+  std::uint32_t fingerprint;
+  std::size_t sealed_bytes;
+  std::uint32_t file_crc;
+};
+
+// Runs `config` to day 20 + 17 min, seals it and compares the container
+// with `golden`, printing the freshly-computed table on any drift.
+void expect_golden_season(const FleetConfig& config, const Golden& golden) {
+  Fleet fleet{config};
+  fleet.simulation().run_until(fleet.simulation().now() + sim::days(20) +
+                               sim::minutes(17));
+  const std::vector<std::uint8_t> snapshot = fleet.save_snapshot();
+  const snapshot::StateReader reader(snapshot);
+
+  // The reader above has refused any stream too short for its framing.
+  const std::size_t body = snapshot.size() - 4;
+  std::uint32_t file_crc = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    file_crc |= std::uint32_t(snapshot[body + i]) << (8 * i);
+  }
+  EXPECT_EQ(file_crc,
+            util::crc32(std::span<const std::uint8_t>(snapshot).first(body)));
+  bool drifted = reader.fingerprint() != golden.fingerprint ||
+                 reader.sections().size() != golden.sections.size() ||
+                 snapshot.size() != golden.sealed_bytes ||
+                 file_crc != golden.file_crc;
+  ASSERT_EQ(reader.sections().size(), golden.sections.size());
+  for (std::size_t i = 0; i < golden.sections.size(); ++i) {
+    const auto& section = reader.sections()[i];
+    EXPECT_EQ(section.name, golden.sections[i].name);
+    EXPECT_EQ(section.crc, golden.sections[i].crc)
+        << "drifted section: " << section.name;
+    drifted = drifted || section.name != golden.sections[i].name ||
+              section.crc != golden.sections[i].crc;
+  }
+  EXPECT_EQ(reader.fingerprint(), golden.fingerprint);
+  EXPECT_EQ(snapshot.size(), golden.sealed_bytes);
+  EXPECT_EQ(file_crc, golden.file_crc);
+
+  if (drifted) {
+    std::printf("// freshly-computed golden table:\n");
+    for (const auto& section : reader.sections()) {
+      std::printf("    {\"%s\", 0x%08xu},\n", section.name.c_str(),
+                  section.crc);
+    }
+    std::printf("fingerprint 0x%08xu, sealed bytes %zu, file CRC 0x%08xu\n",
+                reader.fingerprint(), snapshot.size(), file_crc);
+  }
+}
+
 // Pinned from the first green run; re-pin (paste the printed table) when a
 // deliberate behaviour change moves a subsystem.
 constexpr GoldenSection kGolden[] = {
@@ -87,50 +142,39 @@ constexpr std::size_t kGoldenSealedBytes = 88183;
 constexpr std::uint32_t kGoldenFileCrc = 0xbde34362u;
 
 TEST(GoldenStateTest, TwentyDayFaultedSeasonFingerprint) {
-  Fleet fleet{golden_config()};
-  fleet.simulation().run_until(fleet.simulation().now() + sim::days(20) +
-                               sim::minutes(17));
-  const std::vector<std::uint8_t> snapshot = fleet.save_snapshot();
-  const snapshot::StateReader reader(snapshot);
+  expect_golden_season(golden_config(),
+                       Golden{kGolden, kGoldenFingerprint, kGoldenSealedBytes,
+                              kGoldenFileCrc});
+}
 
-  // The reader above has refused any stream too short for its framing.
-  const std::size_t body = snapshot.size() - 4;
-  std::uint32_t file_crc = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    file_crc |= std::uint32_t(snapshot[body + i]) << (8 * i);
-  }
-  EXPECT_EQ(file_crc,
-            util::crc32(std::span<const std::uint8_t>(snapshot).first(body)));
-  bool drifted = reader.fingerprint() != kGoldenFingerprint ||
-                 reader.sections().size() != std::size(kGolden) ||
-                 snapshot.size() != kGoldenSealedBytes ||
-                 file_crc != kGoldenFileCrc;
-  ASSERT_EQ(reader.sections().size(), std::size(kGolden));
-  for (std::size_t i = 0; i < std::size(kGolden); ++i) {
-    const auto& section = reader.sections()[i];
-    EXPECT_EQ(section.name, kGolden[i].name);
-    EXPECT_EQ(section.crc, kGolden[i].crc)
-        << "drifted section: " << section.name;
-    drifted = drifted || section.name != kGolden[i].name ||
-              section.crc != kGolden[i].crc;
-  }
-  EXPECT_EQ(reader.fingerprint(), kGoldenFingerprint);
-  EXPECT_EQ(snapshot.size(), kGoldenSealedBytes);
-  EXPECT_EQ(file_crc, kGoldenFileCrc);
+// The same season with the 30-minute trace on: the `fleet` section then
+// carries 9 series of 961 samples each, so this pins the trace codec. The
+// sampler's events take kernel sequence numbers, which the pending events'
+// rebuild records carry, so the kernel, station and probe sections differ
+// from the trace-off table's too; tracing changes no ledger
+// (tests/system/trace_invariance_test.cpp).
+constexpr GoldenSection kTracedGolden[] = {
+    {"meta", 0xe54be544u},
+    {"kernel", 0x20f738ebu},
+    {"fault", 0x702f7349u},
+    {"server", 0xf18c2d33u},
+    {"fleet", 0xe17525dcu},
+    {"station/base", 0xeaa77acbu},
+    {"probe/base/20", 0x41de5967u},
+    {"probe/base/21", 0xeedb3ec0u},
+    {"probe/base/22", 0xeb43bfaeu},
+    {"station/reference", 0x80d3ddd9u},
+};
+constexpr std::uint32_t kTracedGoldenFingerprint = 0xdaaacefau;
+constexpr std::size_t kTracedGoldenSealedBytes = 226877;
+constexpr std::uint32_t kTracedGoldenFileCrc = 0xff5224bdu;
 
-  if (drifted) {
-    std::printf("// freshly-computed golden table:\n");
-    for (const auto& section : reader.sections()) {
-      std::printf("    {\"%s\", 0x%08xu},\n", section.name.c_str(),
-                  section.crc);
-    }
-    std::printf("constexpr std::uint32_t kGoldenFingerprint = 0x%08xu;\n",
-                reader.fingerprint());
-    std::printf("constexpr std::size_t kGoldenSealedBytes = %zu;\n",
-                snapshot.size());
-    std::printf("constexpr std::uint32_t kGoldenFileCrc = 0x%08xu;\n",
-                file_crc);
-  }
+TEST(GoldenStateTest, TracedTwentyDaySeasonFingerprint) {
+  FleetConfig config = golden_config();
+  config.trace_enabled = true;
+  expect_golden_season(config, Golden{kTracedGolden, kTracedGoldenFingerprint,
+                                      kTracedGoldenSealedBytes,
+                                      kTracedGoldenFileCrc});
 }
 
 }  // namespace
