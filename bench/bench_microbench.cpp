@@ -4,8 +4,9 @@
 // the MD5 used by the
 // update pipeline, CRC32 framing checks, the battery integrator, one
 // simulated minute of environment queries and of the PowerSystem tick, a
-// full NACK protocol session, and the Southampton query path (one wire
-// parse, and handle_query per query kind). These measure the
+// full NACK protocol session, the Southampton query path (one wire
+// parse, and handle_query per query kind), trace appends by series handle,
+// and the save and restore of a day-180 world. These measure the
 // *implementation*, not the paper; they exist so performance regressions
 // in the substrate are visible.
 #include <benchmark/benchmark.h>
@@ -24,6 +25,8 @@
 #include "proto/bulk_transfer.h"
 #include "proto/messages.h"
 #include "sim/simulation.h"
+#include "sim/trace.h"
+#include "snapshot/error.h"
 #include "station/deployment.h"
 #include "station/southampton.h"
 #include "util/crc32.h"
@@ -261,6 +264,110 @@ void BM_DeploymentDay(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DeploymentDay)->Unit(benchmark::kMillisecond);
+
+void BM_TraceAppend(benchmark::State& state) {
+  // One season of the paper preset's trace: its 13 series (voltage, state
+  // and SoC of both stations, and seven probe conductivities), range(0)
+  // 30-minute samples each, appended through handles declared once into a
+  // fresh trace. One item is one append.
+  std::vector<std::string> names;
+  for (const char* station : {"base", "reference"}) {
+    for (const char* quantity : {".voltage", ".state", ".soc"}) {
+      names.push_back(station + std::string(quantity));
+    }
+  }
+  for (int probe = 20; probe < 27; ++probe) {
+    names.push_back("probe" + std::to_string(probe) + ".conductivity");
+  }
+  const std::int64_t samples = state.range(0);
+  for (auto _ : state) {
+    sim::Trace trace;
+    std::vector<sim::SeriesId> series;
+    series.reserve(names.size());
+    for (const std::string& name : names) {
+      series.push_back(trace.declare(name));
+    }
+    for (std::int64_t k = 0; k < samples; ++k) {
+      const sim::SimTime t{k * 1'800'000};
+      for (std::size_t s = 0; s < series.size(); ++s) {
+        trace.add(series[s], t, double(k) + double(s));
+      }
+    }
+    benchmark::DoNotOptimize(trace);
+  }
+  state.SetItemsProcessed(state.iterations() * samples *
+                          std::int64_t(names.size()));
+}
+BENCHMARK(BM_TraceAppend)->Arg(17520);
+
+// The world glacbench's whatif_fork workload branches from: the paper
+// preset at seed 1 under bench_fault_soak's scripted season, warmed to day
+// 180 + 17 min and sealed there (a minute later per refusal, as glacbench
+// retries a save that is not quiescent). Built once per process.
+struct ForkSeal {
+  station::FleetConfig config;
+  std::unique_ptr<station::Fleet> world;
+  std::vector<std::uint8_t> bytes;
+};
+
+const ForkSeal& fork_seal() {
+  static const ForkSeal seal = [] {
+    station::DeploymentConfig deployment;
+    deployment.seed = 1;
+    deployment.fault_spec =
+        "gprs_outage      start=20d duration=7d  severity=1.0\n"
+        "dgps_no_fix      start=35d duration=3d  severity=0.9\n"
+        "cf_write_fail    start=45d duration=2d  severity=0.3\n"
+        "server_down      start=50d duration=36h\n"
+        "harvest_blackout start=70d duration=12d severity=1.0\n";
+    ForkSeal built{deployment.to_fleet_config(), nullptr, {}};
+    built.world = std::make_unique<station::Fleet>(built.config);
+    sim::Simulation& kernel = built.world->simulation();
+    kernel.run_until(sim::to_time(built.config.start) + sim::days(180) +
+                     sim::minutes(17));
+    for (;;) {
+      try {
+        built.bytes = built.world->save_snapshot();
+        return built;
+      } catch (const snapshot::SnapshotError& error) {
+        if (error.code() != snapshot::SnapshotErrc::kNotQuiescent) throw;
+        kernel.run_until(kernel.now() + sim::minutes(1));
+      }
+    }
+  }();
+  return seal;
+}
+
+void BM_SnapshotSave(benchmark::State& state) {
+  // One save of the day-180 world, as a whatif_fork branch ends.
+  const ForkSeal& seal = fork_seal();
+  for (auto _ : state) {
+    const std::vector<std::uint8_t> bytes = seal.world->save_snapshot();
+    benchmark::DoNotOptimize(bytes.data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          std::int64_t(seal.bytes.size()));
+  state.counters["sealed_bytes"] = double(seal.bytes.size());
+}
+BENCHMARK(BM_SnapshotSave)->Unit(benchmark::kMicrosecond);
+
+void BM_SnapshotRestore(benchmark::State& state) {
+  // One restore of the day-180 seal into a freshly constructed fleet, as a
+  // whatif_fork branch begins; construction and teardown are not timed.
+  const ForkSeal& seal = fork_seal();
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto fresh = std::make_unique<station::Fleet>(seal.config);
+    state.ResumeTiming();
+    fresh->restore_snapshot(seal.bytes);
+    state.PauseTiming();
+    fresh.reset();
+    state.ResumeTiming();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          std::int64_t(seal.bytes.size()));
+}
+BENCHMARK(BM_SnapshotRestore)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace gw

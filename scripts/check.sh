@@ -27,8 +27,11 @@
 #      runs them and leaves machine-readable results in the repo root as
 #      BENCH_throughput.json (schema glacsweb.bench.v1) and
 #      BENCH_microbench_raw.json (google-benchmark JSON; BM_KernelPeriodic
-#      in it is the delay lanes' dispatch cost). Skipped when the
-#      binaries are absent; disable explicitly with GW_CHECK_BENCH=0;
+#      in it is the delay lanes' dispatch cost, BM_TraceAppend a season of
+#      the paper preset's 13 trace series appended by handle, and
+#      BM_SnapshotSave and BM_SnapshotRestore the save and restore of the
+#      whatif_fork workload's day-180 seal). Skipped when the binaries are
+#      absent; disable explicitly with GW_CHECK_BENCH=0;
 #   6. fleet determinism gate: when build/bench/bench_fleet_scale exists,
 #      runs the sweep three times — GW_BENCH_THREADS=1, one shard
 #      (GW_BENCH_FLEET_SHARDS=1), and the defaults — and byte-diffs the
@@ -67,9 +70,10 @@
 #      gated on clang-tidy being installed, like the clang-format leg;
 #  12. native-build leg: with GW_CHECK_NATIVE=1, builds system_test with
 #      -O3 -march=native in a separate build-native/ dir and runs the
-#      golden whole-world snapshot, the trace-invariance season, the
-#      pinned log bytes and the pinned daily-run step times and event
-#      counts (GoldenStateTest.*, TraceInvariance.*, LogBytes.*,
+#      golden whole-world snapshots (trace off and on), the
+#      trace-invariance season, the pinned log bytes and the pinned
+#      daily-run step times and event counts (GoldenStateTest.*,
+#      TraceInvariance.*, LogBytes.*,
 #      DailyRun.*), so the pinned constants are shown to hold on a build
 #      that may use FMA (the root CMakeLists.txt compiles with
 #      -ffp-contract=off). Off by default for the same reason as the

@@ -12,8 +12,9 @@
 //
 // Each component has a daily byte budget: once it is spent, the
 // component's lines below the protected floor are suppressed at the
-// source and replaced, at day rollover, by a single summary line
-// ("probes: suppressed 11734 records, 1.1 MiB"). Warnings and errors
+// source and replaced, at day rollover, by a single INFO line metered
+// under that component, its size in whole KiB ("log budget: suppressed
+// 11734 records (539 KiB) yesterday"). Warnings and errors
 // always get through, and count toward their component's budget like
 // every other admitted line — the field rule is to cut *redundant*
 // output, not evidence.

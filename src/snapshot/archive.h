@@ -26,14 +26,15 @@
 // immediately — short reads never yield zero-filled state. It accepts only
 // what a Saver writes: a bool byte other than 0 or 1, or map keys that are
 // not strictly increasing, are SnapshotError(kStateMismatch), so every
-// payload it accepts re-saves to the same bytes.
+// payload it accepts re-saves to the same bytes. Its errors name the
+// section it reads, when it was opened on one.
 //
 // A Saver keeps its bytes (the default), writes them in place into a
 // buffer it is given, or only counts them; StateWriter counts every
 // section first and then writes it in place into a container of exactly
-// the counted size. Codecs that move a whole block at once (the trace's
-// series) use records() on both sides, and entries() gives a map's
-// framing to a codec of the caller's own for its items.
+// the counted size. A codec that moves a whole block at once (the trace's
+// runs and values) claims it with Saver::block and reads it back with
+// Loader::block, which bounds-checks the block once.
 #pragma once
 
 #include <algorithm>
@@ -49,6 +50,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -86,22 +88,10 @@ concept QuantityLike = requires(const T& t) {
 } && std::constructible_from<T, double> && !CountLike<T> &&
     !DurationLike<T> && !TimePointLike<T>;
 
-// A record whose persist() writes a fixed kBytes bytes, which encode()
-// also writes and decode() reads, in one go: a vector of them can move as
-// one block (Saver::records, Loader::records).
-template <class T>
-concept FixedWidthRecord =
-    requires(const T& record, T& target, std::uint8_t* out,
-             const std::uint8_t* in) {
-      { T::kBytes } -> std::convertible_to<std::size_t>;
-      record.encode(out);
-      target.decode(in);
-    };
-
 }  // namespace detail
 
 // Little-endian words, for codecs that write or read a block at once
-// (Saver::records, Loader::records). On a little-endian host a word is
+// (Saver::block, Loader::block). On a little-endian host a word is
 // copied as it is: g++ -O2 merges eight spelled-out byte stores into one
 // store in straight-line code, but not inside a block loop.
 inline void store_le64(std::uint8_t* at, std::uint64_t x) {
@@ -215,7 +205,11 @@ class Saver {
 
   template <class K, class V, class C>
   void value(const std::map<K, V, C>& v) {
-    entries(v, [this](const V& item) { value(item); });
+    put_u64(v.size());
+    for (const auto& [key, item] : v) {
+      value(key);
+      value(item);
+    }
   }
 
   template <class T>
@@ -235,29 +229,9 @@ class Saver {
     for (const T& item : v) value(item);
   }
 
-  // A map as value(v) writes it, each item through save_item(item): for a
-  // caller with a codec of its own for the items.
-  template <class K, class V, class C, class SaveItem>
-  void entries(const std::map<K, V, C>& v, SaveItem&& save_item) {
-    put_u64(v.size());
-    for (const auto& [key, item] : v) {
-      value(key);
-      save_item(item);
-    }
-  }
-
-  // The bytes value(v) writes, as one block: one claim for the whole
-  // vector instead of one per field.
-  template <detail::FixedWidthRecord T>
-  void records(const std::vector<T>& v) {
-    put_u64(v.size());
-    std::uint8_t* at = claim(T::kBytes * v.size());
-    if (at == nullptr) return;
-    for (const T& item : v) {
-      item.encode(at);
-      at += T::kBytes;
-    }
-  }
+  // Claims the next n bytes for a codec that encodes a block itself, and
+  // returns where they start; null while the Saver only counts.
+  [[nodiscard]] std::uint8_t* block(std::size_t n) { return claim(n); }
 
  private:
   enum Counting { kCounting };
@@ -303,7 +277,12 @@ class Loader {
  public:
   static constexpr bool kIsSaver = false;
 
-  explicit Loader(std::span<const std::uint8_t> payload) : data_(payload) {}
+  // A Loader over `payload`, which is the section named `section` when
+  // one is given: its errors then name that section. The name is a view,
+  // like the payload, and must outlive the Loader.
+  explicit Loader(std::span<const std::uint8_t> payload,
+                  std::string_view section = {})
+      : data_(payload), section_(section) {}
 
   template <class T>
   void value(T& v) {
@@ -313,9 +292,8 @@ class Loader {
       // re-save as 1, so the payload would not survive a round trip.
       const std::uint8_t byte = take_byte();
       if (byte > 1) {
-        throw SnapshotError(SnapshotErrc::kStateMismatch,
-                            "bool byte " + std::to_string(byte) +
-                                " is neither 0 nor 1");
+        refuse(SnapshotErrc::kStateMismatch,
+               "bool byte " + std::to_string(byte) + " is neither 0 nor 1");
       }
       v = byte == 1;
     } else if constexpr (std::is_enum_v<D>) {
@@ -371,7 +349,22 @@ class Loader {
 
   template <class K, class V, class C>
   void value(std::map<K, V, C>& v) {
-    entries(v, [this](V& item) { value(item); });
+    const std::uint64_t n = take_u64();
+    v.clear();
+    for (std::uint64_t i = 0; i < n; ++i) {
+      K key{};
+      value(key);
+      // A Saver writes a map in key order, so each key must follow the one
+      // before it: a repeat or a step back would load a map that re-saves
+      // to other bytes. In order, every entry goes in at the end.
+      if (!v.empty() && !v.key_comp()(v.rbegin()->first, key)) {
+        refuse(SnapshotErrc::kStateMismatch,
+               "map keys are not strictly increasing");
+      }
+      V item{};
+      value(item);
+      v.emplace_hint(v.end(), std::move(key), std::move(item));
+    }
   }
 
   template <class T>
@@ -397,46 +390,24 @@ class Loader {
     for (T& item : v) value(item);
   }
 
-  // A map written by Saver::entries, each item through load_item(item).
-  template <class K, class V, class C, class LoadItem>
-  void entries(std::map<K, V, C>& v, LoadItem&& load_item) {
-    const std::uint64_t n = take_u64();
-    v.clear();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      K key{};
-      value(key);
-      // A Saver writes a map in key order, so each key must follow the one
-      // before it: a repeat or a step back would load a map that re-saves
-      // to other bytes. In order, every entry goes in at the end.
-      if (!v.empty() && !v.key_comp()(v.rbegin()->first, key)) {
-        throw SnapshotError(SnapshotErrc::kStateMismatch,
-                            "map keys are not strictly increasing");
-      }
-      V item{};
-      load_item(item);
-      v.emplace_hint(v.end(), std::move(key), std::move(item));
+  // The next `count` items of `width` bytes each, as one block. The block
+  // is bounds-checked once, before the caller allocates anything, so a
+  // count the payload cannot hold is an underrun however large it is.
+  [[nodiscard]] std::span<const std::uint8_t> block(std::uint64_t count,
+                                                    std::size_t width) {
+    if (count > remaining() / width) {
+      refuse(SnapshotErrc::kSectionUnderrun,
+             "read of " + std::to_string(count) + " item(s) of " +
+                 std::to_string(width) + " byte(s) with " +
+                 std::to_string(remaining()) + " left");
     }
+    return take_bytes(count * width);
   }
 
-  // What value(v) reads, as one block. The block is bounds-checked once,
-  // before anything is allocated, so a count the payload cannot hold is an
-  // underrun however large it is.
-  template <detail::FixedWidthRecord T>
-  void records(std::vector<T>& v) {
-    const std::uint64_t n = take_u64();
-    if (n > remaining() / T::kBytes) {
-      throw SnapshotError(SnapshotErrc::kSectionUnderrun,
-                          "read of " + std::to_string(n) + " record(s) of " +
-                              std::to_string(T::kBytes) + " byte(s) with " +
-                              std::to_string(remaining()) + " left");
-    }
-    const std::uint8_t* at = take_bytes(n * T::kBytes).data();
-    v.clear();
-    v.resize(std::size_t(n));
-    for (T& item : v) {
-      item.decode(at);
-      at += T::kBytes;
-    }
+  // Throws SnapshotError(code) with `detail`, naming this Loader's section:
+  // for persist() bodies that refuse what they read.
+  [[noreturn]] void refuse(SnapshotErrc code, std::string detail) const {
+    throw SnapshotError(code, std::move(detail), std::string(section_));
   }
 
   [[nodiscard]] std::size_t remaining() const {
@@ -447,9 +418,9 @@ class Loader {
   // payload and the code disagree about the field list.
   void expect_end() const {
     if (pos_ != data_.size()) {
-      throw SnapshotError(SnapshotErrc::kTrailingBytes,
-                          std::to_string(data_.size() - pos_) +
-                              " unread byte(s) after persist()");
+      refuse(SnapshotErrc::kTrailingBytes,
+             std::to_string(data_.size() - pos_) +
+                 " unread byte(s) after persist()");
     }
   }
 
@@ -462,10 +433,9 @@ class Loader {
 
   [[nodiscard]] std::span<const std::uint8_t> take_bytes(std::uint64_t n) {
     if (n > data_.size() - pos_) {
-      throw SnapshotError(SnapshotErrc::kSectionUnderrun,
-                          "read of " + std::to_string(n) + " byte(s) with " +
-                              std::to_string(data_.size() - pos_) +
-                              " left");
+      refuse(SnapshotErrc::kSectionUnderrun,
+             "read of " + std::to_string(n) + " byte(s) with " +
+                 std::to_string(data_.size() - pos_) + " left");
     }
     const std::span<const std::uint8_t> out = data_.subspan(pos_, n);
     pos_ += n;
@@ -474,6 +444,7 @@ class Loader {
 
  private:
   std::span<const std::uint8_t> data_;
+  std::string_view section_;
   std::size_t pos_ = 0;
 };
 

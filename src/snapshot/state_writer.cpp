@@ -250,7 +250,7 @@ Loader StateReader::open(std::string_view name) const {
     throw SnapshotError(SnapshotErrc::kMissingSection,
                         "snapshot has no such section", std::string(name));
   }
-  return Loader(section->payload);
+  return Loader(section->payload, section->name);
 }
 
 std::uint32_t StateReader::fingerprint() const {

@@ -42,7 +42,7 @@
 
 namespace gw::snapshot {
 
-inline constexpr std::uint16_t kFormatVersion = 5;
+inline constexpr std::uint16_t kFormatVersion = 6;
 inline constexpr std::string_view kMagic = "GWSNAP";
 
 class StateWriter {
@@ -129,8 +129,8 @@ class StateReader {
   // The named section, or null when absent.
   [[nodiscard]] const Section* find(std::string_view name) const;
 
-  // A Loader positioned over the named section's payload; throws
-  // SnapshotError(kMissingSection) when absent.
+  // A Loader positioned over the named section's payload, whose errors
+  // name the section; throws SnapshotError(kMissingSection) when absent.
   [[nodiscard]] Loader open(std::string_view name) const;
 
   // CRC-32 over the ordered (name, section CRC) pairs — the whole-world

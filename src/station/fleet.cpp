@@ -19,7 +19,10 @@ Fleet::Fleet(FleetConfig config)
     build_station(s, simulation_, environment_, server_, oracle);
   }
   finish_build();
-  if (config_.trace_enabled) sample_trace();
+  if (config_.trace_enabled) {
+    for (std::size_t s = 0; s < size(); ++s) declare_series(s, trace_);
+    sample_trace();
+  }
 }
 
 void Fleet::run_days(double days) {

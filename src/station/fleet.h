@@ -45,7 +45,7 @@ class Fleet : public FleetAssembly {
   // "<station>.soc", and "<station>/probe<id>.conductivity" (bare
   // "probe<id>.conductivity" under the paper preset's naming) — the raw
   // material for the Fig 5 / Fig 6 benches.
-  [[nodiscard]] sim::Trace& trace() { return trace_; }
+  [[nodiscard]] const sim::Trace& trace() const { return trace_; }
 
   // The shared fault oracle (always present; empty plan when no fault_spec
   // was given) and its instrumentation pair — fleet-level observables the

@@ -115,22 +115,23 @@ void FleetAssembly::finish_build() {
   }
 
   for (auto& built : stations_) built->start();
+  if (config_.trace_enabled) station_series_.resize(stations_.size());
+}
 
-  if (!config_.trace_enabled) return;
+void FleetAssembly::declare_series(std::size_t index, sim::Trace& trace) {
+  const std::string& name = stations_[index]->name();
+  StationSeries& series = station_series_[index];
+  series.voltage = trace.declare(name + ".voltage");
+  series.state = trace.declare(name + ".state");
+  series.soc = trace.declare(name + ".soc");
   const util::Rng noise{config_.seed};
-  trace_names_.reserve(stations_.size());
-  for (std::size_t s = 0; s < stations_.size(); ++s) {
-    const std::string& name = stations_[s]->name();
-    TraceNames& names = trace_names_.emplace_back(TraceNames{
-        name + ".voltage", name + ".state", name + ".soc", {}, {}});
-    names.conductivity.reserve(probes_[s].size());
-    names.conductivity_noise.reserve(probes_[s].size());
-    for (const auto& probe : probes_[s]) {
-      names.conductivity.push_back(probe_series_name(name, probe->id()) +
-                                   ".conductivity");
-      names.conductivity_noise.push_back(
-          noise.fork(names.conductivity.back()));
-    }
+  series.conductivity.reserve(probes_[index].size());
+  series.conductivity_noise.reserve(probes_[index].size());
+  for (const auto& probe : probes_[index]) {
+    const std::string conductivity =
+        probe_series_name(name, probe->id()) + ".conductivity";
+    series.conductivity.push_back(trace.declare(conductivity));
+    series.conductivity_noise.push_back(noise.fork(conductivity));
   }
 }
 
@@ -138,15 +139,16 @@ void FleetAssembly::sample_stations(std::size_t first, std::size_t last,
                                     sim::Trace& trace) const {
   for (std::size_t s = first; s < last; ++s) {
     const Station& built = station(s);
-    const TraceNames& names = trace_names_[s];
+    const StationSeries& series = station_series_[s];
     const sim::SimTime now = built.simulation().now();
-    trace.add(names.voltage, now, built.power().terminal_voltage().value());
-    trace.add(names.state, now, double(power::to_int(built.current_state())));
-    trace.add(names.soc, now, built.power().battery().soc());
+    trace.add(series.voltage, now, built.power().terminal_voltage().value());
+    trace.add(series.state, now,
+              double(power::to_int(built.current_state())));
+    trace.add(series.soc, now, built.power().battery().soc());
   }
   for (std::size_t s = first; s < last; ++s) {
     const Station& built = station(s);
-    const TraceNames& names = trace_names_[s];
+    const StationSeries& series = station_series_[s];
     const env::MeltModel& melt = built.environment().melt();
     const sim::SimTime now = built.simulation().now();
     for (std::size_t p = 0; p < probes_[s].size(); ++p) {
@@ -155,10 +157,10 @@ void FleetAssembly::sample_stations(std::size_t first, std::size_t last,
       const auto conductivity = melt.conductivity(
           now, probe.config().conductivity_base_us,
           probe.config().conductivity_gain_us,
-          names.conductivity_noise[p]
+          series.conductivity_noise[p]
               .fork(std::uint64_t(now.millis_since_epoch()))
               .normal());
-      trace.add(names.conductivity[p], now, conductivity.value());
+      trace.add(series.conductivity[p], now, conductivity.value());
     }
   }
 }

@@ -7,9 +7,10 @@
 //
 // Construction order is part of the determinism contract, because it fixes
 // kernel sequence numbers and rng draw order: a fleet builds every station
-// (build_station, spec order), then finish_build() builds every probe,
-// starts every station and names the trace series, and only then does the
-// fleet take its first trace sample. See docs/FLEET.md.
+// (build_station, spec order), then finish_build() builds every probe and
+// starts every station, and only then, with the trace on, does the fleet
+// declare each station's series (declare_series) and take its first trace
+// sample. See docs/FLEET.md.
 #pragma once
 
 #include <cstddef>
@@ -151,13 +152,19 @@ class FleetAssembly {
                      SouthamptonServer& server, fault::FaultOracle* oracle);
   // Pass 2, after every station: each station's probes from the variant
   // table, on its station's kernel and environment; then every station's
-  // start(); then, with the trace on, every station's series names.
+  // start().
   void finish_build();
 
-  // Records stations [first, last) into `trace` at their kernel's clock:
-  // voltage, state and SoC of each, then the conductivity of each live
-  // probe, read from its station's environment with noise keyed by
-  // (series, sample time): an observer draws from no stream of the world.
+  // With the trace on, after finish_build(): declares station `index`'s
+  // series in `trace`, the trace sample_stations records it into, and
+  // keeps their handles. Each fleet calls it once per station.
+  void declare_series(std::size_t index, sim::Trace& trace);
+
+  // Records stations [first, last) into `trace`, where declare_series put
+  // their series, at their kernel's clock: voltage, state and SoC of each,
+  // then the conductivity of each live probe, read from its station's
+  // environment with noise keyed by (series, sample time): an observer
+  // draws from no stream of the world.
   void sample_stations(std::size_t first, std::size_t last,
                        sim::Trace& trace) const;
 
@@ -180,22 +187,22 @@ class FleetAssembly {
   std::map<std::string, bool> last_converged_;
 
  private:
-  // One station's trace series names: "<station>.voltage",
-  // "<station>.state", "<station>.soc", and "<probe series>.conductivity"
-  // per probe, in the station's probe order, beside each conductivity
-  // series' noise stream, util::Rng{seed}.fork(series). Built once, when
-  // the trace starts, instead of on every sample. They are names and
-  // pure functions of the config, not handles into a trace, so a restore
-  // that replaces the trace invalidates nothing.
-  struct TraceNames {
-    std::string voltage;
-    std::string state;
-    std::string soc;
-    std::vector<std::string> conductivity;
+  // One station's trace series, resolved once by declare_series:
+  // "<station>.voltage", "<station>.state", "<station>.soc", and
+  // "<probe series>.conductivity" per probe, in the station's probe order,
+  // beside each conductivity series' noise stream,
+  // util::Rng{seed}.fork(series). A restore fills a trace's declared
+  // series in place, so the handles stay valid across it.
+  struct StationSeries {
+    sim::SeriesId voltage{};
+    sim::SeriesId state{};
+    sim::SeriesId soc{};
+    std::vector<sim::SeriesId> conductivity;
     std::vector<util::Rng> conductivity_noise;
   };
-  // trace_names_[i] names stations_[i]'s series; empty with the trace off.
-  std::vector<TraceNames> trace_names_;
+  // station_series_[i] holds stations_[i]'s series; empty with the trace
+  // off.
+  std::vector<StationSeries> station_series_;
 };
 
 }  // namespace gw::station

@@ -137,8 +137,10 @@ void Fleet::persist_fleet_section(Archive& ar) {
                        [this] { sample_trace(); });
   // The sampler's rebuild record is live exactly when the saved world
   // traced. Restored into the other mode, a trace-off fleet would sample
-  // into series names it never built, and a trace-on fleet would silently
-  // stop tracing.
+  // into series it never declared, and a trace-on fleet would silently
+  // stop tracing. (A trace-on fleet refuses a trace-off snapshot earlier,
+  // in the trace itself: the snapshot holds none of the series it
+  // samples.)
   if constexpr (!Archive::kIsSaver) {
     if ((trace_event_ != sim::EventId{0}) != config_.trace_enabled) {
       throw snapshot::SnapshotError(snapshot::SnapshotErrc::kStateMismatch,

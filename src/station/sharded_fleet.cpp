@@ -104,7 +104,10 @@ ShardedFleet::ShardedFleet(ShardedFleetConfig config)
   // Pass 2: probes, on their station's shard and environment.
   finish_build();
   if (config_.trace_enabled) {
-    for (std::size_t s = 0; s < worlds_.size(); ++s) sample_trace(s);
+    for (std::size_t s = 0; s < worlds_.size(); ++s) {
+      declare_series(s, worlds_[s]->trace);
+      sample_trace(s);
+    }
   }
 
   sharded_->set_barrier_hook(

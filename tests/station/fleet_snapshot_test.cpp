@@ -10,9 +10,14 @@
 // typed errors before touching any state.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
+#include <string>
 #include <vector>
 
+#include "sim/trace.h"
+#include "snapshot/archive.h"
 #include "snapshot/error.h"
 #include "snapshot/state_writer.h"
 #include "station/fleet.h"
@@ -152,6 +157,98 @@ TEST(FleetSnapshotTest, TraceOnSnapshotRefusedByTraceOffFleet) {
 
 TEST(FleetSnapshotTest, TraceOffSnapshotRefusedByTraceOnFleet) {
   expect_trace_mode_refused(false);
+}
+
+// The fleet resolves its series handles once, at construction; a restore
+// fills those series in place, so the next sample lands in the restored
+// series and continues its run, as it does in the cold world.
+TEST(FleetSnapshotTest, RestoredTraceTakesTheNextSample) {
+  Fleet cold{small_faulted_config()};
+  cold.simulation().run_until(cold.simulation().now() + checkpoint_offset());
+  const std::vector<std::uint8_t> snapshot = cold.save_snapshot();
+
+  Fleet forked{small_faulted_config()};
+  forked.restore_snapshot(snapshot);
+  const std::vector<std::string> names = cold.trace().series_names();
+  ASSERT_EQ(forked.trace().series_names(), names);
+  std::vector<std::size_t> restored_sizes;
+  for (const std::string& name : names) {
+    const sim::SeriesView series = forked.trace().series(name);
+    ASSERT_EQ(series.size(), cold.trace().series(name).size()) << name;
+    EXPECT_EQ(series.runs(), 1u) << name;
+    restored_sizes.push_back(series.size());
+  }
+
+  // The cut is 17 minutes past midnight: the next sample is 13 minutes on.
+  for (Fleet* fleet : {&cold, &forked}) {
+    fleet->simulation().run_until(fleet->simulation().now() +
+                                  sim::minutes(14));
+  }
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const sim::SeriesView got = forked.trace().series(names[i]);
+    const sim::SeriesView want = cold.trace().series(names[i]);
+    ASSERT_EQ(got.size(), restored_sizes[i] + 1) << names[i];
+    EXPECT_EQ(got.runs(), 1u) << names[i];
+    EXPECT_EQ(got[got.size() - 1].time, want[want.size() - 1].time)
+        << names[i];
+    EXPECT_EQ(got[got.size() - 1].value, want[want.size() - 1].value)
+        << names[i];
+  }
+}
+
+// `bytes` sealed again with series `drop` taken out of the fleet section's
+// trace, every other byte as it was.
+std::vector<std::uint8_t> without_series(std::span<const std::uint8_t> bytes,
+                                         const std::string& drop) {
+  const snapshot::StateReader reader(bytes);
+  return snapshot::StateWriter::seal([&](snapshot::StateWriter& out) {
+    for (const snapshot::Section& section : reader.sections()) {
+      out.section(section.name, [&](snapshot::Saver& ar) {
+        std::span<const std::uint8_t> rest = section.payload;
+        if (section.name == "fleet") {
+          snapshot::Loader loader(section.payload);
+          sim::Trace saved;
+          loader.value(saved);
+          sim::Trace trimmed;
+          for (const std::string& name : saved.series_names()) {
+            if (name == drop) continue;
+            const sim::SeriesId id = trimmed.declare(name);
+            for (const sim::TracePoint& point : saved.series(name)) {
+              trimmed.add(id, point.time, point.value);
+            }
+          }
+          ar.value(trimmed);
+          rest = rest.last(loader.remaining());
+        }
+        if (std::uint8_t* at = ar.block(rest.size())) {
+          std::copy(rest.begin(), rest.end(), at);
+        }
+      });
+    }
+  });
+}
+
+TEST(FleetSnapshotTest, SnapshotLackingASampledSeriesRefused) {
+  Fleet source{small_faulted_config()};
+  source.simulation().run_until(source.simulation().now() +
+                                checkpoint_offset());
+  const std::vector<std::uint8_t> snapshot = source.save_snapshot();
+  ASSERT_TRUE(source.trace().has_series("base/probe21.conductivity"));
+  const std::vector<std::uint8_t> forged =
+      without_series(snapshot, "base/probe21.conductivity");
+  ASSERT_LT(forged.size(), snapshot.size());
+
+  Fleet target{small_faulted_config()};
+  try {
+    target.restore_snapshot(forged);
+    FAIL() << "restored a snapshot that lacks a sampled series";
+  } catch (const snapshot::SnapshotError& error) {
+    EXPECT_EQ(error.code(), snapshot::SnapshotErrc::kStateMismatch);
+    EXPECT_EQ(error.section(), "fleet");
+  }
+  // The unforged bytes restore into the same kind of fleet.
+  Fleet control{small_faulted_config()};
+  EXPECT_NO_THROW(control.restore_snapshot(snapshot));
 }
 
 TEST(FleetSnapshotTest, CorruptOrTruncatedSnapshotRefused) {

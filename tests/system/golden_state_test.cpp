@@ -139,7 +139,7 @@ constexpr GoldenSection kGolden[] = {
 };
 constexpr std::uint32_t kGoldenFingerprint = 0x39310183u;
 constexpr std::size_t kGoldenSealedBytes = 88183;
-constexpr std::uint32_t kGoldenFileCrc = 0xbde34362u;
+constexpr std::uint32_t kGoldenFileCrc = 0x428b8bc0u;
 
 TEST(GoldenStateTest, TwentyDayFaultedSeasonFingerprint) {
   expect_golden_season(golden_config(),
@@ -158,16 +158,16 @@ constexpr GoldenSection kTracedGolden[] = {
     {"kernel", 0x20f738ebu},
     {"fault", 0x702f7349u},
     {"server", 0xf18c2d33u},
-    {"fleet", 0xe17525dcu},
+    {"fleet", 0xcc79fa5bu},
     {"station/base", 0xeaa77acbu},
     {"probe/base/20", 0x41de5967u},
     {"probe/base/21", 0xeedb3ec0u},
     {"probe/base/22", 0xeb43bfaeu},
     {"station/reference", 0x80d3ddd9u},
 };
-constexpr std::uint32_t kTracedGoldenFingerprint = 0xdaaacefau;
-constexpr std::size_t kTracedGoldenSealedBytes = 226877;
-constexpr std::uint32_t kTracedGoldenFileCrc = 0xff5224bdu;
+constexpr std::uint32_t kTracedGoldenFingerprint = 0x189818c9u;
+constexpr std::size_t kTracedGoldenSealedBytes = 157973;
+constexpr std::uint32_t kTracedGoldenFileCrc = 0xc3dc02c2u;
 
 TEST(GoldenStateTest, TracedTwentyDaySeasonFingerprint) {
   FleetConfig config = golden_config();
