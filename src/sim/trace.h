@@ -16,7 +16,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <iterator>
 #include <map>
 #include <optional>
@@ -189,6 +188,11 @@ class TraceSeries {
       }
       open_ = decode(run_at + (runs - 1) * kRunBytes);
     }
+    // Room to grow as much again: a restored world samples again within
+    // the half hour, and a series sized exactly would then reallocate and
+    // copy its whole block.
+    values_.clear();
+    values_.reserve(2 * std::size_t(values));
     values_.resize(std::size_t(values));
     for (double& value : values_) {
       value = std::bit_cast<double>(snapshot::load_le64(value_bytes));
@@ -203,7 +207,7 @@ class TraceSeries {
 
 // A read-only view of one series as points, its runs expanded: size(),
 // operator[] and iteration yield TracePoints. It stays valid while the
-// trace does.
+// trace lives and declares no further series.
 class SeriesView {
  public:
   class iterator {
@@ -290,11 +294,7 @@ class Trace {
   }
 
   [[nodiscard]] SeriesView series(const std::string& name) const {
-    const auto it = by_name_.find(name);
-    if (it == by_name_.end()) {
-      throw std::out_of_range("Trace: no series named " + name);
-    }
-    return SeriesView(series_[std::size_t(it->second)]);
+    return SeriesView(named(name));
   }
 
   [[nodiscard]] bool has_series(const std::string& name) const {
@@ -322,45 +322,14 @@ class Trace {
         ar.value(series_[std::size_t(id)]);
       }
     } else {
-      const std::uint64_t count = ar.take_u64();
-      const bool adopt = by_name_.empty();
-      if (!adopt && count != by_name_.size()) {
-        ar.refuse(snapshot::SnapshotErrc::kStateMismatch,
-                  "the trace holds " + std::to_string(count) +
-                      " series where " + std::to_string(by_name_.size()) +
-                      " are sampled");
-      }
-      auto declared = by_name_.begin();
-      for (std::uint64_t i = 0; i < count; ++i) {
-        std::string name;
-        ar.value(name);
-        SeriesId id{};
-        if (adopt) {
-          // In name order, as a Saver writes them; a repeat or a step back
-          // would load a trace that re-saves to other bytes.
-          if (!by_name_.empty() && !(by_name_.rbegin()->first < name)) {
-            ar.refuse(snapshot::SnapshotErrc::kStateMismatch,
-                      "trace series names are not strictly increasing");
-          }
-          id = declare(name);
-        } else {
-          if (name != declared->first) {
-            ar.refuse(snapshot::SnapshotErrc::kStateMismatch,
-                      "the trace holds series " + name + " where " +
-                          declared->first + " is sampled");
-          }
-          id = declared->second;
-          ++declared;
-        }
-        ar.value(series_[std::size_t(id)]);
-      }
+      load(ar);
     }
   }
 
   // --- small analysis helpers used by tests and benches -----------------
   //
   // Contract: all helpers throw std::out_of_range for a missing series
-  // (via series()) and for an empty one — never UB (`points.at(0)` on
+  // (via named()) and for an empty one — never UB (`points.at(0)` on
   // min/max) or a silent NaN (`sum/0` on mean) depending on which helper
   // happened to be called.
 
@@ -403,6 +372,41 @@ class Trace {
   }
 
  private:
+  void load(snapshot::Loader& ar) {
+    const std::uint64_t count = ar.take_u64();
+    const bool adopt = by_name_.empty();
+    if (!adopt && count != by_name_.size()) {
+      ar.refuse(snapshot::SnapshotErrc::kStateMismatch,
+                "the trace holds " + std::to_string(count) +
+                    " series where " + std::to_string(by_name_.size()) +
+                    " are sampled");
+    }
+    auto declared = by_name_.begin();
+    for (std::uint64_t i = 0; i < count; ++i) {
+      std::string name;
+      ar.value(name);
+      SeriesId id{};
+      if (adopt) {
+        // In name order, as a Saver writes them; a repeat or a step back
+        // would load a trace that re-saves to other bytes.
+        if (!by_name_.empty() && !(by_name_.rbegin()->first < name)) {
+          ar.refuse(snapshot::SnapshotErrc::kStateMismatch,
+                    "trace series names are not strictly increasing");
+        }
+        id = declare(name);
+      } else {
+        if (name != declared->first) {
+          ar.refuse(snapshot::SnapshotErrc::kStateMismatch,
+                    "the trace holds series " + name + " where " +
+                        declared->first + " is sampled");
+        }
+        id = declared->second;
+        ++declared;
+      }
+      ar.value(series_[std::size_t(id)]);
+    }
+  }
+
   // The index within `run` of its last time at or before t_ms, if any.
   static std::optional<std::uint64_t> last_at_or_before(const TraceRun& run,
                                                         std::int64_t t_ms) {
@@ -436,9 +440,8 @@ class Trace {
     return values;
   }
 
-  // Series by SeriesId, in declaration order; a deque, so a view or a
-  // reference stays put when a series is declared.
-  std::deque<TraceSeries> series_;
+  // Series by SeriesId, in declaration order.
+  std::vector<TraceSeries> series_;
   // Names in order, for lookups, exports and saves.
   std::map<std::string, SeriesId> by_name_;
 };

@@ -16,8 +16,8 @@
 
 namespace gw::sim {
 
-// One series, optionally windowed to [from, to). Throws (via
-// Trace::series) if the series does not exist.
+// One series, its runs expanded to points, optionally windowed to
+// [from, to). Throws (via Trace::series) if the series does not exist.
 [[nodiscard]] inline obs::Series to_obs_series(
     const Trace& trace, const std::string& name,
     SimTime from = SimTime{std::numeric_limits<std::int64_t>::min()},
