@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "snapshot/archive.h"
 
@@ -139,6 +142,121 @@ TEST(CfCard, SnapshotRoundTripRestoresUsage) {
   busy.persist(busy_loader);
   EXPECT_EQ(busy.used(), 25_KiB);
   EXPECT_EQ(stored_bytes(busy), 25_KiB);
+}
+
+// The card's persisted state as plain fields, in its persist order, so a
+// test can age it with the walk the card used to do: one bernoulli(hazard)
+// per healthy file, in name order, corrupting the file on a hit.
+struct ReferenceState {
+  struct InFlight {
+    std::string name;
+    util::Bytes size{0};
+
+    template <class Archive>
+    void persist(Archive& ar) {
+      ar.value(name);
+      ar.value(size);
+    }
+  };
+
+  util::Rng rng{0};
+  std::map<std::string, CompactFlashCard::FileInfo> files;
+  std::optional<InFlight> in_flight;
+  bool metadata_corrupted = false;
+
+  template <class Archive>
+  void persist(Archive& ar) {
+    ar.value(rng);
+    ar.value(files);
+    ar.value(in_flight);
+    ar.value(metadata_corrupted);
+  }
+};
+
+std::vector<std::uint8_t> saved(CompactFlashCard& card) {
+  snapshot::Saver saver;
+  card.persist(saver);
+  return saver.take();
+}
+
+// Ages `card` the reference way: out through its snapshot bytes, one walk
+// over the file table, and back in.
+void reference_age(CompactFlashCard& card, double hazard) {
+  const std::vector<std::uint8_t> before = saved(card);
+  ReferenceState state;
+  snapshot::Loader in{before};
+  state.persist(in);
+  in.expect_end();
+  for (auto& [name, info] : state.files) {
+    if (!info.corrupted && state.rng.bernoulli(hazard)) info.corrupted = true;
+  }
+  snapshot::Saver out;
+  state.persist(out);
+  snapshot::Loader back{out.bytes()};
+  card.persist(back);
+}
+
+// One day of random traffic: new files, overwrites, removals, torn writes,
+// and an fsck when the card needs one.
+void random_day(CompactFlashCard& card, util::Rng& ops, int day) {
+  for (int i = 0; i < 12; ++i) {
+    const std::string name =
+        ops.bernoulli(0.5) ? "d" + std::to_string(day) + "_" + std::to_string(i)
+                           : "f" + std::to_string(ops.uniform_index(40));
+    const util::Bytes size{1 + std::int64_t(ops.uniform_index(4096))};
+    switch (ops.uniform_index(6)) {
+      case 0:
+        (void)card.remove(name);
+        break;
+      case 1:
+        if (card.begin_write(name, size).ok()) card.power_cut();
+        break;
+      case 2:
+        if (ops.bernoulli(0.2)) (void)card.fsck(ops.bernoulli(0.5));
+        break;
+      default:
+        (void)card.write(name, size);
+        break;
+    }
+  }
+  if (card.metadata_corrupted() && ops.bernoulli(0.5)) (void)card.fsck(true);
+}
+
+TEST(CfCard, AgingMatchesTheReferenceWalk) {
+  for (const double hazard : {0.0, 1e-5, 0.3, 1.0}) {
+    CfCardConfig config;
+    config.metadata_corruption_on_cut = 0.3;
+    // age(30 days) is one month, so the per-file hazard is exactly this.
+    config.bitrot_per_file_month = hazard;
+    CompactFlashCard card{util::Rng{21}, config};
+    CompactFlashCard reference{util::Rng{21}, config};
+    std::optional<CompactFlashCard> restored;
+    util::Rng ops{22};
+    for (int day = 0; day < 120; ++day) {
+      // The same operations on every card: each op stream is a copy.
+      const util::Rng day_ops = ops;
+      util::Rng ops_reference = day_ops;
+      random_day(card, ops, day);
+      random_day(reference, ops_reference, day);
+      card.age(sim::days(30));
+      reference_age(reference, hazard);
+      const std::vector<std::uint8_t> bytes = saved(card);
+      ASSERT_EQ(bytes, saved(reference))
+          << "hazard " << hazard << " day " << day;
+      ASSERT_EQ(stored_bytes(card), stored_bytes(reference));
+      if (restored.has_value()) {
+        util::Rng ops_restored = day_ops;
+        random_day(*restored, ops_restored, day);
+        restored->age(sim::days(30));
+        ASSERT_EQ(saved(*restored), bytes)
+            << "restored, hazard " << hazard << " day " << day;
+      } else if (day == 60) {
+        restored.emplace(util::Rng{99}, config);
+        snapshot::Loader loader{bytes};
+        restored->persist(loader);
+      }
+    }
+  }
 }
 
 TEST(CfCard, DoubleBeginWriteRejected) {

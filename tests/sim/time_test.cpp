@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <string>
+
 namespace gw::sim {
 namespace {
 
@@ -84,6 +88,43 @@ TEST(CalendarTest, FormatIso) {
   EXPECT_EQ(format_iso(to_time(DateTime{2009, 9, 22, 12, 0, 0})),
             "2009-09-22 12:00:00");
   EXPECT_EQ(format_iso(kEpoch), "1970-01-01 00:00:00");
+}
+
+// format_iso's old body: snprintf into a 32-byte buffer.
+std::string snprintf_iso(SimTime t) {
+  const DateTime dt = to_datetime(t);
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%04d-%02d-%02d %02d:%02d:%02d",
+                dt.year, dt.month, dt.day, dt.hour, dt.minute, dt.second);
+  return buffer;
+}
+
+TEST(CalendarTest, FormatIsoMatchesSnprintf) {
+  // The last second of every year and the first of the next, 1900-2100,
+  // every minute of one New Year's Eve hour, a leap day, times before the
+  // epoch, and years outside 0000-9999.
+  std::vector<SimTime> times;
+  for (int year = 1900; year <= 2100; ++year) {
+    const SimTime new_year = at_midnight(year, 1, 1);
+    times.push_back(new_year - milliseconds(1));
+    times.push_back(new_year);
+    times.push_back(new_year + milliseconds(999));
+  }
+  for (int minute = 0; minute < 60; ++minute) {
+    times.push_back(to_time(DateTime{2008, 12, 31, 23, minute, minute}));
+  }
+  times.push_back(to_time(DateTime{2008, 2, 29, 12, 34, 56}));
+  times.push_back(SimTime{-1});
+  times.push_back(to_time(DateTime{1, 1, 1, 0, 0, 0}));
+  times.push_back(to_time(DateTime{0, 1, 1, 0, 0, 0}));
+  times.push_back(to_time(DateTime{-1, 12, 31, 23, 59, 59}));
+  times.push_back(to_time(DateTime{9999, 12, 31, 23, 59, 59}));
+  times.push_back(to_time(DateTime{10000, 1, 1, 0, 0, 0}));
+  times.push_back(SimTime{1'000'000'000'000'000});
+  times.push_back(SimTime{-1'000'000'000'000'000});
+  for (const SimTime t : times) {
+    ASSERT_EQ(format_iso(t), snprintf_iso(t)) << t.millis_since_epoch();
+  }
 }
 
 TEST(CalendarTest, RtcResetSemantics) {

@@ -400,6 +400,33 @@ TEST(LoaderTest, LeftoverBytesAreTyped) {
   }
 }
 
+TEST(ArchiveTest, StringsOfEveryLengthClassResaveToTheSameBytes) {
+  // Empty, the longest a short-string buffer holds, the first length that
+  // allocates, and a long one; every byte value, high bit set included.
+  std::vector<std::string> strings;
+  for (const std::size_t length : {0, 15, 16, 4096}) {
+    std::string text;
+    for (std::size_t i = 0; i < length; ++i) {
+      text.push_back(static_cast<char>((i * 37 + 0x80) & 0xff));
+    }
+    strings.push_back(text);
+  }
+  Saver saver;
+  for (const std::string& text : strings) saver.value(text);
+  const std::vector<std::uint8_t> payload = saver.take();
+
+  Loader loader(payload);
+  Saver resaver;
+  for (const std::string& text : strings) {
+    std::string loaded = "stale contents longer than fifteen bytes";
+    loader.value(loaded);
+    EXPECT_EQ(loaded, text);
+    resaver.value(loaded);
+  }
+  loader.expect_end();
+  EXPECT_EQ(resaver.take(), payload);
+}
+
 TEST(ArchiveTest, RoundTripsRepresentativeTypes) {
   Saver saver;
   saver.value(std::int64_t{-5});

@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "util/rng.h"
+
 namespace gw::util {
 namespace {
 
@@ -28,6 +37,47 @@ TEST(Strings, FormatFixed) {
   EXPECT_EQ(format_fixed(12.5, 1), "12.5");
   EXPECT_EQ(format_fixed(3.14159, 2), "3.14");
   EXPECT_EQ(format_fixed(-0.5, 3), "-0.500");
+}
+
+// format_fixed's old body: "%.*f" into a 64-byte buffer, so a text
+// longer than 63 characters is cut at 63.
+std::string snprintf_fixed(double value, int decimals) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), "%.*f", decimals, value);
+  return buffer;
+}
+
+// Values whose "%.*f" text is easy to get wrong: signed zero and NaN,
+// infinities, exact halves (printf rounds them to even), the rounding
+// edges of the probe log's 2- and 1-decimal fields, the last magnitudes
+// that fit in 63 characters and the first that do not, and the extremes.
+std::vector<double> fixed_edge_values() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> values{0.0,    -0.0,    nan,     -nan,    inf,
+                             -inf,   9.995,   -9.995,  99.95,   -99.95,
+                             0.05,   -0.05,   0.005,   0.125,   0.375,
+                             0.5,    1.5,     2.5,     -2.5,    1e15,
+                             -1e15,  1e59,    -1e59,   9.99e59, 1e60,
+                             1e61,   1e62,    1e300,   -1e300,  DBL_MAX,
+                             DBL_MIN, 5e-324, 123456.789, 0.999999};
+  util::Rng rng{7};
+  for (int i = 0; i < 20000; ++i) {
+    const double mantissa = rng.uniform(1.0, 10.0);
+    const int exponent = int(rng.uniform_index(30)) - 10;
+    const double value = mantissa * std::pow(10.0, exponent);
+    values.push_back(rng.bernoulli(0.5) ? value : -value);
+  }
+  return values;
+}
+
+TEST(Strings, FormatFixedMatchesSnprintf) {
+  for (const double value : fixed_edge_values()) {
+    for (const int decimals : {0, 1, 2, 3, 6}) {
+      ASSERT_EQ(format_fixed(value, decimals), snprintf_fixed(value, decimals))
+          << value << " at " << decimals;
+    }
+  }
 }
 
 TEST(Strings, Padding) {
