@@ -28,6 +28,8 @@
 #include <string_view>
 #include <utility>
 
+#include "util/strings.h"
+
 namespace gw::core {
 
 enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
@@ -54,7 +56,7 @@ enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
     std::int64_t time_ms, LogLevel level, std::size_t component_chars,
     std::size_t message_chars) {
   const std::size_t time_digits =
-      std::max<std::size_t>(13, std::to_string(time_ms).size());
+      std::max<std::size_t>(13, util::decimal_chars(time_ms));
   const std::size_t level_chars = std::string_view(to_string(level)).size();
   return time_digits + 1 + level_chars + 1 + component_chars + 2 +
          message_chars + 1;
@@ -70,6 +72,14 @@ class LogManager {
 
   void log(std::int64_t time_ms, LogLevel level, std::string_view component,
            std::string_view message) {
+    meter(time_ms, level, component, message.size());
+  }
+
+  // log() for a line whose message is `message_chars` long. A caller that
+  // only needs the line metered counts its message from the parts and
+  // never builds it.
+  void meter(std::int64_t time_ms, LogLevel level, std::string_view component,
+             std::size_t message_chars) {
     auto it = usage_.lower_bound(component);
     if (it == usage_.end() || it->first != component) {
       it = usage_.emplace_hint(it, component, Usage{});
@@ -77,7 +87,7 @@ class LogManager {
     Usage& usage = it->second;
     // One size for every line, admitted or suppressed: what it renders to.
     const std::size_t line_bytes = rendered_line_bytes(
-        time_ms, level, component.size(), message.size());
+        time_ms, level, component.size(), message_chars);
     if (level < kProtectedFloor &&
         usage.bytes_today >= kComponentDailyBudgetBytes) {
       ++usage.suppressed_records;

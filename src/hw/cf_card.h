@@ -131,6 +131,7 @@ class CompactFlashCard {
     const auto it = files_.find(name);
     if (it == files_.end()) return util::Status::failure("cf: no such file");
     used_ -= it->second.size;
+    if (!it->second.corrupted) --healthy_;
     files_.erase(it);
     return {};
   }
@@ -168,14 +169,28 @@ class CompactFlashCard {
     }
   }
 
-  // Advances the bit-rot clock by `elapsed`; each stored file independently
-  // risks silent corruption.
+  // Advances the bit-rot clock by `elapsed`; each healthy file
+  // independently risks silent corruption. The draws are one per healthy
+  // file in name order, as a walk over the table would make them, but only
+  // a hit walks the table: the k-th draw stands for the k-th healthy file.
   void age(sim::Duration elapsed) {
     const double months = elapsed.to_days() / 30.0;
     const double hazard = config_.bitrot_per_file_month * months;
-    for (auto& [name, info] : files_) {
-      if (!info.corrupted && rng_.bernoulli(hazard)) info.corrupted = true;
+    std::vector<std::size_t> hits;
+    for (std::size_t k = 0; k < healthy_; ++k) {
+      if (rng_.bernoulli(hazard)) hits.push_back(k);
     }
+    if (hits.empty()) return;
+    std::size_t k = 0;
+    auto hit = hits.begin();
+    for (auto& [name, info] : files_) {
+      if (info.corrupted) continue;
+      if (k++ == *hit) {
+        info.corrupted = true;
+        if (++hit == hits.end()) break;
+      }
+    }
+    healthy_ -= hits.size();
   }
 
   // fsck-style scan. With `attempt_recovery`, corrupted files are
@@ -192,6 +207,7 @@ class CompactFlashCard {
       ++report.corrupted_files;
       if (attempt_recovery && rng_.bernoulli(0.85)) {
         info.corrupted = false;
+        ++healthy_;
         ++report.recovered_files;
       } else {
         report.lost += info.size;
@@ -203,8 +219,9 @@ class CompactFlashCard {
 
   [[nodiscard]] const CfCardConfig& config() const { return config_; }
 
-  // Snapshot support (docs/SNAPSHOT.md). The usage total is derived from
-  // the file table, so load rebuilds it instead of reading it.
+  // Snapshot support (docs/SNAPSHOT.md). The usage total and the healthy
+  // count are derived from the file table, so load rebuilds them instead
+  // of reading them.
   template <class Archive>
   void persist(Archive& ar) {
     ar.value(rng_);
@@ -213,7 +230,11 @@ class CompactFlashCard {
     ar.value(metadata_corrupted_);
     if constexpr (!Archive::kIsSaver) {
       used_ = util::Bytes{0};
-      for (const auto& [name, info] : files_) used_ += info.size;
+      healthy_ = 0;
+      for (const auto& [name, info] : files_) {
+        used_ += info.size;
+        if (!info.corrupted) ++healthy_;
+      }
     }
   }
 
@@ -229,9 +250,13 @@ class CompactFlashCard {
     }
   };
 
-  // Creates or overwrites `name`, keeping the usage total in step.
+  // Creates or overwrites `name`, keeping the usage total and the healthy
+  // count in step.
   void store(const std::string& name, FileInfo info) {
-    FileInfo& slot = files_[name];
+    const auto [it, created] = files_.try_emplace(name);
+    FileInfo& slot = it->second;
+    if (!created && !slot.corrupted) --healthy_;
+    if (!info.corrupted) ++healthy_;
     used_ -= slot.size;
     used_ += info.size;
     slot = info;
@@ -248,6 +273,10 @@ class CompactFlashCard {
   // begin_write checks it, and the file table grows all season.
   // gwlint: allow(persist-coverage): derived from files_, rebuilt on load
   util::Bytes used_{0};
+  // Files not corrupted, kept in step by store(), remove(), fsck() and
+  // age(): the daily age() draws once per healthy file without a walk.
+  // gwlint: allow(persist-coverage): derived from files_, rebuilt on load
+  std::size_t healthy_ = 0;
 };
 
 }  // namespace gw::hw

@@ -18,6 +18,8 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 namespace gw::obs {
@@ -141,69 +143,81 @@ struct MetricKey {
   }
 };
 
+// Orders MetricKeys as their operator<=> does (component, then name), and
+// compares them with a (component, name) pair of views, so a lookup by
+// views builds no key.
+struct MetricKeyLess {
+  using is_transparent = void;
+  using View = std::pair<std::string_view, std::string_view>;
+
+  static View view(const MetricKey& key) { return {key.component, key.name}; }
+  static const View& view(const View& key) { return key; }
+
+  template <class A, class B>
+  bool operator()(const A& a, const B& b) const {
+    return view(a) < view(b);
+  }
+};
+
+template <class Instrument>
+using MetricMap = std::map<MetricKey, Instrument, MetricKeyLess>;
+
 class MetricsRegistry {
  public:
   // Lookup-or-create. Returned references stay valid for the registry's
-  // lifetime (node-based map), so call sites cache them.
-  Counter& counter(const std::string& component, const std::string& name) {
-    return counters_[MetricKey{component, name}];
+  // lifetime (node-based map), so call sites cache them. A lookup builds
+  // a key only when it creates the entry.
+  Counter& counter(std::string_view component, std::string_view name) {
+    return find_or_add(counters_, component, name, [] { return Counter{}; });
   }
-  Gauge& gauge(const std::string& component, const std::string& name) {
-    return gauges_[MetricKey{component, name}];
+  Gauge& gauge(std::string_view component, std::string_view name) {
+    return find_or_add(gauges_, component, name, [] { return Gauge{}; });
   }
   // Bucket bounds apply only on first creation; later lookups of the same
   // key return the existing histogram unchanged (schema stability).
-  Histogram& histogram(const std::string& component, const std::string& name,
+  Histogram& histogram(std::string_view component, std::string_view name,
                        std::vector<double> upper_bounds = {}) {
-    const MetricKey key{component, name};
-    auto it = histograms_.find(key);
-    if (it == histograms_.end()) {
+    return find_or_add(histograms_, component, name, [&upper_bounds] {
       if (upper_bounds.empty()) {
         upper_bounds = Histogram::default_seconds_buckets();
       }
-      it = histograms_.emplace(key, Histogram{std::move(upper_bounds)}).first;
-    }
-    return it->second;
+      return Histogram{std::move(upper_bounds)};
+    });
   }
 
   // --- read side (exporters and tests) -----------------------------------
 
-  [[nodiscard]] const Counter* find_counter(const std::string& component,
-                                            const std::string& name) const {
-    const auto it = counters_.find(MetricKey{component, name});
-    return it == counters_.end() ? nullptr : &it->second;
+  [[nodiscard]] const Counter* find_counter(std::string_view component,
+                                            std::string_view name) const {
+    return find(counters_, component, name);
   }
-  [[nodiscard]] const Gauge* find_gauge(const std::string& component,
-                                        const std::string& name) const {
-    const auto it = gauges_.find(MetricKey{component, name});
-    return it == gauges_.end() ? nullptr : &it->second;
+  [[nodiscard]] const Gauge* find_gauge(std::string_view component,
+                                        std::string_view name) const {
+    return find(gauges_, component, name);
   }
-  [[nodiscard]] const Histogram* find_histogram(
-      const std::string& component, const std::string& name) const {
-    const auto it = histograms_.find(MetricKey{component, name});
-    return it == histograms_.end() ? nullptr : &it->second;
+  [[nodiscard]] const Histogram* find_histogram(std::string_view component,
+                                                std::string_view name) const {
+    return find(histograms_, component, name);
   }
 
   // Convenience for assertions: 0 / 0.0 when absent.
-  [[nodiscard]] std::uint64_t counter_value(const std::string& component,
-                                            const std::string& name) const {
+  [[nodiscard]] std::uint64_t counter_value(std::string_view component,
+                                            std::string_view name) const {
     const Counter* c = find_counter(component, name);
     return c == nullptr ? 0 : c->value();
   }
-  [[nodiscard]] double gauge_value(const std::string& component,
-                                   const std::string& name) const {
+  [[nodiscard]] double gauge_value(std::string_view component,
+                                   std::string_view name) const {
     const Gauge* g = find_gauge(component, name);
     return g == nullptr ? 0.0 : g->value();
   }
 
   // Deterministically ordered (by component, then name) — the export order.
-  [[nodiscard]] const std::map<MetricKey, Counter>& counters() const {
+  [[nodiscard]] const MetricMap<Counter>& counters() const {
     return counters_;
   }
-  [[nodiscard]] const std::map<MetricKey, Gauge>& gauges() const {
-    return gauges_;
-  }
-  [[nodiscard]] const std::map<MetricKey, Histogram>& histograms() const {
+  [[nodiscard]] const MetricMap<Gauge>& gauges() const { return gauges_; }
+  [[nodiscard]] const MetricMap<Histogram>& histograms() const {
     return histograms_;
   }
 
@@ -241,9 +255,30 @@ class MetricsRegistry {
   }
 
  private:
-  std::map<MetricKey, Counter> counters_;
-  std::map<MetricKey, Gauge> gauges_;
-  std::map<MetricKey, Histogram> histograms_;
+  template <class Instrument, class Make>
+  static Instrument& find_or_add(MetricMap<Instrument>& map,
+                                 std::string_view component,
+                                 std::string_view name, Make make) {
+    const MetricKeyLess::View key{component, name};
+    auto it = map.lower_bound(key);
+    if (it == map.end() || map.key_comp()(key, it->first)) {
+      it = map.emplace_hint(
+          it, MetricKey{std::string(component), std::string(name)}, make());
+    }
+    return it->second;
+  }
+
+  template <class Instrument>
+  static const Instrument* find(const MetricMap<Instrument>& map,
+                                std::string_view component,
+                                std::string_view name) {
+    const auto it = map.find(MetricKeyLess::View{component, name});
+    return it == map.end() ? nullptr : &it->second;
+  }
+
+  MetricMap<Counter> counters_;
+  MetricMap<Gauge> gauges_;
+  MetricMap<Histogram> histograms_;
 };
 
 }  // namespace gw::obs

@@ -1,5 +1,6 @@
 #include "proto/bulk_transfer.h"
 
+#include <algorithm>
 #include <vector>
 
 namespace gw::proto {
@@ -74,6 +75,18 @@ void publish_session(obs::Hooks hooks, const TransferStats& stats,
   }
 }
 
+// The readings flagged in `received` (one flag per pending reading), which
+// the base station keeps, confirmed to the probe: it releases them.
+void deliver(ProbeStore& store, const std::vector<std::uint8_t>& received,
+             TransferStats& stats) {
+  const auto& pending = store.pending();
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    if (received[i] != 0) stats.delivered_readings.push_back(pending[i]);
+  }
+  stats.delivered = store.confirm_delivered(received);
+  stats.still_missing = stats.offered - stats.delivered;
+}
+
 }  // namespace
 
 TransferStats NackBulkTransfer::run(ProbeStore& store, sim::SimTime start,
@@ -81,33 +94,29 @@ TransferStats NackBulkTransfer::run(ProbeStore& store, sim::SimTime start,
   TransferStats stats;
   Session session{link_, start, budget};
 
-  // Snapshot the work list: the probe answers the daily query with its
-  // pending backlog.
-  std::vector<std::uint32_t> wanted;
-  wanted.reserve(store.pending_count());
-  for (const auto& reading : store.pending()) wanted.push_back(reading.seq);
-  stats.offered = wanted.size();
-
-  std::set<std::uint32_t> received;
+  // The work list is the probe's pending backlog, which it streams in
+  // answer to the daily query; `received` flags what arrived, by position.
+  stats.offered = store.pending_count();
+  std::vector<std::uint8_t> received(stats.offered, 0);
 
   // Round 0: stream everything with no per-packet ACKs (§V).
-  auto stream = [&](const std::vector<std::uint32_t>& seqs) {
-    for (const auto seq : seqs) {
+  auto stream = [&] {
+    for (std::size_t i = 0; i < stats.offered; ++i) {
       if (session.out_of_budget()) {
         stats.budget_exhausted = true;
         break;
       }
       ++stats.data_packets;
       stats.bytes_on_air += kReadingWireSize;
-      if (session.send(kReadingWireSize)) received.insert(seq);
+      if (session.send(kReadingWireSize)) received[i] = 1;
     }
   };
-  stream(wanted);
+  stream();
 
   auto missing_list = [&] {
-    std::vector<std::uint32_t> missing;
-    for (const auto seq : wanted) {
-      if (!received.contains(seq)) missing.push_back(seq);
+    std::vector<std::size_t> missing;
+    for (std::size_t i = 0; i < stats.offered; ++i) {
+      if (received[i] == 0) missing.push_back(i);
     }
     return missing;
   };
@@ -116,7 +125,7 @@ TransferStats NackBulkTransfer::run(ProbeStore& store, sim::SimTime start,
 
   for (int round = 1; round < config_.max_rounds; ++round) {
     if (stats.budget_exhausted || stats.aborted) break;
-    const std::vector<std::uint32_t> missing = missing_list();
+    const std::vector<std::size_t> missing = missing_list();
     if (missing.empty()) break;
     ++stats.retransmit_rounds;
     if (hooks_.journal != nullptr) {
@@ -136,7 +145,7 @@ TransferStats NackBulkTransfer::run(ProbeStore& store, sim::SimTime start,
     if (double(missing.size()) >=
         config_.rerequest_all_ratio * double(stats.offered)) {
       ++stats.rerequest_all_rounds;
-      stream(wanted);
+      stream();
       continue;
     }
 
@@ -147,7 +156,7 @@ TransferStats NackBulkTransfer::run(ProbeStore& store, sim::SimTime start,
       stats.aborted = true;
       break;
     }
-    for (const auto seq : missing) {
+    for (const std::size_t i : missing) {
       if (session.out_of_budget()) {
         stats.budget_exhausted = true;
         break;
@@ -162,25 +171,19 @@ TransferStats NackBulkTransfer::run(ProbeStore& store, sim::SimTime start,
       }
       ++stats.data_packets;
       stats.bytes_on_air += kReadingWireSize;
-      if (session.send(kReadingWireSize)) received.insert(seq);
+      if (session.send(kReadingWireSize)) received[i] = 1;
     }
   }
 
   // Final confirmation: tell the probe what arrived so it can drop those
   // readings. Small frame; modelled as reliable (it is retried at the
   // command layer until it gets through).
-  if (!received.empty()) {
+  if (std::find(received.begin(), received.end(), 1) != received.end()) {
     ++stats.control_packets;
     stats.bytes_on_air += kAckWireSize;
   }
 
-  for (const auto& reading : store.pending()) {
-    if (received.contains(reading.seq)) {
-      stats.delivered_readings.push_back(reading);
-    }
-  }
-  stats.delivered = store.confirm_delivered(received);
-  stats.still_missing = stats.offered - stats.delivered;
+  deliver(store, received, stats);
   stats.airtime = session.elapsed(start);
   publish_session(hooks_, stats, session.now());
   return stats;
@@ -191,14 +194,10 @@ TransferStats StopAndWaitTransfer::run(ProbeStore& store, sim::SimTime start,
   TransferStats stats;
   Session session{link_, start, budget};
 
-  std::vector<std::uint32_t> wanted;
-  wanted.reserve(store.pending_count());
-  for (const auto& reading : store.pending()) wanted.push_back(reading.seq);
-  stats.offered = wanted.size();
+  stats.offered = store.pending_count();
+  std::vector<std::uint8_t> acked(stats.offered, 0);
 
-  std::set<std::uint32_t> acked;
-
-  for (const auto seq : wanted) {
+  for (std::size_t i = 0; i < stats.offered; ++i) {
     if (session.out_of_budget()) {
       stats.budget_exhausted = true;
       break;
@@ -220,7 +219,7 @@ TransferStats StopAndWaitTransfer::run(ProbeStore& store, sim::SimTime start,
       stats.bytes_on_air += kAckWireSize;
       const bool ack_arrived = session.send(kAckWireSize);
       if (ack_arrived) {
-        acked.insert(seq);
+        acked[i] = 1;
         break;
       }
       // ACK lost: sender waits out the timer, then retransmits a reading
@@ -229,13 +228,7 @@ TransferStats StopAndWaitTransfer::run(ProbeStore& store, sim::SimTime start,
     }
   }
 
-  for (const auto& reading : store.pending()) {
-    if (acked.contains(reading.seq)) {
-      stats.delivered_readings.push_back(reading);
-    }
-  }
-  stats.delivered = store.confirm_delivered(acked);
-  stats.still_missing = stats.offered - stats.delivered;
+  deliver(store, acked, stats);
   stats.airtime = session.elapsed(start);
   publish_session(hooks_, stats, session.now());
   return stats;

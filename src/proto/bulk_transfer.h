@@ -18,7 +18,6 @@
 // next day's window, exactly the behaviour that rescued the deployment.
 #pragma once
 
-#include <set>
 #include <vector>
 
 #include "obs/journal.h"

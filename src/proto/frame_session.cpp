@@ -1,5 +1,6 @@
 #include "proto/frame_session.h"
 
+#include <set>
 #include <vector>
 
 namespace gw::proto {

@@ -12,6 +12,7 @@
 // as a broadcast medium.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "proto/probe_frames.h"
@@ -65,10 +66,17 @@ class ProbeResponder {
 
   [[nodiscard]] std::vector<std::vector<std::uint8_t>> confirm(
       const Frame& frame) {
-    const auto seqs = parse_confirm(frame);
+    auto seqs = parse_confirm(frame);
     if (!seqs.ok()) return {};  // malformed: base will retry
-    std::set<std::uint32_t> set(seqs.value().begin(), seqs.value().end());
-    (void)store_.confirm_delivered(set);
+    std::vector<std::uint32_t>& named = seqs.value();
+    std::sort(named.begin(), named.end());
+    std::vector<std::uint8_t> delivered;
+    delivered.reserve(store_.pending_count());
+    for (const auto& reading : store_.pending()) {
+      delivered.push_back(
+          std::binary_search(named.begin(), named.end(), reading.seq) ? 1 : 0);
+    }
+    (void)store_.confirm_delivered(delivered);
     ++confirms_processed_;
     return {encode_ack(probe_id_, frame.seq)};
   }

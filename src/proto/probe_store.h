@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <set>
 #include <vector>
 
 #include "proto/reading.h"
@@ -36,17 +35,20 @@ class ProbeStore {
     return nullptr;
   }
 
-  // The base station confirms delivery of a set of sequence numbers; only
-  // then do readings leave the probe. Returns how many were released.
-  std::size_t confirm_delivered(const std::set<std::uint32_t>& seqs) {
-    const std::size_t before = pending_.size();
-    std::deque<ProbeReading> keep;
-    for (auto& reading : pending_) {
-      if (!seqs.contains(reading.seq)) keep.push_back(reading);
+  // The base station confirms what arrived, one flag per pending reading
+  // in pending() order (non-zero: delivered); only then do readings leave
+  // the probe. Readings past the end of `delivered` stay. Returns how many
+  // were released.
+  std::size_t confirm_delivered(const std::vector<std::uint8_t>& delivered) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < pending_.size(); ++i) {
+      if (i < delivered.size() && delivered[i] != 0) continue;
+      pending_[kept++] = pending_[i];
     }
-    pending_ = std::move(keep);
-    delivered_total_ += before - pending_.size();
-    return before - pending_.size();
+    const std::size_t released = pending_.size() - kept;
+    pending_.resize(kept);
+    delivered_total_ += released;
+    return released;
   }
 
   [[nodiscard]] std::size_t delivered_total() const {

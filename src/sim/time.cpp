@@ -79,10 +79,29 @@ SimTime start_of_day(SimTime t) { return t - time_of_day(t); }
 
 std::string format_iso(SimTime t) {
   const DateTime dt = to_datetime(t);
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%04d-%02d-%02d %02d:%02d:%02d",
-                dt.year, dt.month, dt.day, dt.hour, dt.minute, dt.second);
-  return buffer;
+  if (dt.year < 0 || dt.year > 9999) {
+    // Not 19 characters: "%04d" widens the year or signs it.
+    char buffer[32];
+    std::snprintf(buffer, sizeof(buffer), "%04d-%02d-%02d %02d:%02d:%02d",
+                  dt.year, dt.month, dt.day, dt.hour, dt.minute, dt.second);
+    return buffer;
+  }
+  std::string text(19, '-');
+  const auto put = [&text](std::size_t at, int value, int digits) {
+    for (std::size_t i = at + std::size_t(digits); i-- > at; value /= 10) {
+      text[i] = char('0' + value % 10);
+    }
+  };
+  put(0, dt.year, 4);
+  put(5, dt.month, 2);
+  put(8, dt.day, 2);
+  text[10] = ' ';
+  put(11, dt.hour, 2);
+  text[13] = ':';
+  put(14, dt.minute, 2);
+  text[16] = ':';
+  put(17, dt.second, 2);
+  return text;
 }
 
 }  // namespace gw::sim

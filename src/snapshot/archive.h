@@ -306,7 +306,9 @@ class Loader {
     } else if constexpr (std::is_same_v<D, std::string>) {
       const std::uint64_t n = take_u64();
       const std::span<const std::uint8_t> raw = take_bytes(n);
-      v.assign(raw.begin(), raw.end());
+      // From (pointer, size): byte iterators would take the input-iterator
+      // path, which builds a temporary string and copies it.
+      v.assign(reinterpret_cast<const char*>(raw.data()), raw.size());
     } else if constexpr (std::is_same_v<D, util::Rng>) {
       util::RngState s;
       for (std::uint64_t& word : s.words) word = take_u64();

@@ -360,6 +360,27 @@ void Station::shutdown_peripherals() {
   if (dgps_.powered()) dgps_.power_off();
 }
 
+std::size_t probe_reading_line_chars(const proto::ProbeReading& reading) {
+  return std::string_view("rx probe=").size() +
+         util::decimal_chars(reading.probe_id) +
+         std::string_view(" seq=").size() + util::decimal_chars(reading.seq) +
+         std::string_view(" cond=").size() +
+         util::fixed_chars(reading.conductivity_us, 2) +
+         std::string_view(" pres=").size() +
+         util::fixed_chars(reading.pressure_kpa, 1);
+}
+
+std::size_t probe_session_line_chars(int probe_id,
+                                     const proto::TransferStats& stats) {
+  return std::string_view("probe ").size() + util::decimal_chars(probe_id) +
+         std::string_view(": ").size() + util::decimal_chars(stats.delivered) +
+         std::string_view("/").size() + util::decimal_chars(stats.offered) +
+         std::string_view(" readings, ").size() +
+         util::decimal_chars(stats.missing_after_stream) +
+         std::string_view(" missed in stream").size() +
+         (stats.aborted ? std::string_view(" [ABORT]").size() : 0);
+}
+
 // --- step bodies --------------------------------------------------------
 
 std::optional<sim::Duration> Station::probe_chunk() {
@@ -404,20 +425,13 @@ std::optional<sim::Duration> Station::probe_chunk() {
     }
     // The deployed binaries logged every frame (§VI's 1 MB problem); the
     // LogManager budget suppresses the flood after the first few KiB.
+    const std::int64_t now_ms = simulation_.now().millis_since_epoch();
     for (const auto& reading : stats.delivered_readings) {
-      log_manager_.debug(
-          simulation_.now().millis_since_epoch(), "probes",
-          "rx probe=" + std::to_string(reading.probe_id) +
-              " seq=" + std::to_string(reading.seq) +
-              " cond=" + util::format_fixed(reading.conductivity_us, 2) +
-              " pres=" + util::format_fixed(reading.pressure_kpa, 1));
+      log_manager_.meter(now_ms, core::LogLevel::kDebug, "probes",
+                         probe_reading_line_chars(reading));
     }
-    log_manager_.info(simulation_.now().millis_since_epoch(), "probes",
-                 "probe " + std::to_string(probe->id()) + ": " +
-                     std::to_string(stats.delivered) + "/" +
-                     std::to_string(stats.offered) + " readings, " +
-                     std::to_string(stats.missing_after_stream) +
-                     " missed in stream" + (stats.aborted ? " [ABORT]" : ""));
+    log_manager_.meter(now_ms, core::LogLevel::kInfo, "probes",
+                       probe_session_line_chars(probe->id(), stats));
     if (stats.airtime > sim::Duration{0}) return stats.airtime;
   }
   return std::nullopt;

@@ -151,6 +151,17 @@ struct StationStats {
   }
 };
 
+// Lengths of the two probe lines the daily run meters, counted from their
+// parts: a received reading's DEBUG line "rx probe=<id> seq=<seq>
+// cond=<%.2f> pres=<%.1f>" and a session's INFO line "probe <id>:
+// <delivered>/<offered> readings, <missed> missed in stream", with
+// " [ABORT]" after an aborted session. The log only meters them, so they
+// are never built.
+[[nodiscard]] std::size_t probe_reading_line_chars(
+    const proto::ProbeReading& reading);
+[[nodiscard]] std::size_t probe_session_line_chars(
+    int probe_id, const proto::TransferStats& stats);
+
 class Station {
  public:
   Station(sim::Simulation& simulation, const env::Environment& environment,

@@ -33,10 +33,32 @@ bool starts_with(std::string_view text, std::string_view prefix) {
   return text.substr(0, prefix.size()) == prefix;
 }
 
+namespace {
+
+// format_fixed has always been "%.*f" printed into 64 bytes, so its text
+// stops at 63 characters.
+constexpr std::size_t kFixedMaxChars = 63;
+
+}  // namespace
+
 std::string format_fixed(double value, int decimals) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.*f", decimals, value);
-  return buffer;
+  char buffer[kFixedMaxChars];
+  const auto [end, ec] =
+      std::to_chars(buffer, buffer + kFixedMaxChars, value,
+                    std::chars_format::fixed, decimals);
+  if (ec == std::errc{}) return std::string(buffer, end);
+  // Too long to fit: snprintf cuts the text where it always did.
+  char cut[kFixedMaxChars + 1];
+  std::snprintf(cut, sizeof(cut), "%.*f", decimals, value);
+  return cut;
+}
+
+std::size_t fixed_chars(double value, int decimals) {
+  char buffer[kFixedMaxChars];
+  const auto [end, ec] =
+      std::to_chars(buffer, buffer + kFixedMaxChars, value,
+                    std::chars_format::fixed, decimals);
+  return ec == std::errc{} ? std::size_t(end - buffer) : kFixedMaxChars;
 }
 
 std::string pad_left(std::string_view text, std::size_t width) {

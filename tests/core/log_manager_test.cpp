@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -270,6 +271,41 @@ TEST(LogManager, SuppressedLinesChargeTheirRenderedBytes) {
                      "log budget: suppressed 1000 records (62 KiB) "
                      "yesterday"}})
                 .size());
+}
+
+TEST(LogManager, RenderedLineBytesCountsEveryTimeWidth) {
+  // Times before the epoch, short of 13 digits, at the 13/14-digit edge and
+  // at the int64 limits all render to what the meter charges.
+  for (const std::int64_t time_ms :
+       {std::int64_t{0}, std::int64_t{-1}, std::int64_t{42},
+        std::int64_t{9'999'999'999'999}, std::int64_t{10'000'000'000'000},
+        -std::int64_t{1'000'000'000'000},
+        std::numeric_limits<std::int64_t>::max(),
+        std::numeric_limits<std::int64_t>::min()}) {
+    const Line line{time_ms, LogLevel::kDebug, "probes", "rx probe=21"};
+    EXPECT_EQ(rendered_line_bytes(time_ms, line.level, line.component.size(),
+                                  line.message.size()),
+              render({line}).size())
+        << time_ms;
+  }
+}
+
+TEST(LogManager, MeterChargesWhatLogCharges) {
+  // A line metered by its message length and the same line logged whole
+  // cost the same, admitted or suppressed.
+  LogManager logged;
+  LogManager metered;
+  for (int i = 0; i < 600; ++i) {
+    const std::string message(std::size_t(20 + i % 17), 'm');
+    logged.debug(kTime + i, "probes", message);
+    metered.meter(kTime + i, LogLevel::kDebug, "probes", message.size());
+  }
+  EXPECT_GT(logged.total_suppressed(), 0u);
+  EXPECT_EQ(metered.total_suppressed(), logged.total_suppressed());
+  EXPECT_EQ(metered.pending_bytes(), logged.pending_bytes());
+  logged.new_day(kTime + 86'400'000);
+  metered.new_day(kTime + 86'400'000);
+  EXPECT_EQ(metered.drain_bytes(), logged.drain_bytes());
 }
 
 TEST(LogManager, PersistRoundTripsPendingBytesAndBudgets) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <string_view>
+#include <vector>
+
 namespace gw::obs {
 namespace {
 
@@ -100,6 +105,57 @@ TEST(MetricsRegistry, IterationIsOrderedByComponentThenName) {
     order.push_back(key.full_name());
   }
   EXPECT_EQ(order, (std::vector<std::string>{"a.a", "a.z", "z.a"}));
+}
+
+TEST(MetricsRegistry, ViewLookupFindsTheStringLookupsInstrument) {
+  MetricsRegistry registry;
+  const std::string component = "bulk_transfer";
+  const std::string name = "sessions";
+  Counter& by_string = registry.counter(component, name);
+  EXPECT_EQ(registry.size(), 1u);
+  const std::string_view component_view = component;
+  EXPECT_EQ(&registry.counter(component_view, std::string_view{name}),
+            &by_string);
+  EXPECT_EQ(&registry.counter("bulk_transfer", "sessions"), &by_string);
+  EXPECT_EQ(registry.find_counter(component_view, "sessions"), &by_string);
+  EXPECT_EQ(registry.size(), 1u);  // found, not created again
+
+  Gauge& gauge = registry.gauge(component_view, "queue_depth");
+  EXPECT_EQ(&registry.gauge(component, std::string("queue_depth")), &gauge);
+  Histogram& histogram = registry.histogram(component_view, "bytes", {1.0});
+  EXPECT_EQ(&registry.histogram(component, "bytes"), &histogram);
+  EXPECT_EQ(registry.size(), 3u);
+}
+
+TEST(MetricsRegistry, ViewOrderIsTheKeyOrder) {
+  // Keys whose order is easy to get wrong: a name that is a prefix of
+  // another, a dot that could sit either side of the split, an empty part
+  // and bytes with the high bit set. The registry must iterate them as
+  // MetricKey's own ordering does: that order is the export order.
+  const std::vector<std::pair<std::string, std::string>> keys{
+      {"station", "step_seconds.upload_data"},
+      {"station", "step_seconds"},
+      {"station.step_seconds", "x"},
+      {"a", "b.c"},
+      {"a.b", "c"},
+      {"", "z"},
+      {"z", ""},
+      {"\xc3\xa9t\xc3\xa9", "a"},
+      {"e", "\xff"},
+      {"e", "a"},
+      {"station", "step_seconds.get_probe_data"},
+  };
+  MetricsRegistry registry;
+  std::set<MetricKey> expected;
+  for (const auto& [component, name] : keys) {
+    registry.counter(std::string_view{component}, std::string_view{name})
+        .increment();
+    expected.insert(MetricKey{component, name});
+  }
+  std::vector<MetricKey> order;
+  for (const auto& [key, counter] : registry.counters()) order.push_back(key);
+  EXPECT_EQ(order, (std::vector<MetricKey>(expected.begin(), expected.end())));
+  EXPECT_EQ(registry.size(), keys.size());
 }
 
 }  // namespace

@@ -3,6 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "util/strings.h"
 
 namespace gw::station {
 namespace {
@@ -50,6 +56,64 @@ struct Fixture {
     simulation.run_until(simulation.now() + sim::days(days));
   }
 };
+
+TEST(ProbeLogLines, MeasuredLengthsEqualTheBuiltMessages) {
+  // The two probe lines as the station used to build them, before it
+  // metered them from their parts.
+  const auto reading_line = [](const proto::ProbeReading& reading) {
+    return "rx probe=" + std::to_string(reading.probe_id) +
+           " seq=" + std::to_string(reading.seq) +
+           " cond=" + util::format_fixed(reading.conductivity_us, 2) +
+           " pres=" + util::format_fixed(reading.pressure_kpa, 1);
+  };
+  const auto session_line = [](int probe_id,
+                               const proto::TransferStats& stats) {
+    return "probe " + std::to_string(probe_id) + ": " +
+           std::to_string(stats.delivered) + "/" +
+           std::to_string(stats.offered) + " readings, " +
+           std::to_string(stats.missing_after_stream) + " missed in stream" +
+           (stats.aborted ? " [ABORT]" : "");
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> values{0.0,  -0.0,  nan,   -nan,  inf,    -inf,
+                                   9.995, 99.95, 0.05, -0.05, 0.95,  1e15,
+                                   -1e15, 1e300, -1e300, 12.47, 101.325};
+  const std::vector<int> ids{0, 7, 21, -3, std::numeric_limits<int>::max(),
+                             std::numeric_limits<int>::min()};
+  const std::vector<std::uint32_t> seqs{0, 9, 10, 65535,
+                                        std::numeric_limits<std::uint32_t>::max()};
+  for (const int id : ids) {
+    for (const std::uint32_t seq : seqs) {
+      for (const double cond : values) {
+        for (const double pres : values) {
+          proto::ProbeReading reading;
+          reading.probe_id = id;
+          reading.seq = seq;
+          reading.conductivity_us = cond;
+          reading.pressure_kpa = pres;
+          ASSERT_EQ(probe_reading_line_chars(reading),
+                    reading_line(reading).size())
+              << reading_line(reading);
+        }
+      }
+    }
+    for (const std::size_t count :
+         {std::size_t{0}, std::size_t{9}, std::size_t{3000},
+          std::numeric_limits<std::size_t>::max()}) {
+      for (const bool aborted : {false, true}) {
+        proto::TransferStats stats;
+        stats.delivered = count;
+        stats.offered = count + 1;
+        stats.missing_after_stream = count / 2;
+        stats.aborted = aborted;
+        ASSERT_EQ(probe_session_line_chars(id, stats),
+                  session_line(id, stats).size())
+            << session_line(id, stats);
+      }
+    }
+  }
+}
 
 TEST(StationDaily, RunsOncePerDayAndReportsToServer) {
   Fixture f;

@@ -4,6 +4,7 @@
 
 #include <cfloat>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <string>
@@ -77,6 +78,41 @@ TEST(Strings, FormatFixedMatchesSnprintf) {
       ASSERT_EQ(format_fixed(value, decimals), snprintf_fixed(value, decimals))
           << value << " at " << decimals;
     }
+  }
+}
+
+TEST(Strings, FixedCharsCountsFormatFixed) {
+  for (const double value : fixed_edge_values()) {
+    for (const int decimals : {0, 1, 2, 3, 6}) {
+      ASSERT_EQ(fixed_chars(value, decimals),
+                format_fixed(value, decimals).size())
+          << value << " at " << decimals;
+    }
+  }
+}
+
+TEST(Strings, DecimalCharsCountsToString) {
+  using Limits64 = std::numeric_limits<std::int64_t>;
+  for (const std::int64_t value :
+       {std::int64_t{0}, std::int64_t{9}, std::int64_t{10}, std::int64_t{-1},
+        std::int64_t{-10}, std::int64_t{999'999'999'999},
+        std::int64_t{1'000'000'000'000}, std::int64_t{9'999'999'999'999},
+        std::int64_t{10'000'000'000'000}, -std::int64_t{1'220'227'200'000},
+        Limits64::max(), Limits64::min()}) {
+    EXPECT_EQ(decimal_chars(value), std::to_string(value).size()) << value;
+  }
+  for (const int value : {0, 7, -3, 21, std::numeric_limits<int>::max(),
+                          std::numeric_limits<int>::min()}) {
+    EXPECT_EQ(decimal_chars(value), std::to_string(value).size()) << value;
+  }
+  for (const std::uint32_t value :
+       {0u, 9u, 10u, 4'294'967'295u}) {
+    EXPECT_EQ(decimal_chars(value), std::to_string(value).size()) << value;
+  }
+  for (const std::size_t value :
+       {std::size_t{0}, std::size_t{99}, std::size_t{100},
+        std::numeric_limits<std::size_t>::max()}) {
+    EXPECT_EQ(decimal_chars(value), std::to_string(value).size()) << value;
   }
 }
 
