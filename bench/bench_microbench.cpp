@@ -4,7 +4,8 @@
 // the MD5 used by the
 // update pipeline, CRC32 framing checks, the battery integrator, one
 // simulated minute of environment queries and of the PowerSystem tick, a
-// full NACK protocol session, the Southampton query path (one wire
+// full NACK protocol session, one day's bit-rot aging of a CF card, the
+// Southampton query path (one wire
 // parse, and handle_query per query kind), trace appends by series handle,
 // and the save and restore of a day-180 world. These measure the
 // *implementation*, not the paper; they exist so performance regressions
@@ -19,12 +20,14 @@
 
 #include "energy/component_model.h"
 #include "env/environment.h"
+#include "hw/cf_card.h"
 #include "power/battery.h"
 #include "power/chargers.h"
 #include "power/power_system.h"
 #include "proto/bulk_transfer.h"
 #include "proto/messages.h"
 #include "sim/simulation.h"
+#include "sim/time.h"
 #include "sim/trace.h"
 #include "snapshot/error.h"
 #include "station/deployment.h"
@@ -176,6 +179,21 @@ void BM_NackSession(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_NackSession)->Arg(3000);
+
+void BM_CfAge(benchmark::State& state) {
+  // One day's bit-rot aging of a CF card holding range(0) files, about the
+  // base station's count at day 365 of the paper season. One item is one
+  // file at risk.
+  hw::CompactFlashCard card{util::Rng{4}};
+  const sim::SimTime start = sim::at_midnight(2008, 9, 1);
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    const sim::SimTime written = start + sim::minutes(210.0 * double(i));
+    (void)card.write("dgps_" + sim::format_iso(written), util::kib(165));
+  }
+  for (auto _ : state) card.age(sim::days(1));
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_CfAge)->Arg(2500);
 
 // A 64-station server shaped like fifteen days of uniform_fleet_config(64,
 // 1): stations s000..s063 in pairs g000..g031, each uploading and reporting

@@ -27,7 +27,8 @@
 #      runs them and leaves machine-readable results in the repo root as
 #      BENCH_throughput.json (schema glacsweb.bench.v1) and
 #      BENCH_microbench_raw.json (google-benchmark JSON; BM_KernelPeriodic
-#      in it is the delay lanes' dispatch cost, BM_TraceAppend a season of
+#      in it is the delay lanes' dispatch cost, BM_CfAge one day's bit-rot
+#      aging of a 2500-file CF card, BM_TraceAppend a season of
 #      the paper preset's 13 trace series appended by handle, and
 #      BM_SnapshotSave and BM_SnapshotRestore the save and restore of the
 #      whatif_fork workload's day-180 seal). Skipped when the binaries are

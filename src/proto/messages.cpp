@@ -202,26 +202,6 @@ std::string StateReport::encode() const {
       .seal();
 }
 
-util::Result<StateReport> StateReport::read(const FormView& form) {
-  if (!tagged(form, "state_report")) return wrong_type("state_report");
-  if (form.size() != 4) return wrong_size("state_report");
-  const auto station = form.get("station");
-  const auto state = form.get_int("state");
-  const auto rtc = form.get_int("rtc_ms");
-  if (!station || !state || !rtc) {
-    return util::make_error("state_report: missing fields");
-  }
-  StateReport report;
-  report.station = *station;
-  report.state = power::from_int(int(*state));
-  report.day_ms = *rtc;
-  return report;
-}
-
-util::Result<StateReport> StateReport::decode(const std::string& wire) {
-  return decode_wire<StateReport>(wire);
-}
-
 // --- OverrideRequest --------------------------------------------------------
 
 std::string OverrideRequest::encode() const {
@@ -229,21 +209,6 @@ std::string OverrideRequest::encode() const {
       .add("msg", "override_request")
       .add("station", station)
       .seal();
-}
-
-util::Result<OverrideRequest> OverrideRequest::read(const FormView& form) {
-  if (!tagged(form, "override_request")) return wrong_type("override_request");
-  if (form.size() != 2) return wrong_size("override_request");
-  const auto station = form.get("station");
-  if (!station) return util::make_error("override_request: missing station");
-  OverrideRequest request;
-  request.station = *station;
-  return request;
-}
-
-util::Result<OverrideRequest> OverrideRequest::decode(
-    const std::string& wire) {
-  return decode_wire<OverrideRequest>(wire);
 }
 
 // --- OverrideResponse -------------------------------------------------------
@@ -254,27 +219,6 @@ std::string OverrideResponse::encode() const {
                        .add("msg", "override_response")
                        .add_int("state", power::to_int(state))
       .seal();
-}
-
-util::Result<OverrideResponse> OverrideResponse::read(const FormView& form) {
-  if (!tagged(form, "override_response")) {
-    return wrong_type("override_response");
-  }
-  if (form.size() != 3) return wrong_size("override_response");
-  const auto has = form.get_int("has");
-  const auto state = form.get_int("state");
-  if (!has || !state) {
-    return util::make_error("override_response: missing fields");
-  }
-  OverrideResponse response;
-  response.has_override = *has != 0;
-  response.state = power::from_int(int(*state));
-  return response;
-}
-
-util::Result<OverrideResponse> OverrideResponse::decode(
-    const std::string& wire) {
-  return decode_wire<OverrideResponse>(wire);
 }
 
 // --- read API -------------------------------------------------------------

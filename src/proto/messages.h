@@ -112,6 +112,10 @@ class Form {
 // Each type encodes straight into one FormWriter. read() takes its fields
 // from an already-parsed form, after checking the message tag; decode() is
 // Form::decode plus read().
+//
+// The three control-plane messages only encode: a station sizes its GPRS
+// sessions by their wires, and the server's sync ledger takes typed values,
+// so nothing parses them.
 
 struct StateReport {
   std::string station;
@@ -119,28 +123,17 @@ struct StateReport {
   std::int64_t day_ms = 0;  // station RTC at report time
 
   [[nodiscard]] std::string encode() const;
-  [[nodiscard]] static util::Result<StateReport> read(const FormView& form);
-  [[nodiscard]] static util::Result<StateReport> decode(
-      const std::string& wire);
 };
 
 struct OverrideRequest {
   std::string station;
   [[nodiscard]] std::string encode() const;
-  [[nodiscard]] static util::Result<OverrideRequest> read(
-      const FormView& form);
-  [[nodiscard]] static util::Result<OverrideRequest> decode(
-      const std::string& wire);
 };
 
 struct OverrideResponse {
   bool has_override = false;
   power::PowerState state = power::PowerState::kState3;
   [[nodiscard]] std::string encode() const;
-  [[nodiscard]] static util::Result<OverrideResponse> read(
-      const FormView& form);
-  [[nodiscard]] static util::Result<OverrideResponse> decode(
-      const std::string& wire);
 };
 
 // --- consumer read API ----------------------------------------------------

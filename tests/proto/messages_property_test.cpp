@@ -1,4 +1,6 @@
-// Codec property tests for every control-plane and read-API message type:
+// Codec property tests for every message type that decodes (the read API;
+// the control-plane messages only encode, and tests/proto/wire_bytes_test
+// pins their bytes):
 //   * encode -> decode round-trips losslessly;
 //   * flipping ANY single byte of the wire makes decode fail (the CRC-32
 //     envelope catches all single-byte damage, and structural bytes like
@@ -26,18 +28,6 @@ namespace {
 // round-trips the fields.
 std::vector<std::pair<std::string, std::string>> sample_wires() {
   std::vector<std::pair<std::string, std::string>> wires;
-  StateReport report;
-  report.station = "base";
-  report.state = power::PowerState::kState2;
-  report.day_ms = 43200000;
-  wires.emplace_back("state_report", report.encode());
-  OverrideRequest override_request;
-  override_request.station = "reference";
-  wires.emplace_back("override_request", override_request.encode());
-  OverrideResponse override_response;
-  override_response.has_override = true;
-  override_response.state = power::PowerState::kState1;
-  wires.emplace_back("override_response", override_response.encode());
   wires.emplace_back("dir_request", DirectoryRequest{}.encode());
   DirectoryResponse directory;
   directory.stations = {"base", "reference", "weather"};
@@ -70,9 +60,6 @@ std::vector<std::pair<std::string, std::string>> sample_wires() {
 
 // Typed decode of `wire` as the message named `type`; true iff it decoded.
 bool typed_decode_ok(const std::string& type, const std::string& wire) {
-  if (type == "state_report") return StateReport::decode(wire).ok();
-  if (type == "override_request") return OverrideRequest::decode(wire).ok();
-  if (type == "override_response") return OverrideResponse::decode(wire).ok();
   if (type == "dir_request") return DirectoryRequest::decode(wire).ok();
   if (type == "dir_response") return DirectoryResponse::decode(wire).ok();
   if (type == "stats_request") return StationStatsRequest::decode(wire).ok();
@@ -138,24 +125,29 @@ TEST(MessagesProperty, TruncationBreaksDecode) {
 TEST(MessagesProperty, CrcValidButMalformedFieldsFailTypedDecode) {
   // Trailing garbage on a numeric field: the strict parse refuses it.
   Form half_numeric;
-  half_numeric.set("msg", "state_report");
-  half_numeric.set("station", "base");
-  half_numeric.set("state", "2xyz");
-  half_numeric.set("rtc_ms", "1000");
-  EXPECT_FALSE(StateReport::decode(half_numeric.encode()).ok());
+  half_numeric.set("msg", "group_response");
+  half_numeric.set("group", "dgps");
+  half_numeric.set("members", "2xyz");
+  half_numeric.set("fresh", "2");
+  half_numeric.set("converged", "1");
+  half_numeric.set("state", "3");
+  EXPECT_FALSE(GroupStatusResponse::decode(half_numeric.encode()).ok());
 
-  // Missing required field.
+  // Missing required field, with the field count right.
   Form missing;
-  missing.set("msg", "state_report");
-  missing.set("station", "base");
-  missing.set("state", "2");
-  EXPECT_FALSE(StateReport::decode(missing.encode()).ok());
+  missing.set("msg", "group_response");
+  missing.set("group", "dgps");
+  missing.set("members", "2");
+  missing.set("fresh", "2");
+  missing.set("converged", "1");
+  missing.set("status", "3");
+  EXPECT_FALSE(GroupStatusResponse::decode(missing.encode()).ok());
 
   // Wrong message tag for the decoder invoked.
   Form wrong_tag;
-  wrong_tag.set("msg", "override_request");
-  wrong_tag.set("station", "base");
-  EXPECT_FALSE(StateReport::decode(wrong_tag.encode()).ok());
+  wrong_tag.set("msg", "group_request");
+  wrong_tag.set("group", "dgps");
+  EXPECT_FALSE(GroupStatusResponse::decode(wrong_tag.encode()).ok());
 
   // Directory count lies high: the decode must not chase phantom fields.
   Form overcount;
