@@ -19,7 +19,7 @@
 #include <map>
 #include <string>
 #include <string_view>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 namespace gw::obs {

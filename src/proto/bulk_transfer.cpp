@@ -75,8 +75,8 @@ void publish_session(obs::Hooks hooks, const TransferStats& stats,
   }
 }
 
-// The readings flagged in `received` (one flag per pending reading), which
-// the base station keeps, confirmed to the probe: it releases them.
+// Hands the base station the readings flagged in `received` (one flag per
+// pending reading) and confirms them to the probe, which releases them.
 void deliver(ProbeStore& store, const std::vector<std::uint8_t>& received,
              TransferStats& stats) {
   const auto& pending = store.pending();
