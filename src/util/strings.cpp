@@ -35,8 +35,8 @@ bool starts_with(std::string_view text, std::string_view prefix) {
 
 namespace {
 
-// format_fixed has always been "%.*f" printed into 64 bytes, so its text
-// stops at 63 characters.
+// format_fixed's text is "%.*f" as snprintf writes it into 64 bytes: at
+// most 63 characters.
 constexpr std::size_t kFixedMaxChars = 63;
 
 }  // namespace

@@ -145,8 +145,8 @@ TEST(CfCard, SnapshotRoundTripRestoresUsage) {
 }
 
 // The card's persisted state as plain fields, in its persist order, so a
-// test can age it with the walk the card used to do: one bernoulli(hazard)
-// per healthy file, in name order, corrupting the file on a hit.
+// test can age it with the reference walk: one bernoulli(hazard) per
+// healthy file, in name order, corrupting the file on a hit.
 struct ReferenceState {
   struct InFlight {
     std::string name;

@@ -90,7 +90,7 @@ TEST(CalendarTest, FormatIso) {
   EXPECT_EQ(format_iso(kEpoch), "1970-01-01 00:00:00");
 }
 
-// format_iso's old body: snprintf into a 32-byte buffer.
+// The reference: "%04d-%02d-%02d %02d:%02d:%02d" printed by snprintf.
 std::string snprintf_iso(SimTime t) {
   const DateTime dt = to_datetime(t);
   char buffer[32];

@@ -58,8 +58,7 @@ struct Fixture {
 };
 
 TEST(ProbeLogLines, MeasuredLengthsEqualTheBuiltMessages) {
-  // The two probe lines as the station used to build them, before it
-  // metered them from their parts.
+  // The reference: the two probe lines built as text.
   const auto reading_line = [](const proto::ProbeReading& reading) {
     return "rx probe=" + std::to_string(reading.probe_id) +
            " seq=" + std::to_string(reading.seq) +
@@ -81,8 +80,8 @@ TEST(ProbeLogLines, MeasuredLengthsEqualTheBuiltMessages) {
                                    -1e15, 1e300, -1e300, 12.47, 101.325};
   const std::vector<int> ids{0, 7, 21, -3, std::numeric_limits<int>::max(),
                              std::numeric_limits<int>::min()};
-  const std::vector<std::uint32_t> seqs{0, 9, 10, 65535,
-                                        std::numeric_limits<std::uint32_t>::max()};
+  const std::vector<std::uint32_t> seqs{
+      0, 9, 10, 65535, std::numeric_limits<std::uint32_t>::max()};
   for (const int id : ids) {
     for (const std::uint32_t seq : seqs) {
       for (const double cond : values) {

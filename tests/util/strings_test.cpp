@@ -40,7 +40,7 @@ TEST(Strings, FormatFixed) {
   EXPECT_EQ(format_fixed(-0.5, 3), "-0.500");
 }
 
-// format_fixed's old body: "%.*f" into a 64-byte buffer, so a text
+// The reference: "%.*f" printed by snprintf into 64 bytes, so a text
 // longer than 63 characters is cut at 63.
 std::string snprintf_fixed(double value, int decimals) {
   char buffer[64];
