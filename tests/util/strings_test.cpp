@@ -105,8 +105,7 @@ TEST(Strings, DecimalCharsCountsToString) {
                           std::numeric_limits<int>::min()}) {
     EXPECT_EQ(decimal_chars(value), std::to_string(value).size()) << value;
   }
-  for (const std::uint32_t value :
-       {0u, 9u, 10u, 4'294'967'295u}) {
+  for (const std::uint32_t value : {0u, 9u, 10u, 4'294'967'295u}) {
     EXPECT_EQ(decimal_chars(value), std::to_string(value).size()) << value;
   }
   for (const std::size_t value :
