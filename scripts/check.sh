@@ -78,7 +78,16 @@
 #      DailyRun.*), so the pinned constants are shown to hold on a build
 #      that may use FMA (the root CMakeLists.txt compiles with
 #      -ffp-contract=off). Off by default for the same reason as the
-#      sanitizer legs.
+#      sanitizer legs;
+#  13. pinned exports: compares the `cksum` line (CRC-32 and byte count)
+#      of each export legs 6-9 regenerate — BENCH_fleet_scale.json,
+#      BENCH_server_load.json, BENCH_fork_warmup.json,
+#      BENCH_energy_breakdown.json and BENCH_fork_warmup.gwsnap — with the
+#      checked-in manifest scripts/pinned_exports.cksum, so a moved byte
+#      fails against the last commit, not only between two runs of one
+#      build. On failure it names every file that moved and prints the
+#      lines a re-pin would commit. Skipped with legs 5-9
+#      (GW_CHECK_BENCH=0, or bench binaries not built).
 #
 # Exits non-zero on any real failure; missing tools skip their check.
 set -u
@@ -346,6 +355,38 @@ if [ "${GW_CHECK_NATIVE:-0}" = "1" ]; then
   fi
 else
   echo "skip: native build (set GW_CHECK_NATIVE=1 to enable)"
+fi
+
+# --- 13. pinned exports ------------------------------------------------------
+pinned_manifest=scripts/pinned_exports.cksum
+pinned_exports="BENCH_fleet_scale.json BENCH_server_load.json
+  BENCH_fork_warmup.json BENCH_energy_breakdown.json BENCH_fork_warmup.gwsnap"
+if [ "${GW_CHECK_BENCH:-1}" = "1" ]; then
+  if [ -x build/bench/bench_fleet_scale ] &&
+     [ -x build/bench/bench_server_load ] &&
+     [ -x build/bench/bench_fork_warmup ] &&
+     [ -x build/bench/bench_energy_breakdown ]; then
+    echo "== pinned exports: cksum vs $pinned_manifest"
+    moved=""
+    for f in $pinned_exports; do
+      if [ "$(cksum "$f" 2>/dev/null)" != "$(grep " $f\$" "$pinned_manifest")" ]
+      then
+        moved="$moved $f"
+      fi
+    done
+    if [ -z "$moved" ]; then
+      echo "ok: every pinned export matches $pinned_manifest"
+    else
+      echo "FAIL: pinned exports moved:$moved"
+      echo "  a re-pin would commit these lines to $pinned_manifest:"
+      cksum $pinned_exports 2>&1 | sed 's/^/    /'
+      failures=$((failures + 1))
+    fi
+  else
+    echo "skip: pinned exports (bench binaries not built)"
+  fi
+else
+  echo "skip: pinned exports (GW_CHECK_BENCH=0)"
 fi
 
 if [ "$failures" -ne 0 ]; then
