@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/journal.h"
 #include "sim/trace.h"
 #include "snapshot/archive.h"
 #include "snapshot/error.h"
@@ -67,6 +68,22 @@ sim::SimTime season_end(const Fleet& fleet) {
          sim::minutes(17);
 }
 
+// Section-for-section byte agreement of two end states.
+void expect_same_sections(Fleet& cold, Fleet& forked) {
+  const auto cold_end = cold.save_snapshot();
+  const auto fork_end = forked.save_snapshot();
+  const snapshot::StateReader cold_reader(cold_end);
+  const snapshot::StateReader fork_reader(fork_end);
+  ASSERT_EQ(cold_reader.sections().size(), fork_reader.sections().size());
+  for (std::size_t i = 0; i < cold_reader.sections().size(); ++i) {
+    const auto& a = cold_reader.sections()[i];
+    const auto& b = fork_reader.sections()[i];
+    ASSERT_EQ(a.name, b.name);
+    if (a.name == "kernel") continue;
+    EXPECT_EQ(a.crc, b.crc) << "section drifted after fork: " << a.name;
+  }
+}
+
 TEST(FleetSnapshotTest, ForkResumedSeasonMatchesColdReplay) {
   Fleet cold{small_faulted_config()};
   cold.simulation().run_until(cold.simulation().now() + checkpoint_offset());
@@ -80,19 +97,7 @@ TEST(FleetSnapshotTest, ForkResumedSeasonMatchesColdReplay) {
                 .millis_since_epoch());
   forked.simulation().run_until(season_end(forked));
 
-  // Section-for-section byte agreement of the two end states.
-  const auto cold_end = cold.save_snapshot();
-  const auto fork_end = forked.save_snapshot();
-  const snapshot::StateReader cold_reader(cold_end);
-  const snapshot::StateReader fork_reader(fork_end);
-  ASSERT_EQ(cold_reader.sections().size(), fork_reader.sections().size());
-  for (std::size_t i = 0; i < cold_reader.sections().size(); ++i) {
-    const auto& a = cold_reader.sections()[i];
-    const auto& b = fork_reader.sections()[i];
-    ASSERT_EQ(a.name, b.name);
-    if (a.name == "kernel") continue;
-    EXPECT_EQ(a.crc, b.crc) << "section drifted after fork: " << a.name;
-  }
+  expect_same_sections(cold, forked);
 
   // And the human-readable outcomes agree too.
   EXPECT_EQ(cold.station(0).stats().runs_completed,
@@ -100,6 +105,56 @@ TEST(FleetSnapshotTest, ForkResumedSeasonMatchesColdReplay) {
   EXPECT_EQ(cold.server().files_from("base"),
             forked.server().files_from("base"));
   EXPECT_EQ(cold.probes_alive(), forked.probes_alive());
+}
+
+// The base browns out under a harvest blackout and recharges into a cold
+// boot whose GPS time fix a dgps_no_fix window refuses, so the station
+// sleeps a day before it retries (§IV). With seed 20080601 the bank browns
+// out on day 1, comes back at 00:34 on day 4 and defers until the window
+// closes on day 7.
+FleetConfig deferred_cold_boot_config() {
+  FleetConfig config = small_faulted_config();
+  config.fault_spec =
+      "harvest_blackout start=1d duration=3d severity=1.0\n"
+      "dgps_no_fix      start=1d duration=6d severity=1.0\n";
+  StationConfig& base = config.stations[0].station;
+  base.power.battery.capacity = util::AmpHours{0.3};
+  base.power.battery.initial_soc = 0.3;
+  return config;
+}
+
+// The pending retry is a station-owned event the restore must rebuild.
+TEST(FleetSnapshotTest, DeferredColdBootRetrySurvivesRestore) {
+  Fleet cold{deferred_cold_boot_config()};
+  const sim::SimTime cut =
+      cold.simulation().now() + sim::days(5) + sim::minutes(17);
+  cold.simulation().run_until(cut);
+  const std::vector<std::uint8_t> snapshot = cold.save_snapshot();
+  const int cold_boots_at_cut = cold.station(0).stats().cold_boots;
+
+  // The last recovery record before the cut is a deferral less than a
+  // day old, so its retry is still pending.
+  const obs::Event* last = nullptr;
+  for (const obs::Event& event : cold.station(0).journal().events()) {
+    if (event.type == obs::EventType::kRecoveryDeferred ||
+        event.type == obs::EventType::kRecoveryResync) {
+      last = &event;
+    }
+  }
+  ASSERT_NE(last, nullptr);
+  EXPECT_EQ(last->type, obs::EventType::kRecoveryDeferred);
+  EXPECT_GT(last->time_ms, (cut - sim::days(1)).millis_since_epoch());
+  EXPECT_LT(last->time_ms, cut.millis_since_epoch());
+
+  const sim::SimTime end = cut + sim::days(4);
+  cold.simulation().run_until(end);
+  Fleet forked{deferred_cold_boot_config()};
+  forked.restore_snapshot(snapshot);
+  forked.simulation().run_until(end);
+
+  EXPECT_GT(forked.station(0).stats().cold_boots, cold_boots_at_cut);
+  EXPECT_EQ(forked.station(0).recovery().gps_resyncs(), 1);
+  expect_same_sections(cold, forked);
 }
 
 TEST(FleetSnapshotTest, SaveIsDeterministic) {
