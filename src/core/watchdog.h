@@ -10,7 +10,6 @@
 #pragma once
 
 #include <functional>
-#include <optional>
 
 #include "obs/journal.h"
 #include "sim/simulation.h"
@@ -38,7 +37,7 @@ class Watchdog {
     }
     pending_ = simulation_.schedule_in(limit_, [this,
                                                 fn = std::move(on_expire)] {
-      pending_.reset();
+      pending_ = 0;
       expired_ = true;
       ++expiry_count_;
       if (hooks_.metrics != nullptr) {
@@ -55,13 +54,11 @@ class Watchdog {
 
   // Normal shutdown path: the run finished inside the window.
   void disarm() {
-    if (pending_.has_value()) {
-      simulation_.cancel(*pending_);
-      pending_.reset();
-    }
+    simulation_.cancel(pending_);
+    pending_ = 0;
   }
 
-  [[nodiscard]] bool armed() const { return pending_.has_value(); }
+  [[nodiscard]] bool armed() const { return pending_ != 0; }
   [[nodiscard]] bool expired() const { return expired_; }
   [[nodiscard]] int expiry_count() const { return expiry_count_; }
   [[nodiscard]] sim::Duration limit() const { return limit_; }
@@ -69,7 +66,7 @@ class Watchdog {
   // Time left before the cut — the daily run checks this before starting
   // another file fetch or upload chunk.
   [[nodiscard]] sim::Duration remaining() const {
-    if (!pending_.has_value()) return sim::Duration{0};
+    if (pending_ == 0) return sim::Duration{0};
     return deadline_ - simulation_.now();
   }
 
@@ -79,7 +76,7 @@ class Watchdog {
   template <class Archive>
   void persist(Archive& ar) {
     if constexpr (Archive::kIsSaver) {
-      if (pending_.has_value()) {
+      if (pending_ != 0) {
         throw snapshot::SnapshotError(snapshot::SnapshotErrc::kNotQuiescent,
                                       "watchdog armed", "watchdog");
       }
@@ -93,7 +90,7 @@ class Watchdog {
   // gwlint: allow(persist-coverage): construction constant, never mutated
   sim::Duration limit_;
   obs::Hooks hooks_;
-  std::optional<sim::EventId> pending_;
+  sim::EventId pending_ = 0;
   // gwlint: allow(persist-coverage): only meaningful while armed; saves
   // refuse with kNotQuiescent when armed, so there is nothing to carry
   sim::SimTime deadline_{};

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <functional>
-#include <optional>
 
 #include "hw/gumstix.h"
 #include "hw/msp430.h"
@@ -50,7 +49,7 @@ class Gumsense {
     on_cold_boot_ = std::move(on_cold_boot);
   }
 
-  [[nodiscard]] bool wake_armed() const { return pending_wake_.has_value(); }
+  [[nodiscard]] bool wake_armed() const { return pending_wake_ != 0; }
 
   // Snapshot support (docs/SNAPSHOT.md). on_wake_/on_cold_boot_ survive the
   // restored world's own construction; the armed wake timer is rebuilt
@@ -75,7 +74,7 @@ class Gumsense {
   }
 
   void fire_wake() {
-    pending_wake_.reset();
+    pending_wake_ = 0;
     if (power_.browned_out()) return;
     const sim::SimTime booted = gumstix_.power_on();
     simulation_.schedule_at(booted, [this] {
@@ -85,10 +84,8 @@ class Gumsense {
   }
 
   void disarm() {
-    if (pending_wake_.has_value()) {
-      simulation_.cancel(*pending_wake_);
-      pending_wake_.reset();
-    }
+    simulation_.cancel(pending_wake_);
+    pending_wake_ = 0;
   }
 
   void handle_brown_out() {
@@ -107,7 +104,7 @@ class Gumsense {
   Gumstix gumstix_;
   std::function<void()> on_wake_;
   std::function<void()> on_cold_boot_;
-  std::optional<sim::EventId> pending_wake_;
+  sim::EventId pending_wake_ = 0;
 };
 
 }  // namespace gw::hw

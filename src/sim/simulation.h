@@ -45,7 +45,8 @@ namespace gw::sim {
 
 // Opaque handle: packs (slot index << 32 | slot generation). Generations
 // make stale handles harmless — cancel() of a fired, cancelled, or never-
-// issued id is a no-op, exactly like an embedded timer API.
+// issued id is a no-op, exactly like an embedded timer API. Generations
+// start at 1, so no live id is 0: holders use 0 for "none pending".
 using EventId = std::uint64_t;
 
 class Simulation {
@@ -552,34 +553,6 @@ void persist_pending(Archive& ar, Simulation& sim, EventId& id, F&& rebuild) {
       id = sim.schedule_rebuilt(at_ms, seq, std::forward<F>(rebuild));
     } else {
       id = EventId{0};  // generations start at 1, so 0 never matches
-    }
-  }
-}
-
-template <class Archive, typename F>
-void persist_pending(Archive& ar, Simulation& sim, std::optional<EventId>& id,
-                     F&& rebuild) {
-  if constexpr (Archive::kIsSaver) {
-    std::optional<std::pair<std::int64_t, std::uint32_t>> key;
-    if (id.has_value()) key = sim.pending_key(*id);
-    const bool live = key.has_value();
-    ar.value(live);
-    if (live) {
-      ar.value(key->first);
-      ar.value(key->second);
-      ++ar.rebuild_records;
-    }
-  } else {
-    bool live = false;
-    ar.value(live);
-    if (live) {
-      std::int64_t at_ms = 0;
-      std::uint32_t seq = 0;
-      ar.value(at_ms);
-      ar.value(seq);
-      id = sim.schedule_rebuilt(at_ms, seq, std::forward<F>(rebuild));
-    } else {
-      id.reset();
     }
   }
 }

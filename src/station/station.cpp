@@ -231,7 +231,7 @@ void Station::apply_frequency_plan() {
 }
 
 void Station::advance_run() {
-  run_->pending.reset();
+  run_->pending = 0;
   for (; run_->step < kDailyRun.size(); ++run_->step) {
     const DailyStep& step = kDailyRun[run_->step];
     if (!runs_at(step, config_)) continue;
@@ -291,7 +291,7 @@ std::optional<sim::Duration> Station::call_step() {
 
 void Station::abort_run() {
   if (!run_.has_value()) return;
-  if (run_->pending.has_value()) simulation_.cancel(*run_->pending);
+  simulation_.cancel(run_->pending);
   finish_run(/*aborted=*/true);
 }
 
@@ -847,7 +847,7 @@ void Station::on_cold_boot() {
 }
 
 void Station::fire_recovery_retry() {
-  recovery_retry_.reset();
+  recovery_retry_ = 0;
   if (!power_.browned_out()) on_cold_boot();
 }
 

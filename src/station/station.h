@@ -373,7 +373,7 @@ class Station {
   struct Run {
     std::size_t step = 0;                 // row of the step table
     bool body_ran = false;                // the row's body has run once
-    std::optional<sim::EventId> pending;  // the row's continuation
+    sim::EventId pending = 0;             // the row's continuation
     sim::SimTime step_started{};          // when the row began
   };
   std::optional<Run> run_;
@@ -381,7 +381,7 @@ class Station {
   // Deferred §IV cold-boot retry ("sleep for a day and try again") — tracked
   // so a checkpoint taken while a station waits out a flat battery restores
   // the retry instead of stranding it.
-  std::optional<sim::EventId> recovery_retry_;
+  sim::EventId recovery_retry_ = 0;
   std::vector<StateChange> state_history_;
   std::vector<DailyAverage> daily_averages_;
   std::vector<std::string> last_run_steps_;
