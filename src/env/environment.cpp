@@ -33,7 +33,7 @@ Environment::Environment(EnvironmentConfig config, std::uint64_t seed,
       temperature_(*this),
       snow_(*this),
       melt_(*this),
-      interference_(config.interference, config.radio_site),
+      interference_(config.radio_site),
       gps_sky_(config.gps_sky, util::Rng{seed}.fork("gps_sky").seed()) {}
 
 const DayWeather& Environment::extend_tape(std::int64_t index) const {
@@ -56,7 +56,6 @@ void Environment::append_day() const {
   const SolarConfig& solar = config_.solar;
   const WindConfig& wind = config_.wind;
   const SnowConfig& snow = config_.snow;
-  const MeltConfig& melt = config_.melt;
   const std::int64_t index = origin_ + std::int64_t(tape_.size());
   const sim::SimTime midnight{index * kDayMs};
   const int doy = sim::day_of_year(midnight);
@@ -67,9 +66,10 @@ void Environment::append_day() const {
   // the cold half of the year, a wet bed in summer).
   DayWeather today;
   double previous_gust = 0.0;
-  double previous_cloud = solar.cloud_mean;
+  double previous_cloud = SolarModel::kCloudMean;
   if (tape_.empty()) {
-    today.melt_index = (doy > 150 && doy < 270) ? 0.8 : melt.winter_floor;
+    today.melt_index =
+        (doy > 150 && doy < 270) ? 0.8 : MeltModel::kWinterFloor;
   } else {
     const DayWeather& yesterday = tape_.back();
     today.temperature_noise_c = yesterday.temperature_noise_c;
@@ -81,38 +81,39 @@ void Environment::append_day() const {
 
   // Temperature noise: one AR(1) innovation a day.
   today.temperature_noise_c =
-      temperature.noise_persistence * today.temperature_noise_c +
+      TemperatureModel::kNoisePersistence * today.temperature_noise_c +
       draws.normal(0.0, innovation_stddev(temperature.noise_stddev_c,
-                                          temperature.noise_persistence));
+                                          TemperatureModel::kNoisePersistence));
 
   // Cloud: an AR(1) walk around the mean, one draw a day, so weather
   // persists across the diurnal cycle as real fronts do.
-  today.cloud = solar.cloud_mean +
-                solar.cloud_persistence * (previous_cloud - solar.cloud_mean) +
-                draws.normal(0.0, innovation_stddev(solar.cloud_stddev,
-                                                    solar.cloud_persistence));
+  today.cloud = SolarModel::kCloudMean +
+                SolarModel::kCloudPersistence *
+                    (previous_cloud - SolarModel::kCloudMean) +
+                draws.normal(0.0,
+                             innovation_stddev(solar.cloud_stddev,
+                                               SolarModel::kCloudPersistence));
   today.cloud = std::clamp(today.cloud, 0.08, 1.0);
 
   // Wind: a Weibull daily mean whose scale peaks mid-January (doy ~15),
   // modulated hour by hour by an AR(1) gust walk.
   const double seasonal_scale =
-      wind.scale_mean +
-      wind.scale_winter_boost *
+      WindModel::kScaleMean +
+      WindModel::kScaleWinterBoost *
           std::cos(2.0 * std::numbers::pi * (doy - 15) / 365.0);
   today.wind_mean =
-      draws.weibull(wind.weibull_shape, std::max(0.5, seasonal_scale));
+      draws.weibull(WindModel::kWeibullShape, std::max(0.5, seasonal_scale));
   const double gust_innovation =
-      innovation_stddev(wind.gust_stddev, wind.gust_persistence);
+      innovation_stddev(wind.gust_stddev, WindModel::kGustPersistence);
   for (double& gust : today.gust) {
-    gust = wind.gust_persistence * previous_gust +
+    gust = WindModel::kGustPersistence * previous_gust +
            draws.normal(0.0, gust_innovation);
     previous_gust = gust;
   }
 
   // The air temperature the models answer for this day, noise included.
   const auto air_c = [&](sim::SimTime t) {
-    return TemperatureModel::seasonal_c(temperature, t) +
-           TemperatureModel::diurnal_c(temperature, t) +
+    return TemperatureModel::seasonal_c(t) + TemperatureModel::diurnal_c(t) +
            today.temperature_noise_c;
   };
 
@@ -126,7 +127,7 @@ void Environment::append_day() const {
       today.snow_depth_m += draws.exponential(1.0 / snow.storm_accumulation_m);
     }
   } else {
-    today.snow_depth_m -= snow.melt_rate_m_per_degree_day * noon_c;
+    today.snow_depth_m -= SnowModel::kMeltRateMPerDegreeDay * noon_c;
   }
   today.snow_depth_m = std::max(0.0, today.snow_depth_m);
 
@@ -134,10 +135,13 @@ void Environment::append_day() const {
   // mean. Spring afternoons cross 0°C weeks before the mean does, which is
   // what puts the Fig 6 conductivity rise in April.
   const double afternoon_c = air_c(midnight + sim::hours(15));
-  if (afternoon_c > 0.0) today.melt_index += melt.degree_day_gain * afternoon_c;
-  today.melt_index -=
-      melt.decay_per_day * (today.melt_index - melt.winter_floor);
-  today.melt_index = std::clamp(today.melt_index, melt.winter_floor, 1.0);
+  if (afternoon_c > 0.0) {
+    today.melt_index += MeltModel::kDegreeDayGain * afternoon_c;
+  }
+  today.melt_index -= MeltModel::kDecayPerDay *
+                      (today.melt_index - MeltModel::kWinterFloor);
+  today.melt_index =
+      std::clamp(today.melt_index, MeltModel::kWinterFloor, 1.0);
 
   tape_.push_back(today);
 }

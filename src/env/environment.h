@@ -32,7 +32,6 @@ struct EnvironmentConfig {
   TemperatureConfig temperature;
   SnowConfig snow;
   MeltConfig melt;
-  InterferenceConfig interference;
   RadioSite radio_site = RadioSite::kGlacier;
   GpsSkyConfig gps_sky;
 };

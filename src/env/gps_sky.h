@@ -26,11 +26,12 @@ struct GpsSkyConfig {
   double orbital_amplitude = 1.8;   // main constellation-geometry swing
   double secondary_amplitude = 0.9; // beat against the second harmonic
   double jitter = 0.7;              // masking, multipath, outages
-  int min_for_fix = 4;              // below this no position/time fix
 };
 
 class GpsSky {
  public:
+  static constexpr int kMinForFix = 4;  // below this no position/time fix
+
   GpsSky(GpsSkyConfig config, std::uint64_t seed)
       : config_(config), seed_(seed) {}
 
@@ -57,7 +58,7 @@ class GpsSky {
   // Whether a position/time fix is possible with `satellites` in view (a
   // count from visible(), so one look at the sky serves a whole fix).
   [[nodiscard]] bool fix_possible(int satellites) const {
-    return satellites >= config_.min_for_fix;
+    return satellites >= kMinForFix;
   }
 
   // Fix acquisition scales down as more satellites are in view.

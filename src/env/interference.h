@@ -14,36 +14,30 @@ namespace gw::env {
 
 enum class RadioSite { kLab, kGlacier };
 
-struct InterferenceConfig {
-  // Baseline drop-out probability per connected minute.
-  double base_dropout_per_min = 0.004;
-  // Extra during 08:00-20:00 local time at an urban site.
-  double busy_hours_extra = 0.035;
-  double lab_site_factor = 1.0;
-  double glacier_site_factor = 0.25;
-};
-
 class InterferenceModel {
  public:
-  InterferenceModel(InterferenceConfig config, RadioSite site)
-      : config_(config), site_(site) {}
+  // Baseline drop-out probability per connected minute.
+  static constexpr double kBaseDropoutPerMin = 0.004;
+  // Extra during 08:00-20:00 local time at an urban site.
+  static constexpr double kBusyHoursExtra = 0.035;
+  static constexpr double kLabSiteFactor = 1.0;
+  static constexpr double kGlacierSiteFactor = 0.25;
+
+  explicit InterferenceModel(RadioSite site) : site_(site) {}
 
   // Probability that an established link drops during the minute at t.
   [[nodiscard]] double dropout_probability(sim::SimTime t) const {
     const double hour = sim::time_of_day(t).to_hours();
     const bool busy = hour >= 8.0 && hour < 20.0;
-    const double rate =
-        config_.base_dropout_per_min + (busy ? config_.busy_hours_extra : 0.0);
-    const double site_factor = site_ == RadioSite::kLab
-                                   ? config_.lab_site_factor
-                                   : config_.glacier_site_factor;
+    const double rate = kBaseDropoutPerMin + (busy ? kBusyHoursExtra : 0.0);
+    const double site_factor =
+        site_ == RadioSite::kLab ? kLabSiteFactor : kGlacierSiteFactor;
     return rate * site_factor;
   }
 
   [[nodiscard]] RadioSite site() const { return site_; }
 
  private:
-  InterferenceConfig config_;
   RadioSite site_;
 };
 

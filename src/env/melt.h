@@ -19,9 +19,6 @@ namespace gw::env {
 class Environment;
 
 struct MeltConfig {
-  double degree_day_gain = 0.035;  // index gain per positive degree-day
-  double decay_per_day = 0.04;     // drainage when input stops
-  double winter_floor = 0.03;      // residual basal water in deep winter
   // Seasonal probe radio loss endpoints (calibrated to §V: ~400/3000 lost in
   // summer; winter "better").
   double winter_packet_loss = 0.02;
@@ -30,6 +27,13 @@ struct MeltConfig {
 
 class MeltModel {
  public:
+  // Index gain per positive degree-day.
+  static constexpr double kDegreeDayGain = 0.035;
+  // Drainage when input stops.
+  static constexpr double kDecayPerDay = 0.04;
+  // Residual basal water in deep winter.
+  static constexpr double kWinterFloor = 0.03;
+
   explicit MeltModel(const Environment& environment)
       : environment_(environment) {}
 

@@ -11,14 +11,12 @@ util::Metres SnowModel::depth(sim::SimTime t) const {
 }
 
 double SnowModel::panel_occlusion(sim::SimTime t) const {
-  return std::clamp(environment_.weather(t).snow_depth_m /
-                        environment_.config().snow.panel_burial_depth_m,
+  return std::clamp(environment_.weather(t).snow_depth_m / kPanelBurialDepthM,
                     0.0, 1.0);
 }
 
 bool SnowModel::turbine_buried(sim::SimTime t) const {
-  return environment_.weather(t).snow_depth_m >=
-         environment_.config().snow.turbine_burial_depth_m;
+  return environment_.weather(t).snow_depth_m >= kTurbineBurialDepthM;
 }
 
 bool SnowModel::storm_today(sim::SimTime t) const {

@@ -25,14 +25,16 @@ struct SnowConfig {
   double storm_probability_per_day = 0.10;  // in the accumulation season
   double storm_accumulation_m = 0.20;       // mean per storm event
   double background_accumulation_m = 0.012;  // per cold day
-  double melt_rate_m_per_degree_day = 0.025;
-  double panel_burial_depth_m = 1.2;   // panel fully occluded beyond this
-  double turbine_burial_depth_m = 2.0;
 };
 
 // The pack as the day containing t left it.
 class SnowModel {
  public:
+  static constexpr double kMeltRateMPerDegreeDay = 0.025;
+  // The panel is fully occluded beyond this depth.
+  static constexpr double kPanelBurialDepthM = 1.2;
+  static constexpr double kTurbineBurialDepthM = 2.0;
+
   explicit SnowModel(const Environment& environment)
       : environment_(environment) {}
 

@@ -31,7 +31,7 @@ double SolarModel::cos_hour_angle(sim::Duration time_of_day) {
 
 SolarModel::SolarModel(const Environment& environment)
     : environment_(environment) {
-  lat_rad_ = environment.config().solar.latitude_deg * kDegToRad;
+  lat_rad_ = kLatitudeDeg * kDegToRad;
   sin_lat_ = std::sin(lat_rad_);
   cos_lat_ = std::cos(lat_rad_);
 }
@@ -70,8 +70,7 @@ util::WattsPerSquareMetre SolarModel::irradiance(sim::SimTime t) const {
   if (sin_el <= 0.0) return util::WattsPerSquareMetre{last_w_};
   // Simple air-mass attenuation: direct+diffuse scale roughly with sin(el)
   // raised to a small extra power near the horizon.
-  const double clear = environment_.config().solar.clear_sky_peak * sin_el *
-                       std::pow(sin_el, 0.15);
+  const double clear = kClearSkyPeak * sin_el * std::pow(sin_el, 0.15);
   last_w_ = clear * environment_.weather(t).cloud;
   return util::WattsPerSquareMetre{last_w_};
 }

@@ -21,15 +21,19 @@ namespace gw::env {
 class Environment;
 
 struct SolarConfig {
-  double latitude_deg = 64.3;   // Vatnajökull ice cap
-  double clear_sky_peak = 990;  // W/m^2 at solar elevation 90 deg
-  double cloud_mean = 0.55;     // long-run mean transmission factor
   double cloud_stddev = 0.18;
-  double cloud_persistence = 0.85;  // AR(1) day-to-day correlation
 };
 
 class SolarModel {
  public:
+  static constexpr double kLatitudeDeg = 64.3;  // Vatnajökull ice cap
+  // W/m^2 at solar elevation 90 deg.
+  static constexpr double kClearSkyPeak = 990;
+  // Long-run mean transmission factor of the cloud walk.
+  static constexpr double kCloudMean = 0.55;
+  // AR(1) day-to-day correlation of the cloud walk.
+  static constexpr double kCloudPersistence = 0.85;
+
   explicit SolarModel(const Environment& environment);
 
   // Sine of solar elevation (may be negative: sun below horizon).

@@ -17,19 +17,20 @@ namespace gw::env {
 
 class Environment;
 
-// Calibrated to the paper's phenology: afternoon maxima first cross 0°C in
-// early April (Fig 6's melt onset reaching the bed by late April), deep
-// winter stays well below freezing, and July afternoons reach ~+13°C.
 struct TemperatureConfig {
-  double annual_mean_c = -1.0;     // glacier-margin annual mean
-  double seasonal_amplitude_c = 10.0;
-  double diurnal_amplitude_c = 4.0;
   double noise_stddev_c = 2.0;
-  double noise_persistence = 0.9;
 };
 
 class TemperatureModel {
  public:
+  // Calibrated to the paper's phenology: afternoon maxima first cross 0°C
+  // in early April (Fig 6's melt onset reaching the bed by late April), deep
+  // winter stays well below freezing, and July afternoons reach ~+13°C.
+  static constexpr double kAnnualMeanC = -1.0;  // glacier-margin annual mean
+  static constexpr double kSeasonalAmplitudeC = 10.0;
+  static constexpr double kDiurnalAmplitudeC = 4.0;
+  static constexpr double kNoisePersistence = 0.9;
+
   explicit TemperatureModel(const Environment& environment)
       : environment_(environment) {}
 
@@ -42,10 +43,8 @@ class TemperatureModel {
 
   // The noise-free terms of air(t), which the weather tape also sums when
   // it integrates snow and melt.
-  [[nodiscard]] static double seasonal_c(const TemperatureConfig& config,
-                                         sim::SimTime t);
-  [[nodiscard]] static double diurnal_c(const TemperatureConfig& config,
-                                        sim::SimTime t);
+  [[nodiscard]] static double seasonal_c(sim::SimTime t);
+  [[nodiscard]] static double diurnal_c(sim::SimTime t);
   // cos of the diurnal phase `time_of_day` (in [0, 24 h)) past midnight,
   // the factor diurnal_c scales by the amplitude; on the minute, read from
   // a table (env/minute_table.h).

@@ -16,15 +16,17 @@ namespace gw::env {
 class Environment;
 
 struct WindConfig {
-  double weibull_shape = 2.0;
-  double scale_mean = 6.5;       // m/s annual mean of the Weibull scale
-  double scale_winter_boost = 2.5;  // added around mid-winter
   double gust_stddev = 0.25;     // relative intra-day modulation
-  double gust_persistence = 0.7;
 };
 
 class WindModel {
  public:
+  static constexpr double kWeibullShape = 2.0;
+  // m/s annual mean of the Weibull scale.
+  static constexpr double kScaleMean = 6.5;
+  static constexpr double kScaleWinterBoost = 2.5;  // added around mid-winter
+  static constexpr double kGustPersistence = 0.7;
+
   explicit WindModel(const Environment& environment)
       : environment_(environment) {}
 

@@ -15,7 +15,7 @@ TEST(Melt, WinterIndexNearFloor) {
   const double w =
       m.melt.water_index(sim::at_midnight(2009, 2, 1));
   EXPECT_LT(w, 0.15);
-  EXPECT_GE(w, MeltConfig{}.winter_floor);
+  EXPECT_GE(w, MeltModel::kWinterFloor);
 }
 
 TEST(Melt, SpringOnsetRaisesIndex) {

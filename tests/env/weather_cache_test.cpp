@@ -113,12 +113,11 @@ TEST(WeatherCache, MinuteTablesMatchTheFormulas) {
               bits(diurnal_cos(outside)));
   }
   // The temperature model's diurnal term scales the table's cosine.
-  const TemperatureConfig config;
   const sim::SimTime midnight = sim::at_midnight(2009, 6, 21);
   for (std::int64_t minute = 0; minute < 1440; ++minute) {
     const sim::Duration t = sim::milliseconds(minute * 60'000);
-    ASSERT_EQ(bits(TemperatureModel::diurnal_c(config, midnight + t)),
-              bits(config.diurnal_amplitude_c * diurnal_cos(t)))
+    ASSERT_EQ(bits(TemperatureModel::diurnal_c(midnight + t)),
+              bits(TemperatureModel::kDiurnalAmplitudeC * diurnal_cos(t)))
         << "minute " << minute;
   }
 }
