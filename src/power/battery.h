@@ -21,26 +21,31 @@ namespace gw::power {
 
 struct BatteryConfig {
   util::AmpHours capacity{36.0};  // paper's worked example
-  util::Volts ocv_empty{11.9};   // rest voltage at the knee (see knee_soc)
-  util::Volts ocv_full{12.75};
-  // Below knee_soc the cell voltage collapses toward ocv_at_zero — the
-  // steep tail of a lead-acid discharge curve. Without it the Table 2
-  // state-0 threshold (11.5 V) could never be crossed at rest.
-  double knee_soc = 0.15;
-  util::Volts ocv_at_zero{10.5};
-  util::Ohms discharge_resistance{0.25};
-  util::Ohms charge_resistance{0.5};
-  util::Volts float_limit{14.5};   // regulator clamp; Fig 5 ceiling
-  double coulombic_efficiency = 0.88;
-  double acceptance_taper_start = 0.90;  // SoC where charging tapers
-  double capacity_temp_coeff = 0.008;    // fractional capacity per degC from 25
-  double min_capacity_fraction = 0.55;   // deep-cold floor
   double self_discharge_per_day = 0.001;
   double initial_soc = 0.9;
 };
 
 class LeadAcidBattery {
  public:
+  // Rest voltage at the knee (see kKneeSoc).
+  static constexpr util::Volts kOcvEmpty{11.9};
+  static constexpr util::Volts kOcvFull{12.75};
+  // Below kKneeSoc the cell voltage collapses toward kOcvAtZero — the
+  // steep tail of a lead-acid discharge curve. Without it the Table 2
+  // state-0 threshold (11.5 V) could never be crossed at rest.
+  static constexpr double kKneeSoc = 0.15;
+  static constexpr util::Volts kOcvAtZero{10.5};
+  static constexpr util::Ohms kDischargeResistance{0.25};
+  static constexpr util::Ohms kChargeResistance{0.5};
+  // Regulator clamp; Fig 5 ceiling.
+  static constexpr util::Volts kFloatLimit{14.5};
+  static constexpr double kCoulombicEfficiency = 0.88;
+  // SoC where charging tapers.
+  static constexpr double kAcceptanceTaperStart = 0.90;
+  // Fractional capacity per degC from 25.
+  static constexpr double kCapacityTempCoeff = 0.008;
+  static constexpr double kMinCapacityFraction = 0.55;  // deep-cold floor
+
   explicit LeadAcidBattery(BatteryConfig config)
       : config_(config), soc_(config.initial_soc) {}
 
@@ -54,40 +59,37 @@ class LeadAcidBattery {
   // Temperature-derated usable capacity.
   [[nodiscard]] util::AmpHours effective_capacity(util::Celsius temp) const {
     const double fraction =
-        std::clamp(1.0 + config_.capacity_temp_coeff * (temp.value() - 25.0),
-                   config_.min_capacity_fraction, 1.05);
+        std::clamp(1.0 + kCapacityTempCoeff * (temp.value() - 25.0),
+                   kMinCapacityFraction, 1.05);
     return config_.capacity * fraction;
   }
 
   [[nodiscard]] util::Volts open_circuit_voltage() const {
-    if (soc_ >= config_.knee_soc) {
-      // Linear plateau: ocv_empty at the knee up to ocv_full when full.
-      const double x =
-          (soc_ - config_.knee_soc) / (1.0 - config_.knee_soc);
-      return config_.ocv_empty + (config_.ocv_full - config_.ocv_empty) * x;
+    if (soc_ >= kKneeSoc) {
+      // Linear plateau: kOcvEmpty at the knee up to kOcvFull when full.
+      const double x = (soc_ - kKneeSoc) / (1.0 - kKneeSoc);
+      return kOcvEmpty + (kOcvFull - kOcvEmpty) * x;
     }
     // Steep collapse below the knee.
-    const double x = soc_ / config_.knee_soc;
-    return config_.ocv_at_zero +
-           (config_.ocv_empty - config_.ocv_at_zero) * x;
+    const double x = soc_ / kKneeSoc;
+    return kOcvAtZero + (kOcvEmpty - kOcvAtZero) * x;
   }
 
   // Terminal voltage under the given net current (positive = charging).
   [[nodiscard]] util::Volts terminal_voltage(util::Amps net_current) const {
     const util::Volts ocv = open_circuit_voltage();
     if (net_current.value() >= 0.0) {
-      const util::Volts v = ocv + net_current * config_.charge_resistance;
-      return std::min(v, config_.float_limit);
+      const util::Volts v = ocv + net_current * kChargeResistance;
+      return std::min(v, kFloatLimit);
     }
-    return ocv + net_current * config_.discharge_resistance;
+    return ocv + net_current * kDischargeResistance;
   }
 
   // How much of an offered charging current the battery accepts (tapers as
   // it approaches full).
   [[nodiscard]] util::Amps accepted_charge_current(util::Amps offered) const {
-    if (soc_ < config_.acceptance_taper_start) return offered;
-    const double headroom =
-        (1.0 - soc_) / (1.0 - config_.acceptance_taper_start);
+    if (soc_ < kAcceptanceTaperStart) return offered;
+    const double headroom = (1.0 - soc_) / (1.0 - kAcceptanceTaperStart);
     return offered * std::clamp(headroom, 0.0, 1.0);
   }
 
@@ -97,8 +99,7 @@ class LeadAcidBattery {
             double duration_hours, util::Celsius temp) {
     const util::Amps accepted = accepted_charge_current(charge_current);
     const double delta_ah =
-        (accepted.value() * config_.coulombic_efficiency -
-         load_current.value()) *
+        (accepted.value() * kCoulombicEfficiency - load_current.value()) *
         duration_hours;
     const double cap = effective_capacity(temp).value();
     double soc = soc_ + delta_ah / cap;

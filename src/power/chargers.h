@@ -91,7 +91,6 @@ class WindTurbine final : public Charger {
 };
 
 struct MainsChargerConfig {
-  util::Watts rated{30.0};
   int season_start_month = 4;  // April: café opens
   int season_end_month = 9;    // September: café closes
 };
@@ -99,6 +98,8 @@ struct MainsChargerConfig {
 // Café mains input: full output inside the tourist season, nothing outside.
 class MainsCharger final : public Charger {
  public:
+  static constexpr util::Watts kRated{30.0};
+
   explicit MainsCharger(MainsChargerConfig config) : config_(config) {}
 
   [[nodiscard]] std::string name() const override { return "mains"; }
@@ -116,7 +117,7 @@ class MainsCharger final : public Charger {
 
   [[nodiscard]] util::Watts output(sim::SimTime t,
                                    const env::Environment&) override {
-    return in_season(t) ? config_.rated : util::Watts{0.0};
+    return in_season(t) ? kRated : util::Watts{0.0};
   }
 
  private:

@@ -42,20 +42,20 @@ using LoadHandle = std::size_t;
 
 struct PowerSystemConfig {
   BatteryConfig battery;
-  double recovery_soc = 0.15;  // cold-boot allowed above this
-  util::Volts nominal{12.0};
 };
 
 class PowerSystem {
  public:
   // The integration step of the periodic tick.
   static constexpr sim::Duration kTick = sim::minutes(1);
+  // Cold boot is allowed at or above this state of charge.
+  static constexpr double kRecoverySoc = 0.15;
+  static constexpr util::Volts kNominal{12.0};
 
   PowerSystem(sim::Simulation& simulation,
               const env::Environment& environment, PowerSystemConfig config)
       : simulation_(simulation),
         environment_(environment),
-        config_(config),
         battery_(config.battery) {}
 
   // --- wiring ------------------------------------------------------------
@@ -212,7 +212,7 @@ class PowerSystem {
   }
 
   [[nodiscard]] util::Amps total_load_current() const {
-    return total_load_power() / config_.nominal;
+    return total_load_power() / kNominal;
   }
 
   [[nodiscard]] int brown_out_count() const { return brown_out_count_; }
@@ -269,7 +269,7 @@ class PowerSystem {
       absorbed_uj_ += uj;
       harvest_total += watts;
     }
-    last_charge_current_ = harvest_total / config_.nominal;
+    last_charge_current_ = harvest_total / kNominal;
 
     // Every quantum charged to a component also feeds the battery-side
     // meter, keeping the conservation invariant exact by construction.
@@ -299,7 +299,7 @@ class PowerSystem {
       component.prune_plan(now);
     }
     const util::Amps load_current =
-        walked ? total_load_current() : steady_load / config_.nominal;
+        walked ? total_load_current() : steady_load / kNominal;
 
     // Physics: the state active at tick time governs the whole interval, so
     // battery drain equals the attributed energy whenever a plan's states
@@ -321,7 +321,7 @@ class PowerSystem {
                                double(brown_out_count_));
       }
       for (const auto& fn : brown_out_handlers_) fn();
-    } else if (browned_out_ && battery_.soc() >= config_.recovery_soc) {
+    } else if (browned_out_ && battery_.soc() >= kRecoverySoc) {
       browned_out_ = false;
       if (hooks_.metrics != nullptr) {
         hooks_.metrics->counter("power", "restores").increment();
@@ -364,7 +364,6 @@ class PowerSystem {
 
   sim::Simulation& simulation_;
   const env::Environment& environment_;
-  PowerSystemConfig config_;
   LeadAcidBattery battery_;
   // gwlint: allow(persist-coverage): polymorphic chargers are built from
   // config at construction; their dynamics live in battery_/components_

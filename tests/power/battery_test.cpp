@@ -180,11 +180,13 @@ TEST(Battery, StepConservesCharge) {
   for (const auto& s : steps) {
     const double accepted =
         battery.accepted_charge_current(Amps{s.charge_a}).value();
-    harvested_ah += accepted * config.coulombic_efficiency * s.hours;
+    harvested_ah +=
+        accepted * LeadAcidBattery::kCoulombicEfficiency * s.hours;
     consumed_ah += s.load_a * s.hours;
     hours += s.hours;
-    predicted += (accepted * config.coulombic_efficiency - s.load_a) *
-                 s.hours / cap;
+    predicted +=
+        (accepted * LeadAcidBattery::kCoulombicEfficiency - s.load_a) *
+        s.hours / cap;
     predicted -= config.self_discharge_per_day * s.hours / 24.0;
     battery.step(Amps{s.charge_a}, Amps{s.load_a}, s.hours, temp);
     EXPECT_NEAR(battery.soc(), predicted, 1e-12);
@@ -213,11 +215,11 @@ TEST(Battery, KneeVoltageCrossingAtRest) {
   EXPECT_GT(battery.terminal_voltage(Amps{0.0}).value(), 11.5);
   battery.set_soc(crossing - 1e-3);
   EXPECT_LT(battery.terminal_voltage(Amps{0.0}).value(), 11.5);
-  EXPECT_LT(crossing, battery.config().knee_soc);
+  EXPECT_LT(crossing, LeadAcidBattery::kKneeSoc);
 }
 
 // The cold derating clamps at the deep-cold floor instead of marching to
-// zero: a -60 C glacier night still leaves min_capacity_fraction of the
+// zero: a -60 C glacier night still leaves kMinCapacityFraction of the
 // bank, and mild warmth never credits more than 105%.
 TEST(Battery, ColdDeratedCapacityClampsAtFloor) {
   auto battery = make_battery();

@@ -301,7 +301,7 @@ struct AttributionReference {
           });
       load += component.draw_at(component.active_at(now), temp);
     }
-    battery.step(util::Amps{0.0}, load / f.config.nominal, dt.to_hours(),
+    battery.step(util::Amps{0.0}, load / PowerSystem::kNominal, dt.to_hours(),
                  temp);
     power.tick(dt);
 
