@@ -159,7 +159,7 @@ void run() {
         (base_payload + ref_payload).mib();
     const double relay_mib = mib_per_day;        // relay forwards everything
     const double dual_mib = mib_per_day;         // same data, two modems
-    const double cost_per_mib = hw::GprsConfig{}.cost_per_mib;
+    const double cost_per_mib = hw::GprsModem::kCostPerMib;
     bench::note("daily payload either way: " +
                 util::format_fixed(mib_per_day, 2) + " MiB -> " +
                 util::format_fixed(30.0 * relay_mib * cost_per_mib, 0) +

@@ -17,9 +17,9 @@ RelayDeployment::RelayDeployment(sim::Simulation& simulation,
   relay_power_ = std::make_unique<power::PowerSystem>(simulation, environment,
                                                       power_config);
   base_radio_ = std::make_unique<hw::RadioModem>(
-      simulation, *base_power_, environment.interference(), config.radio);
+      simulation, *base_power_, environment.interference());
   relay_radio_ = std::make_unique<hw::RadioModem>(
-      simulation, *relay_power_, environment.interference(), config.radio);
+      simulation, *relay_power_, environment.interference());
   relay_gprs_ = std::make_unique<hw::GprsModem>(
       simulation, *relay_power_, rng_.fork("relay_gprs"), config.gprs);
   ppp_ = std::make_unique<proto::PppLink>(*base_radio_, rng_.fork("ppp"),

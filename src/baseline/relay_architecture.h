@@ -51,7 +51,6 @@ struct RelayConfig {
   // Relay hard failure (storm damage / battery death) on this day; <0 = never.
   int relay_fails_on_day = -1;
   proto::PppConfig ppp;
-  hw::RadioModemConfig radio;
   hw::GprsConfig gprs;  // the relay's uplink (Iceland variant)
 };
 

@@ -46,17 +46,20 @@ struct DgpsFile {
 };
 
 struct DgpsConfig {
-  util::Watts power{3.6};                       // Table 1
-  sim::Duration reading_duration = sim::seconds(308);
-  util::Bytes mean_file_size = util::kib(165);  // §III
-  double file_size_jitter = 0.12;               // satellite-count variation
-  sim::Duration fetch_per_file = sim::seconds(28);  // RS232, calibrated (§VI)
-  sim::Duration fix_acquisition = sim::seconds(90);
   double fix_probability = 0.92;  // sky view is good on an ice cap
 };
 
 class DgpsReceiver {
  public:
+  static constexpr util::Watts kPower{3.6};  // Table 1
+  static constexpr sim::Duration kReadingDuration = sim::seconds(308);
+  static constexpr util::Bytes kMeanFileSize = util::kib(165);  // §III
+  // Satellite-count variation.
+  static constexpr double kFileSizeJitter = 0.12;
+  // RS232, calibrated (§VI).
+  static constexpr sim::Duration kFetchPerFile = sim::seconds(28);
+  static constexpr sim::Duration kFixAcquisition = sim::seconds(90);
+
   // `sky` is optional: with a constellation model attached, file sizes and
   // fix behaviour follow satellite visibility (§III); without it, a plain
   // stochastic jitter stands in (unit-test mode).
@@ -68,7 +71,7 @@ class DgpsReceiver {
         config_(config),
         rng_(rng),
         sky_(sky),
-        load_(power.add_component(make_spec(config))) {}
+        load_(power.add_component(make_spec())) {}
 
   // Attaches scripted fault windows (dgps_no_fix); null detaches.
   void set_fault_oracle(fault::FaultOracle* oracle) { oracle_ = oracle; }
@@ -88,10 +91,10 @@ class DgpsReceiver {
     // fetches, a time fix for the recovery path) books as "logging". Both
     // draw Table 1's 3.6 W.
     power_.set_activity(load_, kLogging);
-    power_.plan_activity(load_, {{kAcquiring, config_.reading_duration}});
+    power_.plan_activity(load_, {{kAcquiring, kReadingDuration}});
     const std::uint64_t generation = ++power_generation_;
     const sim::SimTime started = simulation_.now();
-    simulation_.schedule_in(config_.reading_duration,
+    simulation_.schedule_in(kReadingDuration,
                             [this, generation, started,
                              callback = std::move(on_reading_complete)] {
       // Power was cut mid-reading: nothing stored (and no callback).
@@ -120,7 +123,7 @@ class DgpsReceiver {
 
   // Serial-fetch time for the oldest stored file.
   [[nodiscard]] sim::Duration fetch_duration() const {
-    return config_.fetch_per_file;
+    return kFetchPerFile;
   }
 
   // Looks at the oldest file without removing it (the station sizes the
@@ -170,7 +173,7 @@ class DgpsReceiver {
     }
     const sim::Duration acquisition = sky_ != nullptr
                                           ? sky_->fix_time(satellites)
-                                          : config_.fix_acquisition;
+                                          : kFixAcquisition;
     return now + acquisition;
   }
 
@@ -202,12 +205,12 @@ class DgpsReceiver {
   static constexpr std::size_t kAcquiring = 1;
   static constexpr std::size_t kLogging = 2;
 
-  static energy::ComponentSpec make_spec(const DgpsConfig& config) {
+  static energy::ComponentSpec make_spec() {
     energy::ComponentSpec spec;
     spec.name = "dgps";
     spec.states.push_back({"off", util::Watts{0.0}, 0.0});
-    spec.states.push_back({"acquiring", config.power, 0.0});
-    spec.states.push_back({"logging", config.power, 0.0});
+    spec.states.push_back({"acquiring", kPower, 0.0});
+    spec.states.push_back({"logging", kPower, 0.0});
     return spec;
   }
 
@@ -218,9 +221,9 @@ class DgpsReceiver {
         sky_ != nullptr
             ? sky_->file_size_factor(started) *
                   (1.0 + 0.03 * rng_.normal())
-            : 1.0 + config_.file_size_jitter * rng_.normal();
+            : 1.0 + kFileSizeJitter * rng_.normal();
     const auto size = util::Bytes{std::int64_t(
-        double(config_.mean_file_size.count()) * std::max(0.4, factor))};
+        double(kMeanFileSize.count()) * std::max(0.4, factor))};
     files_.push_back(DgpsFile{"dgps_" + sim::format_iso(started), size});
     ++readings_taken_;
   }

@@ -32,13 +32,9 @@
 namespace gw::hw {
 
 struct GprsConfig {
-  util::BitsPerSecond rate{5000.0};  // Table 1
-  util::Watts power{2.64};           // Table 1
   sim::Duration registration_time = sim::seconds(35);
   double registration_success = 0.92;
   double drop_per_minute = 0.004;    // established-session drop hazard
-  double protocol_overhead = 1.12;   // TCP/PPP framing
-  double cost_per_mib = 5.0;         // currency units per MiB (§II)
   // Probability a session wedges without failing — §VI's "a SCP transfer
   // hangs" scenario. A hung transfer never returns by itself; how long it
   // eats is hang_duration, clamped by the caller's session cap (the 2-hour
@@ -61,13 +57,18 @@ inline constexpr sim::Duration kNoSessionCap{
 
 class GprsModem {
  public:
+  static constexpr util::BitsPerSecond kRate{5000.0};  // Table 1
+  static constexpr util::Watts kPower{2.64};           // Table 1
+  static constexpr double kProtocolOverhead = 1.12;    // TCP/PPP framing
+  static constexpr double kCostPerMib = 5.0;  // currency units per MiB (§II)
+
   GprsModem(sim::Simulation& simulation, power::PowerSystem& power,
             util::Rng rng, GprsConfig config = {})
       : simulation_(simulation),
         power_(power),
         config_(config),
         rng_(rng),
-        load_(power.add_component(make_spec(config))) {}
+        load_(power.add_component(make_spec())) {}
 
   // Attaches scripted fault windows (gprs_outage); null detaches.
   void set_fault_oracle(fault::FaultOracle* oracle) { oracle_ = oracle; }
@@ -110,8 +111,7 @@ class GprsModem {
   // Ideal payload transfer time (no failures), registration excluded.
   [[nodiscard]] sim::Duration transfer_time(util::Bytes payload) const {
     const double seconds =
-        util::transfer_seconds(payload, config_.rate) *
-        config_.protocol_overhead;
+        util::transfer_seconds(payload, kRate) * kProtocolOverhead;
     return sim::seconds(seconds);
   }
 
@@ -181,7 +181,7 @@ class GprsModem {
     outcome.elapsed += sim::minutes(minutes_survived);
     outcome.success = !dropped;
     bytes_sent_ += outcome.sent;
-    cost_ += outcome.sent.mib() * config_.cost_per_mib;
+    cost_ += outcome.sent.mib() * kCostPerMib;
     if (dropped) {
       ++session_drops_;
       if (oracle_ != nullptr &&
@@ -247,13 +247,13 @@ class GprsModem {
   static constexpr std::size_t kRegistering = 2;
   static constexpr std::size_t kTx = 3;
 
-  static energy::ComponentSpec make_spec(const GprsConfig& config) {
+  static energy::ComponentSpec make_spec() {
     energy::ComponentSpec spec;
     spec.name = "gprs";
     spec.states.push_back({"off", util::Watts{0.0}, 0.0});
-    spec.states.push_back({"idle", config.power, 0.0});
-    spec.states.push_back({"registering", config.power, 0.0});
-    spec.states.push_back({"tx", config.power, 0.0});
+    spec.states.push_back({"idle", kPower, 0.0});
+    spec.states.push_back({"registering", kPower, 0.0});
+    spec.states.push_back({"tx", kPower, 0.0});
     return spec;
   }
 

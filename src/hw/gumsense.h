@@ -20,12 +20,11 @@ namespace gw::hw {
 class Gumsense {
  public:
   Gumsense(sim::Simulation& simulation, power::PowerSystem& power,
-           util::Rng rng, GumstixConfig gumstix_config = {},
-           Msp430Config msp_config = {})
+           util::Rng rng, Msp430Config msp_config = {})
       : simulation_(simulation),
         power_(power),
         msp_(simulation, power, rng.fork("msp430"), msp_config),
-        gumstix_(simulation, power, gumstix_config) {
+        gumstix_(simulation, power) {
     power_.on_brown_out([this] { handle_brown_out(); });
     power_.on_recovery([this] { handle_recovery(); });
   }

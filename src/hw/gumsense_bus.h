@@ -23,7 +23,6 @@ struct GumsenseBusConfig {
   // Probability a transaction is NAKed and must be retried (cold solder,
   // condensation — rare but nonzero on a field board).
   double nak_probability = 0.0;
-  int max_retries = 3;
 };
 
 // The Gumstix-side master. Wraps every exchange in checksummed framing and
@@ -31,6 +30,8 @@ struct GumsenseBusConfig {
 // logs (and survives — the §III safety stance: degraded, never wedged).
 class GumsenseBus {
  public:
+  static constexpr int kMaxRetries = 3;
+
   GumsenseBus(Msp430& msp, util::Rng rng, GumsenseBusConfig config = {})
       : msp_(msp), config_(config), rng_(rng) {}
 
@@ -52,7 +53,7 @@ class GumsenseBus {
  private:
   // One framed transaction with retry-on-NAK.
   bool transact() {
-    for (int attempt = 0; attempt <= config_.max_retries; ++attempt) {
+    for (int attempt = 0; attempt <= kMaxRetries; ++attempt) {
       ++transactions_;
       if (!rng_.bernoulli(config_.nak_probability)) return true;
       ++naks_;

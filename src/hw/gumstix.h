@@ -16,11 +16,10 @@
 // makes a frequency plan per power state a searchable policy knob.
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "energy/component_model.h"
 #include "power/power_system.h"
@@ -34,38 +33,30 @@ struct GumstixOperatingPoint {
   util::Volts core_volts{1.3};
 };
 
-struct GumstixConfig {
-  util::Watts run_power{0.9};  // Table 1, at the top operating point
-  sim::Duration boot_time = sim::seconds(25);  // Linux boot to usable shell
-  // Ascending frequency; the last entry is the full-speed point whose draw
-  // is exactly run_power (PXA255-class ladder).
-  std::vector<GumstixOperatingPoint> frequency_plan = {
-      {200.0, util::Volts{1.0}},
-      {300.0, util::Volts{1.1}},
-      {400.0, util::Volts{1.3}},
-  };
-};
-
 class Gumstix {
  public:
   enum class State { kOff, kBooting, kRunning };
 
-  Gumstix(sim::Simulation& simulation, power::PowerSystem& power,
-          GumstixConfig config = {})
+  static constexpr util::Watts kRunPower{0.9};  // Table 1, at the top point
+  // Linux boot to usable shell.
+  static constexpr sim::Duration kBootTime = sim::seconds(25);
+
+  Gumstix(sim::Simulation& simulation, power::PowerSystem& power)
       : simulation_(simulation),
         power_(power),
-        config_(std::move(config)),
-        selected_(config_.frequency_plan.size() - 1),
-        load_(power.add_component(make_spec(config_))) {}
+        selected_(kFrequencyPlan.size() - 1),
+        load_(power.add_component(make_spec())) {}
 
   [[nodiscard]] State state() const { return state_; }
   [[nodiscard]] bool running() const { return state_ == State::kRunning; }
 
   // --- DVFS ---------------------------------------------------------------
 
-  [[nodiscard]] const std::vector<GumstixOperatingPoint>& frequency_plan()
-      const {
-    return config_.frequency_plan;
+  // Ascending frequency; the last entry is the full-speed point whose draw
+  // is exactly kRunPower (PXA255-class ladder).
+  [[nodiscard]] static constexpr const std::array<GumstixOperatingPoint, 3>&
+  frequency_plan() {
+    return kFrequencyPlan;
   }
   [[nodiscard]] std::size_t selected_point() const { return selected_; }
 
@@ -73,7 +64,7 @@ class Gumstix {
   // (an activity transition); while off or booting it is latched for the
   // next run state entry.
   void set_frequency_index(std::size_t index) {
-    config_.frequency_plan.at(index);  // bounds check
+    kFrequencyPlan.at(index);  // bounds check
     selected_ = index;
     if (state_ == State::kRunning) {
       power_.set_activity(load_, run_state(selected_));
@@ -83,8 +74,7 @@ class Gumstix {
   // How much longer CPU-bound work takes at the selected point relative to
   // full speed (1.0 at the top point, exactly).
   [[nodiscard]] double cpu_scale() const {
-    return config_.frequency_plan.back().mhz /
-           config_.frequency_plan[selected_].mhz;
+    return kFrequencyPlan.back().mhz / kFrequencyPlan[selected_].mhz;
   }
 
   // Stretches a full-speed compute duration by cpu_scale(); returns the
@@ -106,7 +96,7 @@ class Gumstix {
       power_.set_activity(load_, kBootState);
       powered_since_ = simulation_.now();
       ++boot_count_;
-      boot_done_ = simulation_.now() + config_.boot_time;
+      boot_done_ = simulation_.now() + kBootTime;
       boot_event_ = simulation_.schedule_at(boot_done_, [this] { finish_boot(); });
     }
     return boot_done_;
@@ -128,7 +118,6 @@ class Gumstix {
   }
 
   [[nodiscard]] int boot_count() const { return boot_count_; }
-  [[nodiscard]] const GumstixConfig& config() const { return config_; }
 
   // Snapshot support (docs/SNAPSHOT.md). The component's activity state is
   // restored by PowerSystem's persist; a boot in flight is rebuilt as a
@@ -148,25 +137,30 @@ class Gumstix {
   }
 
  private:
+  static constexpr std::array<GumstixOperatingPoint, 3> kFrequencyPlan = {{
+      {200.0, util::Volts{1.0}},
+      {300.0, util::Volts{1.1}},
+      {400.0, util::Volts{1.3}},
+  }};
   static constexpr std::size_t kBootState = 1;
   [[nodiscard]] static std::size_t run_state(std::size_t point) {
     return 2 + point;
   }
 
-  static energy::ComponentSpec make_spec(const GumstixConfig& config) {
+  static energy::ComponentSpec make_spec() {
     energy::ComponentSpec spec;
     spec.name = "gumstix";
     spec.states.push_back({"off", util::Watts{0.0}, 0.0});
     // Boot burns full power: the kernel brings the core up at top speed.
-    spec.states.push_back({"boot", config.run_power, 0.0});
-    const GumstixOperatingPoint& top = config.frequency_plan.back();
-    for (const GumstixOperatingPoint& point : config.frequency_plan) {
+    spec.states.push_back({"boot", kRunPower, 0.0});
+    const GumstixOperatingPoint& top = kFrequencyPlan.back();
+    for (const GumstixOperatingPoint& point : kFrequencyPlan) {
       const double volt_ratio = point.core_volts.value() / top.core_volts.value();
       const double scale = (point.mhz / top.mhz) * volt_ratio * volt_ratio;
       spec.states.push_back(
           {"run@" + std::to_string(std::int64_t(std::llround(point.mhz))) +
                "MHz",
-           util::Watts{config.run_power.value() * scale}, 0.0});
+           util::Watts{kRunPower.value() * scale}, 0.0});
     }
     return spec;
   }
@@ -180,7 +174,6 @@ class Gumstix {
 
   sim::Simulation& simulation_;
   power::PowerSystem& power_;
-  GumstixConfig config_;
   std::size_t selected_;
   // gwlint: allow(persist-coverage): registry handle re-acquired when the
   // identically-configured power system is rebuilt before restore

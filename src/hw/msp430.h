@@ -30,10 +30,7 @@
 namespace gw::hw {
 
 struct Msp430Config {
-  util::Watts sleep_power{0.0006};   // ~50 uA at 12 V incl. regulator
   sim::Duration sample_interval = sim::minutes(30);
-  std::size_t sample_capacity = 96;  // two days of headroom
-  double rtc_drift_ppm = 8.0;        // crystal tolerance
 };
 
 struct VoltageSample {
@@ -49,19 +46,24 @@ struct VoltageSample {
 
 class Msp430 {
  public:
+  // ~50 uA at 12 V incl. regulator.
+  static constexpr util::Watts kSleepPower{0.0006};
+  static constexpr std::size_t kSampleCapacity = 96;  // two days of headroom
+  static constexpr double kRtcDriftPpm = 8.0;         // crystal tolerance
+
   Msp430(sim::Simulation& simulation, power::PowerSystem& power,
          util::Rng rng, Msp430Config config = {})
       : simulation_(simulation),
         power_(power),
         config_(config),
-        samples_(config.sample_capacity),
-        load_(power.add_component(make_spec(config))) {
+        samples_(kSampleCapacity),
+        load_(power.add_component(make_spec())) {
     // The MSP430 is never switched: it sits in its sleep state from
     // construction (only a brown-out forces it off, and — matching the
     // modelled hardware — nothing re-arms its draw until the next world).
     power_.set_activity(load_, 1);
     // Crystal drift direction/magnitude fixed per board.
-    drift_factor_ = 1.0 + config_.rtc_drift_ppm * 1e-6 * rng.uniform(-1.0, 1.0);
+    drift_factor_ = 1.0 + kRtcDriftPpm * 1e-6 * rng.uniform(-1.0, 1.0);
     rtc_anchor_sim_ = simulation_.now();
     rtc_anchor_value_ = simulation_.now();
     schedule_sample();
@@ -163,11 +165,11 @@ class Msp430 {
   }
 
  private:
-  static energy::ComponentSpec make_spec(const Msp430Config& config) {
+  static energy::ComponentSpec make_spec() {
     energy::ComponentSpec spec;
     spec.name = "msp430";
     spec.states.push_back({"off", util::Watts{0.0}, 0.0});
-    spec.states.push_back({"sleep", config.sleep_power, 0.0});
+    spec.states.push_back({"sleep", kSleepPower, 0.0});
     return spec;
   }
 

@@ -15,22 +15,18 @@
 
 namespace gw::hw {
 
-struct RadioModemConfig {
-  util::BitsPerSecond rate{2000.0};  // Table 1
-  util::Watts power{3.96};           // Table 1
-  double protocol_overhead = 1.18;   // ppp + serial framing
-};
-
 class RadioModem {
  public:
+  static constexpr util::BitsPerSecond kRate{2000.0};  // Table 1
+  static constexpr util::Watts kPower{3.96};           // Table 1
+  static constexpr double kProtocolOverhead = 1.18;    // ppp + serial framing
+
   RadioModem(sim::Simulation& simulation, power::PowerSystem& power,
-             const env::InterferenceModel& interference,
-             RadioModemConfig config = {})
+             const env::InterferenceModel& interference)
       : simulation_(simulation),
         power_(power),
         interference_(interference),
-        config_(config),
-        load_(power.add_component(make_spec(config))) {}
+        load_(power.add_component(make_spec())) {}
 
   [[nodiscard]] bool powered() const { return powered_; }
 
@@ -47,8 +43,8 @@ class RadioModem {
   }
 
   [[nodiscard]] sim::Duration transfer_time(util::Bytes payload) const {
-    return sim::seconds(util::transfer_seconds(payload, config_.rate) *
-                        config_.protocol_overhead);
+    return sim::seconds(util::transfer_seconds(payload, kRate) *
+                        kProtocolOverhead);
   }
 
   // Probability the carrier drops during one connected minute at t — fed by
@@ -58,21 +54,19 @@ class RadioModem {
     return interference_.dropout_probability(t);
   }
 
-  [[nodiscard]] const RadioModemConfig& config() const { return config_; }
 
  private:
-  static energy::ComponentSpec make_spec(const RadioModemConfig& config) {
+  static energy::ComponentSpec make_spec() {
     energy::ComponentSpec spec;
     spec.name = "radio_modem";
     spec.states.push_back({"off", util::Watts{0.0}, 0.0});
-    spec.states.push_back({"carrier", config.power, 0.0});
+    spec.states.push_back({"carrier", kPower, 0.0});
     return spec;
   }
 
   sim::Simulation& simulation_;
   power::PowerSystem& power_;
   const env::InterferenceModel& interference_;
-  RadioModemConfig config_;
   power::LoadHandle load_;
   bool powered_ = false;
 };

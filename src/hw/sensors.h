@@ -29,13 +29,14 @@ struct SensorReading {
 
 struct SensorSuiteConfig {
   double temperature_noise_c = 0.3;
-  double snow_noise_m = 0.02;
-  double humidity_noise = 2.0;
   bool has_pitch_roll = false;  // §VII extension
 };
 
 class SensorSuite {
  public:
+  static constexpr double kSnowNoiseM = 0.02;
+  static constexpr double kHumidityNoise = 2.0;
+
   SensorSuite(const env::Environment& environment, power::PowerSystem& power,
               util::Rng rng, SensorSuiteConfig config = {})
       : environment_(environment), power_(power), config_(config), rng_(rng) {}
@@ -58,7 +59,7 @@ class SensorSuite {
     readings.push_back(
         {"snow_level",
          std::max(0.0, environment_.snow().depth(t).value() +
-                           rng_.normal(0.0, config_.snow_noise_m)),
+                           rng_.normal(0.0, kSnowNoiseM)),
          "m"});
     readings.push_back(
         {"battery_voltage", power_.terminal_voltage().value(), "V"});
@@ -86,7 +87,7 @@ class SensorSuite {
   [[nodiscard]] double humidity(sim::SimTime t) {
     // Wetter when melt is active; bounded to a plausible RH band.
     const double w = environment_.melt().water_index(t);
-    return std::clamp(55.0 + 35.0 * w + rng_.normal(0.0, config_.humidity_noise),
+    return std::clamp(55.0 + 35.0 * w + rng_.normal(0.0, kHumidityNoise),
                       20.0, 100.0);
   }
 

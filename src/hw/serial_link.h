@@ -17,9 +17,6 @@
 namespace gw::hw {
 
 struct SerialLinkConfig {
-  // ~64 kbps effective after framing: 165 KiB in ~26.4 s.
-  double bytes_per_second = 6400.0;
-  sim::Duration handshake = sim::milliseconds(1500);
   // Per-transfer failure probability (the §VI intermittent cable); the
   // deployed hardware "has never been encountered" failing, so 0 here.
   double fault_probability = 0.0;
@@ -32,12 +29,15 @@ class SerialLink {
     sim::Duration elapsed{};
   };
 
+  // ~64 kbps effective after framing: 165 KiB in ~26.4 s.
+  static constexpr double kBytesPerSecond = 6400.0;
+  static constexpr sim::Duration kHandshake = sim::milliseconds(1500);
+
   explicit SerialLink(util::Rng rng, SerialLinkConfig config = {})
       : config_(config), rng_(rng) {}
 
   [[nodiscard]] sim::Duration transfer_duration(util::Bytes size) const {
-    return config_.handshake +
-           sim::seconds(double(size.count()) / config_.bytes_per_second);
+    return kHandshake + sim::seconds(double(size.count()) / kBytesPerSecond);
   }
 
   // One file transfer attempt. A fault aborts partway: the time is spent,
@@ -48,10 +48,9 @@ class SerialLink {
     if (rng_.bernoulli(config_.fault_probability)) {
       ++faults_;
       return Outcome{false,
-                     config_.handshake +
-                         sim::Duration{std::int64_t(
-                             double((full - config_.handshake).millis()) *
-                             rng_.uniform())}};
+                     kHandshake + sim::Duration{std::int64_t(
+                                      double((full - kHandshake).millis()) *
+                                      rng_.uniform())}};
     }
     return Outcome{true, full};
   }

@@ -156,8 +156,8 @@ class TransferManager {
         break;
       }
       const auto max_bytes = util::Bytes{std::int64_t(
-          usable_seconds * modem.config().rate.value() /
-          (8.0 * modem.config().protocol_overhead))};
+          usable_seconds * hw::GprsModem::kRate.value() /
+          (8.0 * hw::GprsModem::kProtocolOverhead))};
       const util::Bytes attempt_size = std::min(remaining, max_bytes);
       const bool truncated_by_window = attempt_size < remaining;
 

@@ -105,8 +105,7 @@ Station::Station(sim::Simulation& simulation,
       config_(config),
       rng_(rng),
       power_(simulation, environment, config.power),
-      board_(simulation, power_, rng.fork("board"), config.gumstix,
-             config.msp),
+      board_(simulation, power_, rng.fork("board"), config.msp),
       dgps_(simulation, power_, rng.fork("dgps"), config.dgps,
             &environment.gps_sky()),
       gprs_(simulation, power_, rng.fork("gprs"), config.gprs),

@@ -80,7 +80,6 @@ struct StationConfig {
   core::PowerPolicyConfig policy;
   core::RecoveryConfig recovery;
   power::PowerSystemConfig power;
-  hw::GumstixConfig gumstix;
   hw::Msp430Config msp;
   hw::DgpsConfig dgps;
   hw::GprsConfig gprs;

@@ -74,15 +74,16 @@ TEST(RelayArchitecture, CommsEnergyExceedsDualGprsEquivalent) {
   // Dual-GPRS equivalent: each station sends its own payload directly.
   const double seconds_base =
       util::transfer_seconds(config.base_daily_payload,
-                             config.gprs.rate) *
-      config.gprs.protocol_overhead;
+                             hw::GprsModem::kRate) *
+      hw::GprsModem::kProtocolOverhead;
   const double seconds_ref =
-      util::transfer_seconds(config.relay_daily_payload, config.gprs.rate) *
-      config.gprs.protocol_overhead;
+      util::transfer_seconds(config.relay_daily_payload,
+                             hw::GprsModem::kRate) *
+      hw::GprsModem::kProtocolOverhead;
   const double registration = 2 * config.gprs.registration_time.to_seconds();
   const double dual_joules =
       10.0 * (seconds_base + seconds_ref + registration) *
-      config.gprs.power.value();
+      hw::GprsModem::kPower.value();
 
   EXPECT_GT(relay_joules, 2.0 * dual_joules);  // "twofold power saving"
 }

@@ -19,8 +19,8 @@ struct Fixture {
 
 TEST(GprsModem, TableOneCharacteristics) {
   Fixture f;
-  EXPECT_DOUBLE_EQ(f.modem.config().rate.value(), 5000.0);
-  EXPECT_DOUBLE_EQ(f.modem.config().power.value(), 2.64);
+  EXPECT_DOUBLE_EQ(GprsModem::kRate.value(), 5000.0);
+  EXPECT_DOUBLE_EQ(GprsModem::kPower.value(), 2.64);
   f.modem.power_on();
   EXPECT_DOUBLE_EQ(f.power.total_load_power().value(), 2.64);
 }

@@ -19,8 +19,8 @@ struct Fixture {
 
 TEST(RadioModem, TableOneCharacteristics) {
   Fixture f;
-  EXPECT_DOUBLE_EQ(f.modem.config().rate.value(), 2000.0);
-  EXPECT_DOUBLE_EQ(f.modem.config().power.value(), 3.96);
+  EXPECT_DOUBLE_EQ(RadioModem::kRate.value(), 2000.0);
+  EXPECT_DOUBLE_EQ(RadioModem::kPower.value(), 3.96);
   f.modem.power_on();
   EXPECT_DOUBLE_EQ(f.power.total_load_power().value(), 3.96);
   f.modem.power_off();
