@@ -82,8 +82,7 @@ void nack_vs_ack(const char* season, sim::SimTime when, bool summer) {
   nack_rig.fill(3000);
   saw_rig.fill(3000);
   proto::NackBulkTransfer nack{nack_rig.link, proto::NackConfig{}, hooks()};
-  proto::StopAndWaitTransfer saw{saw_rig.link, proto::StopAndWaitConfig{},
-                                 hooks()};
+  proto::StopAndWaitTransfer saw{saw_rig.link, hooks()};
   const auto nack_stats = nack.run(nack_rig.store, when, sim::hours(12));
   const auto saw_stats = saw.run(saw_rig.store, when, sim::hours(12));
 

@@ -166,7 +166,7 @@ TransferStats NackBulkTransfer::run(ProbeStore& store, sim::SimTime start,
       if (!session.send(kRequestWireSize)) {
         // Request lost: the probe never answers; wait out the response
         // timer before moving on.
-        session.wait(config_.response_timeout);
+        session.wait(kResponseTimeout);
         continue;
       }
       ++stats.data_packets;
@@ -202,7 +202,7 @@ TransferStats StopAndWaitTransfer::run(ProbeStore& store, sim::SimTime start,
       stats.budget_exhausted = true;
       break;
     }
-    for (int attempt = 0; attempt < config_.max_retries_per_reading;
+    for (int attempt = 0; attempt < kMaxRetriesPerReading;
          ++attempt) {
       if (session.out_of_budget()) {
         stats.budget_exhausted = true;
@@ -212,7 +212,7 @@ TransferStats StopAndWaitTransfer::run(ProbeStore& store, sim::SimTime start,
       stats.bytes_on_air += kReadingWireSize;
       const bool data_arrived = session.send(kReadingWireSize);
       if (!data_arrived) {
-        session.wait(config_.ack_timeout);  // sender times out, retransmits
+        session.wait(kAckTimeout);  // sender times out, retransmits
         continue;
       }
       ++stats.control_packets;
@@ -224,7 +224,7 @@ TransferStats StopAndWaitTransfer::run(ProbeStore& store, sim::SimTime start,
       }
       // ACK lost: sender waits out the timer, then retransmits a reading
       // the base already has — the duplicate cost the NACK design avoids.
-      session.wait(config_.ack_timeout);
+      session.wait(kAckTimeout);
     }
   }
 

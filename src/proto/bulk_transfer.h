@@ -53,12 +53,14 @@ struct NackConfig {
   // >0 reproduces the deployed bug: the session aborts when the individual
   // re-request list exceeds this (0 = fixed firmware, no limit).
   std::size_t legacy_individual_limit = 0;
-  // How long the base waits for a probe response to a lost request.
-  sim::Duration response_timeout = sim::milliseconds(250);
 };
 
 class NackBulkTransfer {
  public:
+  // How long the base waits for a probe response to a lost request; the
+  // frame-level session (proto/frame_session.h) waits as long.
+  static constexpr sim::Duration kResponseTimeout = sim::milliseconds(250);
+
   // `hooks` (optional) records per-session counters and histograms under
   // the "bulk_transfer" component plus per-round journal records — see
   // docs/OBSERVABILITY.md.
@@ -75,23 +77,19 @@ class NackBulkTransfer {
   obs::Hooks hooks_;
 };
 
-struct StopAndWaitConfig {
-  int max_retries_per_reading = 4;
-  sim::Duration ack_timeout = sim::milliseconds(250);
-};
-
 class StopAndWaitTransfer {
  public:
-  explicit StopAndWaitTransfer(ProbeLink& link, StopAndWaitConfig config = {},
-                               obs::Hooks hooks = {})
-      : link_(link), config_(config), hooks_(hooks) {}
+  static constexpr int kMaxRetriesPerReading = 4;
+  static constexpr sim::Duration kAckTimeout = sim::milliseconds(250);
+
+  explicit StopAndWaitTransfer(ProbeLink& link, obs::Hooks hooks = {})
+      : link_(link), hooks_(hooks) {}
 
   TransferStats run(ProbeStore& store, sim::SimTime start,
                     sim::Duration budget);
 
  private:
   ProbeLink& link_;
-  StopAndWaitConfig config_;
   obs::Hooks hooks_;
 };
 

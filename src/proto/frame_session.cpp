@@ -121,7 +121,7 @@ TransferStats FrameLevelTransfer::run(ProbeResponder& responder,
       ++stats.control_packets;
       const auto request = radio.send(encode_resend_request(probe_id, seq));
       if (!request.has_value()) {
-        radio.wait(config_.response_timeout);  // probe never heard us
+        radio.wait(NackBulkTransfer::kResponseTimeout);  // probe never heard us
         continue;
       }
       const auto responses = responder.handle(*request);

@@ -25,7 +25,6 @@ struct FrameSessionConfig {
   // Probability a frame that physically arrives is bit-damaged (detected
   // by its CRC and treated as missing — §V's "broken data packets").
   double corruption_probability = 0.005;
-  sim::Duration response_timeout = sim::milliseconds(250);
 };
 
 class FrameLevelTransfer {

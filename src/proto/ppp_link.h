@@ -29,29 +29,29 @@ struct PppOutcome {
 };
 
 struct PppConfig {
-  sim::Duration dial_time = sim::seconds(20);
   double dial_success = 0.85;  // lab experience: "very unreliable"
-  int max_reconnect_attempts = 3;
 };
 
 class PppLink {
  public:
+  static constexpr sim::Duration kDialTime = sim::seconds(20);
+  static constexpr int kMaxReconnectAttempts = 3;
+
   PppLink(hw::RadioModem& modem, util::Rng rng, PppConfig config = {})
       : modem_(modem), config_(config), rng_(rng) {}
 
   // Attempts to move `payload` across the link starting at `start`,
-  // reconnecting after interference drops up to the configured attempt
-  // count. Requires the modem to be powered.
+  // reconnecting after interference drops up to kMaxReconnectAttempts
+  // dials. Requires the modem to be powered.
   [[nodiscard]] PppOutcome transfer(sim::SimTime start, util::Bytes payload) {
     PppOutcome outcome;
     if (!modem_.powered()) return outcome;
     sim::SimTime now = start;
     util::Bytes remaining = payload;
 
-    for (int attempt = 0; attempt < config_.max_reconnect_attempts;
-         ++attempt) {
+    for (int attempt = 0; attempt < kMaxReconnectAttempts; ++attempt) {
       // Dial + ppp negotiation.
-      now += config_.dial_time;
+      now += kDialTime;
       if (!rng_.bernoulli(config_.dial_success)) {
         ++dial_failures_;
         continue;

@@ -18,8 +18,6 @@
 namespace gw::proto {
 
 struct ProbeLinkConfig {
-  util::BitsPerSecond rate{2400.0};  // through-ice low-rate radio
-  sim::Duration turnaround = sim::milliseconds(40);  // rx/tx switch
   // Extra loss multiplier for a specific probe (antenna orientation, depth);
   // 1.0 = the environment's nominal loss.
   double link_quality_factor = 1.0;
@@ -27,6 +25,11 @@ struct ProbeLinkConfig {
 
 class ProbeLink {
  public:
+  // Through-ice low-rate radio.
+  static constexpr util::BitsPerSecond kRate{2400.0};
+  // The rx/tx switch.
+  static constexpr sim::Duration kTurnaround = sim::milliseconds(40);
+
   ProbeLink(const env::MeltModel& melt, util::Rng rng,
             ProbeLinkConfig config = {})
       : melt_(melt), config_(config), rng_(rng) {}
@@ -47,8 +50,8 @@ class ProbeLink {
 
   // Airtime for one frame of the given wire size, including turnaround.
   [[nodiscard]] sim::Duration airtime(util::Bytes wire_size) const {
-    return sim::seconds(util::transfer_seconds(wire_size, config_.rate)) +
-           config_.turnaround;
+    return sim::seconds(util::transfer_seconds(wire_size, kRate)) +
+           kTurnaround;
   }
 
   [[nodiscard]] std::uint64_t packets_attempted() const {
