@@ -35,17 +35,20 @@ enum class DataPriority : int {
 };
 
 struct DataPriorityConfig {
-  double fast_alpha = 0.05;   // hours-scale tracker (hourly sampling)
-  double slow_alpha = 0.002;  // weeks-scale baseline
   double interesting_sigma = 4.0;  // divergence thresholds (reference sigmas)
   double urgent_sigma = 6.0;
-  int urgent_sustain = 6;     // consecutive excursions required
-  double conductivity_sigma_us = 0.25;  // reference scales
-  double pressure_sigma_kpa = 10.0;
 };
 
 class DataPriorityAnalyzer {
  public:
+  // Hours-scale tracker (hourly sampling).
+  static constexpr double kFastAlpha = 0.05;
+  static constexpr double kSlowAlpha = 0.002;  // weeks-scale baseline
+  // Consecutive excursions required.
+  static constexpr int kUrgentSustain = 6;
+  static constexpr double kConductivitySigmaUs = 0.25;  // reference scales
+  static constexpr double kPressureSigmaKpa = 10.0;
+
   explicit DataPriorityAnalyzer(DataPriorityConfig config = {})
       : config_(config) {}
 
@@ -84,16 +87,15 @@ class DataPriorityAnalyzer {
     }
 
     // Divergence in reference sigmas after folding in the new sample.
-    double advance(double x, const DataPriorityConfig& config,
-                   double sigma_ref) {
+    double advance(double x, double sigma_ref) {
       if (!primed) {
         primed = true;
         fast = x;
         slow = x;
         return 0.0;
       }
-      fast += config.fast_alpha * (x - fast);
-      slow += config.slow_alpha * (x - slow);
+      fast += kFastAlpha * (x - fast);
+      slow += kSlowAlpha * (x - slow);
       return std::abs(fast - slow) / sigma_ref;
     }
 
@@ -104,9 +106,9 @@ class DataPriorityAnalyzer {
   DataPriority score(const proto::ProbeReading& reading) {
     auto& trackers = per_probe_[reading.probe_id];
     const double z_cond = trackers.conductivity.advance(
-        reading.conductivity_us, config_, config_.conductivity_sigma_us);
-    const double z_pres = trackers.pressure.advance(
-        reading.pressure_kpa, config_, config_.pressure_sigma_kpa);
+        reading.conductivity_us, kConductivitySigmaUs);
+    const double z_pres =
+        trackers.pressure.advance(reading.pressure_kpa, kPressureSigmaKpa);
     const double z = std::max(z_cond, z_pres);
 
     if (z < config_.interesting_sigma) {
@@ -114,7 +116,7 @@ class DataPriorityAnalyzer {
       return DataPriority::kRoutine;
     }
     if (z >= config_.urgent_sigma &&
-        ++trackers.consecutive >= config_.urgent_sustain) {
+        ++trackers.consecutive >= kUrgentSustain) {
       ++urgent_batches_;
       trackers.conductivity.accept_regime();
       trackers.pressure.accept_regime();

@@ -27,11 +27,6 @@ namespace gw::core {
 struct RecoveryConfig {
   bool ntp_fallback = false;          // §IV future work, implemented
   double ntp_success = 0.85;          // NTP reachability once a session is up
-  util::Bytes ntp_payload = util::Bytes{128};   // a few SNTP datagrams
-  sim::Duration retry_interval = sim::days(1);  // "sleep for a day"
-  // rtc_drift fault windows degrade NTP discipline: the clock lands up to
-  // this far off true time, scaled by the window severity.
-  sim::Duration drift_skew = sim::minutes(10);
 };
 
 enum class RecoveryOutcome {
@@ -43,6 +38,13 @@ enum class RecoveryOutcome {
 
 class RecoveryManager {
  public:
+  static constexpr util::Bytes kNtpPayload{128};  // a few SNTP datagrams
+  // "Sleep for a day" after a failed attempt.
+  static constexpr sim::Duration kRetryInterval = sim::days(1);
+  // rtc_drift fault windows degrade NTP discipline: the clock lands up to
+  // this far off true time, scaled by the window severity.
+  static constexpr sim::Duration kDriftSkew = sim::minutes(10);
+
   RecoveryManager(sim::Simulation& simulation, hw::Msp430& msp,
                   hw::DgpsReceiver& dgps, util::Rng rng,
                   RecoveryConfig config = {})
@@ -84,7 +86,7 @@ class RecoveryManager {
 
   // One recovery attempt (the cold-boot path). Consumes device time
   // directly via the dGPS fix-acquisition model; the caller runs it inside
-  // a daily-run step. On kDeferred the caller sleeps retry_interval.
+  // a daily-run step. On kDeferred the caller sleeps kRetryInterval.
   RecoveryOutcome attempt() {
     ++attempts_;
     if (hooks_.metrics != nullptr) {
@@ -113,7 +115,7 @@ class RecoveryManager {
       const bool was_powered = gprs_->powered();
       if (!was_powered) gprs_->power_on();
       const hw::TransferOutcome session =
-          gprs_->attempt_transfer(config_.ntp_payload);
+          gprs_->attempt_transfer(kNtpPayload);
       if (!was_powered) {
         // Keep the modem drawing power for exactly as long as the session
         // ran, then let it cut itself off — attempt() returns immediately
@@ -130,7 +132,7 @@ class RecoveryManager {
               fault::FaultKind::kRtcDrift, simulation_.now());
           if (severity > 0.0) {
             skew = sim::Duration{
-                std::int64_t(double(config_.drift_skew.millis()) * severity)};
+                std::int64_t(double(kDriftSkew.millis()) * severity)};
             oracle_->record_trip(fault::FaultKind::kRtcDrift,
                                  simulation_.now());
           }

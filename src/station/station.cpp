@@ -838,9 +838,9 @@ void Station::on_cold_boot() {
       break;
     case core::RecoveryOutcome::kDeferred:
       // "sleep for a day and try again."
-      recovery_retry_ = simulation_.schedule_in(
-          recovery_.config().retry_interval,
-          [this] { fire_recovery_retry(); });
+      recovery_retry_ =
+          simulation_.schedule_in(core::RecoveryManager::kRetryInterval,
+                                  [this] { fire_recovery_retry(); });
       break;
   }
 }

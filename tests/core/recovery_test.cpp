@@ -68,7 +68,7 @@ TEST(Recovery, DefersWhenGpsFails) {
   // sleep for a day and try again."
   EXPECT_EQ(recovery.attempt(), RecoveryOutcome::kDeferred);
   EXPECT_TRUE(recovery.rtc_untrusted());
-  EXPECT_EQ(recovery.config().retry_interval, sim::days(1));
+  EXPECT_EQ(RecoveryManager::kRetryInterval, sim::days(1));
   EXPECT_EQ(recovery.deferrals(), 1);
 }
 
@@ -160,7 +160,7 @@ TEST(Recovery, RetryLoopEventuallySucceeds) {
   while (recovery.rtc_untrusted() && days < 30) {
     (void)recovery.attempt();
     f.simulation.run_until(f.simulation.now() +
-                           recovery.config().retry_interval);
+                           RecoveryManager::kRetryInterval);
     ++days;
   }
   EXPECT_FALSE(recovery.rtc_untrusted());
