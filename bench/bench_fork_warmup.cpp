@@ -115,7 +115,7 @@ SurvivalOutcome survival_trial(std::size_t trial,
       // the age-conditioned wear-out, so the shared 60 days are never
       // re-simulated yet the branch statistics stay exactly Weibull.
       probe.set_death_after(sim::days(conditional_weibull(
-          redraw, probe.config().weibull_shape,
+          redraw, station::ProbeNode::kWeibullShape,
           probe.config().weibull_scale_days, kBranchDay)));
     }
   }

@@ -28,13 +28,16 @@ struct ProbeNodeConfig {
   double conductivity_gain_us = 12.0;
   // Radio quality factor relative to the nominal seasonal link.
   double link_quality_factor = 1.0;
-  // Weibull wear-out: S(365 d) ≈ 4/7, S(547 d) ≈ 2/7 (§V).
-  double weibull_shape = 2.0;
+  // Weibull wear-out scale (shape ProbeNode::kWeibullShape).
   double weibull_scale_days = 488.0;
 };
 
 class ProbeNode {
  public:
+  // Weibull wear-out: S(365 d) ≈ 4/7, S(547 d) ≈ 2/7 (§V) at the default
+  // scale of 488 days.
+  static constexpr double kWeibullShape = 2.0;
+
   ProbeNode(sim::Simulation& simulation, const env::Environment& environment,
             util::Rng rng, ProbeNodeConfig config)
       : simulation_(simulation),
@@ -46,8 +49,8 @@ class ProbeNode {
                   .link_quality_factor = config.link_quality_factor}),
         deployed_at_(simulation.now()) {
     // Draw this probe's death day once, at deployment.
-    death_after_ = sim::days(rng_.weibull(config_.weibull_shape,
-                                          config_.weibull_scale_days));
+    death_after_ = sim::days(
+        rng_.weibull(kWeibullShape, config_.weibull_scale_days));
     schedule_sample();
   }
 

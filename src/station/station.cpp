@@ -391,8 +391,7 @@ std::optional<sim::Duration> Station::probe_chunk() {
     // Degraded mode defers probe work: half the session budget, so the
     // queue the network cannot drain stops growing twice as fast.
     const sim::Duration session_budget =
-        degraded_ ? config_.probe_session_budget / 2
-                  : config_.probe_session_budget;
+        degraded_ ? kProbeSessionBudget / 2 : kProbeSessionBudget;
     const sim::Duration budget_left = std::min(
         session_budget - probe_budget_used_, watchdog_.remaining());
     if (budget_left <= sim::Duration{0}) return std::nullopt;
@@ -563,7 +562,7 @@ sim::Duration Station::upload_data() {
   const sim::Duration reserve = sim::minutes(5);
   sim::Duration budget = watchdog_.remaining() - reserve;
   if (degraded_) {
-    budget = std::min(budget, config_.degraded_upload_budget);
+    budget = std::min(budget, kDegradedUploadBudget);
   }
   if (budget <= sim::Duration{0}) return sim::Duration{0};
   if (!server_reachable()) {
@@ -707,7 +706,7 @@ sim::Duration Station::apply_pending_update() {
 bool Station::comms_allowed() {
   if (local_voltage_state_ != power::PowerState::kState0) return true;
   if (!config_.enable_data_priority || !urgent_data_today_) return false;
-  if (power_.battery().soc() < config_.forced_comms_min_soc) return false;
+  if (power_.battery().soc() < kForcedCommsMinSoc) return false;
   // §VII: "forcing communication even if the available power is marginal
   // if the data warrants it."
   if (!forced_comms_counted_) {

@@ -74,9 +74,6 @@ struct StationConfig {
   // backlog cannot starve remote commands. Off = deployed (Fig 4) order.
   bool execute_special_before_upload = false;
 
-  // Slice of the watchdog window reserved for probe sessions.
-  sim::Duration probe_session_budget = sim::minutes(30);
-
   core::PowerPolicyConfig policy;
   core::RecoveryConfig recovery;
   power::PowerSystemConfig power;
@@ -97,20 +94,17 @@ struct StationConfig {
   // jumps ahead of dGPS backlog files in the upload queue.
   bool prioritize_science_data = false;
   core::DataPriorityConfig data_priority;
-  // Forced communication still needs a sliver of battery.
-  double forced_comms_min_soc = 0.05;
   // Graceful degradation under sustained comms failure: after this many
   // consecutive daily runs with zero upload progress the station drops to a
   // log-only upload (science files stay queued), shrinks the window to
-  // degraded_upload_budget, and halves the probe session budget — burning
-  // watts into a dead network is the one thing a glacier winter cannot
-  // forgive. A day that completes any upload exits the mode. 0 = disabled
-  // (deployed behaviour).
+  // Station::kDegradedUploadBudget, and halves the probe session budget —
+  // burning watts into a dead network is the one thing a glacier winter
+  // cannot forgive. A day that completes any upload exits the mode. 0 =
+  // disabled (deployed behaviour).
   int degrade_after_failed_days = 0;
-  sim::Duration degraded_upload_budget = sim::minutes(8);
   // DVFS frequency plan by power state (docs/ENERGY.md): for each of the
   // four Table 2 states, the operating-point index (into
-  // gumstix.frequency_plan) the Gumstix runs the daily window at. -1 = the
+  // Gumstix::frequency_plan()) the Gumstix runs the daily window at. -1 = the
   // top (full-speed) point, which reproduces the deployed behaviour
   // exactly. Applied at wake from the state the station woke up in; the
   // fixed compute steps of the window stretch by Gumstix::cpu_scale().
@@ -163,6 +157,13 @@ struct StationStats {
 
 class Station {
  public:
+  // Slice of the watchdog window reserved for probe sessions.
+  static constexpr sim::Duration kProbeSessionBudget = sim::minutes(30);
+  // Forced communication still needs a sliver of battery.
+  static constexpr double kForcedCommsMinSoc = 0.05;
+  // The upload window of a degraded day (degrade_after_failed_days).
+  static constexpr sim::Duration kDegradedUploadBudget = sim::minutes(8);
+
   Station(sim::Simulation& simulation, const env::Environment& environment,
           SouthamptonServer& server, util::Rng rng, StationConfig config);
 
