@@ -30,8 +30,7 @@ void RelayDeployment::run_days(int days) {
   for (int i = 0; i < days; ++i) {
     // Advance to the next window.
     const sim::SimTime window =
-        sim::start_of_day(simulation_.now()) + sim::days(1) +
-        config_.wake_time;
+        sim::start_of_day(simulation_.now()) + sim::days(1) + kWakeTime;
     simulation_.run_until(window);
     const RelayDayOutcome outcome = run_window();
     ++stats_.days;

@@ -45,9 +45,6 @@ struct RelayConfig {
   sim::Duration relay_listen_window = sim::hours(2);
   // Clock skew between the two stations' windows (std-dev, drawn daily).
   sim::Duration skew_stddev = sim::minutes(2);
-  // Guard band: the base must start dialling while the relay listens.
-  // If |skew| > listen window the day is lost outright.
-  sim::Duration wake_time = sim::hours(12);
   // Relay hard failure (storm damage / battery death) on this day; <0 = never.
   int relay_fails_on_day = -1;
   proto::PppConfig ppp;
@@ -76,6 +73,10 @@ struct RelayStats {
 // radio/GPRS on-time into the two PowerSystems.
 class RelayDeployment {
  public:
+  // Guard band: the base must start dialling while the relay listens.
+  // If |skew| > listen window the day is lost outright.
+  static constexpr sim::Duration kWakeTime = sim::hours(12);
+
   RelayDeployment(sim::Simulation& simulation,
                   const env::Environment& environment, util::Rng rng,
                   RelayConfig config = {});
