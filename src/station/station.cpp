@@ -59,7 +59,7 @@ struct DailyStep {
   When when;
 };
 
-constexpr std::array<DailyStep, 12> kDailyRun{{
+constexpr std::array<DailyStep, Station::kDailySteps> kDailyRun{{
     {"get_probe_data", kProbeData, kInChunks, kAnyState, kBaseStationOnly},
     {"read_msp", kReadMsp, kOnce, kAnyState, kEveryStation},
     {"calc_power_state", kLocalState, kOnce, kAnyState, kEveryStation},
@@ -240,8 +240,12 @@ void Station::advance_run() {
       return;
     }
     const sim::SimTime now = simulation_.now();
-    metrics_.histogram("station", "step_seconds." + std::string(step.name))
-        .observe((now - run_->step_started).to_seconds());
+    obs::Histogram*& histogram = step_histograms_[run_->step];
+    if (histogram == nullptr) {
+      histogram = &metrics_.histogram(
+          "station", "step_seconds." + std::string(step.name));
+    }
+    histogram->observe((now - run_->step_started).to_seconds());
     run_->step_started = now;
     run_->body_ran = false;
   }
@@ -867,6 +871,7 @@ void Station::persist(Archive& ar) {
   }
   ar.value(rng_);
   ar.value(metrics_);
+  if constexpr (!Archive::kIsSaver) step_histograms_.fill(nullptr);
   ar.value(journal_);
   ar.value(power_);
   ar.value(board_);

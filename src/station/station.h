@@ -163,6 +163,8 @@ class Station {
   static constexpr double kForcedCommsMinSoc = 0.05;
   // The upload window of a degraded day (degrade_after_failed_days).
   static constexpr sim::Duration kDegradedUploadBudget = sim::minutes(8);
+  // Rows of the Fig 4 daily run (kDailyRun in station.cpp).
+  static constexpr std::size_t kDailySteps = 12;
 
   Station(sim::Simulation& simulation, const env::Environment& environment,
           SouthamptonServer& server, util::Rng rng, StationConfig config);
@@ -377,6 +379,10 @@ class Station {
     sim::SimTime step_started{};          // when the row began
   };
   std::optional<Run> run_;
+  // Each row's station.step_seconds.<step> histogram, looked up when the
+  // row first finishes so later days build no name. Loading a snapshot
+  // replaces the registry's entries and empties this.
+  std::array<obs::Histogram*, kDailySteps> step_histograms_{};
   std::vector<sim::EventId> gps_program_;
   // Deferred §IV cold-boot retry ("sleep for a day and try again") — tracked
   // so a checkpoint taken while a station waits out a flat battery restores
