@@ -85,7 +85,6 @@ class RelayDeployment {
   void run_days(int days);
 
   [[nodiscard]] const RelayStats& stats() const { return stats_; }
-  [[nodiscard]] power::PowerSystem& base_power() { return *base_power_; }
   [[nodiscard]] power::PowerSystem& relay_power() { return *relay_power_; }
 
   // Comms energy actually spent (radio modems + relay GPRS), for the

@@ -63,7 +63,6 @@ class DataPriorityAnalyzer {
     return batch_priority;
   }
 
-  [[nodiscard]] DataPriority last_batch() const { return last_batch_; }
   [[nodiscard]] int urgent_batches() const { return urgent_batches_; }
 
   template <class Archive>

@@ -59,10 +59,6 @@ class RecoveryManager {
   // Stored as the RTC's reading, which is all the station has.
   void record_successful_run() { last_successful_run_ = msp_.rtc_now(); }
 
-  [[nodiscard]] std::optional<sim::SimTime> last_successful_run() const {
-    return last_successful_run_;
-  }
-
   // §IV detection: "checks that its current time is before the last time
   // the system ran; if that fails it knows that the RTC is not to be
   // trusted."

@@ -73,7 +73,6 @@ class SensorSuite {
   }
 
   [[nodiscard]] double pitch_deg() const { return pitch_deg_; }
-  [[nodiscard]] double roll_deg() const { return roll_deg_; }
 
   template <class Archive>
   void persist(Archive& ar) {

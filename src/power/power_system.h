@@ -215,8 +215,6 @@ class PowerSystem {
     return total_load_power() / kNominal;
   }
 
-  [[nodiscard]] int brown_out_count() const { return brown_out_count_; }
-
   // Snapshot support (docs/SNAPSHOT.md). Chargers, handlers, hooks and the
   // oracle pointer are wiring the restored world rebuilds; component names
   // and state counts are saved as a cross-check that the wiring actually

@@ -71,8 +71,6 @@ class ProbeNode {
 
   [[nodiscard]] const ProbeNodeConfig& config() const { return config_; }
 
-  [[nodiscard]] sim::Duration death_after() const { return death_after_; }
-
   // Replaces the wear-out draw — the fork bench redraws lifetimes for
   // probes still alive at the branch point (conditional resampling).
   void set_death_after(sim::Duration death_after) {

@@ -171,17 +171,6 @@ std::vector<obs::MergedEvent> ShardedFleet::merged_journal() const {
   return obs::merge_journals(journals);
 }
 
-std::vector<std::string> ShardedFleet::merged_trace_series_names() const {
-  std::vector<std::string> names;
-  for (const auto& world : worlds_) {
-    for (const auto& name : world->trace.series_names()) {
-      names.push_back(name);
-    }
-  }
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
 void ShardedFleet::drain(sim::SimTime barrier) {
   (void)barrier;
   for (std::size_t s = 0; s < worlds_.size(); ++s) {

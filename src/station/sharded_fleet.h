@@ -143,8 +143,6 @@ class ShardedFleet : public FleetAssembly {
   // Station + fault journals merged by (time, station, seq); fault
   // journals are labelled "<station>/fault".
   [[nodiscard]] std::vector<obs::MergedEvent> merged_journal() const;
-  // Per-station trace series concatenated in series-name order.
-  [[nodiscard]] std::vector<std::string> merged_trace_series_names() const;
 
   [[nodiscard]] std::uint64_t events_executed() const {
     return sharded_->events_executed();
