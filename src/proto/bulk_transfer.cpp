@@ -202,8 +202,7 @@ TransferStats StopAndWaitTransfer::run(ProbeStore& store, sim::SimTime start,
       stats.budget_exhausted = true;
       break;
     }
-    for (int attempt = 0; attempt < kMaxRetriesPerReading;
-         ++attempt) {
+    for (int attempt = 0; attempt < kMaxRetriesPerReading; ++attempt) {
       if (session.out_of_budget()) {
         stats.budget_exhausted = true;
         break;
