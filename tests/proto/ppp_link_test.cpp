@@ -89,7 +89,7 @@ TEST(PppLink, DialFailuresCounted) {
   const auto outcome = link.transfer(f.simulation.now(), 1_KiB);
   EXPECT_FALSE(outcome.connected);
   EXPECT_EQ(outcome.reason, PppDisconnectReason::kDialFailed);
-  EXPECT_EQ(link.dial_failures(), 3);  // max_reconnect_attempts
+  EXPECT_EQ(link.dial_failures(), 3);  // PppLink::kMaxReconnectAttempts
   // Three dial attempts' worth of time was still burned.
   EXPECT_EQ(outcome.elapsed, sim::seconds(60));
 }
